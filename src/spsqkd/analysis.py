@@ -22,9 +22,10 @@ import numpy as np
 
 from .channel_model import ChannelParams
 from .errors import FitError, NoKeyError
-from .photon_source import PhotonDistribution, apply_collection
-from .protocols import (DEFAULT_F_EC, DEFAULT_Q_SIFT, skr_dtb, skr_hp,
-                        skr_wcs_infinite_decoy, skr_wcs_tagging_bound)
+from .photon_source import (PhotonDistribution, apply_collection,
+                            apply_collection_array, check_distribution_array)
+from .protocols import (DEFAULT_F_EC, DEFAULT_Q_SIFT, skr_dtb, skr_dtb_array,
+                        skr_hp, skr_wcs_infinite_decoy, skr_wcs_tagging_bound)
 
 # Bisection width for maximal-loss searches, in dB.
 MCL_TOL_DB = 0.01
@@ -35,6 +36,8 @@ _LOSS_CAP_DB = 200.0
 _GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
 
 RateFn = Callable[[float], float]
+# (problem indices, losses in dB) -> rates, for mcl_lockstep
+ArrayRateFn = Callable[[np.ndarray, np.ndarray], np.ndarray]
 
 
 @dataclass(frozen=True, slots=True)
@@ -118,6 +121,41 @@ def mcl(skr_fn: RateFn, tol_db: float = MCL_TOL_DB) -> float:
     return 0.5 * (lo + hi)
 
 
+def mcl_lockstep(rate_fn: ArrayRateFn, size: int) -> np.ndarray:
+    """``mcl`` of ``size`` independent problems, searched together.
+
+    ``rate_fn(idx, loss_db)`` returns the key rates of problems ``idx`` at
+    the losses ``loss_db`` (equal-length arrays).  Every problem takes the
+    steps ``mcl`` takes -- the zero-loss key check, 25 dB bracket
+    expansion up to the 200 dB cap, bisection to ``MCL_TOL_DB`` -- and drops
+    out as soon as its own bracket is done, so the losses probed and the
+    results are those of one ``mcl`` call per problem.  Problems without
+    key at zero loss are NaN where ``mcl`` raises NoKeyError; FitError is
+    raised as ``mcl`` raises it, when any rate is still positive at the cap.
+    """
+    out = np.full(size, np.nan)
+    # "not <= 0" as in mcl, so a NaN rate at zero loss is searched there too
+    idx = np.flatnonzero(~(rate_fn(np.arange(size), np.zeros(size)) <= 0.0))
+    lo = np.zeros(idx.size)
+    hi = np.full(idx.size, 25.0)
+    todo = np.arange(idx.size)
+    while todo.size:
+        todo = todo[rate_fn(idx[todo], hi[todo]) > 0.0]
+        lo[todo] = hi[todo]
+        hi[todo] += 25.0
+        if np.any(hi[todo] > _LOSS_CAP_DB):
+            raise FitError(f"key rate still positive at {_LOSS_CAP_DB} dB")
+    todo = np.flatnonzero(hi - lo > MCL_TOL_DB)
+    while todo.size:
+        mid = 0.5 * (lo[todo] + hi[todo])
+        up = rate_fn(idx[todo], mid) > 0.0
+        lo[todo[up]] = mid[up]
+        hi[todo[~up]] = mid[~up]
+        todo = todo[hi[todo] - lo[todo] > MCL_TOL_DB]
+    out[idx] = 0.5 * (lo + hi)
+    return out
+
+
 def gamma(mcl_protocol_db: float, mcl_wcs_db: float) -> float:
     """Relative gain in dB; positive means the protocol tolerates more loss."""
     return mcl_protocol_db - mcl_wcs_db
@@ -139,6 +177,17 @@ def dtb_rate_fn(signal: PhotonDistribution, channel: ChannelParams,
     def fn(loss_db: float) -> float:
         return skr_dtb(signal, channel.with_loss(loss_db),
                        q_sift=q_sift, f_ec=f_ec).rate
+    return fn
+
+
+def dtb_rate_array_fn(probs: np.ndarray, channel: ChannelParams,
+                      q_sift: float = DEFAULT_Q_SIFT,
+                      f_ec: float = DEFAULT_F_EC) -> ArrayRateFn:
+    """``dtb_rate_fn`` for the columns of a (4, N) array of checked
+    distributions, in the form ``mcl_lockstep`` takes."""
+    def fn(idx: np.ndarray, loss_db: np.ndarray) -> np.ndarray:
+        return skr_dtb_array(probs[:, idx], channel, loss_db,
+                             q_sift=q_sift, f_ec=f_ec)
     return fn
 
 
@@ -191,22 +240,30 @@ def gamma_map_dtb(channel: ChannelParams, eta_c: float = 1.0, n: int = 200,
 
     The n x n grid spans [0, 1] on both axes; points with p1 + p2 > 1 and
     points yielding no key at zero loss are NaN.  The baseline MCL is
-    computed once for the shared channel.
+    computed once for the shared channel.  All simplex points are searched
+    together by ``mcl_lockstep`` over ``skr_dtb_array``.  The search reads
+    only the sign of each rate, so entries equal the per-point
+    ``mcl(dtb_rate_fn(...))`` bit for bit unless a probed rate lies within
+    the kernel's last-place rounding of zero.
     """
+    if n < 2:
+        raise ValueError("the grid needs n >= 2 points per axis")
+    if not 0.0 <= eta_c <= 1.0:
+        raise ValueError("eta_c must lie in [0, 1]")
     baseline = wcs_mcl(channel, q_sift=q_sift)
     p1_axis = np.linspace(0.0, 1.0, n)
     p2_axis = np.linspace(0.0, 1.0, n)
+    p1, p2 = np.meshgrid(p1_axis, p2_axis, indexing="ij")
+    inside = p1 + p2 <= 1.0 + 1e-12
+    p1, p2 = p1[inside], p2[inside]
+    probs = check_distribution_array(
+        np.stack([np.maximum(1.0 - p1 - p2, 0.0), p1, p2, np.zeros_like(p1)]))
+    if eta_c < 1.0:
+        probs = apply_collection_array(probs, eta_c)
+    m = mcl_lockstep(dtb_rate_array_fn(probs, channel, q_sift=q_sift,
+                                       f_ec=f_ec), p1.size)
     out = np.full((n, n), np.nan)
-    for i, p1 in enumerate(p1_axis):
-        for j, p2 in enumerate(p2_axis):
-            if p1 + p2 > 1.0 + 1e-12:
-                continue
-            d = PhotonDistribution(p0=max(1.0 - p1 - p2, 0.0), p1=p1, p2=p2)
-            if eta_c < 1.0:
-                d = apply_collection(d, eta_c)
-            m = _mcl_or_nan(dtb_rate_fn(d, channel, q_sift=q_sift, f_ec=f_ec))
-            if not math.isnan(m):
-                out[i, j] = m - baseline
+    out[inside] = m - baseline
     return GammaMap(p1=p1_axis, p2=p2_axis, gamma_db=out, wcs_mcl_db=baseline)
 
 
@@ -333,7 +390,7 @@ def gamma_vs_efficiency(protocol: str, axis: str, values: Sequence[float],
     if f_ec is None:
         f_ec = DEFAULT_F_EC if protocol == "dtb" else 1.0
     baseline = wcs_mcl(channel, q_sift=q_sift)
-    out: list[tuple[float, float]] = []
+    points = []
     for v in values:
         v = float(v)
         # float grids routinely overshoot the unit interval by one ulp
@@ -342,16 +399,18 @@ def gamma_vs_efficiency(protocol: str, axis: str, values: Sequence[float],
         elif -1e-9 < v < 0.0:
             v = 0.0
         if axis == "eta_c":
-            d = apply_collection(source, v)
-            ed = eta_d
+            points.append((v, apply_collection(source, v), eta_d))
         else:
             d = apply_collection(source, eta_c) if eta_c < 1.0 else source
-            ed = v
-        if protocol == "dtb":
-            fn = dtb_rate_fn(d, channel, q_sift=q_sift, f_ec=f_ec)
-        else:
-            fn = hp_rate_fn(d, channel, t=t, eta_d=ed,
-                            p_dc_alice=p_dc_alice, q_sift=q_sift, f_ec=f_ec)
-        m = _mcl_or_nan(fn)
-        out.append((float(v), m - baseline if not math.isnan(m) else math.nan))
-    return out
+            points.append((v, d, v))
+    if protocol == "dtb":
+        probs = np.array([d.as_tuple() for _, d, _ in points]).reshape(-1, 4).T
+        m = mcl_lockstep(dtb_rate_array_fn(probs, channel, q_sift=q_sift,
+                                           f_ec=f_ec), len(points))
+    else:
+        m = [_mcl_or_nan(hp_rate_fn(d, channel, t=t, eta_d=ed,
+                                    p_dc_alice=p_dc_alice, q_sift=q_sift,
+                                    f_ec=f_ec))
+             for _, d, ed in points]
+    return [(v, float(mv) - baseline if not math.isnan(mv) else math.nan)
+            for (v, _, _), mv in zip(points, m)]

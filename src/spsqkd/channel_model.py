@@ -18,6 +18,8 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
+import numpy as np
+
 from .errors import InfeasibleObservablesError
 from .photon_source import PhotonDistribution
 
@@ -123,6 +125,34 @@ def yields(channel: ChannelParams, n_max: int = 3) -> YieldSet:
         y_list.append(y_n)
         e_list.append(e_n)
     return YieldSet(eta=transmittance(channel), y=tuple(y_list), e=tuple(e_list))
+
+
+def yields_array(channel: ChannelParams,
+                 loss_db: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """``yields`` for n = 0..3 at many channel losses at once.
+
+    Returns (Y, e), each of shape (4, len(loss_db)): column k holds
+    the yields and error rates of ``channel.with_loss(loss_db[k])``, with
+    the same operations in the same order as ``yields``.  numpy's
+    log1p/expm1/power may round differently from ``math`` in the last
+    place, so entries can differ from ``yields`` by a few ulp.
+    """
+    loss_db = np.asarray(loss_db, dtype=float)
+    if not np.all(np.isfinite(loss_db) & (loss_db >= 0)):
+        raise ValueError("loss_db must be a finite non-negative attenuation")
+    eta = 10.0 ** (-loss_db / 10.0) * channel.eta_bob
+    full = eta >= 1.0
+    with np.errstate(divide="ignore", invalid="ignore"):
+        log_miss = np.log1p(-eta)
+        y = np.empty((4, eta.size))
+        e = np.empty_like(y)
+        for n in range(4):
+            surv = np.where(full, float(n > 0), -np.expm1(n * log_miss))
+            y[n] = surv + channel.p_dc - surv * channel.p_dc
+            e[n] = np.where(y[n] > 0.0,
+                            (channel.e_d * surv + 0.5 * channel.p_dc) / y[n],
+                            0.5)
+    return y, e
 
 
 def gain_and_qber(d: PhotonDistribution, channel: ChannelParams) -> ObservedRates:

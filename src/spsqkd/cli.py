@@ -42,6 +42,10 @@ from .photon_source import PhotonDistribution
 
 PROTOCOLS = ("dtb", "hp", "wcs", "perfect-sps")
 
+# Largest gamma-map grid accepted: the lockstep search keeps a few arrays
+# of 4 n**2 floats, about 120 MB at this size.
+MAX_GRID = 1000
+
 
 def fixtures_root() -> Path:
     """Fixture directory: QKD_FIXTURES_DIR if set, else the bundled one."""
@@ -208,6 +212,8 @@ def cmd_skr_curve(args) -> int:
 
 
 def cmd_gamma_map(args) -> int:
+    if args.grid > MAX_GRID:
+        raise ConfigError(f"--grid must be at most {MAX_GRID}")
     channel = load_channel(args.channel)
     config = {"cmd": "gamma-map", "channel": args.channel, "grid": args.grid,
               "eta_c": args.eta_c, "q_sift": args.q_sift}
@@ -344,8 +350,9 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("gamma-map", help="relative gain over (p1, p2)")
     common(p)
     p.add_argument("--grid", type=int, default=200,
-                   help="grid points per axis (default 200)")
-    p.add_argument("--eta-c", type=float, default=1.0)
+                   help=f"grid points per axis, 2 to {MAX_GRID} (default 200)")
+    p.add_argument("--eta-c", type=float, default=1.0,
+                   help="source collection efficiency in [0, 1] (default 1)")
     p.add_argument("--q-sift", type=float, default=0.5)
     p.set_defaults(fn=cmd_gamma_map)
 

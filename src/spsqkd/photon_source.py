@@ -73,6 +73,20 @@ class PhotonDistribution:
                    p2=float(data["p2"]), p3=float(data.get("p3", 0.0)))
 
 
+def check_distribution_array(probs: np.ndarray) -> np.ndarray:
+    """``PhotonDistribution``'s range and sum checks on every column of a
+    (4, N) array with rows (p0, p1, p2, p3); returns the array."""
+    ok = np.isfinite(probs) & (probs >= -_NEG_TOL) & (probs <= 1.0 + _NEG_TOL)
+    if not ok.all():
+        col, row = np.argwhere(~ok.T)[0]
+        raise ValueError(f"p{row}={float(probs[row, col])!r} is not a probability")
+    total = probs[0] + probs[1] + probs[2] + probs[3]
+    bad = np.flatnonzero(np.abs(total - 1.0) > _SUM_TOL)
+    if bad.size:
+        raise ValueError(f"probabilities sum to {float(total[bad[0]])!r}, expected 1")
+    return probs
+
+
 @dataclass(frozen=True, slots=True)
 class SourceModel:
     """Cascade-source parameters.
@@ -326,13 +340,25 @@ def apply_collection(d: PhotonDistribution, eta_c: float) -> PhotonDistribution:
     this loss sits inside the transmitter, before the quantum channel, so
     it reshapes the emission statistics instead of adding channel loss.
     """
+    p1, p2, p3 = _collected(d.p1, d.p2, d.p3, eta_c)
+    return PhotonDistribution(p0=1.0 - p1 - p2 - p3, p1=p1, p2=p2, p3=p3)
+
+
+def apply_collection_array(probs: np.ndarray, eta_c: float) -> np.ndarray:
+    """``apply_collection`` on every column of a (4, N) array of
+    distributions, checked like ``PhotonDistribution``."""
+    p1, p2, p3 = _collected(probs[1], probs[2], probs[3], eta_c)
+    return check_distribution_array(np.stack([1.0 - p1 - p2 - p3, p1, p2, p3]))
+
+
+def _collected(p1, p2, p3, eta_c: float):
+    # shared by the scalar and array forms, so both round alike
     if not 0.0 <= eta_c <= 1.0:
         raise ValueError("eta_c must lie in [0, 1]")
     c, m = eta_c, 1.0 - eta_c
-    p3 = d.p3 * c**3
-    p2 = d.p2 * c * c + 3.0 * d.p3 * c * c * m
-    p1 = d.p1 * c + 2.0 * d.p2 * c * m + 3.0 * d.p3 * c * m * m
-    return PhotonDistribution(p0=1.0 - p1 - p2 - p3, p1=p1, p2=p2, p3=p3)
+    return (p1 * c + 2.0 * p2 * c * m + 3.0 * p3 * c * m * m,
+            p2 * c * c + 3.0 * p3 * c * c * m,
+            p3 * c**3)
 
 
 def hp_transform(d: PhotonDistribution, t: float, eta_d: float,

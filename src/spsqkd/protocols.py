@@ -22,7 +22,10 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .channel_model import ChannelParams, ObservedRates, wcs_gain_and_qber, yields
+import numpy as np
+
+from .channel_model import (ChannelParams, ObservedRates, wcs_gain_and_qber,
+                            yields, yields_array)
 from .errors import DegenerateDecoyError, InconsistentDataError
 from .photon_source import PhotonDistribution, hp_transform
 
@@ -80,6 +83,17 @@ def _entropy_cost(x: float) -> float:
     if x >= 0.5:
         return 1.0
     return binary_entropy(x)
+
+
+def _entropy_cost_array(x: np.ndarray) -> np.ndarray:
+    # _entropy_cost elementwise, with the same checks
+    bad = ~(x >= 0.0)
+    if bad.any():
+        raise ValueError(f"binary entropy argument {float(x[bad][0])!r} "
+                         "outside [0, 1]")
+    with np.errstate(divide="ignore", invalid="ignore"):
+        h = -x * np.log2(x) - (1.0 - x) * np.log2(1.0 - x)
+    return np.where(x >= 0.5, 1.0, np.where(x == 0.0, 0.0, h))
 
 
 def _golden_max(fn, lo: float, hi: float, tol: float) -> float:
@@ -178,6 +192,34 @@ def skr_dtb(d: PhotonDistribution, channel: ChannelParams,
     signal = ObservedRates(q=q_s, e=eq / q_s)
     return skr_dtb_from_rates(signal, y1=ys.y[1], e1=ys.e[1], p1_signal=d.p1,
                               q_sift=q_sift, f_ec=f_ec)
+
+
+def skr_dtb_array(probs: np.ndarray, channel: ChannelParams,
+                  loss_db: np.ndarray, q_sift: float = DEFAULT_Q_SIFT,
+                  f_ec: float = DEFAULT_F_EC) -> np.ndarray:
+    """``skr_dtb(...).rate`` of many signals, each at its own loss.
+
+    Column k of ``probs`` (shape (4, N), rows p0..p3, already checked as
+    distributions) is evaluated on ``channel.with_loss(loss_db[k])``.  The
+    arithmetic and the ``ObservedRates`` checks are those of ``skr_dtb``;
+    numpy's log/exp may round differently from ``math`` in the last place,
+    so rates can differ from ``skr_dtb`` by a few ulp.  A single
+    evaluation is ten times faster through ``skr_dtb``.
+    """
+    y, e = yields_array(channel, loss_db)
+    p0, p1, p2, p3 = probs
+    q_s = p0 * y[0] + p1 * y[1] + p2 * y[2] + p3 * y[3]
+    eq = p0 * y[0] * e[0] + p1 * y[1] * e[1] + p2 * y[2] * e[2] + p3 * y[3] * e[3]
+    detected = ~(q_s <= 0.0)
+    if not np.all((0.0 <= q_s[detected]) & (q_s[detected] <= 1.0)):
+        raise ValueError("gain must lie in [0, 1]")
+    e_s = np.divide(eq, q_s, out=np.zeros_like(eq), where=detected)
+    if not np.all((0.0 <= e_s) & (e_s <= 1.0)):
+        raise ValueError("error rate must lie in [0, 1]")
+    q1 = y[1] * p1
+    raw = q_sift * (-q_s * f_ec * _entropy_cost_array(e_s)
+                    + q1 * (1.0 - _entropy_cost_array(e[1])))
+    return np.where(detected, np.maximum(raw, 0.0), 0.0)
 
 
 def hp_effective_distribution(d: PhotonDistribution, t: float, eta_d: float,

@@ -4,9 +4,12 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from spsqkd.analysis import (
     GammaMap,
+    dtb_rate_array_fn,
     dtb_rate_fn,
     gamma,
     gamma_map_dtb,
@@ -14,6 +17,7 @@ from spsqkd.analysis import (
     hp_rate_fn,
     hp_threshold,
     mcl,
+    mcl_lockstep,
     optimal_bs_transmission,
     skr_curve,
     wcs_mcl,
@@ -22,7 +26,7 @@ from spsqkd.analysis import (
 )
 from spsqkd.channel_model import ChannelParams
 from spsqkd.errors import FitError, NoKeyError
-from spsqkd.photon_source import PhotonDistribution
+from spsqkd.photon_source import PhotonDistribution, apply_collection
 
 PERFECT = PhotonDistribution(0.0, 1.0, 0.0)
 
@@ -102,6 +106,79 @@ class TestGammaAndCurve:
             skr_curve(wcs_rate_fn(channel), [0.0, 10.0, 10.0])
 
 
+def scalar_mcl(d: PhotonDistribution, channel: ChannelParams) -> float:
+    """The per-point reference: NaN where mcl finds no key."""
+    try:
+        return mcl(dtb_rate_fn(d, channel))
+    except NoKeyError:
+        return math.nan
+
+
+def lockstep_mcl(ds, channel: ChannelParams) -> np.ndarray:
+    probs = np.array([d.as_tuple() for d in ds]).T
+    return mcl_lockstep(dtb_rate_array_fn(probs, channel), len(ds))
+
+
+def same_floats(a, b) -> bool:
+    return np.array_equal(np.asarray(a), np.asarray(b), equal_nan=True)
+
+
+class TestMclLockstep:
+    @given(st.floats(min_value=1e-3, max_value=1.0),
+           st.floats(min_value=0.0, max_value=1e-3),
+           st.floats(min_value=0.0, max_value=0.2),
+           st.lists(st.tuples(st.floats(min_value=0.0, max_value=1.0),
+                              st.floats(min_value=0.0, max_value=1.0)),
+                    min_size=1, max_size=6))
+    @settings(max_examples=60, deadline=None)
+    def test_equals_the_scalar_search_bit_for_bit(self, eta_bob, p_dc, e_d,
+                                                  points):
+        ch = ChannelParams(loss_db=0.0, eta_bob=eta_bob, p_dc=p_dc, e_d=e_d)
+        ds = [PhotonDistribution(max(1.0 - a - (1.0 - a) * b, 0.0), a,
+                                 (1.0 - a) * b) for a, b in points]
+        ref = []
+        for d in ds:
+            try:
+                ref.append(scalar_mcl(d, ch))
+            except FitError:
+                with pytest.raises(FitError):
+                    lockstep_mcl(ds, ch)
+                return
+        assert same_floats(lockstep_mcl(ds, ch), ref)
+
+    def test_generic_rate_functions(self):
+        cutoffs = np.array([33.7, 140.0, 12.34, 0.004])
+
+        def fn(idx, loss):
+            return np.maximum(0.0, 1e-3 * (1.0 - loss / cutoffs[idx]))
+
+        got = mcl_lockstep(fn, cutoffs.size)
+        assert got.tolist() == [mcl(ramp(c)) for c in cutoffs]
+
+    def test_nan_rates_are_searched_as_mcl_searches_them(self):
+        def fn(idx, loss):
+            return np.where(idx == 0, math.nan, -1.0)
+
+        got = mcl_lockstep(fn, 2)
+        assert math.isnan(got[1])
+        assert got[0] == mcl(lambda loss: math.nan)
+
+    def test_no_problems(self):
+        assert mcl_lockstep(lambda idx, loss: loss, 0).size == 0
+
+    def test_cap_raises_where_the_scalar_search_does(self, sps1):
+        # without dark counts or misalignment the rate never reaches zero
+        clean = ChannelParams(loss_db=0.0, eta_bob=1.0, p_dc=0.0, e_d=0.0)
+        with pytest.raises(FitError):
+            mcl(dtb_rate_fn(sps1, clean))
+        with pytest.raises(FitError):
+            lockstep_mcl([sps1], clean)
+        # one capped problem among finite ones fails the whole search
+        with pytest.raises(FitError):
+            mcl_lockstep(lambda idx, loss: np.where(
+                idx == 1, 1.0, np.maximum(0.0, 1.0 - loss / 30.0)), 3)
+
+
 @pytest.fixture(scope="module")
 def small_map(channel) -> GammaMap:
     return gamma_map_dtb(channel, n=25)
@@ -147,6 +224,30 @@ class TestGammaMap:
     def test_attached_baseline_is_the_wcs_limit(self, small_map, channel):
         assert small_map.wcs_mcl_db == pytest.approx(wcs_mcl(channel),
                                                      abs=1e-12)
+
+    @pytest.mark.parametrize("eta_c", [1.0, 0.8])
+    def test_equals_the_per_point_scalar_search(self, channel, eta_c):
+        gmap = gamma_map_dtb(channel, eta_c=eta_c, n=25)
+        baseline = wcs_mcl(channel)
+        ref = np.full((25, 25), np.nan)
+        for i, p1 in enumerate(gmap.p1):
+            for j, p2 in enumerate(gmap.p2):
+                if p1 + p2 > 1.0 + 1e-12:
+                    continue
+                d = PhotonDistribution(max(1.0 - p1 - p2, 0.0), p1, p2)
+                if eta_c < 1.0:
+                    d = apply_collection(d, eta_c)
+                ref[i, j] = scalar_mcl(d, channel) - baseline
+        assert gmap.wcs_mcl_db == baseline
+        assert np.isnan(gmap.gamma_db).sum() > 25 * 24 // 2
+        assert same_floats(gmap.gamma_db, ref)
+
+    @pytest.mark.parametrize("kwargs", [
+        {"n": 1}, {"n": 0}, {"n": -3}, {"eta_c": 1.5}, {"eta_c": -0.1},
+        {"eta_c": math.nan}])
+    def test_bad_grid_or_collection_rejected(self, channel, kwargs):
+        with pytest.raises(ValueError):
+            gamma_map_dtb(channel, **kwargs)
 
     def test_deterministic(self, channel):
         a = gamma_map_dtb(channel, n=8)
@@ -235,7 +336,22 @@ class TestGammaVsEfficiency:
         assert pts[0][0] == 1.0
         assert math.isfinite(pts[0][1])
 
+    def test_decoy_sweep_equals_the_per_point_scalar_search(self, channel,
+                                                          sps1):
+        values = [0.0, 0.2, 0.2825, 0.5, 1.0]
+        baseline = wcs_mcl(channel)
+        ref = [(v, scalar_mcl(apply_collection(sps1, v), channel) - baseline)
+               for v in values]
+        got = gamma_vs_efficiency("dtb", "eta_c", values, sps1, channel)
+        assert all(type(g) is float for _, g in got)
+        assert same_floats(got, ref)
+
+    def test_empty_sweep(self, channel, sps1):
+        assert gamma_vs_efficiency("dtb", "eta_c", [], sps1, channel) == []
+
     def test_validation(self, channel, sps1):
+        with pytest.raises(ValueError):
+            gamma_vs_efficiency("dtb", "eta_c", [0.5, 1.5], sps1, channel)
         with pytest.raises(ValueError):
             gamma_vs_efficiency("laser", "eta_c", [1.0], sps1, channel)
         with pytest.raises(ValueError):

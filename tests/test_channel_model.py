@@ -2,6 +2,7 @@
 
 import math
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -14,9 +15,12 @@ from spsqkd.channel_model import (
     transmittance,
     wcs_gain_and_qber,
     yields,
+    yields_array,
 )
 from spsqkd.errors import InfeasibleObservablesError
 from spsqkd.photon_source import PhotonDistribution
+
+EPS = float(np.finfo(float).eps)
 
 channels = st.builds(
     ChannelParams,
@@ -117,6 +121,32 @@ class TestYields:
             assert b >= a
         if transmittance(ch) > 0:
             assert ys.y[1] > ys.y[0]
+
+
+class TestYieldsArray:
+    @given(channels, st.lists(st.floats(min_value=0.0, max_value=200.0),
+                              min_size=1, max_size=8))
+    @settings(max_examples=200)
+    def test_matches_the_scalar_yields_to_a_few_ulp(self, ch, losses):
+        y, e = yields_array(ch, np.array(losses))
+        for k, loss in enumerate(losses):
+            ys = yields(ch.with_loss(loss))
+            # numpy's power/log1p/expm1 may round differently from math's
+            np.testing.assert_allclose(y[:, k], ys.y, rtol=16 * EPS, atol=0)
+            np.testing.assert_allclose(e[:, k], ys.e, rtol=16 * EPS, atol=0)
+
+    def test_lossless_unit_receiver_and_zero_yield(self):
+        ch = ChannelParams(loss_db=0.0, eta_bob=1.0, p_dc=0.0, e_d=0.0)
+        y, e = yields_array(ch, np.array([0.0]))
+        assert y[:, 0].tolist() == list(yields(ch).y) == [0.0, 1.0, 1.0, 1.0]
+        assert e[:, 0].tolist() == list(yields(ch).e)
+
+    @pytest.mark.parametrize("loss", [-1.0, math.inf, math.nan])
+    def test_bad_losses_rejected_as_with_loss_rejects_them(self, channel, loss):
+        with pytest.raises(ValueError):
+            channel.with_loss(loss)
+        with pytest.raises(ValueError):
+            yields_array(channel, np.array([10.0, loss]))
 
 
 class TestGainAndQber:

@@ -12,7 +12,7 @@ import pytest
 
 from spsqkd import __version__
 from spsqkd.analysis import dtb_rate_fn, gamma_map_dtb, mcl, wcs_mcl, wcs_rate_fn
-from spsqkd.cli import load_channel, main
+from spsqkd.cli import MAX_GRID, load_channel, main
 from spsqkd.ingest import maps_from_report, skr_from_experiment, write_tomography_csv
 from spsqkd.montecarlo import SimConfig, run_dtb
 from spsqkd.photon_source import PhotonDistribution
@@ -160,6 +160,24 @@ class TestGammaMap:
         assert len(rows) == 64
         assert footer["wcs_mcl_db"] == wcs_mcl(load_channel("channel"))
         assert {"fit_slope", "fit_intercept"} <= footer.keys()
+
+    @pytest.mark.parametrize("argv, message", [
+        (["--grid", "0"], "the grid needs n >= 2 points per axis"),
+        (["--grid", "-3"], "the grid needs n >= 2 points per axis"),
+        (["--grid", str(MAX_GRID + 1)], f"--grid must be at most {MAX_GRID}"),
+        (["--eta-c", "1.5"], "eta_c must lie in [0, 1]"),
+        (["--eta-c", "-0.1"], "eta_c must lie in [0, 1]"),
+        (["--eta-c", "nan"], "eta_c must lie in [0, 1]")])
+    def test_out_of_range_grid_or_collection_fails_cleanly(self, capsys, argv,
+                                                           message):
+        code, out, err = invoke(capsys, ["gamma-map"] + argv)
+        assert code == 1 and out == ""
+        assert err == f"error: {message}\n"
+
+    def test_grid_cap_is_in_the_help(self, capsys):
+        with pytest.raises(SystemExit):
+            main(["gamma-map", "--help"])
+        assert f"2 to {MAX_GRID}" in capsys.readouterr().out
 
     def test_contour_fit_round_trips_through_the_csv(self, capsys):
         _, out, _ = invoke(capsys, ["gamma-map", "--grid", "40"])

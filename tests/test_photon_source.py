@@ -15,7 +15,9 @@ from spsqkd.photon_source import (
     PhotonDistribution,
     SourceModel,
     apply_collection,
+    apply_collection_array,
     cascade_distribution,
+    check_distribution_array,
     emission_distribution,
     excitation_probs,
     extract_distribution_g2,
@@ -291,6 +293,37 @@ class TestApplyCollection:
             return
         assert g2_of(apply_collection(d, eta)) == pytest.approx(
             g2_of(d), rel=1e-9)
+
+
+class TestDistributionArrays:
+    @given(st.lists(distributions(max_p3=0.2), min_size=1, max_size=6),
+           st.floats(min_value=0.0, max_value=1.0))
+    @settings(max_examples=100)
+    def test_array_collection_equals_the_scalar_form(self, ds, eta):
+        probs = np.array([d.as_tuple() for d in ds]).T
+        out = apply_collection_array(probs, eta)
+        assert [tuple(col) for col in out.T] == [
+            apply_collection(d, eta).as_tuple() for d in ds]
+
+    def test_array_collection_checks_eta(self):
+        with pytest.raises(ValueError, match="eta_c"):
+            apply_collection_array(np.array([[1.0], [0.0], [0.0], [0.0]]), 1.5)
+
+    @pytest.mark.parametrize("column", [
+        (0.5, 0.5, 0.0, 0.0), (1.0, 0.0, 0.0, 0.0), (0.2, 0.3, 0.4, 0.1)])
+    def test_valid_columns_pass(self, column):
+        probs = np.array([(0.3, 0.5, 0.2, 0.0), column]).T
+        assert check_distribution_array(probs) is probs
+
+    @pytest.mark.parametrize("column", [
+        (0.5, 0.6, -0.1, 0.0), (float("nan"), 1.0, 0.0, 0.0),
+        (0.0, 1.0 + 1e-11, 0.0, 0.0), (0.5, 0.4, 0.0, 0.0),
+        (0.5, 0.5, 1e-8, 0.0)])
+    def test_rejects_exactly_what_the_dataclass_rejects(self, column):
+        with pytest.raises(ValueError):
+            PhotonDistribution(*column)
+        with pytest.raises(ValueError):
+            check_distribution_array(np.array([(0.3, 0.5, 0.2, 0.0), column]).T)
 
 
 class TestHpTransform:

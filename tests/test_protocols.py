@@ -4,6 +4,7 @@ import json
 import math
 from importlib import resources
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -17,6 +18,7 @@ from spsqkd.protocols import (
     SkrResult,
     binary_entropy,
     skr_dtb,
+    skr_dtb_array,
     skr_dtb_from_rates,
     skr_hp,
     skr_wcs_infinite_decoy,
@@ -188,6 +190,46 @@ class TestSkrDtb:
         rates = [skr_dtb(sps1, channel.with_loss(l)).rate
                  for l in range(0, 42, 2)]
         assert all(b <= a for a, b in zip(rates, rates[1:]))
+
+
+class TestSkrDtbArray:
+    @given(st.floats(min_value=1e-3, max_value=1.0),
+           st.floats(min_value=0.0, max_value=1e-3),
+           st.floats(min_value=0.0, max_value=0.5),
+           st.lists(st.tuples(st.floats(min_value=0.0, max_value=1.0),
+                              st.floats(min_value=0.0, max_value=1.0),
+                              st.floats(min_value=0.0, max_value=80.0)),
+                    min_size=1, max_size=8))
+    @settings(max_examples=200)
+    def test_matches_skr_dtb_to_a_few_ulp_of_the_gain(self, eta_bob, p_dc,
+                                                      e_d, points):
+        ch = ChannelParams(loss_db=0.0, eta_bob=eta_bob, p_dc=p_dc, e_d=e_d)
+        ds = [PhotonDistribution(max(1.0 - a - (1.0 - a) * b, 0.0), a,
+                                 (1.0 - a) * b)
+              for a, b, _ in points]
+        losses = np.array([loss for _, _, loss in points])
+        probs = np.array([d.as_tuple() for d in ds]).T
+        got = skr_dtb_array(probs, ch, losses)
+        for k, (d, loss) in enumerate(zip(ds, losses)):
+            ref = skr_dtb(d, ch.with_loss(loss)).rate
+            gain = gain_and_qber(d, ch.with_loss(loss)).q if ref else 0.0
+            # the bound is a difference of terms of order the gain; numpy's
+            # log/exp round within a few ulp of math's
+            assert abs(got[k] - ref) <= 8 * np.finfo(float).eps * gain
+
+    def test_zero_gain_is_a_zero_rate(self):
+        ch = ChannelParams(loss_db=0.0, eta_bob=0.5, p_dc=0.0, e_d=0.0)
+        probs = np.array([[1.0, 0.0, 0.0, 0.0], [0.0, 1.0, 0.0, 0.0]]).T
+        assert skr_dtb_array(probs, ch, np.zeros(2)).tolist() == [
+            skr_dtb(PhotonDistribution(1.0, 0.0, 0.0), ch).rate,
+            skr_dtb(PhotonDistribution(0.0, 1.0, 0.0), ch).rate]
+
+    def test_observed_rate_checks_are_kept(self):
+        ch = ChannelParams(loss_db=0.0, eta_bob=0.5, p_dc=0.0, e_d=0.0)
+        # an unchecked column with gain above one must fail like ObservedRates
+        with pytest.raises(ValueError, match="gain"):
+            skr_dtb_array(np.array([[0.0], [3.0], [0.0], [0.0]]), ch,
+                          np.zeros(1))
 
 
 class TestSkrHp:
