@@ -26,14 +26,13 @@ from .photon_source import (PhotonDistribution, apply_collection,
                             apply_collection_array, check_distribution_array)
 from .protocols import (DEFAULT_F_EC, DEFAULT_Q_SIFT, skr_dtb, skr_dtb_array,
                         skr_hp, skr_wcs_infinite_decoy, skr_wcs_tagging_bound)
+from .search import bisect, golden_max
 
 # Bisection width for maximal-loss searches, in dB.
 MCL_TOL_DB = 0.01
 
 # Expansion limit: no modeled configuration here survives 200 dB.
 _LOSS_CAP_DB = 200.0
-
-_GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
 
 RateFn = Callable[[float], float]
 # (problem indices, losses in dB) -> rates, for mcl_lockstep
@@ -112,13 +111,7 @@ def mcl(skr_fn: RateFn, tol_db: float = MCL_TOL_DB) -> float:
         lo, hi = hi, hi + 25.0
         if hi > _LOSS_CAP_DB:
             raise FitError(f"key rate still positive at {_LOSS_CAP_DB} dB")
-    while hi - lo > tol_db:
-        mid = 0.5 * (lo + hi)
-        if skr_fn(mid) > 0.0:
-            lo = mid
-        else:
-            hi = mid
-    return 0.5 * (lo + hi)
+    return bisect(lambda loss_db: skr_fn(loss_db) > 0.0, lo, hi, tol_db)
 
 
 def mcl_lockstep(rate_fn: ArrayRateFn, size: int) -> np.ndarray:
@@ -240,17 +233,17 @@ def gamma_map_dtb(channel: ChannelParams, eta_c: float = 1.0, n: int = 200,
 
     The n x n grid spans [0, 1] on both axes; points with p1 + p2 > 1 and
     points yielding no key at zero loss are NaN.  The baseline MCL is
-    computed once for the shared channel.  All simplex points are searched
-    together by ``mcl_lockstep`` over ``skr_dtb_array``.  The search reads
-    only the sign of each rate, so entries equal the per-point
-    ``mcl(dtb_rate_fn(...))`` bit for bit unless a probed rate lies within
-    the kernel's last-place rounding of zero.
+    computed once for the shared channel, at the same ``f_ec``.  All simplex
+    points are searched together by ``mcl_lockstep`` over ``skr_dtb_array``.
+    The search reads only the sign of each rate, so entries equal the
+    per-point ``mcl(dtb_rate_fn(...))`` bit for bit unless a probed rate lies
+    within the kernel's last-place rounding of zero.
     """
     if n < 2:
         raise ValueError("the grid needs n >= 2 points per axis")
     if not 0.0 <= eta_c <= 1.0:
         raise ValueError("eta_c must lie in [0, 1]")
-    baseline = wcs_mcl(channel, q_sift=q_sift)
+    baseline = wcs_mcl(channel, q_sift=q_sift, f_ec=f_ec)
     p1_axis = np.linspace(0.0, 1.0, n)
     p2_axis = np.linspace(0.0, 1.0, n)
     p1, p2 = np.meshgrid(p1_axis, p2_axis, indexing="ij")
@@ -303,13 +296,7 @@ def hp_threshold(eta_d: float, channel: ChannelParams, t: float = 0.5,
         raise NoKeyError("no two-photon probability reaches the reference loss")
     if lo is None:
         return hi
-    while hi - lo > tol:
-        mid = 0.5 * (lo + hi)
-        if excess(mid) >= 0.0:
-            hi = mid
-        else:
-            lo = mid
-    return 0.5 * (lo + hi)
+    return bisect(lambda p2: not excess(p2) >= 0.0, lo, hi, tol)
 
 
 def optimal_bs_transmission(p2: float, p_dc: float, eta_d: float,
@@ -347,20 +334,7 @@ def optimal_bs_transmission(p2: float, p_dc: float, eta_d: float,
             return -1.0
         return m
 
-    lo, hi = 1e-3, 1.0 - 1e-3
-    c = hi - _GOLDEN * (hi - lo)
-    dpt = lo + _GOLDEN * (hi - lo)
-    fc, fd = objective(c), objective(dpt)
-    while hi - lo > tol:
-        if fc > fd:
-            hi, dpt, fd = dpt, c, fc
-            c = hi - _GOLDEN * (hi - lo)
-            fc = objective(c)
-        else:
-            lo, c, fc = c, dpt, fd
-            dpt = lo + _GOLDEN * (hi - lo)
-            fd = objective(dpt)
-    return 0.5 * (lo + hi)
+    return golden_max(objective, 1e-3, 1.0 - 1e-3, tol)
 
 
 def gamma_vs_efficiency(protocol: str, axis: str, values: Sequence[float],
@@ -376,6 +350,9 @@ def gamma_vs_efficiency(protocol: str, axis: str, values: Sequence[float],
     detector, purification only).  Points where the protocol yields no key
     are reported as NaN rather than dropped, so curves keep the grid shape.
 
+    An explicit ``f_ec`` applies to the protocol and the laser baseline;
+    ``None`` means ``DEFAULT_F_EC`` for "dtb" and the baseline, 1 for "hp".
+
     For sources with large p2 the gain need not be monotone in eta_c under
     the decoy protocol: losing one photon of a pair converts a two-photon
     pulse into a useful single, so moderate collection loss can raise the
@@ -387,9 +364,10 @@ def gamma_vs_efficiency(protocol: str, axis: str, values: Sequence[float],
         raise ValueError("axis must be 'eta_c' or 'eta_d'")
     if protocol == "dtb" and axis == "eta_d":
         raise ValueError("the decoy protocol has no herald detector")
+    baseline = wcs_mcl(channel, q_sift=q_sift,
+                       f_ec=DEFAULT_F_EC if f_ec is None else f_ec)
     if f_ec is None:
         f_ec = DEFAULT_F_EC if protocol == "dtb" else 1.0
-    baseline = wcs_mcl(channel, q_sift=q_sift)
     points = []
     for v in values:
         v = float(v)

@@ -121,12 +121,6 @@ class IntensityTally:
     errors: int = 0
     sifted: int = 0
 
-    def add(self, other: "IntensityTally") -> None:
-        self.sent += other.sent
-        self.detected += other.detected
-        self.errors += other.errors
-        self.sifted += other.sifted
-
 
 @dataclass(slots=True)
 class SimReport:
@@ -297,11 +291,6 @@ def run_hp(config: SimConfig) -> SimReport:
 
 def run(config: SimConfig) -> SimReport:
     return run_dtb(config) if config.protocol == "dtb" else run_hp(config)
-
-
-def poisson_stream(rng: np.random.Generator, mu: float, m: int) -> np.ndarray:
-    """Per-pulse photon numbers of a coherent benchmark source."""
-    return rng.poisson(mu, size=m)
 
 
 def empirical_g2(photon_numbers: np.ndarray,

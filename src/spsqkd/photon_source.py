@@ -23,9 +23,9 @@ import warnings
 from dataclasses import dataclass, asdict
 
 import numpy as np
-from scipy.optimize import least_squares
 
 from .errors import FitError, InfeasibleObservablesError
+from .search import golden_max
 
 # Construction tolerances: distributions arriving from JSON round-trips may
 # be off at the last digit, transforms must conserve probability far more
@@ -124,23 +124,6 @@ class ExcitationProbs:
 
     p_xx: float
     p_x: float
-
-
-@dataclass(frozen=True, slots=True)
-class CorrelationObservables:
-    """Measured moment observables of a source.
-
-    ``g2`` and optionally ``g3`` are the zero-delay autocorrelations;
-    ``p0`` may be given directly or derived from the count rate via
-    :func:`extract_p0`.
-    """
-
-    g2: float
-    g3: float | None = None
-    p0: float | None = None
-    count_rate_c: float | None = None
-    rep_rate_n: float | None = None
-    eta_detection: float | None = None
 
 
 def excitation_probs(drive: float) -> ExcitationProbs:
@@ -432,9 +415,16 @@ def saturation_power(qy_x: float, qy_xx: float) -> float:
     return ((0.9 - beta) + math.sqrt((beta - 0.9) ** 2 + 0.36)) / 0.2
 
 
-def _normalized_mean(s: np.ndarray, drive_scale: float, beta: float) -> np.ndarray:
+def _projected_fit(s: np.ndarray, counts: np.ndarray,
+                   drive_scale: float) -> tuple[float, np.ndarray]:
+    # (x**2 + beta x) / (1 + x + x**2) is linear in beta, so the squared
+    # error is a quadratic in beta whose bounded minimum is the clipped
+    # unbounded one.  Returns that beta and the residuals.
     x = drive_scale * s
-    return (x * x + beta * x) / (1.0 + x + x * x)
+    z = 1.0 + x + x * x
+    u, v = x * x / z, x / z
+    beta = min(max(float(v @ (counts - u)) / float(v @ v), 0.0), 1.0)
+    return beta, u + beta * v - counts
 
 
 def fit_source_model(s: np.ndarray, counts: np.ndarray) -> tuple[SourceModel, float]:
@@ -445,6 +435,12 @@ def fit_source_model(s: np.ndarray, counts: np.ndarray) -> tuple[SourceModel, fl
     ``beta = qy_x / (qy_x + qy_xx)`` but not the absolute yields, so the
     returned model uses the unit-sum convention ``qy_x + qy_xx = 1``.
     Returns the model and the fit NRMSE (RMSE over the data range).
+
+    Beta is projected out in closed form (variable projection, Golub &
+    Pereyra, SIAM J. Numer. Anal. 10, 413, 1973), leaving a search over
+    ``log a``: a log-grid scan of a in [1e-6, 1e6] brackets the best scale,
+    since the projected error is flat at both ends, and golden section
+    refines it.
     """
     s = np.asarray(s, dtype=float)
     counts = np.asarray(counts, dtype=float)
@@ -452,18 +448,22 @@ def fit_source_model(s: np.ndarray, counts: np.ndarray) -> tuple[SourceModel, fl
         raise FitError("need matching 1-d arrays with at least 3 samples")
     if np.any(s < 0) or not np.all(np.isfinite(s)) or not np.all(np.isfinite(counts)):
         raise FitError("powers must be non-negative and finite")
+    if not np.any(s > 0):
+        raise FitError("need at least one positive power")
     span = float(np.max(counts) - np.min(counts))
     if span <= 0:
         raise FitError("counts carry no power dependence to fit")
 
-    def residuals(theta: np.ndarray) -> np.ndarray:
-        return _normalized_mean(s, theta[0], theta[1]) - counts
+    def neg_sse(log_a: float) -> float:
+        r = _projected_fit(s, counts, math.exp(log_a))[1]
+        return -float(r @ r)
 
-    result = least_squares(residuals, x0=[saturation_power(0.5, 0.5), 0.5],
-                           bounds=([1e-6, 0.0], [1e6, 1.0]))
-    if not result.success:
-        raise FitError(f"saturation fit did not converge: {result.message}")
-    drive_scale, beta = float(result.x[0]), float(result.x[1])
-    rmse = float(np.sqrt(np.mean(result.fun**2)))
+    grid = np.linspace(math.log(1e-6), math.log(1e6), 57)
+    k = int(np.argmax([neg_sse(g) for g in grid]))
+    log_a = golden_max(neg_sse, grid[max(k - 1, 0)],
+                       grid[min(k + 1, grid.size - 1)], 1e-10)
+    drive_scale = math.exp(log_a)
+    beta, r = _projected_fit(s, counts, drive_scale)
+    rmse = float(np.sqrt(np.mean(r**2)))
     model = SourceModel(alpha_times_is=drive_scale, qy_x=beta, qy_xx=1.0 - beta)
     return model, rmse / span

@@ -28,6 +28,7 @@ from .channel_model import (ChannelParams, ObservedRates, wcs_gain_and_qber,
                             yields, yields_array)
 from .errors import DegenerateDecoyError, InconsistentDataError
 from .photon_source import PhotonDistribution, hp_transform
+from .search import golden_max
 
 DEFAULT_Q_SIFT = 0.5
 DEFAULT_F_EC = 1.22
@@ -36,8 +37,6 @@ DEFAULT_F_EC = 1.22
 # are declared inconsistent rather than numerically noisy.
 _CLAMP_TOL = 1e-9
 _DET_TOL = 1e-10
-
-_GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
 
 
 @dataclass(frozen=True, slots=True)
@@ -94,24 +93,6 @@ def _entropy_cost_array(x: np.ndarray) -> np.ndarray:
     with np.errstate(divide="ignore", invalid="ignore"):
         h = -x * np.log2(x) - (1.0 - x) * np.log2(1.0 - x)
     return np.where(x >= 0.5, 1.0, np.where(x == 0.0, 0.0, h))
-
-
-def _golden_max(fn, lo: float, hi: float, tol: float) -> float:
-    """Golden-section maximizer for a unimodal function on [lo, hi]."""
-    a, b = lo, hi
-    c = b - (b - a) * _GOLDEN
-    d = a + (b - a) * _GOLDEN
-    fc, fd = fn(c), fn(d)
-    while (b - a) > tol:
-        if fc > fd:
-            b, d, fd = d, c, fc
-            c = b - (b - a) * _GOLDEN
-            fc = fn(c)
-        else:
-            a, c, fc = c, d, fd
-            d = a + (b - a) * _GOLDEN
-            fd = fn(d)
-    return 0.5 * (a + b)
 
 
 def _clamp_unit(value: float, what: str, tol: float = _CLAMP_TOL) -> float:
@@ -294,7 +275,7 @@ def skr_wcs_infinite_decoy(channel: ChannelParams, mu: float | None = None,
                          + q1 * (1.0 - _entropy_cost(ys.e[1])))
 
     if mu is None:
-        mu = _golden_max(raw_rate, 1e-6, 2.0, 1e-6)
+        mu = golden_max(raw_rate, 1e-6, 2.0, 1e-6)
     elif not 0.0 < mu <= 2.0:
         raise ValueError("mu must lie in (0, 2]")
     raw = raw_rate(mu)
@@ -328,7 +309,7 @@ def skr_wcs_tagging_bound(channel: ChannelParams, mu: float | None = None,
                                  + omega * (1.0 - _entropy_cost(obs.e / omega)))
 
     if mu is None:
-        mu = _golden_max(raw_rate, 1e-6, 2.0, 1e-6)
+        mu = golden_max(raw_rate, 1e-6, 2.0, 1e-6)
     elif not 0.0 < mu <= 2.0:
         raise ValueError("mu must lie in (0, 2]")
     raw = raw_rate(mu)

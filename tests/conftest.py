@@ -1,3 +1,6 @@
+import json
+from importlib import resources
+
 import pytest
 
 from spsqkd import ChannelParams, PhotonDistribution
@@ -26,6 +29,16 @@ def pytest_terminal_summary(terminalreporter, exitstatus, config):
         terminalreporter.section("acceptance criteria")
         for line in _ACCEPTANCE_LINES:
             terminalreporter.write_line(line)
+
+
+@pytest.fixture(scope="session")
+def bundled_sources() -> dict[str, PhotonDistribution]:
+    """Name -> distribution of each bundled source file fixtures/<name>.json."""
+    root = resources.files("spsqkd").joinpath("fixtures")
+    return {name: PhotonDistribution.from_dict(
+                json.loads(root.joinpath(f"{name}.json").read_text()))
+            for name in ("bare-s1", "bare-s2", "bare-s3", "perfect", "sps1",
+                         "sps2")}
 
 
 @pytest.fixture(scope="session")

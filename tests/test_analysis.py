@@ -249,6 +249,10 @@ class TestGammaMap:
         with pytest.raises(ValueError):
             gamma_map_dtb(channel, **kwargs)
 
+    def test_baseline_uses_the_given_f_ec(self, channel):
+        assert (gamma_map_dtb(channel, n=8, f_ec=1.0).wcs_mcl_db
+                == wcs_mcl(channel, f_ec=1.0))
+
     def test_deterministic(self, channel):
         a = gamma_map_dtb(channel, n=8)
         b = gamma_map_dtb(channel, n=8)
@@ -345,6 +349,14 @@ class TestGammaVsEfficiency:
         got = gamma_vs_efficiency("dtb", "eta_c", values, sps1, channel)
         assert all(type(g) is float for _, g in got)
         assert same_floats(got, ref)
+
+    def test_baseline_uses_an_explicit_f_ec(self, channel, sps1):
+        # explicit f_ec: both sides; None: hp's own 1 against the 1.22 laser
+        for f_ec, f_wcs in ((1.0, 1.0), (None, 1.22)):
+            got = gamma_vs_efficiency("hp", "eta_c", [1.0], sps1, channel,
+                                      f_ec=f_ec)
+            own = mcl(hp_rate_fn(sps1, channel, f_ec=1.0))
+            assert got == [(1.0, own - wcs_mcl(channel, f_ec=f_wcs))]
 
     def test_empty_sweep(self, channel, sps1):
         assert gamma_vs_efficiency("dtb", "eta_c", [], sps1, channel) == []

@@ -13,7 +13,6 @@ from spsqkd.montecarlo import (
     SimConfig,
     SimReport,
     empirical_g2,
-    poisson_stream,
     run,
     run_dtb,
     run_hp,
@@ -254,7 +253,7 @@ class TestEmpiricalG2:
 
     def test_poisson_stream_is_uncorrelated(self):
         rng = np.random.default_rng(2)
-        stream = poisson_stream(rng, 0.7, 1_000_000)
+        stream = rng.poisson(0.7, size=1_000_000)
         blocks = stream.reshape(10, -1)
         vals = [empirical_g2(b) for b in blocks]
         sem = np.std(vals, ddof=1) / math.sqrt(len(vals))
@@ -273,7 +272,7 @@ class TestEmpiricalG2:
         # split Poisson light stays Poisson and independent on both arms,
         # so the hardware estimator is unbiased here at any efficiency
         rng = np.random.default_rng(4)
-        stream = poisson_stream(rng, 0.5, 1_000_000)
+        stream = rng.poisson(0.5, size=1_000_000)
         est = empirical_g2(stream, rng=rng, eta=0.2)
         assert 0.9 < est < 1.1
 

@@ -432,12 +432,40 @@ class TestFitSourceModel:
                                     np.array(doc["normalized_counts"]))
         assert nrmse <= 0.012
 
+    @pytest.mark.parametrize("seed", range(20))
+    def test_no_worse_than_a_bounded_least_squares_oracle(self, seed):
+        from scipy.optimize import least_squares
+
+        rng = np.random.default_rng(seed)
+        a, beta = rng.uniform(0.1, 30.0), rng.uniform(0.0, 1.0)
+        noise = rng.uniform(0.0, 0.03)
+        s = np.linspace(0.1, 2.5, 24)
+        x = a * s
+        counts = ((x * x + beta * x) / (1.0 + x + x * x)
+                  + rng.normal(0.0, noise, s.size))
+        _, nrmse = fit_source_model(s, counts)
+
+        def residuals(theta):
+            x = theta[0] * s
+            return (x * x + theta[1] * x) / (1.0 + x + x * x) - counts
+
+        oracle = least_squares(residuals, x0=[saturation_power(0.5, 0.5), 0.5],
+                               bounds=([1e-6, 0.0], [1e6, 1.0]))
+        span = counts.max() - counts.min()
+        assert nrmse <= np.sqrt(np.mean(oracle.fun**2)) / span + 1e-9
+
     def test_flat_counts_rejected(self):
         from spsqkd.errors import FitError
 
         with pytest.raises(FitError):
             fit_source_model(np.array([0.1, 0.5, 1.0, 2.0]),
                              np.array([0.4, 0.4, 0.4, 0.4]))
+
+    def test_all_zero_powers_rejected(self):
+        from spsqkd.errors import FitError
+
+        with pytest.raises(FitError):
+            fit_source_model(np.zeros(3), np.array([0.1, 0.2, 0.3]))
 
 
 class TestSerialization:
@@ -450,12 +478,9 @@ class TestSerialization:
         assert SourceModel.from_dict(model.to_dict()) == model
         assert set(model.to_dict()) == {"alpha_times_is", "qy_x", "qy_xx"}
 
-    def test_bundled_sources_are_valid_distributions(self):
-        path = resources.files("spsqkd").joinpath("fixtures/sources.json")
-        rows = json.loads(path.read_text())
-        assert {"sps1", "sps2", "perfect"} <= set(rows)
-        for row in rows.values():
-            d = PhotonDistribution.from_dict(row)
+    def test_bundled_sources_are_valid_distributions(self, bundled_sources):
+        assert {"sps1", "sps2", "perfect"} <= set(bundled_sources)
+        for d in bundled_sources.values():
             assert sum(d.as_tuple()) == pytest.approx(1.0, abs=1e-9)
 
     def test_unnormalized_distribution_rejected(self):

@@ -314,24 +314,21 @@ class TestCrossProtocol:
             assert best >= skr_dtb(sps1, ch).rate
             assert best >= skr_dtb(sps2, ch).rate
 
-    def test_golden_rate_records(self, channel):
+    def test_golden_rate_records(self, channel, bundled_sources):
         path = resources.files("spsqkd").joinpath("fixtures/golden/rates.json")
         records = json.loads(path.read_text())["records"]
-        src_path = resources.files("spsqkd").joinpath("fixtures/sources.json")
-        sources = {name: PhotonDistribution.from_dict(row)
-                   for name, row in json.loads(src_path.read_text()).items()}
         assert len(records) == 20
         for rec in records:
             ch = channel.with_loss(rec["loss_db"])
             params = rec["params"]
             proto = rec["protocol"]
             if proto in ("dtb", "perfect-sps"):
-                got = skr_dtb(sources[params["source"]], ch,
+                got = skr_dtb(bundled_sources[params["source"]], ch,
                               q_sift=params["q_sift"], f_ec=params["f_ec"])
             elif proto == "hp":
-                got = skr_hp(sources[params["source"]], ch, t=params["t"],
-                             eta_d=params["eta_d"], q_sift=params["q_sift"],
-                             f_ec=params["f_ec"])
+                got = skr_hp(bundled_sources[params["source"]], ch,
+                             t=params["t"], eta_d=params["eta_d"],
+                             q_sift=params["q_sift"], f_ec=params["f_ec"])
             elif proto == "wcs":
                 got = skr_wcs_infinite_decoy(ch, q_sift=params["q_sift"],
                                              f_ec=params["f_ec"])
