@@ -8,6 +8,8 @@ standard weak-coherent decoy baseline.  Higher layers add loss-budget
 analysis, a pulse-level Monte Carlo, tomography ingest, and a CLI.
 """
 
+from types import ModuleType as _ModuleType
+
 from .analysis import (
     GammaMap,
     SkrCurve,
@@ -90,78 +92,8 @@ from .protocols import (
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "AliceBudget",
-    "ChannelParams",
-    "ConfigError",
-    "DecoySolution",
-    "DegenerateDecoyError",
-    "ExcitationProbs",
-    "FitError",
-    "GammaMap",
-    "InconsistentDataError",
-    "InfeasibleObservablesError",
-    "NoKeyError",
-    "ObservedRates",
-    "PhotonDistribution",
-    "QkdError",
-    "RatesWithSigma",
-    "SimConfig",
-    "SimReport",
-    "SkrCurve",
-    "SkrPoint",
-    "SkrResult",
-    "SourceModel",
-    "TomographyMap",
-    "YieldSet",
-    "__version__",
-    "apply_collection",
-    "binary_entropy",
-    "cascade_distribution",
-    "dtb_rate_fn",
-    "effective_channel",
-    "emission_distribution",
-    "empirical_g2",
-    "eta_n",
-    "extract_distribution_g2",
-    "extract_distribution_g3",
-    "fit_source_model",
-    "g2_of",
-    "g2_upper_bound",
-    "g3_of",
-    "gain_and_qber",
-    "gains_and_errors",
-    "gamma",
-    "gamma_map_dtb",
-    "gamma_vs_efficiency",
-    "hp_effective_distribution",
-    "hp_herald_probability",
-    "hp_rate_fn",
-    "hp_threshold",
-    "hp_transform",
-    "maps_from_report",
-    "mcl",
-    "mean_photon_number",
-    "optimal_bs_transmission",
-    "read_tomography_csv",
-    "run",
-    "run_dtb",
-    "run_hp",
-    "saturation_power",
-    "skr_curve",
-    "skr_dtb",
-    "skr_dtb_from_rates",
-    "skr_from_experiment",
-    "skr_hp",
-    "skr_wcs_infinite_decoy",
-    "skr_wcs_tagging_bound",
-    "solve_dtb",
-    "synthetic_map",
-    "transmittance",
-    "wcs_gain_and_qber",
-    "wcs_mcl",
-    "wcs_rate_fn",
-    "wcs_tagged_rate_fn",
-    "write_tomography_csv",
-    "yields",
-]
+# every public name imported above, not the submodules themselves
+__all__ = sorted(
+    [name for name, value in globals().items()
+     if not name.startswith("_") and not isinstance(value, _ModuleType)]
+    + ["__version__"])

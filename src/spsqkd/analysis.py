@@ -34,6 +34,10 @@ MCL_TOL_DB = 0.01
 # Expansion limit: no modeled configuration here survives 200 dB.
 _LOSS_CAP_DB = 200.0
 
+# Search widths of hp_threshold (in p2) and optimal_bs_transmission (in t).
+HP_THRESHOLD_TOL = 1e-4
+BS_TRANSMISSION_TOL = 1e-4
+
 RateFn = Callable[[float], float]
 # (problem indices, losses in dB) -> rates, for mcl_lockstep
 ArrayRateFn = Callable[[np.ndarray, np.ndarray], np.ndarray]
@@ -261,8 +265,7 @@ def gamma_map_dtb(channel: ChannelParams, eta_c: float = 1.0, n: int = 200,
 
 
 def hp_threshold(eta_d: float, channel: ChannelParams, t: float = 0.5,
-                 p_dc_alice: float | None = None, f_ec: float = 1.0,
-                 tol: float = 1e-4) -> float:
+                 p_dc_alice: float | None = None, f_ec: float = 1.0) -> float:
     """Minimal two-photon probability where purification beats the laser.
 
     The reference is the weak-coherent source evaluated under the same
@@ -296,12 +299,11 @@ def hp_threshold(eta_d: float, channel: ChannelParams, t: float = 0.5,
         raise NoKeyError("no two-photon probability reaches the reference loss")
     if lo is None:
         return hi
-    return bisect(lambda p2: not excess(p2) >= 0.0, lo, hi, tol)
+    return bisect(lambda p2: not excess(p2) >= 0.0, lo, hi, HP_THRESHOLD_TOL)
 
 
 def optimal_bs_transmission(p2: float, p_dc: float, eta_d: float,
-                            channel: ChannelParams, p1: float = 0.0,
-                            tol: float = 1e-4) -> float:
+                            channel: ChannelParams, p1: float = 0.0) -> float:
     """Beam-splitter transmission maximizing the heralded MCL.
 
     ``p_dc`` is the herald detector's dark-count probability.  When it is
@@ -309,7 +311,7 @@ def optimal_bs_transmission(p2: float, p_dc: float, eta_d: float,
     any p1, the two-photon weight vanishes, and the rate is a monotone
     function of that single product, so the maximum sits at t = 1/2 by
     symmetry and is returned without searching.  Otherwise the MCL is
-    maximized by golden-section over t in (0, 1) to ``tol``.
+    maximized by golden-section over t in (0, 1) to ``BS_TRANSMISSION_TOL``.
 
     With ``p1 > 0`` and a noisy herald detector the optimum moves above
     1/2 at small p2 and relaxes back as p2 grows: false heralds promote
@@ -334,7 +336,7 @@ def optimal_bs_transmission(p2: float, p_dc: float, eta_d: float,
             return -1.0
         return m
 
-    return golden_max(objective, 1e-3, 1.0 - 1e-3, tol)
+    return golden_max(objective, 1e-3, 1.0 - 1e-3, BS_TRANSMISSION_TOL)
 
 
 def gamma_vs_efficiency(protocol: str, axis: str, values: Sequence[float],
@@ -352,6 +354,12 @@ def gamma_vs_efficiency(protocol: str, axis: str, values: Sequence[float],
 
     An explicit ``f_ec`` applies to the protocol and the laser baseline;
     ``None`` means ``DEFAULT_F_EC`` for "dtb" and the baseline, 1 for "hp".
+
+    The baseline is the decoy-state laser (``wcs_mcl``) for both
+    protocols.  ``hp_threshold`` instead measures purification against
+    the tagging-bound laser (``skr_wcs_tagging_bound``), so an "hp" gain
+    here and that threshold use different laser references.  Which one
+    the source paper uses is not settled: only its abstract is at hand.
 
     For sources with large p2 the gain need not be monotone in eta_c under
     the decoy protocol: losing one photon of a pair converts a two-photon

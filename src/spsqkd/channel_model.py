@@ -61,8 +61,10 @@ class ChannelParams:
 
     @classmethod
     def from_dict(cls, data: dict) -> "ChannelParams":
-        return cls(loss_db=float(data["loss_db"]), eta_bob=float(data["eta_bob"]),
-                   p_dc=float(data["p_dc"]), e_d=float(data["e_d"]))
+        """Parse the four fields; an absent ``loss_db`` reads as 0."""
+        return cls(loss_db=float(data.get("loss_db", 0.0)),
+                   eta_bob=float(data["eta_bob"]), p_dc=float(data["p_dc"]),
+                   e_d=float(data["e_d"]))
 
 
 @dataclass(frozen=True, slots=True)

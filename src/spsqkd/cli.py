@@ -78,41 +78,29 @@ def _load_json(arg: str, kind: str) -> dict:
     return data
 
 
-def _distribution(data: dict, where: str) -> PhotonDistribution:
+def _parse(from_dict, data: dict, where: str):
+    """``from_dict(data)``, a missing or malformed field as ConfigError."""
     try:
-        return PhotonDistribution(p0=float(data.get("p0", 0.0)),
-                                  p1=float(data.get("p1", 0.0)),
-                                  p2=float(data.get("p2", 0.0)),
-                                  p3=float(data.get("p3", 0.0)))
-    except ValueError as exc:
+        return from_dict(data)
+    except KeyError as exc:
+        raise ConfigError(f"{where} lacks required field {exc}") from exc
+    except (TypeError, ValueError) as exc:
         raise ConfigError(f"{where}: {exc}") from exc
 
 
 def load_source(arg: str) -> PhotonDistribution:
-    return _distribution(_load_json(arg, "source"), f"source {arg!r}")
+    return _parse(PhotonDistribution.from_dict, _load_json(arg, "source"),
+                  f"source {arg!r}")
 
 
 def load_channel(arg: str) -> ChannelParams:
-    data = _load_json(arg, "channel")
-    try:
-        return ChannelParams(loss_db=float(data.get("loss_db", 0.0)),
-                             eta_bob=float(data["eta_bob"]),
-                             p_dc=float(data["p_dc"]),
-                             e_d=float(data["e_d"]))
-    except KeyError as exc:
-        raise ConfigError(f"channel {arg!r} lacks required field {exc}") from exc
-    except ValueError as exc:
-        raise ConfigError(f"channel {arg!r}: {exc}") from exc
+    return _parse(ChannelParams.from_dict, _load_json(arg, "channel"),
+                  f"channel {arg!r}")
 
 
 def load_budget(arg: str) -> AliceBudget:
-    data = _load_json(arg, "budget")
-    try:
-        return AliceBudget(rep_rate_n=float(data["rep_rate_n"]),
-                           eta_a=float(data["eta_a"]),
-                           eta_c_na=float(data["eta_c_na"]))
-    except KeyError as exc:
-        raise ConfigError(f"budget {arg!r} lacks required field {exc}") from exc
+    return _parse(AliceBudget.from_dict, _load_json(arg, "budget"),
+                  f"budget {arg!r}")
 
 
 def load_stats(arg: str) -> dict[str, PhotonDistribution]:
@@ -121,7 +109,8 @@ def load_stats(arg: str) -> dict[str, PhotonDistribution]:
     for label, entry in data.items():
         if not isinstance(entry, dict):
             continue  # skip annotation fields
-        out[label] = _distribution(entry, f"stats {arg!r} entry {label!r}")
+        out[label] = _parse(PhotonDistribution.from_dict, entry,
+                            f"stats {arg!r} entry {label!r}")
     if not out:
         raise ConfigError(f"stats {arg!r} defines no intensities")
     return out
@@ -165,13 +154,27 @@ def write_json(out: str, config: dict, payload: dict) -> None:
     _emit(json.dumps(doc, sort_keys=True, indent=2) + "\n", out)
 
 
-def _loss_grid(args) -> list[float]:
-    if args.loss_step <= 0:
-        raise ConfigError("--loss-step must be positive")
-    if args.loss_max < args.loss_min:
-        raise ConfigError("--loss-max must be at least --loss-min")
-    n = int(round((args.loss_max - args.loss_min) / args.loss_step))
-    return [args.loss_min + i * args.loss_step for i in range(n + 1)]
+def _sweep(args, name: str) -> list[float]:
+    """Points ``--<name>-min`` to ``--<name>-max`` by ``--<name>-step``.
+
+    The bounds must be finite with min <= max, the step positive and
+    finite, and the sweep at most MAX_GRID**2 points, as many as the
+    largest gamma map; all of this is checked before any list is built.
+    """
+    flag = f"--{name}"
+    lo, hi, step = (getattr(args, f"{name}_{end}")
+                    for end in ("min", "max", "step"))
+    if not (math.isfinite(lo) and math.isfinite(hi)):
+        raise ConfigError(f"{flag}-min and {flag}-max must be finite")
+    if not 0.0 < step < math.inf:
+        raise ConfigError(f"{flag}-step must be positive and finite")
+    if hi < lo:
+        raise ConfigError(f"{flag}-max must be at least {flag}-min")
+    # clipped so that a span too large for int() still reads as too long
+    n = int(round(min((hi - lo) / step, MAX_GRID ** 2)))
+    if n + 1 > MAX_GRID ** 2:
+        raise ConfigError(f"{flag} sweep exceeds {MAX_GRID ** 2} points")
+    return [lo + i * step for i in range(n + 1)]
 
 
 def _rate_fn(args, source: PhotonDistribution | None, channel: ChannelParams):
@@ -200,12 +203,13 @@ def cmd_skr_curve(args) -> int:
               "loss": [args.loss_min, args.loss_max, args.loss_step],
               "q_sift": args.q_sift, "t": args.t, "eta_d": args.eta_d,
               "p_dc_alice": args.p_dc_alice}
+    losses = _sweep(args, "loss")
     try:
-        curve = skr_curve(fn, _loss_grid(args))
+        curve = skr_curve(fn, losses)
         footer = {"mcl_db": curve.mcl_db}
         rows = curve.points
     except NoKeyError:
-        rows = [(loss, fn(loss)) for loss in _loss_grid(args)]
+        rows = [(loss, fn(loss)) for loss in losses]
         footer = {"mcl_db": math.nan}
     write_csv(args.out, config, ("loss_db", "skr"), rows, footer)
     return 0
@@ -235,18 +239,13 @@ def cmd_gamma_map(args) -> int:
 
 def cmd_optimal_t(args) -> int:
     channel = load_channel(args.channel)
-    if args.p2_step <= 0:
-        raise ConfigError("--p2-step must be positive")
     config = {"cmd": "optimal-t", "channel": args.channel,
               "p2": [args.p2_min, args.p2_max, args.p2_step],
               "p_dc": args.p_dc, "eta_d": args.eta_d, "p1": args.p1}
-    n = int(round((args.p2_max - args.p2_min) / args.p2_step))
-    rows = []
-    for i in range(n + 1):
-        p2 = args.p2_min + i * args.p2_step
-        rows.append((p2, optimal_bs_transmission(
-            p2, p_dc=args.p_dc, eta_d=args.eta_d, channel=channel,
-            p1=args.p1)))
+    rows = [(p2, optimal_bs_transmission(p2, p_dc=args.p_dc,
+                                         eta_d=args.eta_d, channel=channel,
+                                         p1=args.p1))
+            for p2 in _sweep(args, "p2")]
     write_csv(args.out, config, ("p2", "t_opt"), rows)
     return 0
 
@@ -254,19 +253,16 @@ def cmd_optimal_t(args) -> int:
 def cmd_gamma_vs_eta(args) -> int:
     channel = load_channel(args.channel)
     source = load_source(args.source)
-    if args.eta_step <= 0:
-        raise ConfigError("--eta-step must be positive")
     config = {"cmd": "gamma-vs-eta", "protocol": args.protocol,
               "axis": args.axis, "source": args.source,
               "channel": args.channel,
               "eta": [args.eta_min, args.eta_max, args.eta_step],
               "eta_c": args.eta_c, "eta_d": args.eta_d, "t": args.t,
               "p_dc_alice": args.p_dc_alice, "q_sift": args.q_sift}
-    n = int(round((args.eta_max - args.eta_min) / args.eta_step))
-    values = [args.eta_min + i * args.eta_step for i in range(n + 1)]
     axis = args.axis.replace("-", "_")
-    rows = gamma_vs_efficiency(args.protocol, axis, values, source, channel,
-                               eta_c=args.eta_c, eta_d=args.eta_d, t=args.t,
+    rows = gamma_vs_efficiency(args.protocol, axis, _sweep(args, "eta"),
+                               source, channel, eta_c=args.eta_c,
+                               eta_d=args.eta_d, t=args.t,
                                p_dc_alice=args.p_dc_alice, q_sift=args.q_sift)
     write_csv(args.out, config, ("eta", "gamma_db"), rows)
     return 0

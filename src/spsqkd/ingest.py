@@ -19,6 +19,7 @@ import csv
 import json
 import math
 import warnings
+from collections.abc import Iterator
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -85,6 +86,12 @@ class AliceBudget:
 
     def sent(self, exposure_s: float) -> float:
         return self.sent_per_second * exposure_s
+
+    @classmethod
+    def from_dict(cls, data: dict) -> "AliceBudget":
+        return cls(rep_rate_n=float(data["rep_rate_n"]),
+                   eta_a=float(data["eta_a"]),
+                   eta_c_na=float(data["eta_c_na"]))
 
 
 @dataclass(frozen=True, slots=True)
@@ -157,16 +164,6 @@ def _group_by_nd(maps: list[TomographyMap]) -> dict[float, dict[str, TomographyM
     return grouped
 
 
-def _vacuum_rates(group: dict[str, TomographyMap],
-                  budget: AliceBudget) -> ObservedRates:
-    if "S0" in group:
-        return gains_and_errors(group["S0"], budget).observed()
-    warnings.warn(
-        "no vacuum (S0) map recorded; falling back to the receiver "
-        f"constants Y0={FALLBACK_Y0}, e0={FALLBACK_E0}", stacklevel=3)
-    return ObservedRates(q=FALLBACK_Y0, e=FALLBACK_E0)
-
-
 def _solve_slack(signal: RatesWithSigma, decoy: RatesWithSigma,
                  vacuum: ObservedRates, s_stats: PhotonDistribution,
                  d_stats: PhotonDistribution, n_sigma: float = 5.0) -> float:
@@ -199,15 +196,41 @@ def _solve_slack(signal: RatesWithSigma, decoy: RatesWithSigma,
     return n_sigma * max(s_y1, s_y2, s_e1, s_e2)
 
 
-def _dtb_rate(signal_obs: ObservedRates, decoy_obs: ObservedRates,
-              vacuum_obs: ObservedRates, signal_stats: PhotonDistribution,
-              decoy_stats: PhotonDistribution, q_sift: float,
-              f_ec: float, solve_tol: float) -> float:
-    sol = solve_dtb(signal_obs, decoy_obs, vacuum_obs,
-                    signal_stats, decoy_stats, tol=solve_tol)
-    return skr_dtb_from_rates(signal_obs, y1=sol.y1, e1=sol.e1,
-                              p1_signal=signal_stats.p1,
-                              q_sift=q_sift, f_ec=f_ec).rate
+def _nd_groups(maps: list[TomographyMap],
+               stats: dict[str, PhotonDistribution], budget: AliceBudget,
+               ) -> Iterator[tuple[float, RatesWithSigma, RatesWithSigma,
+                                   ObservedRates, float]]:
+    """Checked decoy-solve inputs, one tuple per ND setting.
+
+    Yields ``(nd, signal, decoy, vacuum, slack)`` in increasing ND: the
+    S2 and S1 rates with their sigmas, the vacuum rates (from the S0 map,
+    else the receiver fallback constants with a warning), and the solve
+    slack.  Raises ConfigError for missing S1/S2 statistics or maps and
+    InconsistentDataError when a map has no matched-basis detections.
+    """
+    for label in ("S1", "S2"):
+        if label not in stats:
+            raise ConfigError(f"missing photon statistics for {label}")
+    for nd, group in sorted(_group_by_nd(maps).items()):
+        for label in ("S1", "S2"):
+            if label not in group:
+                raise ConfigError(f"ND {nd} dB group lacks an {label} map")
+        signal = gains_and_errors(group["S2"], budget)
+        decoy = gains_and_errors(group["S1"], budget)
+        if not (math.isfinite(signal.e) and math.isfinite(decoy.e)):
+            raise InconsistentDataError(
+                f"ND {nd} dB: no matched-basis detections; error rate undefined")
+        if "S0" in group:
+            vacuum = gains_and_errors(group["S0"], budget).observed()
+        else:
+            # level 3: the caller of the function iterating this generator
+            warnings.warn(
+                "no vacuum (S0) map recorded; falling back to the receiver "
+                f"constants Y0={FALLBACK_Y0}, e0={FALLBACK_E0}", stacklevel=3)
+            vacuum = ObservedRates(q=FALLBACK_Y0, e=FALLBACK_E0)
+        slack = max(_solve_slack(signal, decoy, vacuum,
+                                 stats["S2"], stats["S1"]), 1e-9)
+        yield nd, signal, decoy, vacuum, slack
 
 
 def skr_from_experiment(maps: list[TomographyMap],
@@ -224,27 +247,16 @@ def skr_from_experiment(maps: list[TomographyMap],
     the six observed quantities' counting errors by central finite
     differences through the solve and the rate bound.
     """
-    for label in ("S1", "S2"):
-        if label not in stats:
-            raise ConfigError(f"missing photon statistics for {label}")
     points: list[SkrPoint] = []
-    for nd, group in sorted(_group_by_nd(maps).items()):
-        for label in ("S1", "S2"):
-            if label not in group:
-                raise ConfigError(f"ND {nd} dB group lacks an {label} map")
-        signal = gains_and_errors(group["S2"], budget)
-        decoy = gains_and_errors(group["S1"], budget)
-        if not (math.isfinite(signal.e) and math.isfinite(decoy.e)):
-            raise InconsistentDataError(
-                f"ND {nd} dB: no matched-basis detections; error rate undefined")
-        vacuum = _vacuum_rates(group, budget)
-        slack = max(_solve_slack(signal, decoy, vacuum,
-                                 stats["S2"], stats["S1"]), 1e-9)
+    for nd, signal, decoy, vacuum, slack in _nd_groups(maps, stats, budget):
 
         def rate(qs: float, es: float, qd: float, ed: float) -> float:
-            return _dtb_rate(ObservedRates(q=qs, e=es),
-                             ObservedRates(q=qd, e=ed), vacuum,
-                             stats["S2"], stats["S1"], q_sift, f_ec, slack)
+            signal_obs = ObservedRates(q=qs, e=es)
+            sol = solve_dtb(signal_obs, ObservedRates(q=qd, e=ed), vacuum,
+                            stats["S2"], stats["S1"], tol=slack)
+            return skr_dtb_from_rates(signal_obs, y1=sol.y1, e1=sol.e1,
+                                      p1_signal=stats["S2"].p1,
+                                      q_sift=q_sift, f_ec=f_ec).rate
 
         center = (signal.q, signal.e, decoy.q, decoy.e)
         sigmas = (signal.q_sigma, signal.e_sigma,
@@ -282,15 +294,11 @@ def effective_channel(maps: list[TomographyMap],
         e_d_hat = (e1 Y1 - Y0 / 2) / (Y1 - Y0)
 
     Estimates are averaged across ND groups.  ``p_dc`` defaults to the
-    observed vacuum gain (or the fallback constant).
+    observed vacuum gain (or the fallback constant).  Inputs are checked
+    as in ``skr_from_experiment``.
     """
     etas, eds, y0s = [], [], []
-    for nd, group in sorted(_group_by_nd(maps).items()):
-        signal = gains_and_errors(group["S2"], budget)
-        decoy = gains_and_errors(group["S1"], budget)
-        vacuum = _vacuum_rates(group, budget)
-        slack = max(_solve_slack(signal, decoy, vacuum,
-                                 stats["S2"], stats["S1"]), 1e-9)
+    for nd, signal, decoy, vacuum, slack in _nd_groups(maps, stats, budget):
         sol = solve_dtb(signal.observed(), decoy.observed(), vacuum,
                         stats["S2"], stats["S1"], tol=slack)
         scale = 10.0 ** (-nd / 10.0)
@@ -356,6 +364,21 @@ def write_tomography_csv(tmap: TomographyMap, csv_path: str | Path) -> None:
         json.dumps(sidecar, sort_keys=True, indent=1) + "\n")
 
 
+def _place_row(counts: np.ndarray, i: int, right: int, wrong: int,
+               cross: int, rng: np.random.Generator) -> None:
+    """Add detections to row ``i`` of ``counts``.
+
+    ``right`` land on Alice's own detector, ``wrong`` on its conjugate,
+    and ``cross`` split evenly, by one multinomial draw, over the two
+    detectors of the other basis.
+    """
+    a = STATES[i]
+    counts[i, i] += right
+    counts[i, STATES.index(_CONJUGATE[a])] += wrong
+    others = [j for j, s in enumerate(STATES) if s not in (a, _CONJUGATE[a])]
+    counts[i, others] += rng.multinomial(cross, [0.5, 0.5])
+
+
 def synthetic_map(rng: np.random.Generator, q: float, e: float,
                   sent: float, exposure_s: float, intensity_label: str,
                   nd_filter_db: float) -> TomographyMap:
@@ -367,17 +390,11 @@ def synthetic_map(rng: np.random.Generator, q: float, e: float,
     """
     counts = np.zeros((4, 4), dtype=np.int64)
     per_state = sent / 4.0
-    for i, a in enumerate(STATES):
+    for i in range(len(STATES)):
         detected = rng.binomial(int(round(per_state)), min(q, 1.0))
         right, wrong, cross = np.array([0.5 * (1 - e), 0.5 * e, 0.5])
         split = rng.multinomial(detected, [right, wrong, cross])
-        counts[i, i] += split[0]
-        counts[i, STATES.index(_CONJUGATE[a])] += split[1]
-        others = [j for j, s in enumerate(STATES)
-                  if s not in (a, _CONJUGATE[a])]
-        cross_split = rng.multinomial(split[2], [0.5, 0.5])
-        counts[i, others[0]] += cross_split[0]
-        counts[i, others[1]] += cross_split[1]
+        _place_row(counts, i, *split, rng)
     return TomographyMap(counts=counts, exposure_s=exposure_s,
                          intensity_label=intensity_label,
                          nd_filter_db=nd_filter_db)
@@ -406,7 +423,7 @@ def maps_from_report(report, config, budget: AliceBudget,
         err_row = [tally.errors // 4] * 4
         for i in range(tally.errors % 4):
             err_row[i] += 1
-        for i, a in enumerate(STATES):
+        for i in range(len(STATES)):
             det = per_row[i]
             err = min(err_row[i], det)
             matched = int(rng.binomial(det, 0.5))
@@ -416,13 +433,7 @@ def maps_from_report(report, config, budget: AliceBudget,
                 wrong = int(rng.hypergeometric(err, det - err, matched))
             else:
                 wrong = 0
-            counts[i, STATES.index(_CONJUGATE[a])] += wrong
-            counts[i, i] += matched - wrong
-            cross_split = rng.multinomial(det - matched, [0.5, 0.5])
-            others = [j for j, s in enumerate(STATES)
-                      if s not in (a, _CONJUGATE[a])]
-            counts[i, others[0]] += cross_split[0]
-            counts[i, others[1]] += cross_split[1]
+            _place_row(counts, i, matched - wrong, wrong, det - matched, rng)
         exposure = tally.sent / budget.sent_per_second
         out.append(TomographyMap(counts=counts, exposure_s=exposure,
                                  intensity_label=label.upper(),

@@ -69,8 +69,9 @@ class PhotonDistribution:
 
     @classmethod
     def from_dict(cls, data: dict) -> "PhotonDistribution":
-        return cls(p0=float(data["p0"]), p1=float(data["p1"]),
-                   p2=float(data["p2"]), p3=float(data.get("p3", 0.0)))
+        """Parse ``p0``..``p3``; an absent weight reads as 0."""
+        return cls(**{k: float(data.get(k, 0.0))
+                      for k in ("p0", "p1", "p2", "p3")})
 
 
 def check_distribution_array(probs: np.ndarray) -> np.ndarray:

@@ -4,15 +4,18 @@ Every test drives ``main`` in-process with an explicit argv, so failures
 point at the command layer rather than at subprocess plumbing.
 """
 
+import argparse
 import json
 import math
 import re
+import tracemalloc
 
 import pytest
 
-from spsqkd import __version__
+from spsqkd import __version__, cli
 from spsqkd.analysis import dtb_rate_fn, gamma_map_dtb, mcl, wcs_mcl, wcs_rate_fn
 from spsqkd.cli import MAX_GRID, load_channel, main
+from spsqkd.errors import ConfigError
 from spsqkd.ingest import maps_from_report, skr_from_experiment, write_tomography_csv
 from spsqkd.montecarlo import SimConfig, run_dtb
 from spsqkd.photon_source import PhotonDistribution
@@ -134,11 +137,28 @@ class TestSkrCurve:
         assert code == 1
         assert "unknown source fixture" in err
 
-    def test_degenerate_loss_grid_fails_cleanly(self, capsys):
-        code, _, err = invoke(capsys, ["skr-curve", "--protocol", "wcs",
-                                       "--loss-step", "0"])
-        assert code == 1
-        assert "--loss-step must be positive" in err
+    def test_fields_left_out_of_a_fixture_read_as_zero(self, capsys,
+                                                       tmp_path):
+        # no p2/p3 in the source, no loss_db in the channel
+        source, channel = tmp_path / "one.json", tmp_path / "rx.json"
+        source.write_text(json.dumps({"p0": 0.0, "p1": 1.0}))
+        channel.write_text(json.dumps({"eta_bob": 0.045, "p_dc": 2e-7,
+                                       "e_d": 0.033}))
+        code, out, _ = invoke(capsys, [
+            "skr-curve", "--protocol", "dtb", "--source", str(source),
+            "--channel", str(channel), "--loss-min", "0", "--loss-max", "1",
+            "--loss-step", "1"])
+        assert code == 0
+        assert parse_csv(out)[3]["mcl_db"] == 45.3094482421875
+
+    def test_malformed_fixture_field_fails_cleanly(self, capsys, tmp_path):
+        source = tmp_path / "bad.json"
+        source.write_text(json.dumps({"p0": 0.0, "p1": None}))
+        code, out, err = invoke(capsys, ["skr-curve", "--protocol", "dtb",
+                                         "--source", str(source)])
+        assert code == 1 and out == ""
+        assert err.startswith(f"error: source {str(source)!r}: ")
+        assert err.count("\n") == 1
 
     def test_file_output_matches_stdout_and_repeats_byte_identically(
             self, capsys, tmp_path):
@@ -203,11 +223,6 @@ class TestOptimalT:
         assert rows[0][0] == 0.05 and rows[-1][0] == pytest.approx(0.5)
         assert all(r[1] == 0.5 for r in rows)
 
-    def test_degenerate_sweep_fails_cleanly(self, capsys):
-        code, _, err = invoke(capsys, ["optimal-t", "--p2-step", "0"])
-        assert code == 1
-        assert "--p2-step must be positive" in err
-
 
 class TestGammaVsEta:
     def test_collection_sweep_crosses_break_even(self, capsys):
@@ -239,6 +254,57 @@ class TestGammaVsEta:
             main(["gamma-vs-eta", "--protocol", "dtb", "--axis", "eta-x",
                   "--source", "sps1"])
         assert exc.value.code == 2
+
+
+SWEEP_COMMANDS = {
+    "skr-curve": (["skr-curve", "--protocol", "wcs"], "loss"),
+    "optimal-t": (["optimal-t"], "p2"),
+    "gamma-vs-eta": (["gamma-vs-eta", "--protocol", "dtb", "--axis", "eta-c",
+                      "--source", "sps1"], "eta")}
+
+
+@pytest.mark.parametrize("flags, message", [
+    (["--{0}-step", "0"], "--{0}-step must be positive and finite"),
+    (["--{0}-step", "nan"], "--{0}-step must be positive and finite"),
+    (["--{0}-min", "0.5", "--{0}-max", "0.1"],
+     "--{0}-max must be at least --{0}-min"),
+    (["--{0}-max", "inf"], "--{0}-min and --{0}-max must be finite"),
+    (["--{0}-min", "0", "--{0}-max", "1", "--{0}-step", "1e-6"],
+     f"--{{0}} sweep exceeds {MAX_GRID**2} points")],
+    ids=["zero-step", "nan-step", "reversed", "infinite-bound",
+         "over-a-million-points"])
+@pytest.mark.parametrize("command", SWEEP_COMMANDS)
+def test_bad_sweep_fails_cleanly(capsys, monkeypatch, command, flags,
+                                 message):
+    argv, name = SWEEP_COMMANDS[command]
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("a bad sweep reached the analysis")
+
+    # rejected before any point is evaluated or any list is built
+    for fn in ("skr_curve", "optimal_bs_transmission", "gamma_vs_efficiency"):
+        monkeypatch.setattr(cli, fn, refuse)
+    tracemalloc.start()
+    try:
+        code, out, err = invoke(capsys, argv + [f.format(name) for f in flags])
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert code == 1 and out == ""
+    assert err == f"error: {message.format(name)}\n"
+    assert peak < 2**20
+
+
+def test_sweep_point_cap_is_exact():
+    args = argparse.Namespace(loss_min=0.0, loss_max=MAX_GRID**2 - 1.0,
+                              loss_step=1.0)
+    assert len(cli._sweep(args, "loss")) == MAX_GRID**2
+    # one point over the cap, a span too large for int(), a span that overflows
+    for lo, hi, step in ((0.0, MAX_GRID**2, 1.0), (0.0, 1.0, 1e-320),
+                         (-1e308, 1e308, 1.0)):
+        args = argparse.Namespace(loss_min=lo, loss_max=hi, loss_step=step)
+        with pytest.raises(ConfigError, match="exceeds"):
+            cli._sweep(args, "loss")
 
 
 class TestSimulate:

@@ -1,4 +1,4 @@
-"""Runtime dependencies: the command line must import with numpy alone."""
+"""Package surface: the public names, and a numpy-only command line."""
 
 import json
 import os
@@ -20,3 +20,33 @@ def test_cli_import_loads_no_scipy():
     out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
                          capture_output=True, text=True, timeout=60)
     assert json.loads(out.stdout) == []
+
+
+PUBLIC_NAMES = {
+    "AliceBudget", "ChannelParams", "ConfigError", "DecoySolution",
+    "DegenerateDecoyError", "ExcitationProbs", "FitError", "GammaMap",
+    "InconsistentDataError", "InfeasibleObservablesError", "NoKeyError",
+    "ObservedRates", "PhotonDistribution", "QkdError", "RatesWithSigma",
+    "SimConfig", "SimReport", "SkrCurve", "SkrPoint", "SkrResult",
+    "SourceModel", "TomographyMap", "YieldSet", "__version__",
+    "apply_collection", "binary_entropy", "cascade_distribution",
+    "dtb_rate_fn", "effective_channel", "emission_distribution",
+    "empirical_g2", "eta_n", "extract_distribution_g2",
+    "extract_distribution_g3", "fit_source_model", "g2_of", "g2_upper_bound",
+    "g3_of", "gain_and_qber", "gains_and_errors", "gamma", "gamma_map_dtb",
+    "gamma_vs_efficiency", "hp_effective_distribution",
+    "hp_herald_probability", "hp_rate_fn", "hp_threshold", "hp_transform",
+    "maps_from_report", "mcl", "mean_photon_number",
+    "optimal_bs_transmission", "read_tomography_csv", "run", "run_dtb",
+    "run_hp", "saturation_power", "skr_curve", "skr_dtb",
+    "skr_dtb_from_rates", "skr_from_experiment", "skr_hp",
+    "skr_wcs_infinite_decoy", "skr_wcs_tagging_bound", "solve_dtb",
+    "synthetic_map", "transmittance", "wcs_gain_and_qber", "wcs_mcl",
+    "wcs_rate_fn", "wcs_tagged_rate_fn", "write_tomography_csv", "yields"}
+
+
+def test_public_names_resolve_and_are_unchanged():
+    assert sorted(spsqkd.__all__) == sorted(PUBLIC_NAMES)
+    namespace = {}
+    exec("from spsqkd import *", namespace)  # fails on a name that is missing
+    assert PUBLIC_NAMES <= namespace.keys()

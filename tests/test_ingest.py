@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 
 from spsqkd.channel_model import ChannelParams
-from spsqkd.errors import ConfigError
+from spsqkd.errors import ConfigError, InconsistentDataError
 from spsqkd.ingest import (
     FALLBACK_E0,
     FALLBACK_Y0,
@@ -247,6 +247,28 @@ class TestExperimentExtraction:
         maps, stats, _ = pipeline
         with pytest.raises(ConfigError):
             skr_from_experiment(maps, {"S2": stats["S2"]}, budget)
+
+    @pytest.mark.parametrize("case, error", [
+        ("no-S1-map", ConfigError),
+        ("no-S1-statistics", ConfigError),
+        ("no-matched-basis-detections", InconsistentDataError)])
+    def test_effective_channel_checks_inputs_like_the_key_rate(
+            self, pipeline, budget, case, error):
+        maps, stats, _ = pipeline
+        if case == "no-S1-map":
+            maps = [m for m in maps if m.intensity_label != "S1"]
+        elif case == "no-S1-statistics":
+            stats = {"S2": stats["S2"]}
+        else:  # every S2 click lands in the other basis
+            cross = np.array([[0, 0, 5, 5], [0, 0, 5, 5],
+                              [5, 5, 0, 0], [5, 5, 0, 0]])
+            maps = [square_map(cross, nd=m.nd_filter_db)
+                    if m.intensity_label == "S2" else m for m in maps]
+        with pytest.raises(error) as from_channel:
+            effective_channel(maps, stats, budget)
+        with pytest.raises(error) as from_rate:
+            skr_from_experiment(maps, stats, budget)
+        assert str(from_channel.value) == str(from_rate.value)
 
     def test_duplicate_maps_are_rejected(self, pipeline, budget):
         maps, stats, _ = pipeline
