@@ -24,9 +24,10 @@ from .channel_model import ChannelParams
 from .errors import FitError, NoKeyError
 from .photon_source import (PhotonDistribution, apply_collection,
                             apply_collection_array, check_distribution_array)
-from .protocols import (DEFAULT_F_EC, DEFAULT_Q_SIFT, skr_dtb, skr_dtb_array,
-                        skr_hp, skr_wcs_infinite_decoy, skr_wcs_tagging_bound)
-from .search import bisect, golden_max
+from .protocols import (DEFAULT_F_EC, DEFAULT_Q_SIFT, hp_effective_array,
+                        skr_dtb, skr_dtb_array, skr_hp, skr_hp_array,
+                        skr_wcs_infinite_decoy, skr_wcs_tagging_bound)
+from .search import bisect, golden_max_lockstep
 
 # Bisection width for maximal-loss searches, in dB.
 MCL_TOL_DB = 0.01
@@ -118,17 +119,19 @@ def mcl(skr_fn: RateFn, tol_db: float = MCL_TOL_DB) -> float:
     return bisect(lambda loss_db: skr_fn(loss_db) > 0.0, lo, hi, tol_db)
 
 
-def mcl_lockstep(rate_fn: ArrayRateFn, size: int) -> np.ndarray:
+def mcl_lockstep(rate_fn: ArrayRateFn, size: int,
+                 tol_db: float = MCL_TOL_DB) -> np.ndarray:
     """``mcl`` of ``size`` independent problems, searched together.
 
     ``rate_fn(idx, loss_db)`` returns the key rates of problems ``idx`` at
     the losses ``loss_db`` (equal-length arrays).  Every problem takes the
-    steps ``mcl`` takes -- the zero-loss key check, 25 dB bracket
-    expansion up to the 200 dB cap, bisection to ``MCL_TOL_DB`` -- and drops
-    out as soon as its own bracket is done, so the losses probed and the
-    results are those of one ``mcl`` call per problem.  Problems without
-    key at zero loss are NaN where ``mcl`` raises NoKeyError; FitError is
-    raised as ``mcl`` raises it, when any rate is still positive at the cap.
+    steps ``mcl(..., tol_db)`` takes -- the zero-loss key check, 25 dB
+    bracket expansion up to the 200 dB cap, bisection to ``tol_db`` -- and
+    drops out as soon as its own bracket is done, so the losses probed and
+    the results are those of one ``mcl`` call per problem.  Problems
+    without key at zero loss are NaN where ``mcl`` raises NoKeyError;
+    FitError is raised when any problem's rate is still positive at the
+    cap, where a loop of ``mcl`` calls raises at the first such problem.
     """
     out = np.full(size, np.nan)
     # "not <= 0" as in mcl, so a NaN rate at zero loss is searched there too
@@ -142,13 +145,13 @@ def mcl_lockstep(rate_fn: ArrayRateFn, size: int) -> np.ndarray:
         hi[todo] += 25.0
         if np.any(hi[todo] > _LOSS_CAP_DB):
             raise FitError(f"key rate still positive at {_LOSS_CAP_DB} dB")
-    todo = np.flatnonzero(hi - lo > MCL_TOL_DB)
+    todo = np.flatnonzero(hi - lo > tol_db)
     while todo.size:
         mid = 0.5 * (lo[todo] + hi[todo])
         up = rate_fn(idx[todo], mid) > 0.0
         lo[todo[up]] = mid[up]
         hi[todo[~up]] = mid[~up]
-        todo = todo[hi[todo] - lo[todo] > MCL_TOL_DB]
+        todo = todo[hi[todo] - lo[todo] > tol_db]
     out[idx] = 0.5 * (lo + hi)
     return out
 
@@ -199,6 +202,22 @@ def hp_rate_fn(source: PhotonDistribution, channel: ChannelParams,
     return fn
 
 
+def hp_rate_array_fn(probs: np.ndarray, channel: ChannelParams, t=0.5,
+                     eta_d=0.9, p_dc_alice: float | None = None,
+                     q_sift: float = DEFAULT_Q_SIFT,
+                     f_ec: float = 1.0) -> ArrayRateFn:
+    """``hp_rate_fn`` for the columns of a (4, N) array of checked sources,
+    in the form ``mcl_lockstep`` takes; ``t`` and ``eta_d`` are scalars or
+    length-N arrays.  The effective distributions are checked once, here."""
+    eff = hp_effective_array(probs, t, eta_d,
+                             channel.p_dc if p_dc_alice is None else p_dc_alice)
+
+    def fn(idx: np.ndarray, loss_db: np.ndarray) -> np.ndarray:
+        return skr_hp_array(eff[:, idx], channel, loss_db, q_sift=q_sift,
+                            f_ec=f_ec)
+    return fn
+
+
 def wcs_rate_fn(channel: ChannelParams, q_sift: float = DEFAULT_Q_SIFT,
                 f_ec: float = DEFAULT_F_EC) -> RateFn:
     """Loss -> decoy-baseline WCS rate, re-optimizing mu at every loss."""
@@ -221,13 +240,6 @@ def wcs_mcl(channel: ChannelParams, q_sift: float = DEFAULT_Q_SIFT,
             f_ec: float = DEFAULT_F_EC) -> float:
     """MCL of the optimized weak-coherent decoy baseline."""
     return mcl(wcs_rate_fn(channel, q_sift=q_sift, f_ec=f_ec))
-
-
-def _mcl_or_nan(skr_fn: RateFn) -> float:
-    try:
-        return mcl(skr_fn)
-    except NoKeyError:
-        return math.nan
 
 
 def gamma_map_dtb(channel: ChannelParams, eta_c: float = 1.0, n: int = 200,
@@ -277,7 +289,8 @@ def hp_threshold(eta_d: float, channel: ChannelParams, t: float = 0.5,
     One-photon pulses enter the heralded statistics only through
     dark-count coincidences, so the threshold is insensitive to p1 and
     the scan uses a {vacuum, two-photon} source.  Heralded MCL grows with
-    p2, hence a single sign change.
+    p2, hence a single sign change: a 50-point scan, searched by
+    ``mcl_lockstep``, brackets it, and a bisection in p2 refines it.
     """
     if not 0.0 < eta_d <= 1.0:
         raise ValueError("eta_d must lie in (0, 1]")
@@ -285,25 +298,30 @@ def hp_threshold(eta_d: float, channel: ChannelParams, t: float = 0.5,
 
     def excess(p2: float) -> float:
         d = PhotonDistribution(p0=1.0 - p2, p1=0.0, p2=p2)
-        m = _mcl_or_nan(hp_rate_fn(d, channel, t=t, eta_d=eta_d,
-                                   p_dc_alice=p_dc_alice, f_ec=f_ec))
-        return (m - reference) if not math.isnan(m) else -math.inf
+        try:
+            return mcl(hp_rate_fn(d, channel, t=t, eta_d=eta_d,
+                                  p_dc_alice=p_dc_alice, f_ec=f_ec)) - reference
+        except NoKeyError:
+            return -math.inf
 
-    lo, hi = None, None
-    for p2 in np.linspace(0.02, 1.0, 50):
-        if excess(p2) >= 0.0:
-            hi = p2
-            break
-        lo = p2
-    if hi is None:
+    scan = np.linspace(0.02, 1.0, 50)
+    none = np.zeros_like(scan)
+    probs = check_distribution_array(np.stack([1.0 - scan, none, scan, none]))
+    m = mcl_lockstep(hp_rate_array_fn(probs, channel, t=t, eta_d=eta_d,
+                                      p_dc_alice=p_dc_alice, f_ec=f_ec),
+                     scan.size)
+    hits = np.flatnonzero(m - reference >= 0.0)
+    if hits.size == 0:
         raise NoKeyError("no two-photon probability reaches the reference loss")
-    if lo is None:
-        return hi
-    return bisect(lambda p2: not excess(p2) >= 0.0, lo, hi, HP_THRESHOLD_TOL)
+    k = hits[0]
+    if k == 0:
+        return scan[0]
+    return bisect(lambda p2: not excess(p2) >= 0.0, scan[k - 1], scan[k],
+                  HP_THRESHOLD_TOL)
 
 
-def optimal_bs_transmission(p2: float, p_dc: float, eta_d: float,
-                            channel: ChannelParams, p1: float = 0.0) -> float:
+def optimal_bs_transmission(p2, p_dc: float, eta_d: float,
+                            channel: ChannelParams, p1: float = 0.0):
     """Beam-splitter transmission maximizing the heralded MCL.
 
     ``p_dc`` is the herald detector's dark-count probability.  When it is
@@ -313,30 +331,37 @@ def optimal_bs_transmission(p2: float, p_dc: float, eta_d: float,
     symmetry and is returned without searching.  Otherwise the MCL is
     maximized by golden-section over t in (0, 1) to ``BS_TRANSMISSION_TOL``.
 
+    ``p2`` is one two-photon weight, or a sequence of them for an array of
+    optima.  All weights are searched together (``golden_max_lockstep``,
+    with one ``mcl_lockstep`` across them per probe); one weight is the
+    size-1 case.  Each optimum equals a ``golden_max`` over ``mcl(...,
+    tol_db=1e-5)`` bit for bit, unless a probed rate lies within the
+    kernel's last-place rounding of zero.
+
     With ``p1 > 0`` and a noisy herald detector the optimum moves above
     1/2 at small p2 and relaxes back as p2 grows: false heralds promote
     one-photon pulses into the key through the t p1 p_dc term, which
     rewards transmission until genuine two-photon coincidences dominate.
     """
-    if not 0.0 < p2 <= 1.0:
+    p2s = np.array(p2, dtype=float).reshape(-1)
+    if not np.all((0.0 < p2s) & (p2s <= 1.0)):
         raise ValueError("p2 must lie in (0, 1]")
-    if p1 < 0.0 or p1 + p2 > 1.0:
+    if p1 < 0.0 or np.any(p1 + p2s > 1.0):
         raise ValueError("need p1 >= 0 and p1 + p2 <= 1")
-    if p_dc == 0.0:
-        return 0.5
-    d = PhotonDistribution(p0=1.0 - p1 - p2, p1=p1, p2=p2)
+    probs = check_distribution_array(np.stack(
+        [1.0 - p1 - p2s, np.full_like(p2s, p1), p2s, np.zeros_like(p2s)]))
 
-    def objective(t: float) -> float:
+    def objective(idx: np.ndarray, t: np.ndarray) -> np.ndarray:
         # the landscape is shallow near the top, so the inner loss search
         # runs much tighter than the reported MCL resolution
-        try:
-            m = mcl(hp_rate_fn(d, channel, t=t, eta_d=eta_d, p_dc_alice=p_dc),
-                    tol_db=1e-5)
-        except NoKeyError:
-            return -1.0
-        return m
+        m = mcl_lockstep(hp_rate_array_fn(probs[:, idx], channel, t=t,
+                                          eta_d=eta_d, p_dc_alice=p_dc),
+                         idx.size, tol_db=1e-5)
+        return np.where(np.isnan(m), -1.0, m)  # no key
 
-    return golden_max(objective, 1e-3, 1.0 - 1e-3, BS_TRANSMISSION_TOL)
+    t_opt = np.full(p2s.size, 0.5) if p_dc == 0.0 else golden_max_lockstep(
+        objective, 1e-3, 1.0 - 1e-3, BS_TRANSMISSION_TOL, p2s.size)
+    return t_opt if np.ndim(p2) else float(t_opt[0])
 
 
 def gamma_vs_efficiency(protocol: str, axis: str, values: Sequence[float],
@@ -372,6 +397,8 @@ def gamma_vs_efficiency(protocol: str, axis: str, values: Sequence[float],
         raise ValueError("axis must be 'eta_c' or 'eta_d'")
     if protocol == "dtb" and axis == "eta_d":
         raise ValueError("the decoy protocol has no herald detector")
+    if not 0.0 <= eta_c <= 1.0:
+        raise ValueError("eta_c must lie in [0, 1]")
     baseline = wcs_mcl(channel, q_sift=q_sift,
                        f_ec=DEFAULT_F_EC if f_ec is None else f_ec)
     if f_ec is None:
@@ -389,14 +416,13 @@ def gamma_vs_efficiency(protocol: str, axis: str, values: Sequence[float],
         else:
             d = apply_collection(source, eta_c) if eta_c < 1.0 else source
             points.append((v, d, v))
+    probs = np.array([d.as_tuple() for _, d, _ in points]).reshape(-1, 4).T
     if protocol == "dtb":
-        probs = np.array([d.as_tuple() for _, d, _ in points]).reshape(-1, 4).T
-        m = mcl_lockstep(dtb_rate_array_fn(probs, channel, q_sift=q_sift,
-                                           f_ec=f_ec), len(points))
+        fn = dtb_rate_array_fn(probs, channel, q_sift=q_sift, f_ec=f_ec)
     else:
-        m = [_mcl_or_nan(hp_rate_fn(d, channel, t=t, eta_d=ed,
-                                    p_dc_alice=p_dc_alice, q_sift=q_sift,
-                                    f_ec=f_ec))
-             for _, d, ed in points]
+        fn = hp_rate_array_fn(probs, channel, t=t,
+                              eta_d=np.array([ed for _, _, ed in points]),
+                              p_dc_alice=p_dc_alice, q_sift=q_sift, f_ec=f_ec)
+    m = mcl_lockstep(fn, len(points))
     return [(v, float(mv) - baseline if not math.isnan(mv) else math.nan)
             for (v, _, _), mv in zip(points, m)]

@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import Callable
 
 import numpy as np
 
@@ -182,25 +183,39 @@ def wcs_gain_and_qber(mu: float, channel: ChannelParams) -> ObservedRates:
     ``Q = 1 - (1 - p_dc) exp(-eta mu)`` and
     ``E Q = e_d (1 - exp(-eta mu)) + p_dc / 2`` are reserved for tests.)
     """
-    if not math.isfinite(mu) or mu <= 0:
-        raise ValueError("mean photon number mu must be positive")
+    return wcs_rates(channel)(mu)
+
+
+def wcs_rates(channel: ChannelParams) -> Callable[[float], ObservedRates]:
+    """``mu -> wcs_gain_and_qber(mu, channel)``.  Each photon number's click
+    and error-click terms depend on the channel alone, so they are computed
+    once, when the series first reaches them, and reused by later calls;
+    on ``math`` and in the same order, so every rate is the same."""
     eta = transmittance(channel)
     log_miss = math.log1p(-eta) if eta < 1.0 else None
-    q = 0.0
-    eq = 0.0
-    weight = math.exp(-mu)  # Poisson term n = 0
-    tail = 1.0 - weight
-    n = 0
-    surv = 0.0
-    while True:
-        y_n = surv + channel.p_dc - surv * channel.p_dc
-        q += weight * y_n
-        eq += weight * (channel.e_d * surv + 0.5 * channel.p_dc)
-        if tail < _WCS_TAIL:
-            break
-        n += 1
-        weight *= mu / n
-        tail -= weight
-        surv = 1.0 if log_miss is None else -math.expm1(n * log_miss)
-    e = eq / q if q > 0.0 else 0.5
-    return ObservedRates(q=q, e=e)
+    p_dc, e_d = channel.p_dc, channel.e_d
+    terms = [(p_dc, 0.5 * p_dc)]  # (Y_n, e_d eta_n + p_dc / 2) from n = 0
+
+    def rates(mu: float) -> ObservedRates:
+        if not math.isfinite(mu) or mu <= 0:
+            raise ValueError("mean photon number mu must be positive")
+        q = 0.0
+        eq = 0.0
+        weight = math.exp(-mu)  # Poisson term n = 0
+        tail = 1.0 - weight
+        n = 0
+        while True:
+            q += weight * terms[n][0]
+            eq += weight * terms[n][1]
+            if tail < _WCS_TAIL:
+                break
+            n += 1
+            weight *= mu / n
+            tail -= weight
+            if n == len(terms):
+                surv = 1.0 if log_miss is None else -math.expm1(n * log_miss)
+                terms.append((surv + p_dc - surv * p_dc, e_d * surv + 0.5 * p_dc))
+        e = eq / q if q > 0.0 else 0.5
+        return ObservedRates(q=q, e=e)
+
+    return rates

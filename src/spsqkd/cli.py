@@ -31,8 +31,8 @@ from pathlib import Path
 
 from . import __version__
 from .analysis import (dtb_rate_fn, gamma_map_dtb, gamma_vs_efficiency,
-                       hp_rate_fn, mcl, optimal_bs_transmission, skr_curve,
-                       wcs_mcl, wcs_rate_fn)
+                       hp_rate_fn, optimal_bs_transmission, skr_curve,
+                       wcs_rate_fn)
 from .channel_model import ChannelParams
 from .errors import ConfigError, FitError, NoKeyError, QkdError
 from .ingest import (AliceBudget, gains_and_errors, read_tomography_csv,
@@ -242,10 +242,10 @@ def cmd_optimal_t(args) -> int:
     config = {"cmd": "optimal-t", "channel": args.channel,
               "p2": [args.p2_min, args.p2_max, args.p2_step],
               "p_dc": args.p_dc, "eta_d": args.eta_d, "p1": args.p1}
-    rows = [(p2, optimal_bs_transmission(p2, p_dc=args.p_dc,
-                                         eta_d=args.eta_d, channel=channel,
-                                         p1=args.p1))
-            for p2 in _sweep(args, "p2")]
+    p2s = _sweep(args, "p2")
+    t_opt = optimal_bs_transmission(p2s, p_dc=args.p_dc, eta_d=args.eta_d,
+                                    channel=channel, p1=args.p1)
+    rows = zip(p2s, t_opt.tolist())
     write_csv(args.out, config, ("p2", "t_opt"), rows)
     return 0
 

@@ -345,6 +345,10 @@ def _collected(p1, p2, p3, eta_c: float):
             p3 * c**3)
 
 
+# hp_transform's settings, each checked to lie in [0, 1]
+_HP_SETTINGS = ("beam-splitter transmission", "eta_d", "p_dc")
+
+
 def hp_transform(d: PhotonDistribution, t: float, eta_d: float,
                  p_dc: float) -> tuple[float, float]:
     """Heralded-purification joint probabilities toward the channel.
@@ -362,18 +366,34 @@ def hp_transform(d: PhotonDistribution, t: float, eta_d: float,
     dark count fakes the herald, which is what suppresses multi-photon
     leakage.
     """
-    if not 0.0 <= t <= 1.0:
-        raise ValueError("beam-splitter transmission must lie in [0, 1]")
-    if not 0.0 <= eta_d <= 1.0:
-        raise ValueError("eta_d must lie in [0, 1]")
-    if not 0.0 <= p_dc <= 1.0:
-        raise ValueError("p_dc must lie in [0, 1]")
+    for what, v in zip(_HP_SETTINGS, (t, eta_d, p_dc)):
+        if not 0.0 <= v <= 1.0:
+            raise ValueError(f"{what} must lie in [0, 1]")
     if d.p3 != 0.0:
         raise ValueError("heralded purification is defined on the {0,1,2} basis")
+    return _heralded(d.p1, d.p2, t, eta_d, p_dc)
+
+
+def hp_transform_array(probs: np.ndarray, t, eta_d,
+                       p_dc) -> tuple[np.ndarray, np.ndarray]:
+    """``hp_transform`` of every column of a (4, N) array of distributions.
+
+    ``t``, ``eta_d`` and ``p_dc`` are scalars or length-N arrays.  The
+    formula uses only +, - and *, so every entry equals the scalar result
+    bit for bit; the range and p3 checks are the scalar form's.
+    """
+    for what, v in zip(_HP_SETTINGS, (t, eta_d, p_dc)):
+        if not np.all((0.0 <= v) & (v <= 1.0)):
+            raise ValueError(f"{what} must lie in [0, 1]")
+    if np.any(probs[3] != 0.0):
+        raise ValueError("heralded purification is defined on the {0,1,2} basis")
+    return _heralded(probs[1], probs[2], t, eta_d, p_dc)
+
+
+def _heralded(p1, p2, t, eta_d, p_dc):
+    # shared by the scalar and array forms, so both round alike
     r = 1.0 - t
-    p1_tilde = 2.0 * d.p2 * r * t * (eta_d + p_dc) + t * d.p1 * p_dc
-    p2_tilde = t * t * d.p2 * p_dc
-    return p1_tilde, p2_tilde
+    return 2.0 * p2 * r * t * (eta_d + p_dc) + t * p1 * p_dc, t * t * p2 * p_dc
 
 
 def hp_herald_probability(d: PhotonDistribution, t: float, eta_d: float,

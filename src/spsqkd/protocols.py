@@ -12,9 +12,9 @@ Three transmitter configurations share one channel model:
                      infinite decoy states and an optimized intensity.
 
 All bounds are per-pulse rates including the sifting factor ``q_sift``
-and an error-correction inefficiency ``f_ec`` multiplying the leakage
-term.  Negative bounds are reported as a zero rate with the raw value
-attached.
+(each rate function checks that it lies in (0, 1]) and an
+error-correction inefficiency ``f_ec`` multiplying the leakage term.
+Negative bounds are reported as a zero rate with the raw value attached.
 """
 
 from __future__ import annotations
@@ -24,10 +24,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .channel_model import (ChannelParams, ObservedRates, wcs_gain_and_qber,
-                            yields, yields_array)
+from .channel_model import (ChannelParams, ObservedRates, wcs_rates, yields,
+                            yields_array)
 from .errors import DegenerateDecoyError, InconsistentDataError
-from .photon_source import PhotonDistribution, hp_transform
+from .photon_source import (PhotonDistribution, check_distribution_array,
+                            hp_transform, hp_transform_array)
 from .search import golden_max
 
 DEFAULT_Q_SIFT = 0.5
@@ -90,7 +91,7 @@ def _entropy_cost_array(x: np.ndarray) -> np.ndarray:
     if bad.any():
         raise ValueError(f"binary entropy argument {float(x[bad][0])!r} "
                          "outside [0, 1]")
-    with np.errstate(divide="ignore", invalid="ignore"):
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
         h = -x * np.log2(x) - (1.0 - x) * np.log2(1.0 - x)
     return np.where(x >= 0.5, 1.0, np.where(x == 0.0, 0.0, h))
 
@@ -100,6 +101,11 @@ def _clamp_unit(value: float, what: str, tol: float = _CLAMP_TOL) -> float:
         raise InconsistentDataError(
             f"solved {what} = {value:.6g} lies outside [0, 1] beyond tolerance")
     return min(max(value, 0.0), 1.0)
+
+
+def _check_q_sift(q_sift: float) -> None:
+    if not 0.0 < q_sift <= 1.0:
+        raise ValueError("q_sift must lie in (0, 1]")
 
 
 def solve_dtb(signal: ObservedRates, decoy: ObservedRates, vacuum: ObservedRates,
@@ -150,6 +156,7 @@ def skr_dtb_from_rates(signal: ObservedRates, y1: float, e1: float,
 
     R >= q_sift * (-Q_s f_ec H2(E_s) + Y_1 P_1 (1 - H2(e_1)))
     """
+    _check_q_sift(q_sift)
     q1 = y1 * p1_signal
     raw = q_sift * (-signal.q * f_ec * _entropy_cost(signal.e)
                     + q1 * (1.0 - _entropy_cost(e1)))
@@ -164,6 +171,7 @@ def skr_dtb(d: PhotonDistribution, channel: ChannelParams,
     channel-model yields exactly (see ``solve_dtb``'s round-trip identity),
     so the forward model feeds the bound directly.
     """
+    _check_q_sift(q_sift)
     ys = yields(channel, n_max=3)
     probs = d.as_tuple()
     q_s = sum(p * y for p, y in zip(probs, ys.y))
@@ -187,6 +195,7 @@ def skr_dtb_array(probs: np.ndarray, channel: ChannelParams,
     so rates can differ from ``skr_dtb`` by a few ulp.  A single
     evaluation is ten times faster through ``skr_dtb``.
     """
+    _check_q_sift(q_sift)
     y, e = yields_array(channel, loss_db)
     p0, p1, p2, p3 = probs
     q_s = p0 * y[0] + p1 * y[1] + p2 * y[2] + p3 * y[3]
@@ -235,6 +244,7 @@ def skr_hp(d: PhotonDistribution, channel: ChannelParams, t: float = 0.5,
     ``p_dc_alice`` defaults to the channel's dark-count probability, the
     single-detector-technology assumption.
     """
+    _check_q_sift(q_sift)
     if p_dc_alice is None:
         p_dc_alice = channel.p_dc
     eff = hp_effective_distribution(d, t, eta_d, p_dc_alice)
@@ -256,6 +266,43 @@ def skr_hp(d: PhotonDistribution, channel: ChannelParams, t: float = 0.5,
     return SkrResult(rate=max(raw, 0.0), raw=raw)
 
 
+def hp_effective_array(probs: np.ndarray, t, eta_d, p_dc_alice) -> np.ndarray:
+    """``hp_effective_distribution`` of each column of a (4, N) array, checked;
+    ``t``, ``eta_d`` and ``p_dc_alice`` are scalars or length-N arrays."""
+    p1t, p2t = hp_transform_array(probs, t, eta_d, p_dc_alice)
+    return check_distribution_array(
+        np.stack([1.0 - p1t - p2t, p1t, p2t, np.zeros_like(p1t)]))
+
+
+def skr_hp_array(eff: np.ndarray, channel: ChannelParams, loss_db: np.ndarray,
+                 q_sift: float = DEFAULT_Q_SIFT, f_ec: float = 1.0) -> np.ndarray:
+    """``skr_hp(...).rate`` of many problems, column k of the effective
+    distributions ``eff`` (from ``hp_effective_array``) at ``loss_db[k]``.
+
+    The arithmetic, the omega clamp and its InconsistentDataError, and the
+    omega <= 0 branch are ``skr_hp``'s; numpy's log/exp may round
+    differently from ``math`` in the last place.
+    """
+    _check_q_sift(q_sift)
+    y, e = yields_array(channel, loss_db)
+    p0, p1, p2 = eff[0], eff[1], eff[2]
+    q_s = p0 * y[0] + p1 * y[1] + p2 * y[2]
+    eq = p0 * y[0] * e[0] + p1 * y[1] * e[1] + p2 * y[2] * e[2]
+    detected = ~(q_s <= 0.0)
+    e_s = np.divide(eq, q_s, out=np.zeros_like(eq), where=detected)
+    omega = np.divide(p1 * y[1], q_s, out=np.zeros_like(eq), where=detected)
+    if np.any(omega > 1.0 + _CLAMP_TOL):
+        raise InconsistentDataError("single-photon fraction omega="
+                                    f"{float(omega.max()):.6g} > 1")
+    omega = np.minimum(omega, 1.0)
+    keyed = omega > 0.0
+    with np.errstate(over="ignore"):  # a subnormal omega: e_s / omega = inf
+        ratio = np.divide(e_s, omega, out=np.zeros_like(eq), where=keyed)
+    raw = q_sift * q_s * (-f_ec * _entropy_cost_array(e_s)
+                          + omega * (1.0 - _entropy_cost_array(ratio)))
+    return np.where(keyed, np.maximum(raw, 0.0), 0.0)
+
+
 def skr_wcs_infinite_decoy(channel: ChannelParams, mu: float | None = None,
                            q_sift: float = DEFAULT_Q_SIFT,
                            f_ec: float = DEFAULT_F_EC) -> SkrResult:
@@ -266,10 +313,12 @@ def skr_wcs_infinite_decoy(channel: ChannelParams, mu: float | None = None,
     ``mu exp(-mu)``.  When ``mu`` is None the intensity is optimized over
     (0, 2] by golden-section search to 1e-6.
     """
+    _check_q_sift(q_sift)
     ys = yields(channel, n_max=1)
+    rates = wcs_rates(channel)
 
     def raw_rate(m: float) -> float:
-        obs = wcs_gain_and_qber(m, channel)
+        obs = rates(m)
         q1 = m * math.exp(-m) * ys.y[1]
         return q_sift * (-obs.q * f_ec * _entropy_cost(obs.e)
                          + q1 * (1.0 - _entropy_cost(ys.e[1])))
@@ -295,10 +344,12 @@ def skr_wcs_tagging_bound(channel: ChannelParams, mu: float | None = None,
     baseline (``skr_wcs_infinite_decoy``) compares two different security
     analyses.  ``f_ec`` defaults to 1 to mirror ``skr_hp``.
     """
+    _check_q_sift(q_sift)
     ys = yields(channel, n_max=1)
+    rates = wcs_rates(channel)
 
     def raw_rate(m: float) -> float:
-        obs = wcs_gain_and_qber(m, channel)
+        obs = rates(m)
         if obs.q <= 0.0:
             return 0.0
         omega = m * math.exp(-m) * ys.y[1] / obs.q

@@ -14,6 +14,7 @@ from spsqkd.analysis import (
     gamma,
     gamma_map_dtb,
     gamma_vs_efficiency,
+    hp_rate_array_fn,
     hp_rate_fn,
     hp_threshold,
     mcl,
@@ -27,6 +28,7 @@ from spsqkd.analysis import (
 from spsqkd.channel_model import ChannelParams
 from spsqkd.errors import FitError, NoKeyError
 from spsqkd.photon_source import PhotonDistribution, apply_collection
+from spsqkd.search import bisect, golden_max
 
 PERFECT = PhotonDistribution(0.0, 1.0, 0.0)
 
@@ -179,6 +181,59 @@ class TestMclLockstep:
                 idx == 1, 1.0, np.maximum(0.0, 1.0 - loss / 30.0)), 3)
 
 
+def scalar_hp_mcl(d: PhotonDistribution, channel: ChannelParams,
+                  tol_db: float = 0.01, **kwargs) -> float:
+    """The per-point heralded reference: NaN where mcl finds no key."""
+    try:
+        return mcl(hp_rate_fn(d, channel, **kwargs), tol_db=tol_db)
+    except NoKeyError:
+        return math.nan
+
+
+class TestHpLockstep:
+    @given(st.floats(min_value=1e-3, max_value=1.0),
+           st.one_of(st.just(0.0), st.floats(min_value=0.0, max_value=1e-3)),
+           st.one_of(st.just(0.0), st.floats(min_value=0.0, max_value=0.3)),
+           st.one_of(st.none(), st.floats(min_value=0.0, max_value=1e-2)),
+           st.lists(st.tuples(st.floats(min_value=0.0, max_value=1.0),
+                              st.floats(min_value=0.0, max_value=1.0),
+                              st.floats(min_value=1e-3, max_value=1.0 - 1e-3),
+                              st.floats(min_value=0.0, max_value=1.0)),
+                    min_size=1, max_size=5),
+           st.sampled_from([0.01, 1e-5]))
+    @settings(max_examples=80, deadline=None)
+    def test_equals_the_scalar_search_bit_for_bit(self, eta_bob, p_dc, e_d,
+                                                  p_dc_alice, points, tol_db):
+        # a dark-free channel without misalignment keeps its key past the
+        # cap (FitError); a noisy herald or a pair-free source has none (NaN)
+        ch = ChannelParams(loss_db=0.0, eta_bob=eta_bob, p_dc=p_dc, e_d=e_d)
+        ds = [PhotonDistribution(max(1.0 - a - (1.0 - a) * b, 0.0), a,
+                                 (1.0 - a) * b) for a, b, _, _ in points]
+        t = [t for _, _, t, _ in points]
+        eta_d = [e for _, _, _, e in points]
+        probs = np.array([d.as_tuple() for d in ds]).T
+        fn = hp_rate_array_fn(probs, ch, t=np.array(t), eta_d=np.array(eta_d),
+                              p_dc_alice=p_dc_alice)
+        ref = []
+        for d, tk, ek in zip(ds, t, eta_d):
+            try:
+                ref.append(scalar_hp_mcl(d, ch, tol_db, t=tk, eta_d=ek,
+                                         p_dc_alice=p_dc_alice))
+            except FitError:
+                with pytest.raises(FitError):
+                    mcl_lockstep(fn, len(ds), tol_db=tol_db)
+                return
+        assert same_floats(mcl_lockstep(fn, len(ds), tol_db=tol_db), ref)
+
+    def test_a_capped_problem_fails_the_search(self, sps2):
+        clean = ChannelParams(loss_db=0.0, eta_bob=1.0, p_dc=0.0, e_d=0.0)
+        with pytest.raises(FitError):
+            mcl(hp_rate_fn(sps2, clean, p_dc_alice=1e-7))
+        probs = np.array([sps2.as_tuple()]).T
+        with pytest.raises(FitError):
+            mcl_lockstep(hp_rate_array_fn(probs, clean, p_dc_alice=1e-7), 1)
+
+
 @pytest.fixture(scope="module")
 def small_map(channel) -> GammaMap:
     return gamma_map_dtb(channel, n=25)
@@ -273,6 +328,38 @@ class TestHpThreshold:
             thr = hp_threshold(eta_d, channel)
             assert thr * eta_d == pytest.approx(ref, rel=0.05)
 
+    @pytest.mark.parametrize("eta_d, t, p_dc_alice", [
+        (0.5, 0.5, None), (0.73, 0.5, None), (1.0, 0.5, None),
+        (0.9, 0.3, 1e-5), (0.9, 0.62, 1e-4)])
+    def test_equals_the_scalar_scan_and_bisection(self, channel, eta_d, t,
+                                                  p_dc_alice):
+        reference = mcl(wcs_tagged_rate_fn(channel))
+
+        def excess(p2: float) -> float:
+            m = scalar_hp_mcl(PhotonDistribution(1.0 - p2, 0.0, p2), channel,
+                              t=t, eta_d=eta_d, p_dc_alice=p_dc_alice)
+            return m - reference if not math.isnan(m) else -math.inf
+
+        lo, hi = None, None
+        for p2 in np.linspace(0.02, 1.0, 50):
+            if excess(p2) >= 0.0:
+                hi = p2
+                break
+            lo = p2
+        want = hi if lo is None else bisect(
+            lambda p2: not excess(p2) >= 0.0, lo, hi, 1e-4)
+        assert hp_threshold(eta_d, channel, t=t,
+                            p_dc_alice=p_dc_alice) == want
+
+    def test_first_scan_point_and_no_crossing(self, channel):
+        # at high misalignment the tagged laser barely has key, so a
+        # noise-free herald beats it at the first scan point; a herald that
+        # mostly fires on dark counts never does
+        noisy = ChannelParams(loss_db=0.0, eta_bob=0.045, p_dc=2e-7, e_d=0.105)
+        assert hp_threshold(1.0, noisy, p_dc_alice=0.0) == 0.02
+        with pytest.raises(NoKeyError, match="two-photon"):
+            hp_threshold(0.01, channel, p_dc_alice=0.05)
+
     def test_detector_efficiency_domain(self, channel):
         with pytest.raises(ValueError):
             hp_threshold(0.0, channel)
@@ -283,6 +370,8 @@ class TestHpThreshold:
 class TestOptimalBsTransmission:
     def test_noiseless_herald_sits_at_the_symmetric_point(self, channel):
         assert optimal_bs_transmission(0.3, 0.0, 0.9, channel) == 0.5
+        got = optimal_bs_transmission([0.1, 0.3], 0.0, 0.9, channel)
+        assert got.tolist() == [0.5, 0.5]
 
     def test_noisy_herald_shifts_the_optimum_above_one_half(self, channel):
         t_small = optimal_bs_transmission(0.05, 0.02, 0.9, channel, p1=0.458)
@@ -302,7 +391,35 @@ class TestOptimalBsTransmission:
         assert m(t_star) >= m(t_star - 0.05) - 1e-4
         assert m(t_star) >= m(t_star + 0.05) - 1e-4
 
+    @pytest.mark.parametrize("p1, p_dc, eta_d", [
+        (0.0, 2e-7, 0.9), (0.0, 5e-3, 0.6), (0.2, 2e-7, 0.9),
+        (0.458, 0.02, 0.9), (0.458, 0.2, 0.05)])
+    def test_sweep_equals_the_scalar_golden_section(self, channel, p1, p_dc,
+                                                    eta_d):
+        p2s = [0.01, 0.05, 0.1, 0.2, 0.35, 0.5]
+
+        def scalar(p2: float) -> float:
+            d = PhotonDistribution(1.0 - p1 - p2, p1, p2)
+
+            def objective(t: float) -> float:
+                m = scalar_hp_mcl(d, channel, 1e-5, t=t, eta_d=eta_d,
+                                  p_dc_alice=p_dc)
+                return -1.0 if math.isnan(m) else m
+
+            return golden_max(objective, 1e-3, 1.0 - 1e-3, 1e-4)
+
+        want = [scalar(p2) for p2 in p2s]
+        got = optimal_bs_transmission(p2s, p_dc, eta_d, channel, p1=p1)
+        assert got.tolist() == want
+        assert optimal_bs_transmission(p2s[2], p_dc, eta_d, channel,
+                                       p1=p1) == want[2]
+
     def test_domain_checks(self, channel):
+        with pytest.raises(ValueError):
+            optimal_bs_transmission([0.1, 0.0], 1e-3, 0.9, channel)
+        with pytest.raises(ValueError):
+            optimal_bs_transmission([0.1, 0.6], 1e-3, 0.9, channel,
+                                          p1=0.5)
         with pytest.raises(ValueError):
             optimal_bs_transmission(0.0, 1e-3, 0.9, channel)
         with pytest.raises(ValueError):
@@ -358,6 +475,23 @@ class TestGammaVsEfficiency:
             own = mcl(hp_rate_fn(sps1, channel, f_ec=1.0))
             assert got == [(1.0, own - wcs_mcl(channel, f_ec=f_wcs))]
 
+    @pytest.mark.parametrize("axis, values", [
+        ("eta_c", [0.01, 0.3, 0.7, 1.0]), ("eta_d", [0.0, 0.2, 0.55, 1.0])])
+    def test_herald_sweep_equals_the_per_point_scalar_search(self, channel,
+                                                             sps2, axis,
+                                                             values):
+        baseline = wcs_mcl(channel, f_ec=1.22)
+        if axis == "eta_c":
+            ref = [scalar_hp_mcl(apply_collection(sps2, v), channel)
+                   for v in values]
+        else:
+            d = apply_collection(sps2, 0.8)
+            ref = [scalar_hp_mcl(d, channel, eta_d=v) for v in values]
+        got = gamma_vs_efficiency("hp", axis, values, sps2, channel,
+                                  eta_c=0.8)
+        assert all(type(g) is float for _, g in got)
+        assert same_floats(got, [(v, m - baseline) for v, m in zip(values, ref)])
+
     def test_empty_sweep(self, channel, sps1):
         assert gamma_vs_efficiency("dtb", "eta_c", [], sps1, channel) == []
 
@@ -370,3 +504,7 @@ class TestGammaVsEfficiency:
             gamma_vs_efficiency("dtb", "time", [1.0], sps1, channel)
         with pytest.raises(ValueError):
             gamma_vs_efficiency("dtb", "eta_d", [1.0], sps1, channel)
+        for eta_c in (1.5, -0.1, math.nan):
+            with pytest.raises(ValueError, match="eta_c"):
+                gamma_vs_efficiency("hp", "eta_d", [0.9], sps1, channel,
+                                    eta_c=eta_c)

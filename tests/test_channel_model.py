@@ -14,6 +14,7 @@ from spsqkd.channel_model import (
     gain_and_qber,
     transmittance,
     wcs_gain_and_qber,
+    wcs_rates,
     yields,
     yields_array,
 )
@@ -213,6 +214,17 @@ class TestWcsGainAndQber:
         rates = wcs_gain_and_qber(mu, ch)
         assert rates.q == pytest.approx(q_ref, rel=1e-10)
         assert rates.e * rates.q == pytest.approx(eq_ref, rel=1e-10)
+
+    @pytest.mark.parametrize("order", [(2.0, 0.01, 0.48), (0.01, 0.48, 2.0)])
+    def test_per_channel_terms_do_not_depend_on_the_call_order(self, channel,
+                                                               order):
+        # the terms are filled as far as each call's series reaches
+        ch = channel.with_loss(12.5)
+        rates = wcs_rates(ch)
+        for mu in order:
+            assert rates(mu) == wcs_gain_and_qber(mu, ch)
+        with pytest.raises(ValueError):
+            rates(math.nan)
 
     def test_non_positive_mean_rejected(self, channel):
         with pytest.raises(ValueError):

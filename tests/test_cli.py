@@ -256,6 +256,33 @@ class TestGammaVsEta:
         assert exc.value.code == 2
 
 
+@pytest.mark.parametrize("argv, message", [
+    (["skr-curve", "--protocol", "dtb", "--source", "sps1", "--loss-max", "1",
+      "--loss-step", "1", "--q-sift", "-1"], "q_sift must lie in (0, 1]"),
+    (["skr-curve", "--protocol", "dtb", "--source", "sps1", "--loss-max", "1",
+      "--loss-step", "1", "--q-sift", "nan"], "q_sift must lie in (0, 1]"),
+    (["skr-curve", "--protocol", "hp", "--source", "sps2", "--q-sift", "2"],
+     "q_sift must lie in (0, 1]"),
+    (["skr-curve", "--protocol", "wcs", "--q-sift", "0"],
+     "q_sift must lie in (0, 1]"),
+    (["gamma-map", "--grid", "4", "--q-sift", "-0.5"],
+     "q_sift must lie in (0, 1]"),
+    (["gamma-vs-eta", "--protocol", "hp", "--axis", "eta-d", "--source",
+      "sps2", "--eta-c", "1.5"], "eta_c must lie in [0, 1]"),
+    (["gamma-vs-eta", "--protocol", "hp", "--axis", "eta-d", "--source",
+      "sps2", "--eta-c", "nan"], "eta_c must lie in [0, 1]"),
+    (["gamma-vs-eta", "--protocol", "hp", "--axis", "eta-c", "--source",
+      "sps2", "--q-sift", "1.01"], "q_sift must lie in (0, 1]")],
+    ids=["skr-curve-negative-q-sift", "skr-curve-nan-q-sift",
+         "skr-curve-hp-q-sift-2", "skr-curve-wcs-zero-q-sift",
+         "gamma-map-q-sift", "gamma-vs-eta-eta-c-1.5", "gamma-vs-eta-nan-eta-c",
+         "gamma-vs-eta-q-sift"])
+def test_out_of_range_setting_fails_cleanly(capsys, argv, message):
+    code, out, err = invoke(capsys, argv)
+    assert code == 1 and out == ""
+    assert err == f"error: {message}\n"
+
+
 SWEEP_COMMANDS = {
     "skr-curve": (["skr-curve", "--protocol", "wcs"], "loss"),
     "optimal-t": (["optimal-t"], "p2"),

@@ -29,6 +29,7 @@ from spsqkd.photon_source import (
     g3_of,
     hp_herald_probability,
     hp_transform,
+    hp_transform_array,
     mean_photon_number,
     saturation_power,
 )
@@ -343,6 +344,37 @@ class TestHpTransform:
         d = PhotonDistribution(0.9, 0.0, 0.05, 0.05)
         with pytest.raises(ValueError):
             hp_transform(d, 0.5, 0.9, 0.0)
+
+    unit = st.floats(min_value=0.0, max_value=1.0)
+
+    @given(st.lists(st.tuples(distributions(), unit, unit), min_size=1,
+                    max_size=6), unit, unit)
+    @settings(max_examples=100)
+    def test_array_form_equals_the_scalar_form(self, rows, eta_d, p_dc):
+        # per-column t and eta_d, one shared dark-count probability
+        probs = np.array([d.as_tuple() for d, _, _ in rows]).T
+        t = np.array([t for _, t, _ in rows])
+        etas = np.array([e for _, _, e in rows])
+        p1t, p2t = hp_transform_array(probs, t, etas, p_dc)
+        assert list(zip(p1t.tolist(), p2t.tolist())) == [
+            hp_transform(d, t, e, p_dc) for d, t, e in rows]
+        p1t, p2t = hp_transform_array(probs, 0.5, eta_d, p_dc)
+        assert list(zip(p1t.tolist(), p2t.tolist())) == [
+            hp_transform(d, 0.5, eta_d, p_dc) for d, _, _ in rows]
+
+    @pytest.mark.parametrize("t, eta_d, p_dc, message", [
+        ([0.5, 1.5], 0.9, 0.0, "beam-splitter transmission"),
+        (0.5, [0.9, math.nan], 0.0, "eta_d"),
+        (0.5, 0.9, -1e-3, "p_dc")])
+    def test_array_form_checks_each_setting(self, t, eta_d, p_dc, message):
+        probs = np.array([(0.5, 0.2, 0.3, 0.0), (0.6, 0.1, 0.3, 0.0)]).T
+        with pytest.raises(ValueError, match=message):
+            hp_transform_array(probs, np.array(t), np.array(eta_d), p_dc)
+
+    def test_array_form_rejects_three_photon_input(self):
+        probs = np.array([(0.5, 0.2, 0.3, 0.0), (0.9, 0.0, 0.05, 0.05)]).T
+        with pytest.raises(ValueError, match="basis"):
+            hp_transform_array(probs, 0.5, 0.9, 0.0)
 
     def test_joint_frequencies_match_a_pulse_level_simulation(self):
         # split / herald / count, vectorized over four million pulses

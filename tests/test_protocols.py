@@ -17,10 +17,13 @@ from spsqkd.protocols import (
     DecoySolution,
     SkrResult,
     binary_entropy,
+    hp_effective_array,
+    hp_effective_distribution,
     skr_dtb,
     skr_dtb_array,
     skr_dtb_from_rates,
     skr_hp,
+    skr_hp_array,
     skr_wcs_infinite_decoy,
     skr_wcs_tagging_bound,
     solve_dtb,
@@ -267,6 +270,72 @@ class TestSkrHp:
         ideal = skr_hp(sps2, channel, f_ec=1.0)
         costly = skr_hp(sps2, channel, f_ec=1.22)
         assert costly.raw < ideal.raw
+
+
+class TestSkrHpArray:
+    @given(st.floats(min_value=1e-3, max_value=1.0),
+           st.floats(min_value=0.0, max_value=1e-3),
+           st.floats(min_value=0.0, max_value=0.5),
+           st.floats(min_value=0.0, max_value=1e-2),
+           st.lists(st.tuples(st.floats(min_value=0.0, max_value=1.0),
+                              st.floats(min_value=0.0, max_value=1.0),
+                              st.floats(min_value=0.0, max_value=1.0),
+                              st.floats(min_value=0.0, max_value=1.0),
+                              st.floats(min_value=0.0, max_value=80.0)),
+                    min_size=1, max_size=8))
+    @settings(max_examples=200)
+    def test_matches_skr_hp_to_a_few_ulp_of_the_gain(self, eta_bob, p_dc,
+                                                     e_d, p_dc_alice, points):
+        ch = ChannelParams(loss_db=0.0, eta_bob=eta_bob, p_dc=p_dc, e_d=e_d)
+        ds = [PhotonDistribution(max(1.0 - a - (1.0 - a) * b, 0.0), a,
+                                 (1.0 - a) * b) for a, b, _, _, _ in points]
+        t = np.array([t for _, _, t, _, _ in points])
+        eta_d = np.array([e for _, _, _, e, _ in points])
+        losses = np.array([loss for *_, loss in points])
+        probs = np.array([d.as_tuple() for d in ds]).T
+        eff = hp_effective_array(probs, t, eta_d, p_dc_alice)
+        got = skr_hp_array(eff, ch, losses)
+        for k, d in enumerate(ds):
+            args = (d, float(t[k]), float(eta_d[k]), p_dc_alice)
+            assert tuple(eff[:, k]) == hp_effective_distribution(*args).as_tuple()
+            at = ch.with_loss(float(losses[k]))
+            ref = skr_hp(d, at, t=args[1], eta_d=args[2],
+                         p_dc_alice=p_dc_alice).rate
+            gain = gain_and_qber(hp_effective_distribution(*args), at).q \
+                if ref else 0.0
+            assert abs(got[k] - ref) <= 8 * np.finfo(float).eps * gain
+
+    def test_no_herald_and_no_gain_are_zero_rates(self):
+        ch = ChannelParams(loss_db=0.0, eta_bob=0.5, p_dc=0.0, e_d=0.0)
+        # no one-photon weight left (omega = 0), then no detection at all
+        eff = np.array([[0.5, 0.0, 0.5, 0.0], [1.0, 0.0, 0.0, 0.0]]).T
+        assert skr_hp_array(eff, ch, np.zeros(2)).tolist() == [0.0, 0.0]
+
+    def test_single_photon_fraction_above_one_is_inconsistent(self):
+        ch = ChannelParams(loss_db=0.0, eta_bob=0.5, p_dc=1e-3, e_d=0.0)
+        # an unchecked column whose negative vacuum weight pushes omega past 1
+        eff = np.array([[-0.5], [1.5], [0.0], [0.0]])
+        with pytest.raises(InconsistentDataError, match="omega"):
+            skr_hp_array(eff, ch, np.zeros(1))
+
+
+@pytest.mark.parametrize("q_sift", [0.0, -1.0, 1.5, math.nan])
+def test_every_rate_bound_rejects_a_sifting_factor_outside_0_1(channel, sps1,
+                                                              q_sift):
+    probs = np.array([sps1.as_tuple()]).T
+    obs = ObservedRates(q=1e-3, e=0.02)
+    calls = [
+        lambda: skr_dtb(sps1, channel, q_sift=q_sift),
+        lambda: skr_dtb_array(probs, channel, np.zeros(1), q_sift=q_sift),
+        lambda: skr_dtb_from_rates(obs, 1e-3, 0.02, 0.5, q_sift=q_sift),
+        lambda: skr_hp(sps1, channel, q_sift=q_sift),
+        lambda: skr_hp_array(hp_effective_array(probs, 0.5, 0.9, 0.0),
+                             channel, np.zeros(1), q_sift=q_sift),
+        lambda: skr_wcs_infinite_decoy(channel, q_sift=q_sift),
+        lambda: skr_wcs_tagging_bound(channel, q_sift=q_sift)]
+    for call in calls:
+        with pytest.raises(ValueError, match="q_sift"):
+            call()
 
 
 class TestSkrWcs:

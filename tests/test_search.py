@@ -1,10 +1,12 @@
-"""The shared scalar searches: golden-section maximum and sign bisection."""
+"""The shared searches: golden-section maximum (scalar and lockstep) and
+sign bisection."""
 
 import math
 
+import numpy as np
 import pytest
 
-from spsqkd.search import bisect, golden_max
+from spsqkd.search import bisect, golden_max, golden_max_lockstep
 
 
 class TestGoldenMax:
@@ -42,6 +44,45 @@ class TestGoldenMax:
         steps = math.ceil(math.log(tol) / math.log(shrink))
         assert len(probes) == 2 + steps
         assert abs(x - 0.2) <= tol / 2
+
+
+class TestGoldenMaxLockstep:
+    # unimodal objectives with the peak at different places, one flat
+    # (every comparison a tie) and one with a kink at its peak
+    OBJECTIVES = (lambda t: -(t - 0.3) ** 2, lambda t: t * math.exp(-4.0 * t),
+                  lambda t: 1.0, lambda t: -abs(t - 0.9871),
+                  lambda t: -(t - 1e-3) ** 2)
+
+    @pytest.mark.parametrize("lo, hi, tol", [(1e-3, 1.0 - 1e-3, 1e-4),
+                                             (0.0, 1.0, 1e-9),
+                                             (1e-6, 2.0, 1e-6),
+                                             (1.0, 3.0, 2.0)])
+    def test_probes_what_golden_max_probes(self, lo, hi, tol):
+        fns = self.OBJECTIVES
+        want_probes, want = [], []
+        for fn in fns:
+            seen = []
+            want.append(golden_max(lambda t: seen.append(t) or fn(t),
+                                   lo, hi, tol))
+            want_probes.append(seen)
+        got_probes = [[] for _ in fns]
+
+        def batch(idx, x):
+            assert idx.size == x.size
+            for k, t in zip(idx.tolist(), x.tolist()):
+                got_probes[k].append(t)
+            return np.array([fns[k](t) for k, t in zip(idx.tolist(),
+                                                       x.tolist())])
+
+        got = golden_max_lockstep(batch, lo, hi, tol, len(fns))
+        assert got.tolist() == want
+        assert got_probes == want_probes
+
+    def test_no_problems(self):
+        def batch(idx, x):
+            return x
+
+        assert golden_max_lockstep(batch, 0.0, 1.0, 1e-3, 0).size == 0
 
 
 class TestBisect:
