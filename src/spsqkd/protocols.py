@@ -24,8 +24,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .channel_model import (ChannelParams, ObservedRates, wcs_rates, yields,
-                            yields_array)
+from .channel_model import (ChannelParams, ObservedRates, wcs_rates,
+                            weighted_gains, yields, yields_array)
 from .errors import DegenerateDecoyError, InconsistentDataError
 from .photon_source import (PhotonDistribution, check_distribution_array,
                             hp_transform, hp_transform_array)
@@ -157,10 +157,30 @@ def skr_dtb_from_rates(signal: ObservedRates, y1: float, e1: float,
     R >= q_sift * (-Q_s f_ec H2(E_s) + Y_1 P_1 (1 - H2(e_1)))
     """
     _check_q_sift(q_sift)
-    q1 = y1 * p1_signal
-    raw = q_sift * (-signal.q * f_ec * _entropy_cost(signal.e)
-                    + q1 * (1.0 - _entropy_cost(e1)))
+    raw = _decoy_bound(signal.q, signal.e, y1 * p1_signal, e1, q_sift, f_ec,
+                       _entropy_cost)
     return SkrResult(rate=max(raw, 0.0), raw=raw)
+
+
+def _decoy_bound(q, e, q1, e1, q_sift, f_ec, h):
+    # q_sift (-Q f_ec H(E) + Q_1 (1 - H(e_1))) with the entropy cost ``h``
+    # (math or numpy); shared by the source, array and laser forms
+    return q_sift * (-q * f_ec * h(e) + q1 * (1.0 - h(e1)))
+
+
+def _tagging_bound(q, e, q1, q_sift, f_ec) -> tuple[float, float]:
+    # (rate, raw) of the GLLP tagging bound, shared by skr_hp and the
+    # tagged laser: omega = Q_1 / Q is clamped to 1 (InconsistentDataError
+    # beyond 1 + 1e-9); with omega <= 0 only the leakage is left, rate 0
+    omega = q1 / q
+    if omega > 1.0 + _CLAMP_TOL:
+        raise InconsistentDataError(f"single-photon fraction omega={omega:.6g} > 1")
+    omega = min(omega, 1.0)
+    if omega <= 0.0:
+        return 0.0, -q_sift * q * f_ec * _entropy_cost(e)
+    pa_term = omega * (1.0 - _entropy_cost(e / omega))
+    raw = q_sift * q * (-f_ec * _entropy_cost(e) + pa_term)
+    return max(raw, 0.0), raw
 
 
 def skr_dtb(d: PhotonDistribution, channel: ChannelParams,
@@ -173,9 +193,7 @@ def skr_dtb(d: PhotonDistribution, channel: ChannelParams,
     """
     _check_q_sift(q_sift)
     ys = yields(channel, n_max=3)
-    probs = d.as_tuple()
-    q_s = sum(p * y for p, y in zip(probs, ys.y))
-    eq = sum(p * y * e for p, y, e in zip(probs, ys.y, ys.e))
+    q_s, eq = weighted_gains(d.as_tuple(), ys.y, ys.e)
     if q_s <= 0.0:
         return SkrResult(rate=0.0, raw=0.0)
     signal = ObservedRates(q=q_s, e=eq / q_s)
@@ -197,18 +215,15 @@ def skr_dtb_array(probs: np.ndarray, channel: ChannelParams,
     """
     _check_q_sift(q_sift)
     y, e = yields_array(channel, loss_db)
-    p0, p1, p2, p3 = probs
-    q_s = p0 * y[0] + p1 * y[1] + p2 * y[2] + p3 * y[3]
-    eq = p0 * y[0] * e[0] + p1 * y[1] * e[1] + p2 * y[2] * e[2] + p3 * y[3] * e[3]
+    q_s, eq = weighted_gains(probs, y, e)
     detected = ~(q_s <= 0.0)
     if not np.all((0.0 <= q_s[detected]) & (q_s[detected] <= 1.0)):
         raise ValueError("gain must lie in [0, 1]")
     e_s = np.divide(eq, q_s, out=np.zeros_like(eq), where=detected)
     if not np.all((0.0 <= e_s) & (e_s <= 1.0)):
         raise ValueError("error rate must lie in [0, 1]")
-    q1 = y[1] * p1
-    raw = q_sift * (-q_s * f_ec * _entropy_cost_array(e_s)
-                    + q1 * (1.0 - _entropy_cost_array(e[1])))
+    raw = _decoy_bound(q_s, e_s, y[1] * probs[1], e[1], q_sift, f_ec,
+                       _entropy_cost_array)
     return np.where(detected, np.maximum(raw, 0.0), 0.0)
 
 
@@ -249,21 +264,11 @@ def skr_hp(d: PhotonDistribution, channel: ChannelParams, t: float = 0.5,
         p_dc_alice = channel.p_dc
     eff = hp_effective_distribution(d, t, eta_d, p_dc_alice)
     ys = yields(channel, n_max=2)
-    probs = (eff.p0, eff.p1, eff.p2)
-    q_s = sum(p * y for p, y in zip(probs, ys.y))
+    q_s, eq = weighted_gains((eff.p0, eff.p1, eff.p2), ys.y, ys.e)
     if q_s <= 0.0:
         return SkrResult(rate=0.0, raw=0.0)
-    e_s = sum(p * y * e for p, y, e in zip(probs, ys.y, ys.e)) / q_s
-    omega = eff.p1 * ys.y[1] / q_s
-    if omega > 1.0 + _CLAMP_TOL:
-        raise InconsistentDataError(f"single-photon fraction omega={omega:.6g} > 1")
-    omega = min(omega, 1.0)
-    if omega <= 0.0:
-        raw = -q_sift * q_s * f_ec * _entropy_cost(e_s)
-        return SkrResult(rate=0.0, raw=raw)
-    pa_term = omega * (1.0 - _entropy_cost(e_s / omega))
-    raw = q_sift * q_s * (-f_ec * _entropy_cost(e_s) + pa_term)
-    return SkrResult(rate=max(raw, 0.0), raw=raw)
+    return SkrResult(*_tagging_bound(q_s, eq / q_s, eff.p1 * ys.y[1], q_sift,
+                                     f_ec))
 
 
 def hp_effective_array(probs: np.ndarray, t, eta_d, p_dc_alice) -> np.ndarray:
@@ -285,12 +290,10 @@ def skr_hp_array(eff: np.ndarray, channel: ChannelParams, loss_db: np.ndarray,
     """
     _check_q_sift(q_sift)
     y, e = yields_array(channel, loss_db)
-    p0, p1, p2 = eff[0], eff[1], eff[2]
-    q_s = p0 * y[0] + p1 * y[1] + p2 * y[2]
-    eq = p0 * y[0] * e[0] + p1 * y[1] * e[1] + p2 * y[2] * e[2]
+    q_s, eq = weighted_gains(eff[:3], y, e)
     detected = ~(q_s <= 0.0)
     e_s = np.divide(eq, q_s, out=np.zeros_like(eq), where=detected)
-    omega = np.divide(p1 * y[1], q_s, out=np.zeros_like(eq), where=detected)
+    omega = np.divide(eff[1] * y[1], q_s, out=np.zeros_like(eq), where=detected)
     if np.any(omega > 1.0 + _CLAMP_TOL):
         raise InconsistentDataError("single-photon fraction omega="
                                     f"{float(omega.max()):.6g} > 1")
@@ -313,22 +316,8 @@ def skr_wcs_infinite_decoy(channel: ChannelParams, mu: float | None = None,
     ``mu exp(-mu)``.  When ``mu`` is None the intensity is optimized over
     (0, 2] by golden-section search to 1e-6.
     """
-    _check_q_sift(q_sift)
-    ys = yields(channel, n_max=1)
-    rates = wcs_rates(channel)
-
-    def raw_rate(m: float) -> float:
-        obs = rates(m)
-        q1 = m * math.exp(-m) * ys.y[1]
-        return q_sift * (-obs.q * f_ec * _entropy_cost(obs.e)
-                         + q1 * (1.0 - _entropy_cost(ys.e[1])))
-
-    if mu is None:
-        mu = golden_max(raw_rate, 1e-6, 2.0, 1e-6)
-    elif not 0.0 < mu <= 2.0:
-        raise ValueError("mu must lie in (0, 2]")
-    raw = raw_rate(mu)
-    return SkrResult(rate=max(raw, 0.0), raw=raw, mu=mu)
+    return _laser(channel, mu, q_sift, lambda obs, q1, e1: _decoy_bound(
+        obs.q, obs.e, q1, e1, q_sift, f_ec, _entropy_cost))
 
 
 def skr_wcs_tagging_bound(channel: ChannelParams, mu: float | None = None,
@@ -344,20 +333,20 @@ def skr_wcs_tagging_bound(channel: ChannelParams, mu: float | None = None,
     baseline (``skr_wcs_infinite_decoy``) compares two different security
     analyses.  ``f_ec`` defaults to 1 to mirror ``skr_hp``.
     """
+    return _laser(channel, mu, q_sift, lambda obs, q1, _: 0.0 if obs.q <= 0.0
+                  else _tagging_bound(obs.q, obs.e, q1, q_sift, f_ec)[1])
+
+
+def _laser(channel: ChannelParams, mu: float | None, q_sift: float,
+           bound) -> SkrResult:
+    # raw = bound(observed rates, Q_1, e_1) of a laser at ``mu``, or at the
+    # mu in (0, 2] that maximises it; Q_1 = mu exp(-mu) Y_1 on ``math``
     _check_q_sift(q_sift)
-    ys = yields(channel, n_max=1)
+    y1, e1 = yields(channel, n_max=1)[1]
     rates = wcs_rates(channel)
 
     def raw_rate(m: float) -> float:
-        obs = rates(m)
-        if obs.q <= 0.0:
-            return 0.0
-        omega = m * math.exp(-m) * ys.y[1] / obs.q
-        omega = min(omega, 1.0)
-        if omega <= 0.0:
-            return -q_sift * obs.q * f_ec * _entropy_cost(obs.e)
-        return q_sift * obs.q * (-f_ec * _entropy_cost(obs.e)
-                                 + omega * (1.0 - _entropy_cost(obs.e / omega)))
+        return bound(rates(m), m * math.exp(-m) * y1, e1)
 
     if mu is None:
         mu = golden_max(raw_rate, 1e-6, 2.0, 1e-6)

@@ -181,6 +181,18 @@ class TestGammaMap:
         assert footer["wcs_mcl_db"] == wcs_mcl(load_channel("channel"))
         assert {"fit_slope", "fit_intercept"} <= footer.keys()
 
+    def test_rows_are_the_map_formatted_point_by_point(self, capsys):
+        _, out, _ = invoke(capsys, ["gamma-map", "--grid", "8"])
+        gmap = gamma_map_dtb(load_channel("channel"), n=8)
+        rows = [",".join(cli._fmt(v) for v in
+                         (gmap.p1[i], gmap.p2[j], gmap.gamma_db[i, j]))
+                for i in range(8) for j in range(8)]
+        slope, intercept = gmap.fit_zero_contour()
+        footer = [f"# wcs_mcl_db = {cli._fmt(gmap.wcs_mcl_db)}",
+                  f"# fit_slope = {cli._fmt(slope)}",
+                  f"# fit_intercept = {cli._fmt(intercept)}"]
+        assert out.splitlines()[2:] == ["p1,p2,gamma_db"] + rows + footer
+
     @pytest.mark.parametrize("argv, message", [
         (["--grid", "0"], "the grid needs n >= 2 points per axis"),
         (["--grid", "-3"], "the grid needs n >= 2 points per axis"),

@@ -7,7 +7,7 @@ import warnings
 import numpy as np
 import pytest
 
-from spsqkd.channel_model import ChannelParams
+from spsqkd.channel_model import ChannelParams, ObservedRates, gain_and_qber
 from spsqkd.errors import ConfigError, InconsistentDataError
 from spsqkd.ingest import (
     FALLBACK_E0,
@@ -287,6 +287,24 @@ class TestExperimentExtraction:
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             skr_from_experiment(maps, stats, budget)
+
+    def test_error_free_low_count_map_takes_a_one_sided_difference(
+            self, channel, bare_signal, bare_decoy, budget):
+        # at ND 3 dB with 1.1e5 pulses per intensity, seed 97 draws an S1 map
+        # without wrong detections: e = 0, and a central difference in e
+        # would step to e = -sigma
+        stats = {"S1": bare_decoy, "S2": bare_signal}
+        at = channel.with_loss(3.0)
+        rates = {"S0": ObservedRates(q=channel.p_dc, e=0.5),
+                 "S1": gain_and_qber(bare_decoy, at),
+                 "S2": gain_and_qber(bare_signal, at)}
+        rng = np.random.default_rng(97)
+        maps = [synthetic_map(rng, r.q, r.e, budget.sent(2.0), 2.0, label, 3.0)
+                for label, r in rates.items()]
+        decoy = gains_and_errors(maps[1], budget)
+        assert decoy.e == 0.0 and decoy.e_sigma > 0.0
+        (point,) = skr_from_experiment(maps, stats, budget)
+        assert 0.0 < point.skr_sigma < point.skr
 
     def test_fallback_constants_are_the_documented_receiver_values(self):
         assert FALLBACK_Y0 == 1.7e-6

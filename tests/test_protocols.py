@@ -10,8 +10,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.stats import entropy as shannon_entropy
 
+from spsqkd.analysis import mcl, wcs_rate_fn, wcs_tagged_rate_fn
 from spsqkd.channel_model import ChannelParams, ObservedRates, gain_and_qber, yields
-from spsqkd.errors import DegenerateDecoyError, InconsistentDataError
+from spsqkd.errors import DegenerateDecoyError, InconsistentDataError, NoKeyError
 from spsqkd.photon_source import PhotonDistribution
 from spsqkd.protocols import (
     DecoySolution,
@@ -271,6 +272,15 @@ class TestSkrHp:
         costly = skr_hp(sps2, channel, f_ec=1.22)
         assert costly.raw < ideal.raw
 
+    def test_no_single_photon_weight_is_a_positive_zero_rate(self):
+        # t = 1 with p1 = 0 heralds only two-photon pulses (omega = 0) and an
+        # error-free channel makes the leakage -0.0: the rate stays +0.0
+        ch = ChannelParams(loss_db=0.0, eta_bob=0.5, p_dc=0.0, e_d=0.0)
+        result = skr_hp(PhotonDistribution(0.5, 0.0, 0.5), ch, t=1.0,
+                        eta_d=0.9, p_dc_alice=1e-3)
+        assert math.copysign(1.0, result.rate) == 1.0
+        assert result.rate == 0.0 and math.copysign(1.0, result.raw) == -1.0
+
 
 class TestSkrHpArray:
     @given(st.floats(min_value=1e-3, max_value=1.0),
@@ -415,3 +425,64 @@ class TestCrossProtocol:
         sol = DecoySolution(y0=0.0, e0=0.5, y1=0.1, e1=0.0, y2=0.2, e2=0.0)
         with pytest.raises(AttributeError):
             sol.y1 = 0.3
+
+
+channels = st.builds(
+    lambda eta_bob, log_p_dc, e_d: ChannelParams(
+        loss_db=0.0, eta_bob=eta_bob, p_dc=10.0 ** log_p_dc, e_d=e_d),
+    st.floats(min_value=1e-2, max_value=1.0), st.floats(min_value=-9.0,
+                                                        max_value=-3.0),
+    st.floats(min_value=0.0, max_value=0.1))
+
+
+class TestSearchPreconditions:
+    """What ``mcl`` and the laser mu search rely on."""
+
+    @given(channels, st.floats(min_value=0.0, max_value=1.0),
+           st.floats(min_value=0.0, max_value=1.0),
+           st.floats(min_value=0.0, max_value=0.2),
+           st.floats(min_value=1e-3, max_value=1.0 - 1e-3),
+           st.floats(min_value=0.3, max_value=1.0),
+           st.floats(min_value=0.0, max_value=1e-4),
+           st.floats(min_value=0.0, max_value=40.0),
+           st.floats(min_value=0.5, max_value=10.0))
+    @settings(max_examples=100, deadline=None)
+    def test_every_rate_is_non_increasing_in_loss(self, ch, a, b, c, t, eta_d,
+                                                  p_dc_alice, start, step):
+        # mcl bisects on the sign of the rate, so a rate that grew with loss
+        # could hide key beyond the reported cut-off
+        p1, p2 = a, (1.0 - a) * b
+        p3 = min(c, max(1.0 - p1 - p2, 0.0))
+        d = PhotonDistribution(max(1.0 - p1 - p2 - p3, 0.0), p1, p2, p3)
+        pair_source = PhotonDistribution(max(1.0 - p1 - p2, 0.0), p1, p2)
+        bounds = {
+            "dtb": lambda at: skr_dtb(d, at).rate,
+            "hp": lambda at: skr_hp(pair_source, at, t=t, eta_d=eta_d,
+                                    p_dc_alice=p_dc_alice).rate,
+            "wcs": lambda at: skr_wcs_infinite_decoy(at).rate,
+            "wcs-tagged": lambda at: skr_wcs_tagging_bound(at).rate}
+        losses = [start + k * step for k in range(12)]
+        for name, rate in bounds.items():
+            rates = [rate(ch.with_loss(loss)) for loss in losses]
+            assert all(r1 <= r0 for r0, r1 in zip(rates, rates[1:])), name
+
+    @given(channels)
+    @settings(max_examples=20, deadline=None)
+    def test_mu_search_finds_the_grid_maximum_near_the_cutoff(self, ch):
+        # the mu objective need not be unimodal on (0, 2] (without key it can
+        # peak again as mu -> 0); the search must still find the best rate
+        # where there is one, on the edge of key where it is hardest
+        grid = np.linspace(2.0 / 400, 2.0, 400).tolist()
+        for bound, rate_fn in ((skr_wcs_infinite_decoy, wcs_rate_fn),
+                               (skr_wcs_tagging_bound, wcs_tagged_rate_fn)):
+            try:
+                cutoff = mcl(rate_fn(ch))
+            except NoKeyError:
+                continue
+            for offset in (-0.3, -0.05, -0.01, 0.01):
+                at = ch.with_loss(max(cutoff + offset, 0.0))
+                best = max(bound(at, mu=mu).rate for mu in grid)
+                if best > 0.0:
+                    found = bound(at).rate
+                    assert found >= best * (1.0 - 1e-6), (bound.__name__,
+                                                          offset)
