@@ -12,9 +12,13 @@ e_d, double clicks resolve to a random bit), while basis sifting is
 tracked separately as an independent halving.  This matches the analytic
 model, whose error rates are defined on the matched-basis subsample.
 
-Pulses are processed in fixed-size shards, one spawned child generator
-per shard, and tallies merged by summation, so a report depends only on
-(seed, n_pulses), never on scheduling.
+Pulses are processed in fixed-size shards, each with a child generator
+spawned as the loop reaches it, and tallies merged by summation, so a
+report depends only on (seed, n_pulses), never on scheduling.  Shards take
+the draws of ``choice`` and whole-array ``binomial``: a pick counts the
+entries of ``choice``'s table (running sum of the normalised weights,
+scaled to end at 1) that its uniform reaches, and n = 0 binomials, which
+draw nothing, are skipped.
 """
 
 from __future__ import annotations
@@ -68,7 +72,10 @@ class SimConfig:
                 raise ConfigError("dtb runs need at least one intensity")
             if set(self.intensities) != set(self.intensity_weights):
                 raise ConfigError("intensity labels and weights must match")
-            total = sum(self.intensity_weights.values())
+            weights = self.intensity_weights.values()
+            if not all(0.0 <= w < math.inf for w in weights):
+                raise ConfigError("intensity weights must be finite and >= 0")
+            total = sum(weights)
             if abs(total - 1.0) > 1e-9:
                 raise ConfigError(f"intensity weights sum to {total}, not 1")
         else:
@@ -78,6 +85,11 @@ class SimConfig:
                 raise ConfigError("t must lie in (0, 1)")
             if not 0.0 < self.eta_d <= 1.0:
                 raise ConfigError("eta_d must lie in (0, 1]")
+            if not 0.0 <= (self.p_dc_alice or 0.0) <= 1.0:
+                raise ConfigError("p_dc_alice must lie in [0, 1]")
+        dists = [self.source] if self.protocol == "hp" else self.intensities.values()
+        if any(min(d.as_tuple()) < 0.0 for d in dists):
+            raise ConfigError("photon-number probabilities must be >= 0")
 
     def to_dict(self) -> dict:
         out = {"protocol": self.protocol, "n_pulses": self.n_pulses,
@@ -175,20 +187,33 @@ class SimReport:
 
 
 def _shards(n_pulses: int, seed: int):
-    children = np.random.SeedSequence(seed).spawn(
-        (n_pulses + SHARD_SIZE - 1) // SHARD_SIZE)
-    done = 0
-    for child in children:
-        m = min(SHARD_SIZE, n_pulses - done)
-        done += m
-        yield m, np.random.default_rng(child)
+    root = np.random.SeedSequence(seed)  # spawn(1) k times == spawn(k)
+    for done in range(0, n_pulses, SHARD_SIZE):
+        yield (min(SHARD_SIZE, n_pulses - done),
+               np.random.default_rng(root.spawn(1)[0]))
 
 
-def _sample_counts(rng: np.random.Generator, dist: PhotonDistribution,
-                   m: int) -> np.ndarray:
-    probs = np.asarray(dist.as_tuple(), dtype=float)
-    probs = probs / probs.sum()
-    return rng.choice(len(probs), size=m, p=probs)
+def _cdf(weights) -> np.ndarray:
+    """``choice``'s table for these weights, less its entries equal to 1."""
+    p = np.asarray(weights, dtype=float)
+    cdf = np.cumsum(p / p.sum())
+    cdf /= cdf[-1]
+    return cdf[cdf < 1.0]
+
+
+def _pick(u: np.ndarray, cdf: np.ndarray) -> np.ndarray:
+    """``cdf.searchsorted(u, side="right")`` as int8: ``choice``'s picks."""
+    out = np.zeros(u.shape, dtype=np.int8)
+    for c in cdf:
+        out += u >= c
+    return out
+
+
+def _thin(rng: np.random.Generator, n: np.ndarray, p: float) -> np.ndarray:
+    """``rng.binomial(n, p)`` in place, drawing only where n > 0."""
+    idx = np.flatnonzero(n > 0)
+    n[idx] = rng.binomial(n[idx], p)
+    return n
 
 
 def _bob_clicks(rng: np.random.Generator, arrived: np.ndarray,
@@ -200,16 +225,12 @@ def _bob_clicks(rng: np.random.Generator, arrived: np.ndarray,
     empirical vacuum yield matches the analytic Y_0 = p_dc exactly.
     Double clicks resolve to a random bit.
     """
-    m = arrived.shape[0]
-    wrong = rng.binomial(arrived, channel.e_d)
-    right = arrived - wrong
+    wrong = _thin(rng, arrived.copy(), channel.e_d)
     d_each = 1.0 - math.sqrt(1.0 - channel.p_dc)
-    click_r = (right > 0) | (rng.random(m) < d_each)
-    click_w = (wrong > 0) | (rng.random(m) < d_each)
-    detected = click_r | click_w
-    double = click_r & click_w
-    error = np.where(double, rng.random(m) < 0.5, click_w & ~click_r)
-    return detected, error & detected
+    click_r = (arrived > wrong) | (rng.random(arrived.size) < d_each)
+    click_w = (wrong > 0) | (rng.random(arrived.size) < d_each)
+    coin = rng.random(arrived.size) < 0.5
+    return click_r | click_w, np.where(click_r, click_w & coin, click_w)
 
 
 def run_dtb(config: SimConfig) -> SimReport:
@@ -217,32 +238,29 @@ def run_dtb(config: SimConfig) -> SimReport:
     if config.protocol != "dtb":
         raise ConfigError("run_dtb needs a dtb config")
     labels = sorted(config.intensities)
-    dists = [config.intensities[k] for k in labels]
-    weights = np.asarray([config.intensity_weights[k] for k in labels])
-    weights = weights / weights.sum()
+    pick_label = _cdf([config.intensity_weights[k] for k in labels])
+    pick_n = [_cdf(config.intensities[k].as_tuple()) for k in labels]
     eta = transmittance(config.channel)
     tallies = {k: IntensityTally() for k in labels}
 
     for m, rng in _shards(config.n_pulses, config.seed):
-        chosen = rng.choice(len(labels), size=m, p=weights)
-        n = np.zeros(m, dtype=np.int64)
-        for k, dist in enumerate(dists):
-            mask = chosen == k
-            if mask.any():
-                n[mask] = _sample_counts(rng, dist, int(mask.sum()))
+        chosen = _pick(rng.random(m), pick_label)
+        # one choice per intensity, in label order, is one random(m) sliced
+        u, n, at = rng.random(m), np.empty(m, dtype=np.int8), 0
+        for k, cdf in enumerate(pick_n):
+            pos = np.flatnonzero(chosen == k)
+            n[pos] = _pick(u[at:at + pos.size], cdf)
+            at += pos.size
         if config.eta_c < 1.0:
-            n = rng.binomial(n, config.eta_c)
-        arrived = rng.binomial(n, eta)
-        detected, error = _bob_clicks(rng, arrived, config.channel)
-        basis_match = rng.random(m) < 0.5
-        sifted = detected & basis_match
-        for k, label in enumerate(labels):
+            _thin(rng, n, config.eta_c)
+        detected, error = _bob_clicks(rng, _thin(rng, n, eta), config.channel)
+        sifted = detected & (rng.random(m) < 0.5)
+        for k, t in enumerate(tallies.values()):
             mask = chosen == k
-            t = tallies[label]
-            t.sent += int(mask.sum())
-            t.detected += int((detected & mask).sum())
-            t.errors += int((error & mask).sum())
-            t.sifted += int((sifted & mask).sum())
+            t.sent += int(np.count_nonzero(mask))
+            t.detected += int(np.count_nonzero(detected & mask))
+            t.errors += int(np.count_nonzero(error & mask))
+            t.sifted += int(np.count_nonzero(sifted & mask))
     return SimReport(protocol="dtb", seed=config.seed,
                      n_pulses=config.n_pulses, tallies=tallies)
 
@@ -257,32 +275,30 @@ def run_hp(config: SimConfig) -> SimReport:
     """
     if config.protocol != "hp":
         raise ConfigError("run_hp needs an hp config")
-    pda = config.p_dc_alice
-    if pda is None:
-        pda = config.channel.p_dc
+    pda = config.channel.p_dc if config.p_dc_alice is None else config.p_dc_alice
+    pick_n = _cdf(config.source.as_tuple())
     eta = transmittance(config.channel)
     tally = IntensityTally()
     heralds = herald_and_one = herald_and_two = 0
 
     for m, rng in _shards(config.n_pulses, config.seed):
-        n = _sample_counts(rng, config.source, m)
+        n = _pick(rng.random(m), pick_n)
         if config.eta_c < 1.0:
-            n = rng.binomial(n, config.eta_c)
-        reflected = rng.binomial(n, 1.0 - config.t)
-        toward_bob = n - reflected
-        herald_click = rng.binomial(reflected, config.eta_d) > 0
-        herald = herald_click | (rng.random(m) < pda)
-        arrived = rng.binomial(toward_bob, eta)
-        detected, error = _bob_clicks(rng, arrived, config.channel)
-        basis_match = rng.random(m) < 0.5
+            _thin(rng, n, config.eta_c)
+        reflected = _thin(rng, n.copy(), 1.0 - config.t)
+        n -= reflected  # the photons toward Bob
+        herald = _thin(rng, reflected, config.eta_d) > 0
+        herald |= rng.random(m) < pda
+        detected, error = _bob_clicks(rng, _thin(rng, n.copy(), eta),
+                                      config.channel)
         kept = herald & detected
         tally.sent += m
-        tally.detected += int(kept.sum())
-        tally.errors += int((error & kept).sum())
-        tally.sifted += int((kept & basis_match).sum())
-        heralds += int(herald.sum())
-        herald_and_one += int((herald & (toward_bob == 1)).sum())
-        herald_and_two += int((herald & (toward_bob == 2)).sum())
+        tally.detected += int(np.count_nonzero(kept))
+        tally.errors += int(np.count_nonzero(error & kept))
+        tally.sifted += int(np.count_nonzero(kept & (rng.random(m) < 0.5)))
+        heralds += int(np.count_nonzero(herald))
+        herald_and_one += int(np.count_nonzero(herald & (n == 1)))
+        herald_and_two += int(np.count_nonzero(herald & (n == 2)))
     return SimReport(protocol="hp", seed=config.seed,
                      n_pulses=config.n_pulses, tallies={"s3": tally},
                      heralds=heralds, herald_and_one=herald_and_one,

@@ -379,6 +379,15 @@ class TestSimulate:
         capsys.readouterr()
         assert out[0] != out[1]
 
+    @pytest.mark.parametrize("pda", ["5", "-1", "nan"])
+    def test_alice_dark_count_outside_zero_one_fails_cleanly(self, capsys,
+                                                             pda):
+        code, out, err = invoke(capsys, [
+            "simulate", "--protocol", "hp", "--source", "sps2",
+            "--n-pulses", "1000", "--p-dc-alice", pda])
+        assert code == 1 and out == ""
+        assert err == "error: p_dc_alice must lie in [0, 1]\n"
+
     def test_herald_counters_appear_for_hp(self, capsys):
         _, out, _ = invoke(capsys, [
             "simulate", "--protocol", "hp", "--source", "sps2",

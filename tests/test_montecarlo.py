@@ -2,6 +2,7 @@
 
 import json
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -11,6 +12,7 @@ from spsqkd.errors import ConfigError
 from spsqkd.montecarlo import (
     SHARD_SIZE,
     SimConfig,
+    _shards,
     SimReport,
     empirical_g2,
     run,
@@ -60,6 +62,33 @@ class TestConfigValidation:
             SimConfig(protocol="dtb", n_pulses=10, seed=0, channel=channel,
                       intensities={"a": sps1, "b": sps2},
                       intensity_weights={"a": 0.6, "b": 0.6})
+
+    @pytest.mark.parametrize("weights", [{"a": 1.5, "b": -0.5},
+                                         {"a": math.nan, "b": 1.0},
+                                         {"a": math.inf, "b": 0.0}],
+                             ids=["negative", "nan", "inf"])
+    def test_weights_must_be_finite_and_non_negative(self, channel, sps1,
+                                                     sps2, weights):
+        with pytest.raises(ConfigError, match="finite and >= 0"):
+            SimConfig(protocol="dtb", n_pulses=10, seed=0, channel=channel,
+                      intensities={"a": sps1, "b": sps2},
+                      intensity_weights=weights)
+
+    @pytest.mark.parametrize("pda", [5.0, -1.0, math.nan])
+    def test_alice_dark_count_is_a_probability(self, channel, sps2, pda):
+        with pytest.raises(ConfigError, match="p_dc_alice"):
+            SimConfig(protocol="hp", n_pulses=10, seed=0, channel=channel,
+                      source=sps2, p_dc_alice=pda)
+
+    def test_photon_probabilities_must_be_non_negative(self, channel):
+        # within PhotonDistribution's round-off tolerance, but not a
+        # probability the simulator can draw from
+        tiny = PhotonDistribution(p0=1.0 + 1e-13, p1=-1e-13, p2=0.0)
+        with pytest.raises(ConfigError, match="probabilities must be >= 0"):
+            dtb_config(channel, {"s": tiny}, 10, 0)
+        with pytest.raises(ConfigError, match="probabilities must be >= 0"):
+            SimConfig(protocol="hp", n_pulses=10, seed=0, channel=channel,
+                      source=tiny)
 
     def test_hp_needs_a_source(self, channel):
         with pytest.raises(ConfigError):
@@ -163,6 +192,96 @@ class TestDtbSimulation:
     def test_run_dispatches_by_protocol(self, channel, sps1):
         cfg = dtb_config(channel, {"s": sps1}, 50_000, 6)
         assert run(cfg).to_dict() == run_dtb(cfg).to_dict()
+
+
+# Exact reports of small seeded runs, recorded before the shard loop was
+# rewritten around the same draws.  They pin the draw order; never
+# re-record them to absorb a change.
+NOISY = ChannelParams(loss_db=3.0, eta_bob=0.9, p_dc=0.05, e_d=0.2)
+SPS1 = PhotonDistribution(p0=0.359, p1=0.529, p2=0.112)
+SPS2 = PhotonDistribution(p0=0.115, p1=0.458, p2=0.427)
+GOLDEN_RUNS = {
+    # name: (config kwargs, {label: (sent, detected, errors, sifted)},
+    #        hp (heralds, herald_and_one, herald_and_two) or None)
+    "dtb-three-with-vacuum": (
+        dict(protocol="dtb", n_pulses=300_000, seed=11, channel=NOISY,
+             intensities={"s": SPS2, "d": SPS1, "v": VACUUM},
+             intensity_weights={"s": 0.5, "d": 0.3, "v": 0.2}),
+        {"d": (89852, 31692, 7504, 15677), "s": (150043, 79239, 17442, 39681),
+         "v": (60105, 3046, 1484, 1489)}, None),
+    "dtb-zero-weight": (
+        dict(protocol="dtb", n_pulses=200_000, seed=12, channel=NOISY,
+             intensities={"a": SPS1, "b": SPS2},
+             intensity_weights={"a": 1.0, "b": 0.0}),
+        {"a": (200000, 70553, 16738, 35200), "b": (0, 0, 0, 0)}, None),
+    "dtb-collection-loss": (
+        dict(protocol="dtb", n_pulses=200_000, seed=13, channel=NOISY,
+             eta_c=0.6, intensities={"a": SPS1, "b": SPS2},
+             intensity_weights={"a": 0.25, "b": 0.75}),
+        {"a": (50068, 11646, 3063, 5803), "b": (149932, 53595, 12624, 26602)},
+        None),
+    "dtb-no-dark-no-misalignment": (
+        dict(protocol="dtb", n_pulses=200_000, seed=14,
+             channel=ChannelParams(loss_db=0.0, eta_bob=0.9, p_dc=0.0,
+                                   e_d=0.0),
+             intensities={"a": SPS1, "b": SPS2},
+             intensity_weights={"a": 0.5, "b": 0.5}),
+        {"a": (100282, 58906, 0, 29539), "b": (99718, 83317, 0, 41359)}, None),
+    "hp-alice-dark-from-channel": (
+        dict(protocol="hp", n_pulses=300_000, seed=15, channel=NOISY,
+             source=SPS2, t=0.4, eta_d=0.8),
+        {"s3": (300000, 31693, 8641, 15945)}, (166892, 52412, 1037)),
+    "hp-alice-dark-set": (
+        dict(protocol="hp", n_pulses=300_000, seed=16, channel=NOISY,
+             eta_c=0.7, source=SPS2, t=0.6, eta_d=0.9, p_dc_alice=0.01),
+        {"s3": (300000, 16905, 4673, 8344)}, (93169, 28088, 211)),
+    "dtb-partial-last-shard": (
+        dict(protocol="dtb", n_pulses=2_000_003, seed=17,
+             channel=ChannelParams(loss_db=10.0, eta_bob=0.045, p_dc=2e-7,
+                                   e_d=0.033),
+             intensities={"s1": SPS1, "s2": SPS2},
+             intensity_weights={"s1": 0.5, "s2": 0.5}),
+        {"s1": (999914, 3399, 106, 1670), "s2": (1000089, 5826, 192, 2973)},
+        None),
+}
+
+
+class TestExactReports:
+    @pytest.mark.parametrize("name", GOLDEN_RUNS)
+    def test_report_equals_the_golden(self, name):
+        kwargs, tallies, herald = GOLDEN_RUNS[name]
+        expected = {
+            "protocol": kwargs["protocol"], "seed": kwargs["seed"],
+            "n_pulses": kwargs["n_pulses"],
+            "tallies": {k: dict(zip(("sent", "detected", "errors", "sifted"),
+                                    v)) for k, v in sorted(tallies.items())},
+        }
+        if herald is not None:
+            expected.update(zip(("heralds", "herald_and_one",
+                                 "herald_and_two"), herald))
+        assert run(SimConfig(**kwargs)).to_dict() == expected
+
+
+class TestShards:
+    def test_children_are_those_of_one_spawn(self):
+        n_pulses = 3 * SHARD_SIZE + 5
+        children = np.random.SeedSequence(9).spawn(4)
+        shards = list(_shards(n_pulses, 9))
+        assert [m for m, _ in shards] == [SHARD_SIZE] * 3 + [5]
+        for (_, rng), child in zip(shards, children, strict=True):
+            assert rng.bit_generator.seed_seq.spawn_key == child.spawn_key
+            assert (rng.bit_generator.state
+                    == np.random.default_rng(child).bit_generator.state)
+
+    def test_first_shard_of_a_huge_run_allocates_little(self):
+        tracemalloc.start()
+        try:
+            m, _ = next(_shards(10**11, 0))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert m == SHARD_SIZE
+        assert peak < 2**20
 
 
 class TestDecoyRecovery:
