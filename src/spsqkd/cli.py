@@ -42,8 +42,9 @@ from .photon_source import PhotonDistribution
 
 PROTOCOLS = ("dtb", "hp", "wcs", "perfect-sps")
 
-# Largest gamma-map grid accepted: the lockstep search keeps a few arrays
-# of 4 n**2 floats, about 120 MB at this size.
+# Largest gamma-map grid accepted: the lockstep search over n**2 points
+# peaks near 160 MB of process memory at this size; the CSV is written one
+# map row at a time, so formatting adds nothing to that peak.
 MAX_GRID = 1000
 
 
@@ -122,36 +123,41 @@ def _config_hash(config: dict) -> str:
 
 
 def _fmt(value) -> str:
-    if isinstance(value, float):
-        value = float(value)  # numpy scalars repr as np.float64(...)
-        if math.isnan(value):
-            return "nan"
-        return repr(value)
-    return str(value)
+    # numpy scalars repr as np.float64(...); every float NaN reprs as "nan"
+    return repr(float(value)) if isinstance(value, float) else str(value)
 
 
-def _emit(text: str, out: str) -> None:
+def _line(cells) -> str:
+    return ",".join(map(_fmt, cells))
+
+
+def _emit(chunks, out: str) -> None:
     if out == "-":
-        sys.stdout.write(text)
+        sys.stdout.writelines(chunks)
     else:
         with open(out, "w", newline="\n") as fh:
-            fh.write(text)
+            fh.writelines(chunks)
 
 
 def write_csv(out: str, config: dict, header: tuple[str, ...],
-              rows, footer: dict | None = None) -> None:
-    lines = [f"# spsqkd {__version__}", f"# config {_config_hash(config)}",
-             ",".join(header)]
-    lines.extend(",".join(_fmt(v) for v in row) for row in rows)
-    for key, value in (footer or {}).items():
-        lines.append(f"# {key} = {_fmt(value)}")
-    _emit("\n".join(lines) + "\n", out)
+              lines, footer: dict | None = None) -> None:
+    """Stamp, config hash and header, then ``lines`` as they come, then
+    the footer.  Each item of ``lines`` is one or more formatted rows,
+    joined by newlines, without the last newline."""
+    def chunks():
+        yield (f"# spsqkd {__version__}\n# config {_config_hash(config)}\n"
+               f"{','.join(header)}\n")
+        for text in lines:
+            yield text + "\n"
+        for key, value in (footer or {}).items():
+            yield f"# {key} = {_fmt(value)}\n"
+    _emit(chunks(), out)
 
 
 def write_json(out: str, config: dict, payload: dict) -> None:
     doc = {"tool_version": __version__, "config_hash": _config_hash(config)}
     doc.update(payload)
-    _emit(json.dumps(doc, sort_keys=True, indent=2) + "\n", out)
+    _emit([json.dumps(doc, sort_keys=True, indent=2) + "\n"], out)
 
 
 def _sweep(args, name: str) -> list[float]:
@@ -211,7 +217,7 @@ def cmd_skr_curve(args) -> int:
     except NoKeyError:
         rows = [(loss, fn(loss)) for loss in losses]
         footer = {"mcl_db": math.nan}
-    write_csv(args.out, config, ("loss_db", "skr"), rows, footer)
+    write_csv(args.out, config, ("loss_db", "skr"), map(_line, rows), footer)
     return 0
 
 
@@ -223,10 +229,13 @@ def cmd_gamma_map(args) -> int:
               "eta_c": args.eta_c, "q_sift": args.q_sift}
     gmap = gamma_map_dtb(channel, eta_c=args.eta_c, n=args.grid,
                          q_sift=args.q_sift)
-    # row by row: whole-map float columns add ~7 MB of peak RSS at --grid 200
-    p2 = gmap.p2.tolist()
-    rows = ((p1, p2_j, g) for p1, g_row in zip(gmap.p1.tolist(), gmap.gamma_db)
-            for p2_j, g in zip(p2, g_row.tolist()))
+    # each axis value formatted once; one string of lines per map row, so
+    # the text is never held whole (45 MB at MAX_GRID)
+    p2 = [_fmt(v) + "," for v in gmap.p2.tolist()]
+    prefixes = (_fmt(p1) + "," for p1 in gmap.p1.tolist())
+    lines = ("\n".join([prefix + p2_j + g for p2_j, g
+                        in zip(p2, map(_fmt, g_row.tolist()))])
+             for prefix, g_row in zip(prefixes, gmap.gamma_db))
     footer = {"wcs_mcl_db": gmap.wcs_mcl_db}
     try:
         slope, intercept = gmap.fit_zero_contour()
@@ -235,7 +244,7 @@ def cmd_gamma_map(args) -> int:
     except FitError:
         footer["fit_slope"] = math.nan
         footer["fit_intercept"] = math.nan
-    write_csv(args.out, config, ("p1", "p2", "gamma_db"), rows, footer)
+    write_csv(args.out, config, ("p1", "p2", "gamma_db"), lines, footer)
     return 0
 
 
@@ -247,8 +256,8 @@ def cmd_optimal_t(args) -> int:
     p2s = _sweep(args, "p2")
     t_opt = optimal_bs_transmission(p2s, p_dc=args.p_dc, eta_d=args.eta_d,
                                     channel=channel, p1=args.p1)
-    rows = zip(p2s, t_opt.tolist())
-    write_csv(args.out, config, ("p2", "t_opt"), rows)
+    write_csv(args.out, config, ("p2", "t_opt"),
+              map(_line, zip(p2s, t_opt.tolist())))
     return 0
 
 
@@ -266,7 +275,7 @@ def cmd_gamma_vs_eta(args) -> int:
                                source, channel, eta_c=args.eta_c,
                                eta_d=args.eta_d, t=args.t,
                                p_dc_alice=args.p_dc_alice, q_sift=args.q_sift)
-    write_csv(args.out, config, ("eta", "gamma_db"), rows)
+    write_csv(args.out, config, ("eta", "gamma_db"), map(_line, rows))
     return 0
 
 

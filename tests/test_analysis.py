@@ -68,6 +68,48 @@ class TestMcl:
         assert mcl(fn) == pytest.approx(alive[-1], abs=0.02)
 
 
+
+def _mcl_or_no_key(search) -> float:
+    """``search()``, with no key at 0 dB read as -inf (the least loss)."""
+    try:
+        return search()
+    except NoKeyError:
+        return -math.inf
+
+
+class TestMclMonotoneInTheReceiver:
+    """A better receiver never tolerates less loss."""
+
+    @given(st.floats(min_value=0.0, max_value=1.0),
+           st.floats(min_value=0.0, max_value=1.0),
+           st.floats(min_value=0.0, max_value=0.2),
+           st.lists(st.floats(min_value=1e-2, max_value=1.0),
+                    min_size=2, max_size=2),
+           st.lists(st.floats(min_value=-9.0, max_value=-3.0),
+                    min_size=2, max_size=2),
+           st.floats(min_value=0.0, max_value=0.1))
+    @settings(max_examples=50, deadline=None)
+    def test_mcl_rises_with_eta_bob_and_falls_with_p_dc(self, a, b, c, etas,
+                                                        log_p_dcs, e_d):
+        p1, p2 = a, (1.0 - a) * b
+        p3 = min(c, max(1.0 - p1 - p2, 0.0))
+        d = PhotonDistribution(max(1.0 - p1 - p2 - p3, 0.0), p1, p2, p3)
+        eta_lo, eta_hi = sorted(etas)
+        p_dc_lo, p_dc_hi = sorted(10.0 ** u for u in log_p_dcs)
+
+        def mcls(eta_bob, p_dc):
+            ch = ChannelParams(loss_db=0.0, eta_bob=eta_bob, p_dc=p_dc, e_d=e_d)
+            return (_mcl_or_no_key(lambda: mcl(dtb_rate_fn(d, ch))),
+                    _mcl_or_no_key(lambda: wcs_mcl(ch)))
+
+        base = mcls(eta_lo, p_dc_lo)
+        for name, m0, m1, m2 in zip(("dtb", "wcs"), base,
+                                    mcls(eta_hi, p_dc_lo),
+                                    mcls(eta_lo, p_dc_hi)):
+            assert m0 <= m1, (name, "eta_bob")
+            assert m0 >= m2, (name, "p_dc")
+
+
 class TestGoldenMaximalLosses:
     """High-precision pins of the five headline loss limits."""
 

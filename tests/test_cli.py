@@ -5,11 +5,14 @@ point at the command layer rather than at subprocess plumbing.
 """
 
 import argparse
+import io
 import json
 import math
 import re
+import sys
 import tracemalloc
 
+import numpy as np
 import pytest
 
 from spsqkd import __version__, cli
@@ -63,6 +66,34 @@ class TestTopLevel:
             main([])
         assert exc.value.code == 2
 
+
+
+@pytest.mark.parametrize("value, text", [
+    (math.nan, "nan"), (math.copysign(math.nan, -1.0), "nan"),
+    (np.float64(np.nan), "nan"), (np.copysign(np.float64(np.nan), -1.0), "nan"),
+    (float(np.copysign(np.float64(np.nan), -1.0)), "nan"),
+    (math.inf, "inf"), (-math.inf, "-inf"), (-0.0, "-0.0"),
+    (1e-5, "1e-05"), (1e16, "1e+16"), (0.1 + 0.2, "0.30000000000000004"),
+    (np.float64(0.1), "0.1"), (7, "7"), ("sps1", "sps1")])
+def test_cell_format(value, text):
+    assert cli._fmt(value) == text
+
+
+def test_csv_rows_are_written_as_they_come(monkeypatch):
+    out = io.StringIO()
+    monkeypatch.setattr(sys, "stdout", out)
+    written = []
+
+    def lines():
+        for k in range(3):
+            written.append(out.getvalue())
+            yield str(k)
+
+    cli.write_csv("-", {}, ("k",), lines(), {"end": 1.0})
+    assert out.getvalue().splitlines()[2:] == ["k", "0", "1", "2",
+                                               "# end = 1.0"]
+    # each row follows the header and the rows before it onto the output
+    assert [text.splitlines()[-1] for text in written] == ["k", "0", "1"]
 
 class TestSkrCurve:
     def test_csv_preamble_and_grid_shape(self, capsys):
@@ -181,12 +212,19 @@ class TestGammaMap:
         assert footer["wcs_mcl_db"] == wcs_mcl(load_channel("channel"))
         assert {"fit_slope", "fit_intercept"} <= footer.keys()
 
-    def test_rows_are_the_map_formatted_point_by_point(self, capsys):
-        _, out, _ = invoke(capsys, ["gamma-map", "--grid", "8"])
-        gmap = gamma_map_dtb(load_channel("channel"), n=8)
+    @pytest.mark.parametrize("eta_c", [1.0, 0.8])
+    @pytest.mark.parametrize("n", [8, 41])
+    def test_rows_are_the_map_formatted_point_by_point(self, capsys, n, eta_c):
+        # eta_c < 1 takes the apply_collection path; both grids hold no-key
+        # NaN cells inside the simplex as well as the p1 + p2 > 1 corner
+        _, out, _ = invoke(capsys, ["gamma-map", "--grid", str(n),
+                                    "--eta-c", str(eta_c)])
+        gmap = gamma_map_dtb(load_channel("channel"), eta_c=eta_c, n=n)
+        inside = gmap.p1[:, None] + gmap.p2[None, :] <= 1.0
+        assert np.isnan(gmap.gamma_db[inside]).any()
         rows = [",".join(cli._fmt(v) for v in
                          (gmap.p1[i], gmap.p2[j], gmap.gamma_db[i, j]))
-                for i in range(8) for j in range(8)]
+                for i in range(n) for j in range(n)]
         slope, intercept = gmap.fit_zero_contour()
         footer = [f"# wcs_mcl_db = {cli._fmt(gmap.wcs_mcl_db)}",
                   f"# fit_slope = {cli._fmt(slope)}",
