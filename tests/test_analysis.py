@@ -68,7 +68,6 @@ class TestMcl:
         assert mcl(fn) == pytest.approx(alive[-1], abs=0.02)
 
 
-
 def _mcl_or_no_key(search) -> float:
     """``search()``, with no key at 0 dB read as -inf (the least loss)."""
     try:

@@ -67,7 +67,6 @@ class TestTopLevel:
         assert exc.value.code == 2
 
 
-
 @pytest.mark.parametrize("value, text", [
     (math.nan, "nan"), (math.copysign(math.nan, -1.0), "nan"),
     (np.float64(np.nan), "nan"), (np.copysign(np.float64(np.nan), -1.0), "nan"),
@@ -94,6 +93,7 @@ def test_csv_rows_are_written_as_they_come(monkeypatch):
                                                "# end = 1.0"]
     # each row follows the header and the rows before it onto the output
     assert [text.splitlines()[-1] for text in written] == ["k", "0", "1"]
+
 
 class TestSkrCurve:
     def test_csv_preamble_and_grid_shape(self, capsys):
