@@ -22,11 +22,13 @@ import numpy as np
 
 from .channel_model import ChannelParams
 from .errors import FitError, NoKeyError
-from .photon_source import (PhotonDistribution, apply_collection,
-                            apply_collection_array, check_distribution_array)
-from .protocols import (DEFAULT_F_EC, DEFAULT_Q_SIFT, hp_effective_array,
-                        skr_dtb, skr_dtb_array, skr_hp, skr_hp_array,
-                        skr_wcs_infinite_decoy, skr_wcs_tagging_bound)
+from .photon_source import (PhotonDistribution, apply_collection_array,
+                            check_distribution_array)
+from .protocols import (DEFAULT_ETA_D, DEFAULT_F_EC, DEFAULT_F_EC_TAGGING,
+                        DEFAULT_Q_SIFT, DEFAULT_T, herald_dark_rate,
+                        hp_effective_array, skr_dtb, skr_dtb_array, skr_hp,
+                        skr_hp_array, skr_wcs_infinite_decoy,
+                        skr_wcs_tagging_bound)
 from .search import bisect, golden_max_lockstep
 
 # Bisection width for maximal-loss searches, in dB.
@@ -170,76 +172,62 @@ def skr_curve(skr_fn: RateFn, losses: Iterable[float]) -> SkrCurve:
     return SkrCurve(points=points, mcl_db=mcl(skr_fn))
 
 
+def _loss_rate(kernel, channel: ChannelParams, *data, **kw):
+    # ``kernel``'s rate as a function of loss, for every factory below, which
+    # passes its keywords through: loss -> kernel(*data, channel at that
+    # loss, **kw).rate, or for an array kernel over the columns of ``data``
+    # (one (4, N) array) (idx, losses) -> kernel(data[:, idx], channel,
+    # losses, **kw)
+    if data and isinstance(data[0], np.ndarray):
+        cols, = data
+        return lambda idx, loss_db: kernel(cols[:, idx], channel, loss_db, **kw)
+    return lambda loss_db: kernel(*data, channel.with_loss(loss_db), **kw).rate
+
+
 def dtb_rate_fn(signal: PhotonDistribution, channel: ChannelParams,
-                q_sift: float = DEFAULT_Q_SIFT,
-                f_ec: float = DEFAULT_F_EC) -> RateFn:
-    """Loss -> decoy-state rate for fixed signal statistics."""
-    def fn(loss_db: float) -> float:
-        return skr_dtb(signal, channel.with_loss(loss_db),
-                       q_sift=q_sift, f_ec=f_ec).rate
-    return fn
+                **kw) -> RateFn:
+    """Loss -> ``skr_dtb`` rate for fixed signal statistics."""
+    return _loss_rate(skr_dtb, channel, signal, **kw)
 
 
 def dtb_rate_array_fn(probs: np.ndarray, channel: ChannelParams,
-                      q_sift: float = DEFAULT_Q_SIFT,
-                      f_ec: float = DEFAULT_F_EC) -> ArrayRateFn:
+                      **kw) -> ArrayRateFn:
     """``dtb_rate_fn`` for the columns of a (4, N) array of checked
-    distributions, in the form ``mcl_lockstep`` takes."""
-    def fn(idx: np.ndarray, loss_db: np.ndarray) -> np.ndarray:
-        return skr_dtb_array(probs[:, idx], channel, loss_db,
-                             q_sift=q_sift, f_ec=f_ec)
-    return fn
+    distributions, in the form ``mcl_lockstep`` takes (``skr_dtb_array``)."""
+    return _loss_rate(skr_dtb_array, channel, probs, **kw)
 
 
 def hp_rate_fn(source: PhotonDistribution, channel: ChannelParams,
-               t: float = 0.5, eta_d: float = 0.9,
-               p_dc_alice: float | None = None,
-               q_sift: float = DEFAULT_Q_SIFT, f_ec: float = 1.0) -> RateFn:
-    """Loss -> heralded-purification rate for fixed source statistics."""
-    def fn(loss_db: float) -> float:
-        return skr_hp(source, channel.with_loss(loss_db), t=t, eta_d=eta_d,
-                      p_dc_alice=p_dc_alice, q_sift=q_sift, f_ec=f_ec).rate
-    return fn
+               **kw) -> RateFn:
+    """Loss -> ``skr_hp`` rate for fixed source statistics."""
+    return _loss_rate(skr_hp, channel, source, **kw)
 
 
-def hp_rate_array_fn(probs: np.ndarray, channel: ChannelParams, t=0.5,
-                     eta_d=0.9, p_dc_alice: float | None = None,
-                     q_sift: float = DEFAULT_Q_SIFT,
-                     f_ec: float = 1.0) -> ArrayRateFn:
+def hp_rate_array_fn(probs: np.ndarray, channel: ChannelParams,
+                     t=DEFAULT_T, eta_d=DEFAULT_ETA_D,
+                     p_dc_alice: float | None = None, **kw) -> ArrayRateFn:
     """``hp_rate_fn`` for the columns of a (4, N) array of checked sources,
     in the form ``mcl_lockstep`` takes; ``t`` and ``eta_d`` are scalars or
-    length-N arrays.  The effective distributions are checked once, here."""
+    length-N arrays, the rest goes to ``skr_hp_array``.  The effective
+    distributions are checked once, here."""
     eff = hp_effective_array(probs, t, eta_d,
-                             channel.p_dc if p_dc_alice is None else p_dc_alice)
-
-    def fn(idx: np.ndarray, loss_db: np.ndarray) -> np.ndarray:
-        return skr_hp_array(eff[:, idx], channel, loss_db, q_sift=q_sift,
-                            f_ec=f_ec)
-    return fn
+                             herald_dark_rate(p_dc_alice, channel))
+    return _loss_rate(skr_hp_array, channel, eff, **kw)
 
 
-def wcs_rate_fn(channel: ChannelParams, q_sift: float = DEFAULT_Q_SIFT,
-                f_ec: float = DEFAULT_F_EC) -> RateFn:
+def wcs_rate_fn(channel: ChannelParams, **kw) -> RateFn:
     """Loss -> decoy-baseline WCS rate, re-optimizing mu at every loss."""
-    def fn(loss_db: float) -> float:
-        return skr_wcs_infinite_decoy(channel.with_loss(loss_db),
-                                      q_sift=q_sift, f_ec=f_ec).rate
-    return fn
+    return _loss_rate(skr_wcs_infinite_decoy, channel, **kw)
 
 
-def wcs_tagged_rate_fn(channel: ChannelParams, q_sift: float = DEFAULT_Q_SIFT,
-                       f_ec: float = 1.0) -> RateFn:
+def wcs_tagged_rate_fn(channel: ChannelParams, **kw) -> RateFn:
     """Loss -> tagging-bound WCS rate (the heralded-comparison reference)."""
-    def fn(loss_db: float) -> float:
-        return skr_wcs_tagging_bound(channel.with_loss(loss_db),
-                                     q_sift=q_sift, f_ec=f_ec).rate
-    return fn
+    return _loss_rate(skr_wcs_tagging_bound, channel, **kw)
 
 
-def wcs_mcl(channel: ChannelParams, q_sift: float = DEFAULT_Q_SIFT,
-            f_ec: float = DEFAULT_F_EC) -> float:
+def wcs_mcl(channel: ChannelParams, **kw) -> float:
     """MCL of the optimized weak-coherent decoy baseline."""
-    return mcl(wcs_rate_fn(channel, q_sift=q_sift, f_ec=f_ec))
+    return mcl(wcs_rate_fn(channel, **kw))
 
 
 def gamma_map_dtb(channel: ChannelParams, eta_c: float = 1.0, n: int = 200,
@@ -276,8 +264,9 @@ def gamma_map_dtb(channel: ChannelParams, eta_c: float = 1.0, n: int = 200,
     return GammaMap(p1=p1_axis, p2=p2_axis, gamma_db=out, wcs_mcl_db=baseline)
 
 
-def hp_threshold(eta_d: float, channel: ChannelParams, t: float = 0.5,
-                 p_dc_alice: float | None = None, f_ec: float = 1.0) -> float:
+def hp_threshold(eta_d: float, channel: ChannelParams, t: float = DEFAULT_T,
+                 p_dc_alice: float | None = None,
+                 f_ec: float = DEFAULT_F_EC_TAGGING) -> float:
     """Minimal two-photon probability where purification beats the laser.
 
     The reference is the weak-coherent source evaluated under the same
@@ -366,7 +355,8 @@ def optimal_bs_transmission(p2, p_dc: float, eta_d: float,
 
 def gamma_vs_efficiency(protocol: str, axis: str, values: Sequence[float],
                         source: PhotonDistribution, channel: ChannelParams,
-                        eta_c: float = 1.0, eta_d: float = 0.9, t: float = 0.5,
+                        eta_c: float = 1.0, eta_d: float = DEFAULT_ETA_D,
+                        t: float = DEFAULT_T,
                         p_dc_alice: float | None = None,
                         q_sift: float = DEFAULT_Q_SIFT,
                         f_ec: float | None = None) -> list[tuple[float, float]]:
@@ -378,7 +368,8 @@ def gamma_vs_efficiency(protocol: str, axis: str, values: Sequence[float],
     are reported as NaN rather than dropped, so curves keep the grid shape.
 
     An explicit ``f_ec`` applies to the protocol and the laser baseline;
-    ``None`` means ``DEFAULT_F_EC`` for "dtb" and the baseline, 1 for "hp".
+    ``None`` means ``DEFAULT_F_EC`` for "dtb" and the baseline and
+    ``DEFAULT_F_EC_TAGGING`` for "hp".
 
     The baseline is the decoy-state laser (``wcs_mcl``) for both
     protocols.  ``hp_threshold`` instead measures purification against
@@ -399,30 +390,25 @@ def gamma_vs_efficiency(protocol: str, axis: str, values: Sequence[float],
         raise ValueError("the decoy protocol has no herald detector")
     if not 0.0 <= eta_c <= 1.0:
         raise ValueError("eta_c must lie in [0, 1]")
-    baseline = wcs_mcl(channel, q_sift=q_sift,
-                       f_ec=DEFAULT_F_EC if f_ec is None else f_ec)
-    if f_ec is None:
-        f_ec = DEFAULT_F_EC if protocol == "dtb" else 1.0
-    points = []
-    for v in values:
-        v = float(v)
-        # float grids routinely overshoot the unit interval by one ulp
-        if 1.0 < v < 1.0 + 1e-9:
-            v = 1.0
-        elif -1e-9 < v < 0.0:
-            v = 0.0
-        if axis == "eta_c":
-            points.append((v, apply_collection(source, v), eta_d))
-        else:
-            d = apply_collection(source, eta_c) if eta_c < 1.0 else source
-            points.append((v, d, v))
-    probs = np.array([d.as_tuple() for _, d, _ in points]).reshape(-1, 4).T
+    # an explicit f_ec reaches the rates and the baseline; None leaves each
+    # kernel its own default
+    kw = {"q_sift": q_sift} if f_ec is None else {"q_sift": q_sift, "f_ec": f_ec}
+    baseline = wcs_mcl(channel, **kw)
+    grid = np.array(values, dtype=float).reshape(-1)
+    # float grids routinely overshoot the unit interval by one ulp
+    grid[(1.0 < grid) & (grid < 1.0 + 1e-9)] = 1.0
+    grid[(-1e-9 < grid) & (grid < 0.0)] = 0.0
+    probs = np.repeat(np.array([source.as_tuple()]).T, grid.size, axis=1)
+    if axis == "eta_c":
+        probs = apply_collection_array(probs, grid)
+    elif eta_c < 1.0:
+        probs = apply_collection_array(probs, eta_c)
     if protocol == "dtb":
-        fn = dtb_rate_array_fn(probs, channel, q_sift=q_sift, f_ec=f_ec)
+        fn = dtb_rate_array_fn(probs, channel, **kw)
     else:
         fn = hp_rate_array_fn(probs, channel, t=t,
-                              eta_d=np.array([ed for _, _, ed in points]),
-                              p_dc_alice=p_dc_alice, q_sift=q_sift, f_ec=f_ec)
-    m = mcl_lockstep(fn, len(points))
-    return [(v, float(mv) - baseline if not math.isnan(mv) else math.nan)
-            for (v, _, _), mv in zip(points, m)]
+                              eta_d=grid if axis == "eta_d" else eta_d,
+                              p_dc_alice=p_dc_alice, **kw)
+    m = mcl_lockstep(fn, grid.size)
+    return [(vi, float(mi) - baseline if not math.isnan(mi) else math.nan)
+            for vi, mi in zip(grid.tolist(), m)]

@@ -72,7 +72,6 @@ class ChannelParams:
 class YieldSet:
     """Per-photon-number yields and error rates at one channel setting."""
 
-    eta: float
     y: tuple[float, ...]
     e: tuple[float, ...]
 
@@ -121,7 +120,7 @@ def yields(channel: ChannelParams, n_max: int = 3) -> YieldSet:
         # A zero-yield term contributes nothing; 1/2 is the error rate
         # of the only click source left (none), kept for continuity.
         e_list.append(ey_n / y_n if y_n > 0.0 else 0.5)
-    return YieldSet(eta=transmittance(channel), y=tuple(y_list), e=tuple(e_list))
+    return YieldSet(y=tuple(y_list), e=tuple(e_list))
 
 
 def yields_array(channel: ChannelParams,

@@ -39,6 +39,7 @@ from .ingest import (AliceBudget, gains_and_errors, read_tomography_csv,
                      skr_from_experiment)
 from .montecarlo import SimConfig, run
 from .photon_source import PhotonDistribution
+from .protocols import DEFAULT_ETA_D, DEFAULT_Q_SIFT, DEFAULT_T
 
 PROTOCOLS = ("dtb", "hp", "wcs", "perfect-sps")
 
@@ -117,6 +118,20 @@ def load_stats(arg: str) -> dict[str, PhotonDistribution]:
     return out
 
 
+def _config(args) -> dict:
+    """What the ``# config`` hash covers: ``cmd`` and every flag but --out,
+    each ``--x-min/-max/-step`` as ``x: [min, max, step]``."""
+    config = {"cmd": args.command}
+    for key, value in vars(args).items():
+        name, _, end = key.rpartition("_")
+        if end in ("min", "max", "step"):
+            config[name] = [getattr(args, f"{name}_{e}")
+                            for e in ("min", "max", "step")]
+        elif key not in ("command", "fn", "out"):
+            config[key] = value
+    return config
+
+
 def _config_hash(config: dict) -> str:
     canonical = json.dumps(config, sort_keys=True, separators=(",", ":"))
     return hashlib.sha256(canonical.encode()).hexdigest()[:12]
@@ -176,39 +191,32 @@ def _sweep(args, name: str) -> list[float]:
         raise ConfigError(f"{flag}-step must be positive and finite")
     if hi < lo:
         raise ConfigError(f"{flag}-max must be at least {flag}-min")
-    # clipped so that a span too large for int() still reads as too long
-    n = int(round(min((hi - lo) / step, MAX_GRID ** 2)))
+    # the points that fit, allowing for float noise in span / step; clipped
+    # so that a span too large for int() still reads as too long
+    n = math.floor(min((hi - lo) / step, MAX_GRID ** 2) + 1e-9)
     if n + 1 > MAX_GRID ** 2:
         raise ConfigError(f"{flag} sweep exceeds {MAX_GRID ** 2} points")
     return [lo + i * step for i in range(n + 1)]
 
 
-def _rate_fn(args, source: PhotonDistribution | None, channel: ChannelParams):
-    if args.protocol == "dtb":
-        return dtb_rate_fn(source, channel, q_sift=args.q_sift)
-    if args.protocol == "hp":
-        return hp_rate_fn(source, channel, t=args.t, eta_d=args.eta_d,
-                          p_dc_alice=args.p_dc_alice, q_sift=args.q_sift)
+def _rate_fn(args, channel: ChannelParams):
     if args.protocol == "wcs":
         return wcs_rate_fn(channel, q_sift=args.q_sift)
-    # the same entropy bound with ideal statistics: every pulse one photon
-    return dtb_rate_fn(PhotonDistribution(p0=0.0, p1=1.0, p2=0.0), channel,
-                       q_sift=args.q_sift)
+    if args.protocol == "perfect-sps":
+        # the decoy bound with ideal statistics: every pulse one photon
+        return dtb_rate_fn(load_source("perfect"), channel,
+                           q_sift=args.q_sift)
+    if args.source is None:
+        raise ConfigError(f"protocol {args.protocol!r} requires --source")
+    source = load_source(args.source)
+    if args.protocol == "dtb":
+        return dtb_rate_fn(source, channel, q_sift=args.q_sift)
+    return hp_rate_fn(source, channel, t=args.t, eta_d=args.eta_d,
+                      p_dc_alice=args.p_dc_alice, q_sift=args.q_sift)
 
 
 def cmd_skr_curve(args) -> int:
-    channel = load_channel(args.channel)
-    source = None
-    if args.protocol in ("dtb", "hp"):
-        if args.source is None:
-            raise ConfigError(f"protocol {args.protocol!r} requires --source")
-        source = load_source(args.source)
-    fn = _rate_fn(args, source, channel)
-    config = {"cmd": "skr-curve", "protocol": args.protocol,
-              "source": args.source, "channel": args.channel,
-              "loss": [args.loss_min, args.loss_max, args.loss_step],
-              "q_sift": args.q_sift, "t": args.t, "eta_d": args.eta_d,
-              "p_dc_alice": args.p_dc_alice}
+    fn = _rate_fn(args, load_channel(args.channel))
     losses = _sweep(args, "loss")
     try:
         curve = skr_curve(fn, losses)
@@ -217,18 +225,16 @@ def cmd_skr_curve(args) -> int:
     except NoKeyError:
         rows = [(loss, fn(loss)) for loss in losses]
         footer = {"mcl_db": math.nan}
-    write_csv(args.out, config, ("loss_db", "skr"), map(_line, rows), footer)
+    write_csv(args.out, _config(args), ("loss_db", "skr"), map(_line, rows),
+              footer)
     return 0
 
 
 def cmd_gamma_map(args) -> int:
     if args.grid > MAX_GRID:
         raise ConfigError(f"--grid must be at most {MAX_GRID}")
-    channel = load_channel(args.channel)
-    config = {"cmd": "gamma-map", "channel": args.channel, "grid": args.grid,
-              "eta_c": args.eta_c, "q_sift": args.q_sift}
-    gmap = gamma_map_dtb(channel, eta_c=args.eta_c, n=args.grid,
-                         q_sift=args.q_sift)
+    gmap = gamma_map_dtb(load_channel(args.channel), eta_c=args.eta_c,
+                         n=args.grid, q_sift=args.q_sift)
     # each axis value formatted once; one string of lines per map row, so
     # the text is never held whole (45 MB at MAX_GRID)
     p2 = [_fmt(v) + "," for v in gmap.p2.tolist()]
@@ -244,19 +250,16 @@ def cmd_gamma_map(args) -> int:
     except FitError:
         footer["fit_slope"] = math.nan
         footer["fit_intercept"] = math.nan
-    write_csv(args.out, config, ("p1", "p2", "gamma_db"), lines, footer)
+    write_csv(args.out, _config(args), ("p1", "p2", "gamma_db"), lines, footer)
     return 0
 
 
 def cmd_optimal_t(args) -> int:
     channel = load_channel(args.channel)
-    config = {"cmd": "optimal-t", "channel": args.channel,
-              "p2": [args.p2_min, args.p2_max, args.p2_step],
-              "p_dc": args.p_dc, "eta_d": args.eta_d, "p1": args.p1}
     p2s = _sweep(args, "p2")
     t_opt = optimal_bs_transmission(p2s, p_dc=args.p_dc, eta_d=args.eta_d,
                                     channel=channel, p1=args.p1)
-    write_csv(args.out, config, ("p2", "t_opt"),
+    write_csv(args.out, _config(args), ("p2", "t_opt"),
               map(_line, zip(p2s, t_opt.tolist())))
     return 0
 
@@ -264,18 +267,12 @@ def cmd_optimal_t(args) -> int:
 def cmd_gamma_vs_eta(args) -> int:
     channel = load_channel(args.channel)
     source = load_source(args.source)
-    config = {"cmd": "gamma-vs-eta", "protocol": args.protocol,
-              "axis": args.axis, "source": args.source,
-              "channel": args.channel,
-              "eta": [args.eta_min, args.eta_max, args.eta_step],
-              "eta_c": args.eta_c, "eta_d": args.eta_d, "t": args.t,
-              "p_dc_alice": args.p_dc_alice, "q_sift": args.q_sift}
     axis = args.axis.replace("-", "_")
     rows = gamma_vs_efficiency(args.protocol, axis, _sweep(args, "eta"),
                                source, channel, eta_c=args.eta_c,
                                eta_d=args.eta_d, t=args.t,
                                p_dc_alice=args.p_dc_alice, q_sift=args.q_sift)
-    write_csv(args.out, config, ("eta", "gamma_db"), map(_line, rows))
+    write_csv(args.out, _config(args), ("eta", "gamma_db"), map(_line, rows))
     return 0
 
 
@@ -313,10 +310,7 @@ def cmd_ingest(args) -> int:
                       "q": r.q, "q_sigma": r.q_sigma,
                       "e": r.e, "e_sigma": r.e_sigma})
     points = skr_from_experiment(maps, stats, budget, q_sift=args.q_sift)
-    config = {"cmd": "ingest", "maps": [str(p) for p in args.maps],
-              "budget": args.budget, "stats": args.stats,
-              "q_sift": args.q_sift}
-    write_json(args.out, config, {
+    write_json(args.out, _config(args), {
         "rates": rates,
         "skr_points": [{"protocol": pt.protocol, "loss_db": pt.loss_db,
                         "skr": pt.skr, "skr_sigma": pt.skr_sigma}
@@ -332,69 +326,70 @@ def build_parser() -> argparse.ArgumentParser:
                         version=f"spsqkd {__version__}")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p: argparse.ArgumentParser) -> None:
-        p.add_argument("--out", default="-",
-                       help="output path, or - for stdout (default)")
-        p.add_argument("--channel", default="channel",
-                       help="channel fixture name or JSON path")
+    # the flags several subcommands take, each declared once
+    shared = {
+        "--out": dict(default="-",
+                      help="output path, or - for stdout (default)"),
+        "--channel": dict(default="channel",
+                          help="channel fixture name or JSON path"),
+        "--q-sift": dict(type=float, default=DEFAULT_Q_SIFT,
+                         help="sifting factor in (0, 1]"),
+        "--eta-c": dict(type=float, default=1.0,
+                        help="source collection efficiency (default 1)"),
+        "--t": dict(type=float, default=DEFAULT_T,
+                    help="heralding beam-splitter transmission (hp)"),
+        "--eta-d": dict(type=float, default=DEFAULT_ETA_D,
+                        help="herald detector efficiency (hp)"),
+        "--p-dc-alice": dict(type=float, default=None,
+                             help="herald dark rate (hp; default channel p_dc)")}
+
+    def add(p: argparse.ArgumentParser, *flags: str) -> None:
+        for flag in flags:
+            p.add_argument(flag, **shared[flag])
 
     p = sub.add_parser("skr-curve", help="rate versus loss for one protocol")
-    common(p)
+    add(p, "--out", "--channel")
     p.add_argument("--protocol", choices=PROTOCOLS, required=True)
     p.add_argument("--source", help="source fixture name or JSON path")
     p.add_argument("--loss-min", type=float, default=0.0)
     p.add_argument("--loss-max", type=float, default=40.0)
     p.add_argument("--loss-step", type=float, default=0.5)
-    p.add_argument("--q-sift", type=float, default=0.5)
-    p.add_argument("--t", type=float, default=0.5,
-                   help="heralding beam-splitter transmission (hp)")
-    p.add_argument("--eta-d", type=float, default=0.9,
-                   help="herald detector efficiency (hp)")
-    p.add_argument("--p-dc-alice", type=float, default=None,
-                   help="herald detector dark rate (hp; default: channel p_dc)")
+    add(p, "--q-sift", "--t", "--eta-d", "--p-dc-alice")
     p.set_defaults(fn=cmd_skr_curve)
 
     p = sub.add_parser("gamma-map", help="relative gain over (p1, p2)")
-    common(p)
+    add(p, "--out", "--channel")
     p.add_argument("--grid", type=int, default=200,
                    help=f"grid points per axis, 2 to {MAX_GRID} (default 200)")
-    p.add_argument("--eta-c", type=float, default=1.0,
-                   help="source collection efficiency in [0, 1] (default 1)")
-    p.add_argument("--q-sift", type=float, default=0.5)
+    add(p, "--eta-c", "--q-sift")
     p.set_defaults(fn=cmd_gamma_map)
 
     p = sub.add_parser("optimal-t",
                        help="heralding transmission maximizing loss tolerance")
-    common(p)
+    add(p, "--out", "--channel")
     p.add_argument("--p2-min", type=float, default=0.05)
     p.add_argument("--p2-max", type=float, default=0.5)
     p.add_argument("--p2-step", type=float, default=0.05)
     p.add_argument("--p-dc", type=float, default=2e-7,
                    help="herald detector dark rate")
-    p.add_argument("--eta-d", type=float, default=0.9)
+    add(p, "--eta-d")
     p.add_argument("--p1", type=float, default=0.0,
                    help="one-photon weight of the swept source")
     p.set_defaults(fn=cmd_optimal_t)
 
     p = sub.add_parser("gamma-vs-eta", help="relative gain vs efficiency")
-    common(p)
+    add(p, "--out", "--channel")
     p.add_argument("--protocol", choices=("dtb", "hp"), required=True)
     p.add_argument("--axis", choices=("eta-c", "eta-d"), required=True)
     p.add_argument("--source", required=True)
     p.add_argument("--eta-min", type=float, default=0.05)
     p.add_argument("--eta-max", type=float, default=1.0)
     p.add_argument("--eta-step", type=float, default=0.01)
-    p.add_argument("--eta-c", type=float, default=1.0,
-                   help="fixed collection efficiency for the eta-d sweep")
-    p.add_argument("--eta-d", type=float, default=0.9,
-                   help="fixed herald efficiency for the eta-c sweep (hp)")
-    p.add_argument("--t", type=float, default=0.5)
-    p.add_argument("--p-dc-alice", type=float, default=None)
-    p.add_argument("--q-sift", type=float, default=0.5)
+    add(p, "--eta-c", "--eta-d", "--t", "--p-dc-alice", "--q-sift")
     p.set_defaults(fn=cmd_gamma_vs_eta)
 
     p = sub.add_parser("simulate", help="pulse-level Monte Carlo")
-    common(p)
+    add(p, "--out", "--channel")
     p.add_argument("--protocol", choices=("dtb", "hp"), required=True)
     p.add_argument("--source", required=True,
                    help="signal source fixture name or JSON path")
@@ -403,21 +398,18 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--loss", type=float, default=10.0)
     p.add_argument("--n-pulses", type=int, default=1_000_000)
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--eta-c", type=float, default=1.0)
-    p.add_argument("--t", type=float, default=0.5)
-    p.add_argument("--eta-d", type=float, default=0.9)
-    p.add_argument("--p-dc-alice", type=float, default=None)
+    add(p, "--eta-c", "--t", "--eta-d", "--p-dc-alice")
     p.set_defaults(fn=cmd_simulate)
 
     p = sub.add_parser("ingest", help="tomography CSVs to rates and key points")
     p.add_argument("maps", nargs="+",
                    help="tomography CSV paths (JSON sidecars alongside)")
-    p.add_argument("--out", default="-")
+    add(p, "--out")
     p.add_argument("--budget", default="budget",
                    help="budget fixture name or JSON path")
     p.add_argument("--stats", default="stats-bare",
                    help="per-intensity statistics fixture name or JSON path")
-    p.add_argument("--q-sift", type=float, default=0.5)
+    add(p, "--q-sift")
     p.set_defaults(fn=cmd_ingest)
     return parser
 

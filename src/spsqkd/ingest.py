@@ -28,7 +28,8 @@ import numpy as np
 from .channel_model import ChannelParams, ObservedRates
 from .errors import ConfigError, InconsistentDataError, QkdError
 from .photon_source import PhotonDistribution
-from .protocols import skr_dtb_from_rates, solve_dtb
+from .protocols import (DEFAULT_F_EC, DEFAULT_Q_SIFT, skr_dtb_from_rates,
+                        solve_dtb)
 
 STATES = ("H", "V", "D", "A")
 
@@ -166,14 +167,14 @@ def _group_by_nd(maps: list[TomographyMap]) -> dict[float, dict[str, TomographyM
 
 def _solve_slack(signal: RatesWithSigma, decoy: RatesWithSigma,
                  vacuum: ObservedRates, s_stats: PhotonDistribution,
-                 d_stats: PhotonDistribution, n_sigma: float = 5.0) -> float:
+                 d_stats: PhotonDistribution) -> float:
     """Feasibility slack for the decoy solve under counting noise.
 
     The exact inversion amplifies counting noise by the inverse of the
     statistics determinant, so point estimates of the solved yields and
     error rates routinely land slightly outside [0, 1] on honest data.
     This propagates the observed sigmas through the linear solve and
-    returns an ``n_sigma`` band; the solve clamps within it and still
+    returns a 5-sigma band; the solve clamps within it and still
     rejects data that is genuinely inconsistent.
     """
     det = abs(s_stats.p1 * d_stats.p2 - s_stats.p2 * d_stats.p1)
@@ -193,7 +194,7 @@ def _solve_slack(signal: RatesWithSigma, decoy: RatesWithSigma,
     # zero the scale of its error-rate uncertainty
     s_e1 = math.hypot(s_y1e1, sol.e1 * s_y1) / max(sol.y1, s_y1, 1e-300)
     s_e2 = math.hypot(s_y2e2, sol.e2 * s_y2) / max(sol.y2, s_y2, 1e-300)
-    return n_sigma * max(s_y1, s_y2, s_e1, s_e2)
+    return 5.0 * max(s_y1, s_y2, s_e1, s_e2)
 
 
 def _nd_groups(maps: list[TomographyMap],
@@ -236,8 +237,8 @@ def _nd_groups(maps: list[TomographyMap],
 def skr_from_experiment(maps: list[TomographyMap],
                         stats: dict[str, PhotonDistribution],
                         budget: AliceBudget,
-                        q_sift: float = 0.5,
-                        f_ec: float = 1.22) -> list[SkrPoint]:
+                        q_sift: float = DEFAULT_Q_SIFT,
+                        f_ec: float = DEFAULT_F_EC) -> list[SkrPoint]:
     """Decoy key-rate points, one per ND setting, from tomography maps.
 
     Each ND group needs S1 (decoy) and S2 (signal) maps; an S0 map
@@ -320,18 +321,16 @@ def effective_channel(maps: list[TomographyMap],
                          p_dc=p_dc, e_d=float(np.clip(np.mean(eds), 0.0, 0.5)))
 
 
-def read_tomography_csv(csv_path: str | Path,
-                        sidecar_path: str | Path | None = None) -> TomographyMap:
+def read_tomography_csv(csv_path: str | Path) -> TomographyMap:
     """Load one tomography matrix from CSV plus its JSON sidecar.
 
     The CSV has a ``alice_state,bob_detector,counts`` header; missing
-    cells default to zero.  The sidecar (``<csv>.json`` by default) must
-    define exposure_s, intensity_label, and nd_filter_db.
+    cells default to zero.  The sidecar ``<csv>.json`` must define
+    exposure_s, intensity_label, and nd_filter_db.
     """
     csv_path = Path(csv_path)
-    if sidecar_path is None:
-        sidecar_path = csv_path.with_suffix(csv_path.suffix + ".json")
-    meta = json.loads(Path(sidecar_path).read_text())
+    meta = json.loads(csv_path.with_suffix(csv_path.suffix + ".json")
+                      .read_text())
     counts = np.zeros((4, 4), dtype=np.int64)
     with open(csv_path, newline="") as fh:
         reader = csv.DictReader(fh)
@@ -430,13 +429,16 @@ def maps_from_report(report, config, budget: AliceBudget,
         for i in range(len(STATES)):
             det = per_row[i]
             err = min(err_row[i], det)
-            matched = int(rng.binomial(det, 0.5))
             # error flags and basis matching are independent, so the
-            # wrong-detector count among matched clicks is hypergeometric
-            if matched and err:
-                wrong = int(rng.hypergeometric(err, det - err, matched))
+            # wrong-detector count among matched clicks is hypergeometric;
+            # past numpy's 1e9 population limit, the same law as two binomials
+            if max(err, det - err) < 10**9:
+                matched = int(rng.binomial(det, 0.5))
+                wrong = (int(rng.hypergeometric(err, det - err, matched))
+                         if matched and err else 0)
             else:
-                wrong = 0
+                wrong = int(rng.binomial(err, 0.5))
+                matched = wrong + int(rng.binomial(det - err, 0.5))
             _place_row(counts, i, matched - wrong, wrong, det - matched, rng)
         exposure = tally.sent / budget.sent_per_second
         out.append(TomographyMap(counts=counts, exposure_s=exposure,

@@ -31,6 +31,7 @@ import numpy as np
 from .channel_model import ChannelParams, transmittance
 from .errors import ConfigError
 from .photon_source import PhotonDistribution
+from .protocols import DEFAULT_ETA_D, DEFAULT_T, herald_dark_rate
 
 # Pulses per RNG shard; fixed so reports are independent of worker layout.
 SHARD_SIZE = 1_000_000
@@ -56,8 +57,8 @@ class SimConfig:
     intensities: dict[str, PhotonDistribution] = field(default_factory=dict)
     intensity_weights: dict[str, float] = field(default_factory=dict)
     source: PhotonDistribution | None = None
-    t: float = 0.5
-    eta_d: float = 0.9
+    t: float = DEFAULT_T
+    eta_d: float = DEFAULT_ETA_D
     p_dc_alice: float | None = None
 
     def __post_init__(self) -> None:
@@ -119,8 +120,8 @@ class SimConfig:
                 k: float(v) for k, v in data["intensity_weights"].items()}
         else:
             kwargs["source"] = PhotonDistribution(*data["source"])
-            kwargs["t"] = float(data.get("t", 0.5))
-            kwargs["eta_d"] = float(data.get("eta_d", 0.9))
+            kwargs["t"] = float(data.get("t", DEFAULT_T))
+            kwargs["eta_d"] = float(data.get("eta_d", DEFAULT_ETA_D))
             pda = data.get("p_dc_alice")
             kwargs["p_dc_alice"] = None if pda is None else float(pda)
         return cls(**kwargs)
@@ -275,7 +276,7 @@ def run_hp(config: SimConfig) -> SimReport:
     """
     if config.protocol != "hp":
         raise ConfigError("run_hp needs an hp config")
-    pda = config.channel.p_dc if config.p_dc_alice is None else config.p_dc_alice
+    pda = herald_dark_rate(config.p_dc_alice, config.channel)
     pick_n = _cdf(config.source.as_tuple())
     eta = transmittance(config.channel)
     tally = IntensityTally()

@@ -324,25 +324,30 @@ def apply_collection(d: PhotonDistribution, eta_c: float) -> PhotonDistribution:
     this loss sits inside the transmitter, before the quantum channel, so
     it reshapes the emission statistics instead of adding channel loss.
     """
+    if not 0.0 <= eta_c <= 1.0:
+        raise ValueError("eta_c must lie in [0, 1]")
     p1, p2, p3 = _collected(d.p1, d.p2, d.p3, eta_c)
     return PhotonDistribution(p0=1.0 - p1 - p2 - p3, p1=p1, p2=p2, p3=p3)
 
 
-def apply_collection_array(probs: np.ndarray, eta_c: float) -> np.ndarray:
+def apply_collection_array(probs: np.ndarray, eta_c) -> np.ndarray:
     """``apply_collection`` on every column of a (4, N) array of
-    distributions, checked like ``PhotonDistribution``."""
+    distributions, checked like ``PhotonDistribution``; ``eta_c`` is a
+    scalar or a length-N array."""
+    if not np.all((0.0 <= eta_c) & (eta_c <= 1.0)):
+        raise ValueError("eta_c must lie in [0, 1]")
     p1, p2, p3 = _collected(probs[1], probs[2], probs[3], eta_c)
     return check_distribution_array(np.stack([1.0 - p1 - p2 - p3, p1, p2, p3]))
 
 
-def _collected(p1, p2, p3, eta_c: float):
-    # shared by the scalar and array forms, so both round alike
-    if not 0.0 <= eta_c <= 1.0:
-        raise ValueError("eta_c must lie in [0, 1]")
+def _collected(p1, p2, p3, eta_c):
+    # shared by the scalar and array forms, so both round alike; an array
+    # eta_c is cubed by Python's pow like a scalar (numpy's ** rounds apart)
     c, m = eta_c, 1.0 - eta_c
+    cube = c**3 if np.ndim(c) == 0 else np.array([x**3 for x in c.tolist()])
     return (p1 * c + 2.0 * p2 * c * m + 3.0 * p3 * c * m * m,
             p2 * c * c + 3.0 * p3 * c * c * m,
-            p3 * c**3)
+            p3 * cube)
 
 
 # hp_transform's settings, each checked to lie in [0, 1]

@@ -31,8 +31,14 @@ from .photon_source import (PhotonDistribution, check_distribution_array,
                             hp_transform, hp_transform_array)
 from .search import golden_max
 
+# Defaults named once for every module and CLI flag: error correction costs
+# f_ec 1.22 in the decoy bounds, 1 (ideal) in the tagging bounds of
+# purification and the tagged laser; t and eta_d are the herald's.
 DEFAULT_Q_SIFT = 0.5
 DEFAULT_F_EC = 1.22
+DEFAULT_F_EC_TAGGING = 1.0
+DEFAULT_T = 0.5
+DEFAULT_ETA_D = 0.9
 
 # Solved yields may stray this far outside [0, 1] before the observations
 # are declared inconsistent rather than numerically noisy.
@@ -227,6 +233,11 @@ def skr_dtb_array(probs: np.ndarray, channel: ChannelParams,
     return np.where(detected, np.maximum(raw, 0.0), 0.0)
 
 
+def herald_dark_rate(p_dc_alice: float | None, channel: ChannelParams) -> float:
+    """The herald's dark-count probability: ``p_dc_alice``, else the channel's."""
+    return channel.p_dc if p_dc_alice is None else p_dc_alice
+
+
 def hp_effective_distribution(d: PhotonDistribution, t: float, eta_d: float,
                               p_dc_alice: float) -> PhotonDistribution:
     """Effective per-pulse distribution sent onward by the purification stage.
@@ -240,9 +251,10 @@ def hp_effective_distribution(d: PhotonDistribution, t: float, eta_d: float,
     return PhotonDistribution(p0=1.0 - p1t - p2t, p1=p1t, p2=p2t)
 
 
-def skr_hp(d: PhotonDistribution, channel: ChannelParams, t: float = 0.5,
-           eta_d: float = 0.9, p_dc_alice: float | None = None,
-           q_sift: float = DEFAULT_Q_SIFT, f_ec: float = 1.0) -> SkrResult:
+def skr_hp(d: PhotonDistribution, channel: ChannelParams,
+           t: float = DEFAULT_T, eta_d: float = DEFAULT_ETA_D,
+           p_dc_alice: float | None = None, q_sift: float = DEFAULT_Q_SIFT,
+           f_ec: float = DEFAULT_F_EC_TAGGING) -> SkrResult:
     """Heralded-purification bound for source statistics ``d``.
 
     The effective distribution is forward-modeled through the channel; the
@@ -255,14 +267,13 @@ def skr_hp(d: PhotonDistribution, channel: ChannelParams, t: float = 0.5,
         R >= q_sift Q_s (-f_ec H2(E_s) + omega (1 - H2(E_s / omega))).
 
     ``f_ec`` defaults to 1 here (the purification bound is stated with
-    ideal error correction); pass 1.22 to match the decoy-state accounting.
-    ``p_dc_alice`` defaults to the channel's dark-count probability, the
-    single-detector-technology assumption.
+    ideal error correction); pass ``DEFAULT_F_EC`` to match the decoy-state
+    accounting.  ``p_dc_alice`` defaults to the channel's dark-count
+    probability (``herald_dark_rate``).
     """
     _check_q_sift(q_sift)
-    if p_dc_alice is None:
-        p_dc_alice = channel.p_dc
-    eff = hp_effective_distribution(d, t, eta_d, p_dc_alice)
+    eff = hp_effective_distribution(d, t, eta_d,
+                                    herald_dark_rate(p_dc_alice, channel))
     ys = yields(channel, n_max=2)
     q_s, eq = weighted_gains((eff.p0, eff.p1, eff.p2), ys.y, ys.e)
     if q_s <= 0.0:
@@ -280,7 +291,8 @@ def hp_effective_array(probs: np.ndarray, t, eta_d, p_dc_alice) -> np.ndarray:
 
 
 def skr_hp_array(eff: np.ndarray, channel: ChannelParams, loss_db: np.ndarray,
-                 q_sift: float = DEFAULT_Q_SIFT, f_ec: float = 1.0) -> np.ndarray:
+                 q_sift: float = DEFAULT_Q_SIFT,
+                 f_ec: float = DEFAULT_F_EC_TAGGING) -> np.ndarray:
     """``skr_hp(...).rate`` of many problems, column k of the effective
     distributions ``eff`` (from ``hp_effective_array``) at ``loss_db[k]``.
 
@@ -322,7 +334,7 @@ def skr_wcs_infinite_decoy(channel: ChannelParams, mu: float | None = None,
 
 def skr_wcs_tagging_bound(channel: ChannelParams, mu: float | None = None,
                           q_sift: float = DEFAULT_Q_SIFT,
-                          f_ec: float = 1.0) -> SkrResult:
+                          f_ec: float = DEFAULT_F_EC_TAGGING) -> SkrResult:
     """Weak-coherent rate under the tagging bound, without decoy states.
 
     This applies the same privacy-amplification structure as ``skr_hp`` to

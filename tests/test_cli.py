@@ -11,6 +11,7 @@ import math
 import re
 import sys
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -22,6 +23,7 @@ from spsqkd.errors import ConfigError
 from spsqkd.ingest import maps_from_report, skr_from_experiment, write_tomography_csv
 from spsqkd.montecarlo import SimConfig, run_dtb
 from spsqkd.photon_source import PhotonDistribution
+from spsqkd.protocols import DEFAULT_ETA_D, DEFAULT_Q_SIFT, DEFAULT_T
 
 CONFIG_LINE = re.compile(r"# config [0-9a-f]{12}")
 
@@ -384,6 +386,93 @@ def test_sweep_point_cap_is_exact():
             cli._sweep(args, "loss")
 
 
+@pytest.mark.parametrize("argv, count, last", [
+    (["skr-curve", "--protocol", "wcs", "--loss-max", "1", "--loss-step",
+      "0.6"], 2, 0.6),
+    (["gamma-vs-eta", "--protocol", "dtb", "--axis", "eta-c", "--source",
+      "sps1", "--eta-step", "0.02"], 48, 0.05 + 47 * 0.02),
+    (["optimal-t", "--p2-min", "0.9", "--p2-max", "1.0", "--p2-step",
+      "0.06"], 2, 0.96)],
+    ids=["skr-curve", "gamma-vs-eta", "optimal-t"])
+def test_sweep_stops_at_its_max(capsys, argv, count, last):
+    # a step that does not divide the span ends below --x-max, not past it
+    code, out, err = invoke(capsys, argv)
+    assert code == 0 and err == ""
+    _, _, rows, _ = parse_csv(out)
+    assert len(rows) == count
+    assert rows[-1][0] == last
+
+
+@pytest.mark.parametrize("name, flags, count", [
+    ("loss", {}, 81), ("loss", {"step": 0.05}, 801), ("p2", {}, 10),
+    ("p2", {"step": 0.005}, 91), ("eta", {}, 96), ("eta", {"step": 0.001}, 951)],
+    ids=["skr-curve", "skr-curve-bench", "optimal-t", "optimal-t-bench",
+         "gamma-vs-eta", "gamma-vs-eta-bench"])
+def test_default_and_benchmark_sweeps_keep_their_points(name, flags, count):
+    command = {"loss": ["skr-curve", "--protocol", "wcs"],
+               "p2": ["optimal-t"],
+               "eta": ["gamma-vs-eta", "--protocol", "dtb", "--axis",
+                       "eta-c", "--source", "sps1"]}[name]
+    for end, value in flags.items():
+        command += [f"--{name}-{end}", repr(value)]
+    args = cli.build_parser().parse_args(command)
+    assert len(cli._sweep(args, name)) == count
+
+
+# The ``# config`` hash of each subcommand at its defaults and with every
+# flag set, recorded while the config records were written out by hand in
+# each command; deriving them from the flags must not move one.
+PINNED_CONFIG_HASHES = [
+    (["skr-curve", "--protocol", "wcs"], "07738a322b0d"),
+    (["skr-curve", "--protocol", "hp", "--source", "sps2", "--channel",
+      "channel", "--loss-min", "1", "--loss-max", "3", "--loss-step", "1",
+      "--q-sift", "0.4", "--t", "0.6", "--eta-d", "0.8", "--p-dc-alice",
+      "1e-06", "--out", "out.csv"], "a9c8ba6e1ef8"),
+    (["gamma-map"], "e3d6008f3fd0"),
+    (["gamma-map", "--channel", "channel", "--grid", "5", "--eta-c", "0.9",
+      "--q-sift", "0.4", "--out", "out.csv"], "381431b4d04a"),
+    (["optimal-t"], "65e576eb5316"),
+    (["optimal-t", "--channel", "channel", "--p2-min", "0.1", "--p2-max",
+      "0.3", "--p2-step", "0.1", "--p-dc", "1e-06", "--eta-d", "0.8",
+      "--p1", "0.1", "--out", "out.csv"], "b6fc42e20b52"),
+    (["gamma-vs-eta", "--protocol", "dtb", "--axis", "eta-c", "--source",
+      "sps1"], "aeef2bab7b4e"),
+    (["gamma-vs-eta", "--protocol", "hp", "--axis", "eta-d", "--source",
+      "sps2", "--channel", "channel", "--eta-min", "0.5", "--eta-max", "0.9",
+      "--eta-step", "0.2", "--eta-c", "0.9", "--eta-d", "0.8", "--t", "0.6",
+      "--p-dc-alice", "1e-06", "--q-sift", "0.4", "--out", "out.csv"],
+     "8ced40fc7148")]
+
+
+@pytest.mark.parametrize("argv, digest", PINNED_CONFIG_HASHES,
+                         ids=[f"{a[0]}-{'all' if '--out' in a else 'defaults'}"
+                              for a, _ in PINNED_CONFIG_HASHES])
+def test_config_hash_is_pinned(capsys, monkeypatch, tmp_path, argv, digest):
+    monkeypatch.chdir(tmp_path)
+    code, out, err = invoke(capsys, argv)
+    assert code == 0 and err == ""
+    text = out or (tmp_path / "out.csv").read_text()
+    assert text.splitlines()[1] == f"# config {digest}"
+
+
+@pytest.mark.parametrize("command, flags", [
+    (["skr-curve", "--protocol", "wcs"], {"q_sift", "t", "eta_d"}),
+    (["gamma-map"], {"q_sift"}),
+    (["optimal-t"], {"eta_d"}),
+    (["gamma-vs-eta", "--protocol", "hp", "--axis", "eta-d", "--source",
+      "sps2"], {"q_sift", "t", "eta_d"}),
+    (["simulate", "--protocol", "hp", "--source", "sps2"], {"t", "eta_d"}),
+    (["ingest", "s1.csv"], {"q_sift"})],
+    ids=["skr-curve", "gamma-map", "optimal-t", "gamma-vs-eta", "simulate",
+         "ingest"])
+def test_flag_defaults_are_the_protocol_defaults(command, flags):
+    args = vars(cli.build_parser().parse_args(command))
+    defaults = {"q_sift": DEFAULT_Q_SIFT, "t": DEFAULT_T,
+                "eta_d": DEFAULT_ETA_D}
+    assert {k: args[k] for k in flags} == {k: defaults[k] for k in flags}
+    assert not set(defaults) - flags & set(args)
+
+
 class TestSimulate:
     def test_repeat_runs_are_byte_identical(self, capsys, tmp_path):
         argv = ["simulate", "--protocol", "dtb", "--source", "bare-s2",
@@ -520,6 +609,24 @@ class TestIngest:
         assert err.startswith("error:")
 
 
+@pytest.mark.parametrize("flags, digest", [
+    ([], "6c8921f212fb"),
+    (["--budget", "budget", "--stats", "stats-bare", "--q-sift", "0.4",
+      "--out", "out.json"], "3b166953b12e")], ids=["defaults", "all"])
+def test_ingest_config_hash_is_pinned(capsys, monkeypatch, experiment_dir,
+                                      flags, digest):
+    # the hash covers the map paths as given, so they are given relative
+    paths, _, _ = experiment_dir
+    root = Path(paths[0]).parent
+    monkeypatch.chdir(root)
+    code, out, err = invoke(capsys, ["ingest", "s0.csv", "s1.csv", "s2.csv"]
+                            + flags)
+    assert code == 0 and err == ""
+    if "--out" in flags:
+        out = (root / "out.json").read_text()
+    assert json.loads(out)["config_hash"] == digest
+
+
 class TestFixtureResolution:
     def test_env_root_overrides_the_bundled_fixtures(self, capsys,
                                                      monkeypatch, tmp_path):
@@ -536,3 +643,23 @@ class TestFixtureResolution:
         code, _, err = invoke(capsys, ["skr-curve", "--protocol", "wcs"])
         assert code == 1
         assert "unknown channel fixture" in err
+
+    def test_perfect_source_is_read_from_the_fixtures(self, capsys,
+                                                      monkeypatch, tmp_path):
+        channel = json.loads((cli.fixtures_root() / "channel.json")
+                             .read_text())
+        (tmp_path / "channel.json").write_text(json.dumps(channel))
+        argv = ["skr-curve", "--protocol", "perfect-sps", "--loss-min", "0",
+                "--loss-max", "1", "--loss-step", "1"]
+        monkeypatch.setenv("QKD_FIXTURES_DIR", str(tmp_path))
+        code, _, err = invoke(capsys, argv)
+        assert code == 1 and "unknown source fixture 'perfect'" in err
+        # an override's perfect source with some vacuum tolerates less loss
+        (tmp_path / "perfect.json").write_text(json.dumps(
+            {"p0": 0.1, "p1": 0.9}))
+        _, out, _ = invoke(capsys, argv)
+        _, _, _, footer = parse_csv(out)
+        assert footer["mcl_db"] == mcl(dtb_rate_fn(
+            PhotonDistribution(p0=0.1, p1=0.9, p2=0.0),
+            load_channel(str(tmp_path / "channel.json"))))
+        assert footer["mcl_db"] < 45.3094482421875

@@ -6,6 +6,8 @@ import warnings
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, example, given, settings
+from hypothesis import strategies as st
 
 from spsqkd.channel_model import ChannelParams, ObservedRates, gain_and_qber
 from spsqkd.errors import ConfigError, InconsistentDataError
@@ -22,7 +24,7 @@ from spsqkd.ingest import (
     synthetic_map,
     write_tomography_csv,
 )
-from spsqkd.montecarlo import run_dtb
+from spsqkd.montecarlo import IntensityTally, SimReport, run_dtb
 from spsqkd.photon_source import PhotonDistribution
 from spsqkd.protocols import skr_dtb
 
@@ -135,16 +137,26 @@ class TestGainsAndErrors:
 
 
 class TestFileFormats:
-    def test_round_trip(self, tmp_path, budget):
-        rng = np.random.default_rng(7)
-        tmap = synthetic_map(rng, 1e-3, 0.03, 1_000_000, 18.08, "S1", 2.0)
-        path = tmp_path / "s1.csv"
+    @settings(max_examples=50, deadline=None,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(counts=st.lists(st.integers(0, 2**63 - 1), min_size=16,
+                           max_size=16),
+           exposure=st.floats(min_value=0.0, exclude_min=True,
+                              allow_infinity=False),
+           label=st.text(),
+           nd=st.floats(allow_nan=False, allow_infinity=False))
+    def test_round_trip(self, tmp_path, counts, exposure, label, nd):
+        # the CSV and its sidecar hold every count, exposure, label and ND
+        tmap = TomographyMap(counts=np.array(counts).reshape(4, 4),
+                             exposure_s=exposure, intensity_label=label,
+                             nd_filter_db=nd)
+        path = tmp_path / "map.csv"
         write_tomography_csv(tmap, path)
         back = read_tomography_csv(path)
         assert np.array_equal(back.counts, tmap.counts)
-        assert back.exposure_s == tmap.exposure_s
-        assert back.intensity_label == "S1"
-        assert back.nd_filter_db == 2.0
+        assert back.exposure_s == exposure
+        assert back.intensity_label == label
+        assert back.nd_filter_db == nd
 
     def test_wrong_header_rejected(self, tmp_path):
         path = tmp_path / "bad.csv"
@@ -217,6 +229,38 @@ class TestExperimentExtraction:
             wrong = sum(m.cell(a, b) for a, b in
                         (("H", "V"), ("V", "H"), ("D", "A"), ("A", "D")))
             assert wrong <= tally.errors
+
+    # the explicit example has more clicks than numpy's hypergeometric takes
+    @settings(max_examples=50, deadline=None)
+    @example(tallies={"s3": (4_000_000_001, 4_000_000_001, 1)}, rep_rate=1.0,
+             eta_a=1.0, eta_c_na=1.0, nd=0.0, seed=0)
+    @given(tallies=st.dictionaries(
+               st.sampled_from(["s0", "s1", "s2", "s3"]),
+               st.integers(0, 10**12).flatmap(lambda sent: st.tuples(
+                   st.just(sent), st.integers(0, sent)).flatmap(
+                   lambda sd: st.tuples(st.just(sd[0]), st.just(sd[1]),
+                                        st.integers(0, sd[1])))),
+               min_size=1),
+           rep_rate=st.floats(1.0, 1e10),
+           eta_a=st.floats(1e-6, 1.0), eta_c_na=st.floats(1e-6, 1.0),
+           nd=st.floats(0.0, 30.0), seed=st.integers(0, 2**32 - 1))
+    def test_maps_conserve_each_tally(self, tallies, rep_rate, eta_a,
+                                     eta_c_na, nd, seed):
+        report = SimReport(protocol="dtb", seed=0, n_pulses=0, tallies={
+            k: IntensityTally(sent=s, detected=d, errors=e)
+            for k, (s, d, e) in tallies.items()})
+        budget = AliceBudget(rep_rate_n=rep_rate, eta_a=eta_a,
+                             eta_c_na=eta_c_na)
+        maps = maps_from_report(report, None, budget, nd, seed=seed)
+        sent = {k: s for k, (s, _, _) in tallies.items() if s > 0}
+        assert [m.intensity_label for m in maps] == \
+            [k.upper() for k in sorted(sent)]
+        for m in maps:
+            sent_k, detected, _ = tallies[m.intensity_label.lower()]
+            assert int(m.counts.sum()) == detected
+            assert m.nd_filter_db == nd
+            assert m.exposure_s * budget.sent_per_second == pytest.approx(
+                sent_k, rel=1e-12)
 
     def test_extracted_rates_sit_on_the_analytic_curve(self, pipeline,
                                                        channel, bare_signal,

@@ -20,7 +20,7 @@ from spsqkd.montecarlo import (
     run_hp,
 )
 from spsqkd.photon_source import PhotonDistribution, g2_of
-from spsqkd.protocols import solve_dtb
+from spsqkd.protocols import DEFAULT_ETA_D, DEFAULT_T, solve_dtb
 
 VACUUM = PhotonDistribution(1.0, 0.0, 0.0)
 
@@ -40,6 +40,15 @@ def zcheck(observed: int, trials: int, p: float) -> float:
 
 
 class TestConfigValidation:
+    def test_herald_defaults_are_the_protocol_defaults(self, channel, sps2):
+        cfg = SimConfig(protocol="hp", n_pulses=10, seed=0, channel=channel,
+                        source=sps2)
+        assert (cfg.t, cfg.eta_d) == (DEFAULT_T, DEFAULT_ETA_D)
+        data = cfg.to_dict()
+        del data["t"], data["eta_d"]
+        back = SimConfig.from_dict(data)
+        assert (back.t, back.eta_d) == (DEFAULT_T, DEFAULT_ETA_D)
+
     def test_unknown_protocol(self, channel):
         with pytest.raises(ConfigError):
             SimConfig(protocol="bb84", n_pulses=10, seed=0, channel=channel)

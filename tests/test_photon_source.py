@@ -306,9 +306,27 @@ class TestDistributionArrays:
         assert [tuple(col) for col in out.T] == [
             apply_collection(d, eta).as_tuple() for d in ds]
 
+    @given(distributions(max_p3=0.2),
+           st.lists(st.floats(min_value=0.0, max_value=1.0), min_size=1,
+                    max_size=8))
+    @settings(max_examples=100)
+    def test_per_column_collection_equals_the_scalar_form(self, d, etas):
+        probs = np.repeat(np.array([d.as_tuple()]).T, len(etas), axis=1)
+        out = apply_collection_array(probs, np.array(etas))
+        assert [tuple(col) for col in out.T] == [
+            apply_collection(d, eta).as_tuple() for eta in etas]
+
     def test_array_collection_checks_eta(self):
         with pytest.raises(ValueError, match="eta_c"):
             apply_collection_array(np.array([[1.0], [0.0], [0.0], [0.0]]), 1.5)
+
+    @pytest.mark.parametrize("eta", [[0.5, 1.5], [0.5, float("nan")],
+                                     [-0.1, 0.5]])
+    def test_array_collection_checks_each_eta(self, eta):
+        with pytest.raises(ValueError, match="eta_c"):
+            apply_collection_array(np.array([[1.0, 1.0], [0.0, 0.0],
+                                             [0.0, 0.0], [0.0, 0.0]]),
+                                   np.array(eta))
 
     @pytest.mark.parametrize("column", [
         (0.5, 0.5, 0.0, 0.0), (1.0, 0.0, 0.0, 0.0), (0.2, 0.3, 0.4, 0.1)])
