@@ -28,7 +28,7 @@ from .protocols import (DEFAULT_ETA_D, DEFAULT_F_EC, DEFAULT_F_EC_TAGGING,
                         DEFAULT_Q_SIFT, DEFAULT_T, herald_dark_rate,
                         hp_effective_array, skr_dtb, skr_dtb_array, skr_hp,
                         skr_hp_array, skr_wcs_infinite_decoy,
-                        skr_wcs_tagging_bound)
+                        skr_wcs_infinite_decoy_array, skr_wcs_tagging_bound)
 from .search import bisect, golden_max_lockstep
 
 # Bisection width for maximal-loss searches, in dB.
@@ -44,11 +44,14 @@ BS_TRANSMISSION_TOL = 1e-4
 RateFn = Callable[[float], float]
 # (problem indices, losses in dB) -> rates, for mcl_lockstep
 ArrayRateFn = Callable[[np.ndarray, np.ndarray], np.ndarray]
+# losses in dB -> the rates of one problem at all of them, for skr_curve
+CurveFn = Callable[[np.ndarray], np.ndarray]
 
 
 @dataclass(frozen=True, slots=True)
 class SkrCurve:
-    """A sampled rate-versus-loss curve plus its maximal channel loss."""
+    """A sampled rate-versus-loss curve plus its maximal channel loss
+    (NaN without key at zero loss)."""
 
     points: tuple[tuple[float, float], ...]
     mcl_db: float
@@ -163,13 +166,25 @@ def gamma(mcl_protocol_db: float, mcl_wcs_db: float) -> float:
     return mcl_protocol_db - mcl_wcs_db
 
 
-def skr_curve(skr_fn: RateFn, losses: Iterable[float]) -> SkrCurve:
-    """Sample a rate function on a loss grid and attach its MCL."""
+def skr_curve(skr_fn: RateFn, losses: Iterable[float],
+              curve_fn: CurveFn | None = None) -> SkrCurve:
+    """Sample a rate function on a loss grid and attach its MCL.
+
+    ``curve_fn``, when given, computes the rates of the whole grid at once
+    and must equal ``skr_fn`` point by point; the MCL is always searched
+    on ``skr_fn``.  Without key at zero loss the MCL is NaN.
+    """
     grid = [float(x) for x in losses]
     if any(b <= a for a, b in zip(grid, grid[1:])):
         raise ValueError("losses must be strictly increasing")
-    points = tuple((loss, skr_fn(loss)) for loss in grid)
-    return SkrCurve(points=points, mcl_db=mcl(skr_fn))
+    rates = (map(skr_fn, grid) if curve_fn is None
+             else curve_fn(np.array(grid)).tolist())
+    points = tuple(zip(grid, rates))
+    try:
+        mcl_db = mcl(skr_fn)
+    except NoKeyError:
+        mcl_db = math.nan
+    return SkrCurve(points=points, mcl_db=mcl_db)
 
 
 def _loss_rate(kernel, channel: ChannelParams, *data, **kw):
@@ -218,6 +233,13 @@ def hp_rate_array_fn(probs: np.ndarray, channel: ChannelParams,
 def wcs_rate_fn(channel: ChannelParams, **kw) -> RateFn:
     """Loss -> decoy-baseline WCS rate, re-optimizing mu at every loss."""
     return _loss_rate(skr_wcs_infinite_decoy, channel, **kw)
+
+
+def wcs_curve_fn(channel: ChannelParams, **kw) -> CurveFn:
+    """``wcs_rate_fn`` over a whole loss grid at once, every rate equal
+    (``skr_wcs_infinite_decoy_array``: one lockstep mu search)."""
+    return lambda loss_db: skr_wcs_infinite_decoy_array(channel, loss_db,
+                                                        **kw)[0]
 
 
 def wcs_tagged_rate_fn(channel: ChannelParams, **kw) -> RateFn:
@@ -317,8 +339,10 @@ def optimal_bs_transmission(p2, p_dc: float, eta_d: float,
     exactly zero the heralded one-photon weight is 2 p2 eta_d t(1-t) for
     any p1, the two-photon weight vanishes, and the rate is a monotone
     function of that single product, so the maximum sits at t = 1/2 by
-    symmetry and is returned without searching.  Otherwise the MCL is
+    symmetry and is returned without searching in t.  Otherwise the MCL is
     maximized by golden-section over t in (0, 1) to ``BS_TRANSMISSION_TOL``.
+    A weight for which no probed t (t = 1/2 when ``p_dc`` is zero) gives
+    key has no optimum: NaN.
 
     ``p2`` is one two-photon weight, or a sequence of them for an array of
     optima.  All weights are searched together (``golden_max_lockstep``,
@@ -332,6 +356,8 @@ def optimal_bs_transmission(p2, p_dc: float, eta_d: float,
     one-photon pulses into the key through the t p1 p_dc term, which
     rewards transmission until genuine two-photon coincidences dominate.
     """
+    if not 0.0 < eta_d <= 1.0:
+        raise ValueError("eta_d must lie in (0, 1]")
     p2s = np.array(p2, dtype=float).reshape(-1)
     if not np.all((0.0 < p2s) & (p2s <= 1.0)):
         raise ValueError("p2 must lie in (0, 1]")
@@ -339,6 +365,7 @@ def optimal_bs_transmission(p2, p_dc: float, eta_d: float,
         raise ValueError("need p1 >= 0 and p1 + p2 <= 1")
     probs = check_distribution_array(np.stack(
         [1.0 - p1 - p2s, np.full_like(p2s, p1), p2s, np.zeros_like(p2s)]))
+    keyed = np.zeros(p2s.size, dtype=bool)
 
     def objective(idx: np.ndarray, t: np.ndarray) -> np.ndarray:
         # the landscape is shallow near the top, so the inner loss search
@@ -346,10 +373,16 @@ def optimal_bs_transmission(p2, p_dc: float, eta_d: float,
         m = mcl_lockstep(hp_rate_array_fn(probs[:, idx], channel, t=t,
                                           eta_d=eta_d, p_dc_alice=p_dc),
                          idx.size, tol_db=1e-5)
+        keyed[idx] |= ~np.isnan(m)
         return np.where(np.isnan(m), -1.0, m)  # no key
 
-    t_opt = np.full(p2s.size, 0.5) if p_dc == 0.0 else golden_max_lockstep(
-        objective, 1e-3, 1.0 - 1e-3, BS_TRANSMISSION_TOL, p2s.size)
+    if p_dc == 0.0:
+        t_opt = np.full(p2s.size, 0.5)
+        objective(np.arange(p2s.size), t_opt)  # for ``keyed`` alone
+    else:
+        t_opt = golden_max_lockstep(objective, 1e-3, 1.0 - 1e-3,
+                                    BS_TRANSMISSION_TOL, p2s.size)
+    t_opt[~keyed] = np.nan
     return t_opt if np.ndim(p2) else float(t_opt[0])
 
 

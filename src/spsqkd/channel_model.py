@@ -26,6 +26,9 @@ from .photon_source import PhotonDistribution
 
 # Poisson tail mass below which the weak-coherent sum is truncated.
 _WCS_TAIL = 1e-12
+# Largest mean photon number summed: beyond about 745 exp(-mu) is zero, and
+# a series that starts from a zero weight never drains its tail.
+_WCS_MU_MAX = 700.0
 
 
 @dataclass(frozen=True, slots=True)
@@ -87,10 +90,16 @@ class ObservedRates:
     e: float
 
     def __post_init__(self) -> None:
-        if not 0.0 <= self.q <= 1.0:
-            raise ValueError("gain must lie in [0, 1]")
-        if not 0.0 <= self.e <= 1.0:
-            raise ValueError("error rate must lie in [0, 1]")
+        _check_rates(self.q, self.e)
+
+
+def _check_rates(q: float, e: float) -> None:
+    # a gain and error rate in [0, 1], else ValueError; shared by
+    # ObservedRates and the weak-coherent series
+    if not 0.0 <= q <= 1.0:
+        raise ValueError("gain must lie in [0, 1]")
+    if not 0.0 <= e <= 1.0:
+        raise ValueError("error rate must lie in [0, 1]")
 
 
 def transmittance(channel: ChannelParams) -> float:
@@ -133,20 +142,16 @@ def yields_array(channel: ChannelParams,
     log1p/expm1/power may round differently from ``math`` in the last
     place, so entries can differ from ``yields`` by a few ulp.
     """
-    loss_db = np.asarray(loss_db, dtype=float)
+    loss_db = np.asarray(loss_db, dtype=float).reshape(-1)
     if not np.all(np.isfinite(loss_db) & (loss_db >= 0)):
         raise ValueError("loss_db must be a finite non-negative attenuation")
     eta = 10.0 ** (-loss_db / 10.0) * channel.eta_bob
-    full = eta >= 1.0
+    n = np.arange(4.0)[:, None]
     with np.errstate(divide="ignore", invalid="ignore"):
-        log_miss = np.log1p(-eta)
-        y = np.empty((4, eta.size))
-        e = np.empty_like(y)
-        for n in range(4):
-            surv = np.where(full, float(n > 0), -np.expm1(n * log_miss))
-            y[n], ey_n = _clicks(surv, channel.p_dc, channel.e_d)
-            e[n] = np.where(y[n] > 0.0, ey_n / y[n], 0.5)
-    return y, e
+        surv = -np.expm1(n * np.log1p(-eta))
+    surv[:, eta >= 1.0] = n > 0  # every photon arrives
+    y, ey = _clicks(surv, channel.p_dc, channel.e_d)
+    return y, np.divide(ey, y, out=np.full_like(y, 0.5), where=y > 0.0)
 
 
 def _clicks(surv, p_dc: float, e_d: float):
@@ -189,35 +194,116 @@ def wcs_gain_and_qber(mu: float, channel: ChannelParams) -> ObservedRates:
 
 
 def wcs_rates(channel: ChannelParams) -> Callable[[float], ObservedRates]:
-    """``mu -> wcs_gain_and_qber(mu, channel)``.  Each photon number's click
-    and error-click terms depend on the channel alone, so they are computed
-    once, when the series first reaches them, and reused by later calls;
-    on ``math`` and in the same order, so every rate is the same."""
+    """``mu -> wcs_gain_and_qber(mu, channel)``, over one ``wcs_series``."""
+    series = wcs_series(channel)
+
+    def rates(mu: float) -> ObservedRates:
+        if not 0.0 < mu <= _WCS_MU_MAX:
+            raise ValueError("mean photon number mu must lie in (0, 700]")
+        return ObservedRates(*series(mu, math.exp(-mu)))
+
+    return rates
+
+
+def wcs_series(channel: ChannelParams) -> Callable[[float, float],
+                                                   tuple[float, float]]:
+    """``(mu, exp(-mu)) -> (Q, E)`` of a weak coherent pulse on ``channel``.
+
+    The caller passes the Poisson vacuum weight, so one ``math.exp`` serves
+    the series and its own use (the laser's Q_1 = mu exp(-mu) Y_1).  Each
+    photon number's click and error-click terms depend on the channel alone;
+    they are kept in two flat lists, extended when the series first reaches
+    them, and reused by later calls.  The sum runs from n = 0 up until the
+    Poisson tail mass left drops below 1e-12, on ``math`` floats.  Raises
+    ValueError, as ``ObservedRates`` does, unless Q and E lie in [0, 1].
+    """
     eta = transmittance(channel)
     log_miss = math.log1p(-eta) if eta < 1.0 else None
     p_dc, e_d = channel.p_dc, channel.e_d
-    terms = [_clicks(0.0, p_dc, e_d)]  # from n = 0, where eta_0 = 0
+    y0, ey0 = _clicks(0.0, p_dc, e_d)  # n = 0, where eta_0 = 0
+    ys, eys = [y0], [ey0]
 
-    def rates(mu: float) -> ObservedRates:
-        if not math.isfinite(mu) or mu <= 0:
-            raise ValueError("mean photon number mu must be positive")
+    def sums(mu: float, weight: float) -> tuple[float, float]:
         q = 0.0
         eq = 0.0
-        weight = math.exp(-mu)  # Poisson term n = 0
         tail = 1.0 - weight
         n = 0
+        size = len(ys)
         while True:
-            q += weight * terms[n][0]
-            eq += weight * terms[n][1]
+            q += weight * ys[n]
+            eq += weight * eys[n]
             if tail < _WCS_TAIL:
                 break
             n += 1
             weight *= mu / n
             tail -= weight
-            if n == len(terms):
+            if n == size:
                 surv = 1.0 if log_miss is None else -math.expm1(n * log_miss)
-                terms.append(_clicks(surv, p_dc, e_d))
+                y_n, ey_n = _clicks(surv, p_dc, e_d)
+                ys.append(y_n)
+                eys.append(ey_n)
+                size += 1
         e = eq / q if q > 0.0 else 0.5
-        return ObservedRates(q=q, e=e)
+        _check_rates(q, e)
+        return q, e
 
-    return rates
+    return sums
+
+
+def wcs_series_array(channel: ChannelParams, loss_db: np.ndarray
+                     ) -> Callable[[np.ndarray, np.ndarray, np.ndarray],
+                                   tuple[np.ndarray, np.ndarray]]:
+    """``wcs_series`` at many channel losses: ``(idx, mu, exp(-mu)) ->
+    (Q, E)``, arrays whose element k is the series of
+    ``channel.with_loss(loss_db[idx[k]])`` at ``mu[k]``.
+
+    Every float operation is ``wcs_series``'s, in its order: the click
+    terms come from ``math`` one loss at a time, and the sums use numpy's
+    ``+ - * /``, which round as Python floats do; each element stops at its
+    own tail, so each (Q, E) equals the scalar series'.  Term rows are added
+    when some element first needs them.  The [0, 1] checks are
+    ``ObservedRates``', for the first element that fails them.
+    """
+    log_miss = []
+    for loss in np.asarray(loss_db, dtype=float).reshape(-1).tolist():
+        eta = transmittance(channel.with_loss(loss))
+        log_miss.append(math.log1p(-eta) if eta < 1.0 else None)
+    p_dc, e_d = channel.p_dc, channel.e_d
+    y0, ey0 = _clicks(np.zeros(len(log_miss)), p_dc, e_d)
+    ys, eys = [y0], [ey0]
+
+    def extend() -> None:
+        n = len(ys)
+        surv = np.array([1.0 if lm is None else -math.expm1(n * lm)
+                         for lm in log_miss])
+        y_n, ey_n = _clicks(surv, p_dc, e_d)
+        ys.append(y_n)
+        eys.append(ey_n)
+
+    def sums(idx: np.ndarray, mu: np.ndarray,
+             weight: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        q = np.zeros(idx.size)
+        eq = np.zeros(idx.size)
+        tail = 1.0 - weight
+        live = np.ones(idx.size, dtype=bool)
+        n = 0
+        while True:
+            if n == len(ys):
+                extend()
+            # a stopped element keeps its sums; its weight runs on unused
+            q = np.where(live, q + weight * ys[n][idx], q)
+            eq = np.where(live, eq + weight * eys[n][idx], eq)
+            live &= ~(tail < _WCS_TAIL)
+            if not live.any():
+                break
+            n += 1
+            weight = weight * (mu / n)
+            tail = tail - weight
+        e = np.divide(eq, q, out=np.full_like(q, 0.5), where=q > 0.0)
+        bad = ~((0.0 <= q) & (q <= 1.0) & (0.0 <= e) & (e <= 1.0))
+        if bad.any():
+            k = np.flatnonzero(bad)[0]
+            _check_rates(float(q[k]), float(e[k]))
+        return q, e
+
+    return sums

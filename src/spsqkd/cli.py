@@ -32,9 +32,9 @@ from pathlib import Path
 from . import __version__
 from .analysis import (dtb_rate_fn, gamma_map_dtb, gamma_vs_efficiency,
                        hp_rate_fn, optimal_bs_transmission, skr_curve,
-                       wcs_rate_fn)
+                       wcs_curve_fn, wcs_rate_fn)
 from .channel_model import ChannelParams
-from .errors import ConfigError, FitError, NoKeyError, QkdError
+from .errors import ConfigError, FitError, QkdError
 from .ingest import (AliceBudget, gains_and_errors, read_tomography_csv,
                      skr_from_experiment)
 from .montecarlo import SimConfig, run
@@ -216,17 +216,14 @@ def _rate_fn(args, channel: ChannelParams):
 
 
 def cmd_skr_curve(args) -> int:
-    fn = _rate_fn(args, load_channel(args.channel))
-    losses = _sweep(args, "loss")
-    try:
-        curve = skr_curve(fn, losses)
-        footer = {"mcl_db": curve.mcl_db}
-        rows = curve.points
-    except NoKeyError:
-        rows = [(loss, fn(loss)) for loss in losses]
-        footer = {"mcl_db": math.nan}
-    write_csv(args.out, _config(args), ("loss_db", "skr"), map(_line, rows),
-              footer)
+    channel = load_channel(args.channel)
+    fn = _rate_fn(args, channel)
+    # the laser's rates all at once: one lockstep mu search over the grid
+    curve_fn = (wcs_curve_fn(channel, q_sift=args.q_sift)
+                if args.protocol == "wcs" else None)
+    curve = skr_curve(fn, _sweep(args, "loss"), curve_fn)
+    write_csv(args.out, _config(args), ("loss_db", "skr"),
+              map(_line, curve.points), {"mcl_db": curve.mcl_db})
     return 0
 
 
@@ -414,9 +411,18 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _check_herald(args) -> None:
+    # the herald flags, checked where they enter (SimConfig's rules)
+    if not 0.0 < getattr(args, "t", DEFAULT_T) < 1.0:
+        raise ConfigError("t must lie in (0, 1)")
+    if not 0.0 < getattr(args, "eta_d", DEFAULT_ETA_D) <= 1.0:
+        raise ConfigError("eta_d must lie in (0, 1]")
+
+
 def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
     try:
+        _check_herald(args)
         return args.fn(args)
     except (QkdError, OSError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -24,12 +24,13 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .channel_model import (ChannelParams, ObservedRates, wcs_rates,
-                            weighted_gains, yields, yields_array)
+from .channel_model import (ChannelParams, ObservedRates, wcs_series,
+                            wcs_series_array, weighted_gains, yields,
+                            yields_array)
 from .errors import DegenerateDecoyError, InconsistentDataError
 from .photon_source import (PhotonDistribution, check_distribution_array,
                             hp_transform, hp_transform_array)
-from .search import golden_max
+from .search import golden_max, golden_max_lockstep
 
 # Defaults named once for every module and CLI flag: error correction costs
 # f_ec 1.22 in the decoy bounds, 1 (ideal) in the tagging bounds of
@@ -44,6 +45,9 @@ DEFAULT_ETA_D = 0.9
 # are declared inconsistent rather than numerically noisy.
 _CLAMP_TOL = 1e-9
 _DET_TOL = 1e-10
+
+# The laser's intensity search: golden section over [1e-6, 2] to 1e-6.
+_MU_LO, _MU_HI, _MU_TOL = 1e-6, 2.0, 1e-6
 
 
 @dataclass(frozen=True, slots=True)
@@ -91,6 +95,11 @@ def _entropy_cost(x: float) -> float:
     return binary_entropy(x)
 
 
+def _entropy_cost_each(x: np.ndarray) -> np.ndarray:
+    # _entropy_cost of each element, on math, so each equals the scalar's
+    return np.fromiter(map(_entropy_cost, x.tolist()), float, x.size)
+
+
 def _entropy_cost_array(x: np.ndarray) -> np.ndarray:
     # _entropy_cost elementwise, with the same checks
     bad = ~(x >= 0.0)
@@ -109,9 +118,11 @@ def _clamp_unit(value: float, what: str, tol: float = _CLAMP_TOL) -> float:
     return min(max(value, 0.0), 1.0)
 
 
-def _check_q_sift(q_sift: float) -> None:
+def _check_settings(q_sift: float, f_ec: float) -> None:
     if not 0.0 < q_sift <= 1.0:
         raise ValueError("q_sift must lie in (0, 1]")
+    if not 1.0 <= f_ec < math.inf:
+        raise ValueError("f_ec must be finite and at least 1")
 
 
 def solve_dtb(signal: ObservedRates, decoy: ObservedRates, vacuum: ObservedRates,
@@ -162,16 +173,17 @@ def skr_dtb_from_rates(signal: ObservedRates, y1: float, e1: float,
 
     R >= q_sift * (-Q_s f_ec H2(E_s) + Y_1 P_1 (1 - H2(e_1)))
     """
-    _check_q_sift(q_sift)
-    raw = _decoy_bound(signal.q, signal.e, y1 * p1_signal, e1, q_sift, f_ec,
-                       _entropy_cost)
+    _check_settings(q_sift, f_ec)
+    raw = _decoy_bound(signal.q, signal.e, y1 * p1_signal,
+                       1.0 - _entropy_cost(e1), q_sift, f_ec, _entropy_cost)
     return SkrResult(rate=max(raw, 0.0), raw=raw)
 
 
-def _decoy_bound(q, e, q1, e1, q_sift, f_ec, h):
-    # q_sift (-Q f_ec H(E) + Q_1 (1 - H(e_1))) with the entropy cost ``h``
-    # (math or numpy); shared by the source, array and laser forms
-    return q_sift * (-q * f_ec * h(e) + q1 * (1.0 - h(e1)))
+def _decoy_bound(q, e, q1, secret1, q_sift, f_ec, h):
+    # q_sift (-Q f_ec H(E) + Q_1 (1 - H(e_1))), given secret1 = 1 - H(e_1),
+    # with the entropy cost ``h`` (math or numpy); shared by the source,
+    # array and laser forms
+    return q_sift * (-q * f_ec * h(e) + q1 * secret1)
 
 
 def _tagging_bound(q, e, q1, q_sift, f_ec) -> tuple[float, float]:
@@ -197,7 +209,7 @@ def skr_dtb(d: PhotonDistribution, channel: ChannelParams,
     channel-model yields exactly (see ``solve_dtb``'s round-trip identity),
     so the forward model feeds the bound directly.
     """
-    _check_q_sift(q_sift)
+    _check_settings(q_sift, f_ec)
     ys = yields(channel, n_max=3)
     q_s, eq = weighted_gains(d.as_tuple(), ys.y, ys.e)
     if q_s <= 0.0:
@@ -219,7 +231,7 @@ def skr_dtb_array(probs: np.ndarray, channel: ChannelParams,
     so rates can differ from ``skr_dtb`` by a few ulp.  A single
     evaluation is ten times faster through ``skr_dtb``.
     """
-    _check_q_sift(q_sift)
+    _check_settings(q_sift, f_ec)
     y, e = yields_array(channel, loss_db)
     q_s, eq = weighted_gains(probs, y, e)
     detected = ~(q_s <= 0.0)
@@ -228,7 +240,8 @@ def skr_dtb_array(probs: np.ndarray, channel: ChannelParams,
     e_s = np.divide(eq, q_s, out=np.zeros_like(eq), where=detected)
     if not np.all((0.0 <= e_s) & (e_s <= 1.0)):
         raise ValueError("error rate must lie in [0, 1]")
-    raw = _decoy_bound(q_s, e_s, y[1] * probs[1], e[1], q_sift, f_ec,
+    raw = _decoy_bound(q_s, e_s, y[1] * probs[1],
+                       1.0 - _entropy_cost_array(e[1]), q_sift, f_ec,
                        _entropy_cost_array)
     return np.where(detected, np.maximum(raw, 0.0), 0.0)
 
@@ -271,7 +284,7 @@ def skr_hp(d: PhotonDistribution, channel: ChannelParams,
     accounting.  ``p_dc_alice`` defaults to the channel's dark-count
     probability (``herald_dark_rate``).
     """
-    _check_q_sift(q_sift)
+    _check_settings(q_sift, f_ec)
     eff = hp_effective_distribution(d, t, eta_d,
                                     herald_dark_rate(p_dc_alice, channel))
     ys = yields(channel, n_max=2)
@@ -300,7 +313,7 @@ def skr_hp_array(eff: np.ndarray, channel: ChannelParams, loss_db: np.ndarray,
     omega <= 0 branch are ``skr_hp``'s; numpy's log/exp may round
     differently from ``math`` in the last place.
     """
-    _check_q_sift(q_sift)
+    _check_settings(q_sift, f_ec)
     y, e = yields_array(channel, loss_db)
     q_s, eq = weighted_gains(eff[:3], y, e)
     detected = ~(q_s <= 0.0)
@@ -328,8 +341,41 @@ def skr_wcs_infinite_decoy(channel: ChannelParams, mu: float | None = None,
     ``mu exp(-mu)``.  When ``mu`` is None the intensity is optimized over
     (0, 2] by golden-section search to 1e-6.
     """
-    return _laser(channel, mu, q_sift, lambda obs, q1, e1: _decoy_bound(
-        obs.q, obs.e, q1, e1, q_sift, f_ec, _entropy_cost))
+    def bound(e1):
+        secret1 = 1.0 - _entropy_cost(e1)  # once per search
+        return lambda q, e, q1: _decoy_bound(q, e, q1, secret1, q_sift, f_ec,
+                                             _entropy_cost)
+    return _laser(channel, mu, q_sift, f_ec, bound)
+
+
+def skr_wcs_infinite_decoy_array(channel: ChannelParams, loss_db: np.ndarray,
+                                 q_sift: float = DEFAULT_Q_SIFT,
+                                 f_ec: float = DEFAULT_F_EC
+                                 ) -> tuple[np.ndarray, np.ndarray]:
+    """(rate, mu) of ``skr_wcs_infinite_decoy(channel.with_loss(loss))`` at
+    each of ``loss_db``, the intensities of all losses searched together
+    (``golden_max_lockstep``).
+
+    Each loss takes the scalar search's float operations in its order:
+    numpy's ``+ - * /`` round as Python floats do, and ``exp`` and the
+    entropies stay on ``math``, one element at a time
+    (``wcs_series_array``), so every rate and mu equals the scalar call's.
+    """
+    _check_settings(q_sift, f_ec)
+    loss_db = np.asarray(loss_db, dtype=float).reshape(-1)
+    series = wcs_series_array(channel, loss_db)
+    y1, e1 = np.array([yields(channel.with_loss(loss), n_max=1)[1]
+                       for loss in loss_db.tolist()]).reshape(-1, 2).T
+    secret1 = 1.0 - _entropy_cost_each(e1)
+
+    def raw_rate(idx: np.ndarray, m: np.ndarray) -> np.ndarray:
+        w = np.fromiter(map(math.exp, (-m).tolist()), float, m.size)
+        q, e = series(idx, m, w)
+        return _decoy_bound(q, e, m * w * y1[idx], secret1[idx], q_sift,
+                            f_ec, _entropy_cost_each)
+
+    mu = golden_max_lockstep(raw_rate, _MU_LO, _MU_HI, _MU_TOL, loss_db.size)
+    return np.maximum(raw_rate(np.arange(loss_db.size), mu), 0.0), mu
 
 
 def skr_wcs_tagging_bound(channel: ChannelParams, mu: float | None = None,
@@ -345,24 +391,30 @@ def skr_wcs_tagging_bound(channel: ChannelParams, mu: float | None = None,
     baseline (``skr_wcs_infinite_decoy``) compares two different security
     analyses.  ``f_ec`` defaults to 1 to mirror ``skr_hp``.
     """
-    return _laser(channel, mu, q_sift, lambda obs, q1, _: 0.0 if obs.q <= 0.0
-                  else _tagging_bound(obs.q, obs.e, q1, q_sift, f_ec)[1])
+    def bound(_e1):
+        return lambda q, e, q1: (0.0 if q <= 0.0 else
+                                 _tagging_bound(q, e, q1, q_sift, f_ec)[1])
+    return _laser(channel, mu, q_sift, f_ec, bound)
 
 
 def _laser(channel: ChannelParams, mu: float | None, q_sift: float,
-           bound) -> SkrResult:
-    # raw = bound(observed rates, Q_1, e_1) of a laser at ``mu``, or at the
-    # mu in (0, 2] that maximises it; Q_1 = mu exp(-mu) Y_1 on ``math``
-    _check_q_sift(q_sift)
+           f_ec: float, bound) -> SkrResult:
+    # raw = bound(e_1)(Q, E, Q_1) of a laser at ``mu``, or at the mu in
+    # (0, 2] that maximises it; each probe takes one exp(-mu) on math, for
+    # the series and for Q_1 = mu exp(-mu) Y_1
+    _check_settings(q_sift, f_ec)
     y1, e1 = yields(channel, n_max=1)[1]
-    rates = wcs_rates(channel)
+    series = wcs_series(channel)
+    raw_of = bound(e1)
 
     def raw_rate(m: float) -> float:
-        return bound(rates(m), m * math.exp(-m) * y1, e1)
+        w = math.exp(-m)
+        q, e = series(m, w)
+        return raw_of(q, e, m * w * y1)
 
     if mu is None:
-        mu = golden_max(raw_rate, 1e-6, 2.0, 1e-6)
-    elif not 0.0 < mu <= 2.0:
+        mu = golden_max(raw_rate, _MU_LO, _MU_HI, _MU_TOL)
+    elif not 0.0 < mu <= _MU_HI:
         raise ValueError("mu must lie in (0, 2]")
     raw = raw_rate(mu)
     return SkrResult(rate=max(raw, 0.0), raw=raw, mu=mu)

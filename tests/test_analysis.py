@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from spsqkd import protocols
 from spsqkd.analysis import (
     GammaMap,
     dtb_rate_array_fn,
@@ -21,11 +22,13 @@ from spsqkd.analysis import (
     mcl_lockstep,
     optimal_bs_transmission,
     skr_curve,
+    wcs_curve_fn,
     wcs_mcl,
     wcs_rate_fn,
     wcs_tagged_rate_fn,
 )
 from spsqkd.channel_model import ChannelParams
+from spsqkd.cli import load_channel
 from spsqkd.errors import FitError, NoKeyError
 from spsqkd.photon_source import PhotonDistribution, apply_collection
 from spsqkd.search import bisect, golden_max
@@ -132,6 +135,47 @@ class TestGoldenMaximalLosses:
                                                                  abs=0.02)
 
 
+class TestLaserProbeCounts:
+    """Deterministic costs of the laser MCL on the bundled channel: one mu
+    search per rate, 34 series probes per search (33 by the golden section
+    to 1e-6 on (0, 2], one at the optimum) and one settings check."""
+
+    @pytest.fixture
+    def counts(self, monkeypatch):
+        seen = {"searches": 0, "probes": 0, "checks": 0}
+        golden_max = protocols.golden_max
+        wcs_series = protocols.wcs_series
+        check = protocols._check_settings
+
+        def search(*args):
+            seen["searches"] += 1
+            return golden_max(*args)
+
+        def series(channel):
+            sums = wcs_series(channel)
+
+            def probe(*args):
+                seen["probes"] += 1
+                return sums(*args)
+            return probe
+
+        def settings_check(*args):
+            seen["checks"] += 1
+            return check(*args)
+
+        monkeypatch.setattr(protocols, "golden_max", search)
+        monkeypatch.setattr(protocols, "wcs_series", series)
+        monkeypatch.setattr(protocols, "_check_settings", settings_check)
+        return seen
+
+    @pytest.mark.parametrize("search", [
+        lambda ch: wcs_mcl(ch), lambda ch: mcl(wcs_tagged_rate_fn(ch))],
+        ids=["decoy", "tagged"])
+    def test_fifteen_searches_and_510_probes(self, counts, search):
+        search(load_channel("channel"))
+        assert counts == {"searches": 15, "probes": 510, "checks": 15}
+
+
 class TestGammaAndCurve:
     def test_gain_is_a_difference_of_loss_limits(self):
         assert gamma(41.87, 39.16) == pytest.approx(2.71)
@@ -147,6 +191,25 @@ class TestGammaAndCurve:
     def test_unsorted_grid_rejected(self, channel):
         with pytest.raises(ValueError):
             skr_curve(wcs_rate_fn(channel), [0.0, 10.0, 10.0])
+
+    def test_without_key_each_rate_is_computed_once(self):
+        seen = []
+
+        def dead(loss: float) -> float:
+            seen.append(loss)
+            return 0.0
+
+        curve = skr_curve(dead, [0.0, 1.0, 2.0])
+        assert math.isnan(curve.mcl_db)
+        assert curve.points == ((0.0, 0.0), (1.0, 0.0), (2.0, 0.0))
+        assert seen == [0.0, 1.0, 2.0, 0.0]  # the grid, then mcl's check
+
+    def test_the_lockstep_laser_curve_equals_the_scalar_one(self, channel):
+        losses = [0.0, 5.0, 20.0, 39.0, 39.5, 60.0]
+        fn = wcs_rate_fn(channel, q_sift=0.4)
+        curve = skr_curve(fn, losses, wcs_curve_fn(channel, q_sift=0.4))
+        assert curve == skr_curve(fn, losses)
+        assert curve.points[-1][1] == 0.0 < curve.points[-3][1]
 
 
 def scalar_mcl(d: PhotonDistribution, channel: ChannelParams) -> float:
@@ -454,6 +517,20 @@ class TestOptimalBsTransmission:
         assert got.tolist() == want
         assert optimal_bs_transmission(p2s[2], p_dc, eta_d, channel,
                                        p1=p1) == want[2]
+
+    @pytest.mark.parametrize("p_dc", [2e-7, 0.0])
+    def test_rows_without_key_have_no_optimum(self, channel, p_dc):
+        # misalignment 0.2 leaves no key at any t; a row whose probes never
+        # see key is NaN, not the right end of the bracket
+        noisy = ChannelParams(0.0, channel.eta_bob, channel.p_dc, 0.2)
+        got = optimal_bs_transmission([0.1, 0.3], p_dc, 0.9, noisy)
+        assert np.isnan(got).all()
+        assert math.isnan(optimal_bs_transmission(0.3, p_dc, 0.9, noisy))
+
+    @pytest.mark.parametrize("eta_d", [0.0, -0.1, 1.1, math.nan])
+    def test_herald_efficiency_outside_0_1_rejected(self, channel, eta_d):
+        with pytest.raises(ValueError, match="eta_d must lie in"):
+            optimal_bs_transmission([0.1, 0.3], 2e-7, eta_d, channel)
 
     def test_domain_checks(self, channel):
         with pytest.raises(ValueError):

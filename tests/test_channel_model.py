@@ -15,6 +15,8 @@ from spsqkd.channel_model import (
     transmittance,
     wcs_gain_and_qber,
     wcs_rates,
+    wcs_series,
+    wcs_series_array,
     yields,
     yields_array,
 )
@@ -149,6 +151,34 @@ class TestYieldsArray:
         with pytest.raises(ValueError):
             yields_array(channel, np.array([10.0, loss]))
 
+    @given(st.floats(min_value=1e-3, max_value=1.0),
+           st.floats(min_value=0.0, max_value=0.1),
+           st.floats(min_value=0.0, max_value=0.5),
+           st.lists(st.one_of(st.just(0.0),
+                              st.floats(min_value=0.0, max_value=80.0)),
+                    min_size=1, max_size=40))
+    @settings(max_examples=100, deadline=None)
+    def test_one_pass_equals_the_per_photon_number_loop(self, eta_bob, p_dc,
+                                                        e_d, losses):
+        # the (4, N) survival matrix in one expm1 call must keep the bits of
+        # one numpy call per photon number, the lossless unit receiver too
+        ch = ChannelParams(0.0, eta_bob, p_dc, e_d)
+        loss = np.array(losses)
+        eta = 10.0 ** (-loss / 10.0) * eta_bob
+        with np.errstate(divide="ignore", invalid="ignore"):
+            log_miss = np.log1p(-eta)
+            want_y, want_e = [], []
+            for n in range(4):
+                surv = np.where(eta >= 1.0, float(n > 0),
+                                -np.expm1(n * log_miss))
+                y_n = surv + p_dc - surv * p_dc
+                want_y.append(y_n)
+                want_e.append(np.where(y_n > 0.0,
+                                       (e_d * surv + 0.5 * p_dc) / y_n, 0.5))
+        y, e = yields_array(ch, loss)
+        assert np.array_equal(y, np.array(want_y))
+        assert np.array_equal(e, np.array(want_e))
+
 
 class TestGainAndQber:
     def test_vacuum_input_reads_the_dark_floor(self, channel: ChannelParams):
@@ -231,6 +261,63 @@ class TestWcsGainAndQber:
             wcs_gain_and_qber(0.0, channel)
         with pytest.raises(ValueError):
             wcs_gain_and_qber(-0.1, channel)
+
+    def test_a_mean_past_the_exp_underflow_is_rejected(self, channel):
+        # exp(-800) is 0.0: the series would start from a zero weight and
+        # never drain its tail
+        for mu in (800.0, math.inf, math.nan):
+            with pytest.raises(ValueError, match=r"mu must lie in \(0, 700\]"):
+                wcs_gain_and_qber(mu, channel)
+        assert wcs_gain_and_qber(700.0, channel).q == pytest.approx(
+            1.0 - (1.0 - channel.p_dc) * math.exp(-0.045 * 700.0), rel=1e-9)
+
+
+class TestWcsSeriesArray:
+    @given(st.one_of(st.just(1.0), st.floats(min_value=1e-3, max_value=1.0)),
+           st.floats(min_value=0.0, max_value=0.1),
+           st.floats(min_value=0.0, max_value=0.5),
+           st.lists(st.one_of(st.just(0.0),
+                              st.floats(min_value=0.0, max_value=80.0)),
+                    min_size=1, max_size=10),
+           st.lists(st.lists(st.floats(min_value=1e-9, max_value=60.0),
+                             min_size=1, max_size=10),
+                    min_size=1, max_size=3))
+    @settings(max_examples=100, deadline=None)
+    def test_each_element_equals_the_scalar_series(self, eta_bob, p_dc, e_d,
+                                                   losses, calls):
+        # several calls on one series: a later, brighter call needs terms
+        # that an earlier one did not build
+        ch = ChannelParams(0.0, eta_bob, p_dc, e_d)
+        series = wcs_series_array(ch, np.array(losses))
+        scalar = [wcs_series(ch.with_loss(loss)) for loss in losses]
+        for mus in calls:
+            idx = np.arange(len(mus)) % len(losses)
+            mu = np.array(mus)
+            weight = np.array([math.exp(-m) for m in mus])
+            q, e = series(idx, mu, weight)
+            want = [scalar[k](m, w) for k, m, w
+                    in zip(idx.tolist(), mus, weight.tolist())]
+            assert list(zip(q.tolist(), e.tolist())) == want
+
+    def test_the_scalar_series_is_the_observed_rates(self, channel):
+        ch = channel.with_loss(7.0)
+        series = wcs_series(ch)
+        for mu in (0.48, 30.0, 0.01):
+            got = wcs_gain_and_qber(mu, ch)
+            assert series(mu, math.exp(-mu)) == (got.q, got.e)
+
+    @pytest.mark.parametrize("p_dc, e_d, message", [
+        (1.5, 0.0, "gain must lie in"), (0.0, 5.0, "error rate must lie in")])
+    def test_rates_outside_the_unit_interval_raise_as_observed_rates(
+            self, monkeypatch, p_dc, e_d, message):
+        # channels built past their own checks
+        monkeypatch.setattr(ChannelParams, "__post_init__", lambda self: None)
+        ch = ChannelParams(0.0, 0.5, p_dc, e_d)
+        with pytest.raises(ValueError, match=message):
+            wcs_series(ch)(0.5, math.exp(-0.5))
+        with pytest.raises(ValueError, match=message):
+            wcs_series_array(ch, np.zeros(2))(
+                np.arange(2), np.full(2, 0.5), np.full(2, math.exp(-0.5)))
 
 
 class TestValidationAndSerialization:

@@ -5,6 +5,7 @@ point at the command layer rather than at subprocess plumbing.
 """
 
 import argparse
+import hashlib
 import io
 import json
 import math
@@ -204,6 +205,34 @@ class TestSkrCurve:
         _, out, _ = invoke(capsys, argv)
         assert out == first.read_text()
 
+    # SHA-256 of the output after its version line, recorded before the
+    # laser curve was searched in lockstep; never re-record them
+    @pytest.mark.parametrize("flags, digest", [
+        ([], "a2afb936a6d2e9d5f6599911f84f0d510cdb6d118aaed05ac9b3f966ff0b9e15"),
+        (["--q-sift", "0.4"],
+         "dd79dc9f59fa6418b69d9101c8496b8392af24b4a6d4895cc8ed07874124d618")],
+        ids=["bundled", "q-sift-0.4"])
+    def test_laser_curve_bytes_are_pinned(self, capsys, flags, digest):
+        code, out, err = invoke(capsys, ["skr-curve", "--protocol", "wcs",
+                                         "--loss-step", "0.05"] + flags)
+        assert code == 0 and err == ""
+        body = out.split("\n", 1)[1]
+        assert hashlib.sha256(body.encode()).hexdigest() == digest
+
+    @pytest.mark.parametrize("protocol", ["wcs", "perfect-sps"])
+    def test_no_key_prints_zero_rates_and_a_nan_cutoff(self, capsys,
+                                                       tmp_path, protocol):
+        channel = tmp_path / "noisy.json"
+        channel.write_text(json.dumps({"eta_bob": 0.045, "p_dc": 2e-7,
+                                       "e_d": 0.3}))
+        code, out, err = invoke(capsys, [
+            "skr-curve", "--protocol", protocol, "--channel", str(channel),
+            "--loss-max", "2", "--loss-step", "1"])
+        assert code == 0 and err == ""
+        _, _, rows, footer = parse_csv(out)
+        assert rows == [(0.0, 0.0), (1.0, 0.0), (2.0, 0.0)]
+        assert math.isnan(footer["mcl_db"])
+
 
 class TestGammaMap:
     def test_small_grid_structure(self, capsys):
@@ -275,6 +304,18 @@ class TestOptimalT:
         assert rows[0][0] == 0.05 and rows[-1][0] == pytest.approx(0.5)
         assert all(r[1] == 0.5 for r in rows)
 
+    @pytest.mark.parametrize("p_dc", ["2e-07", "0"])
+    def test_rows_without_key_print_nan(self, capsys, tmp_path, p_dc):
+        channel = tmp_path / "noisy.json"
+        channel.write_text(json.dumps({"eta_bob": 0.045, "p_dc": 2e-7,
+                                       "e_d": 0.2}))
+        code, out, err = invoke(capsys, [
+            "optimal-t", "--channel", str(channel), "--p-dc", p_dc,
+            "--p2-min", "0.1", "--p2-max", "0.3", "--p2-step", "0.1"])
+        assert code == 0 and err == ""
+        assert [line.split(",")[1] for line in out.splitlines()[3:]] == \
+            ["nan"] * 3
+
 
 class TestGammaVsEta:
     def test_collection_sweep_crosses_break_even(self, capsys):
@@ -333,6 +374,31 @@ def test_out_of_range_setting_fails_cleanly(capsys, argv, message):
     code, out, err = invoke(capsys, argv)
     assert code == 1 and out == ""
     assert err == f"error: {message}\n"
+
+
+HERALD_COMMANDS = {
+    "skr-curve": ["skr-curve", "--protocol", "hp", "--source", "sps2"],
+    "optimal-t": ["optimal-t"],
+    "gamma-vs-eta": ["gamma-vs-eta", "--protocol", "hp", "--axis", "eta-c",
+                     "--source", "sps2"],
+    "simulate": ["simulate", "--protocol", "hp", "--source", "sps2"]}
+HERALD_RANGES = {"--t": ("t must lie in (0, 1)", ["0", "1", "-0.5", "nan"]),
+                 "--eta-d": ("eta_d must lie in (0, 1]", ["0", "1.5", "nan"])}
+
+
+@pytest.mark.parametrize("command, flag, value", [
+    (command, flag, value) for command in HERALD_COMMANDS
+    for flag in ("--t", "--eta-d") if (command, flag) != ("optimal-t", "--t")
+    for value in HERALD_RANGES[flag][1]])
+def test_herald_flags_outside_their_range_fail_cleanly(
+        capsys, monkeypatch, command, flag, value):
+    # rejected where the flags enter, before any command runs
+    for name in ("_rate_fn", "optimal_bs_transmission",
+                 "gamma_vs_efficiency", "run"):
+        monkeypatch.setattr(cli, name, None)
+    code, out, err = invoke(capsys, HERALD_COMMANDS[command] + [flag, value])
+    assert code == 1 and out == ""
+    assert err == f"error: {HERALD_RANGES[flag][0]}\n"
 
 
 SWEEP_COMMANDS = {

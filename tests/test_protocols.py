@@ -26,6 +26,7 @@ from spsqkd.protocols import (
     skr_hp,
     skr_hp_array,
     skr_wcs_infinite_decoy,
+    skr_wcs_infinite_decoy_array,
     skr_wcs_tagging_bound,
     solve_dtb,
 )
@@ -342,9 +343,33 @@ def test_every_rate_bound_rejects_a_sifting_factor_outside_0_1(channel, sps1,
         lambda: skr_hp_array(hp_effective_array(probs, 0.5, 0.9, 0.0),
                              channel, np.zeros(1), q_sift=q_sift),
         lambda: skr_wcs_infinite_decoy(channel, q_sift=q_sift),
+        lambda: skr_wcs_infinite_decoy_array(channel, np.zeros(1),
+                                             q_sift=q_sift),
         lambda: skr_wcs_tagging_bound(channel, q_sift=q_sift)]
     for call in calls:
         with pytest.raises(ValueError, match="q_sift"):
+            call()
+
+
+@pytest.mark.parametrize("f_ec", [0.999, 0.0, -1.0, math.inf, math.nan])
+def test_every_rate_bound_rejects_an_error_correction_factor_below_one(
+        channel, sps1, f_ec):
+    probs = np.array([sps1.as_tuple()]).T
+    obs = ObservedRates(q=1e-3, e=0.02)
+    calls = [
+        lambda: skr_dtb(sps1, channel, f_ec=f_ec),
+        lambda: skr_dtb_array(probs, channel, np.zeros(1), f_ec=f_ec),
+        lambda: skr_dtb_from_rates(obs, 1e-3, 0.02, 0.5, f_ec=f_ec),
+        lambda: skr_hp(sps1, channel, f_ec=f_ec),
+        lambda: skr_hp_array(hp_effective_array(probs, 0.5, 0.9, 0.0),
+                             channel, np.zeros(1), f_ec=f_ec),
+        lambda: skr_wcs_infinite_decoy(channel, f_ec=f_ec),
+        lambda: skr_wcs_infinite_decoy(channel, mu=0.5, f_ec=f_ec),
+        lambda: skr_wcs_infinite_decoy_array(channel, np.zeros(1), f_ec=f_ec),
+        lambda: skr_wcs_tagging_bound(channel, f_ec=f_ec)]
+    for call in calls:
+        with pytest.raises(ValueError, match="f_ec must be finite and at "
+                                             "least 1"):
             call()
 
 
@@ -381,6 +406,134 @@ class TestSkrWcs:
     def test_result_carries_the_intensity_used(self, channel):
         assert skr_wcs_infinite_decoy(channel, mu=0.37).mu == 0.37
         assert skr_wcs_tagging_bound(channel).mu is not None
+
+
+# (eta_bob, p_dc, e_d, loss_db, q_sift, f_ec or None for the default) ->
+# (rate, raw, mu) of skr_wcs_infinite_decoy, then of skr_wcs_tagging_bound.
+# Recorded before the laser probe was trimmed; never re-record them to
+# absorb a change.
+LASER_GOLDENS = [
+    ((0.045, 2e-07, 0.033, 0.0, 0.5, None),
+     (0.002557524239533437, 0.002557524239533437, 0.4863821218381794),
+     (0.002479547600767092, 0.002479547600767092, 0.43082646551209736)),
+    ((0.045, 2e-07, 0.033, 20.0, 0.5, None),
+     (2.4936266535429137e-05, 2.4936266535429137e-05, 0.4787039464004754),
+     (2.404893353383237e-05, 2.404893353383237e-05, 0.42439567340290163)),
+    ((0.045, 2e-07, 0.033, 38.0, 0.5, None),
+     (8.579045611443403e-08, 8.579045611443403e-08, 0.4426238889949409),
+     (5.618549792086685e-09, 5.618549792086685e-09, 0.42694350182627816)),
+    ((0.045, 2e-07, 0.033, 39.5, 0.5, None),
+     (0.0, -2.0581925242282695e-08, 0.4201368434754654),
+     (0.0, -9.208024445856355e-08, 0.4177611371410356)),
+    ((0.045, 2e-07, 0.033, 10.0, 0.4, None),
+     (0.00020219867089147958, 0.00020219867089147958, 0.47963292210650343),
+     (0.00019574045443533728, 0.00019574045443533728, 0.4245649811564609)),
+    ((0.045, 2e-07, 0.033, 10.0, 0.5, 1.16),
+     (0.00026653556213462556, 0.00026653556213462556, 0.49673123217523174),
+     (0.0002140095017473466, 0.0002140095017473466, 0.38978056138701866)),
+    ((0.045, 2e-07, 0.033, 10.0, 1.0, 1.0),
+     (0.0006114620052839135, 0.0006114620052839135, 0.5448564116020151),
+     (0.0004893511360883431, 0.0004893511360883431, 0.4245649811564609)),
+    ((1.0, 1e-06, 0.01, 0.0, 0.5, None),
+     (0.13893048579502135, 0.13893048579502135, 0.8927683101832695),
+     (0.1372823600584744, 0.1372823600584744, 0.8563093184322672)),
+    ((1.0, 0.0, 0.0, 0.0, 0.5, None),
+     (0.183939720585721, 0.183939720585721, 1.0000000409285366),
+     (0.183939720585721, 0.183939720585721, 1.0000000409285366)),
+    ((0.5, 0.0, 0.0, 30.0, 0.5, None),
+     (9.196986029286051e-05, 9.196986029286051e-05, 1.0000000409285366),
+     (9.196986029286051e-05, 9.196986029286051e-05, 1.0000000409285366)),
+    ((0.2, 1e-05, 0.02, 5.0, 0.5, None),
+     (0.005719383272884775, 0.005719383272884775, 0.6354017174366713),
+     (0.005446669795419015, 0.005446669795419015, 0.5726558548173883)),
+    ((0.02, 0.001, 0.05, 0.0, 0.5, None),
+     (0.0, -0.0006994280610120782, 0.21603887079738038),
+     (0.0, -0.0005000133083253446, 1.3321872314472132e-06)),
+    ((0.02, 0.001, 0.05, 3.0, 0.5, None),
+     (0.0, -0.0006100040253449139, 1.3321872314472132e-06),
+     (0.0, -0.0005000066700142725, 1.3321872314472132e-06)),
+    ((0.045, 2e-07, 0.2, 0.0, 0.5, None),
+     (0.0, -1.480365134629996e-07, 1.3321872314472132e-06),
+     (0.0, -1.2817331298329602e-07, 1.3321872314472132e-06)),
+    ((0.045, 2e-07, 0.5, 0.0, 0.5, None),
+     (0.0, -1.5856848347331063e-07, 1.3321872314472132e-06),
+     (0.0, -1.2997416678140215e-07, 1.3321872314472132e-06)),
+    ((0.01, 1e-09, 0.1, 15.0, 0.5, None),
+     (0.0, -7.196266647277621e-10, 1.3321872314472132e-06),
+     (1.8167951240942817e-07, 1.8167951240942817e-07, 0.03782534190947498)),
+    ((0.9, 0.0001, 0.0, 25.0, 0.5, None),
+     (0.00025367280363663427, 0.00025367280363663427, 0.9096223034925148),
+     (0.00021419845600743868, 0.00021419845600743868, 0.9304384125778163)),
+    ((0.06, 1e-06, 0.02, 33.3, 0.5, None),
+     (7.340887870251763e-07, 7.340887870251763e-07, 0.5748822075144338),
+     (3.0933768340124745e-07, 3.0933768340124745e-07, 0.5606507978660249)),
+    ((0.3, 3e-08, 0.07, 12.5, 0.5, 1.22),
+     (0.0001278211552876436, 0.0001278211552876436, 0.16882445231537516),
+     (8.895775797966187e-05, 8.895775797966187e-05, 0.11637925186370504)),
+    ((0.005, 1e-08, 0.033, 0.0, 0.25, None),
+     (0.0001406183295172628, 0.0001406183295172628, 0.47974262128000167),
+     (0.0001361810661194621, 0.0001361810661194621, 0.42459271390433495)),
+]
+
+
+class TestLaserGoldens:
+    @pytest.mark.parametrize("case, decoy, tagged", LASER_GOLDENS,
+                             ids=[str(i) for i in range(len(LASER_GOLDENS))])
+    def test_both_lasers_equal_their_records(self, case, decoy, tagged):
+        eta_bob, p_dc, e_d, loss_db, q_sift, f_ec = case
+        ch = ChannelParams(loss_db, eta_bob, p_dc, e_d)
+        kw = {"q_sift": q_sift} if f_ec is None else {"q_sift": q_sift,
+                                                     "f_ec": f_ec}
+        for bound, want in ((skr_wcs_infinite_decoy, decoy),
+                            (skr_wcs_tagging_bound, tagged)):
+            got = bound(ch, **kw)
+            assert (got.rate, got.raw, got.mu) == want, bound.__name__
+            # the same probe at the recorded intensity
+            assert bound(ch, mu=want[2], **kw).raw == want[1]
+
+    def test_the_lockstep_laser_equals_the_records(self):
+        # the decoy records of each channel, one array call per channel
+        for case, decoy, _ in LASER_GOLDENS:
+            eta_bob, p_dc, e_d, loss_db, q_sift, f_ec = case
+            kw = {"q_sift": q_sift} if f_ec is None else {"q_sift": q_sift,
+                                                         "f_ec": f_ec}
+            rate, mu = skr_wcs_infinite_decoy_array(
+                ChannelParams(0.0, eta_bob, p_dc, e_d), np.array([loss_db]),
+                **kw)
+            assert (rate.tolist(), mu.tolist()) == ([decoy[0]], [decoy[2]])
+
+
+laser_channels = st.builds(
+    lambda eta_bob, log_p_dc, e_d: ChannelParams(
+        loss_db=0.0, eta_bob=eta_bob, p_dc=10.0 ** log_p_dc, e_d=e_d),
+    st.one_of(st.just(1.0), st.floats(min_value=5e-3, max_value=1.0)),
+    st.floats(min_value=-12.0, max_value=-4.0),
+    st.one_of(st.floats(min_value=0.0, max_value=0.08), st.just(0.2)))
+
+
+class TestLockstepLaser:
+    @given(laser_channels,
+           st.lists(st.one_of(st.just(0.0), st.just(60.0),
+                              st.floats(min_value=0.0, max_value=45.0)),
+                    min_size=0, max_size=12),
+           st.sampled_from([0.5, 1.0, 0.3]),
+           st.sampled_from([None, 1.0, 1.16]))
+    @settings(max_examples=100, deadline=None)
+    def test_each_loss_equals_the_scalar_laser(self, ch, losses, q_sift,
+                                               f_ec):
+        # random receivers and losses, with and without key, eta >= 1 too
+        kw = {"q_sift": q_sift} if f_ec is None else {"q_sift": q_sift,
+                                                     "f_ec": f_ec}
+        rate, mu = skr_wcs_infinite_decoy_array(ch, np.array(losses), **kw)
+        want = [skr_wcs_infinite_decoy(ch.with_loss(loss), **kw)
+                for loss in losses]
+        assert rate.tolist() == [w.rate for w in want]
+        assert mu.tolist() == [w.mu for w in want]
+
+    def test_bad_losses_are_rejected(self, channel):
+        for loss in (-1.0, math.inf, math.nan):
+            with pytest.raises(ValueError, match="loss_db"):
+                skr_wcs_infinite_decoy_array(channel, np.array([0.0, loss]))
 
 
 class TestCrossProtocol:
