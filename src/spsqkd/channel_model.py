@@ -251,11 +251,16 @@ def wcs_series(channel: ChannelParams) -> Callable[[float, float],
 
 
 def wcs_series_array(channel: ChannelParams, loss_db: np.ndarray
-                     ) -> Callable[[np.ndarray, np.ndarray, np.ndarray],
-                                   tuple[np.ndarray, np.ndarray]]:
-    """``wcs_series`` at many channel losses: ``(idx, mu, exp(-mu)) ->
-    (Q, E)``, arrays whose element k is the series of
-    ``channel.with_loss(loss_db[idx[k]])`` at ``mu[k]``.
+                     ) -> tuple[Callable[[np.ndarray, np.ndarray, np.ndarray],
+                                         tuple[np.ndarray, np.ndarray]],
+                                np.ndarray, np.ndarray]:
+    """``wcs_series`` at many channel losses, with the single-photon terms.
+
+    Returns ``(series, y1, e1)``.  ``series`` maps ``(idx, mu, exp(-mu))``
+    to (Q, E), arrays whose element k is the series of
+    ``channel.with_loss(loss_db[idx[k]])`` at ``mu[k]``; ``y1`` and ``e1``
+    hold Y_1 and e_1 of each loss, equal to ``yields``' (e_1 = 1/2 where
+    Y_1 = 0), from the series' own n = 1 terms.
 
     Every float operation is ``wcs_series``'s, in its order: the click
     terms come from ``math`` one loss at a time, and the sums use numpy's
@@ -279,6 +284,10 @@ def wcs_series_array(channel: ChannelParams, loss_db: np.ndarray
         y_n, ey_n = _clicks(surv, p_dc, e_d)
         ys.append(y_n)
         eys.append(ey_n)
+
+    extend()  # n = 1, which every series reaches
+    e1 = np.divide(eys[1], ys[1], out=np.full_like(ys[1], 0.5),
+                   where=ys[1] > 0.0)
 
     def sums(idx: np.ndarray, mu: np.ndarray,
              weight: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -306,4 +315,4 @@ def wcs_series_array(channel: ChannelParams, loss_db: np.ndarray
             _check_rates(float(q[k]), float(e[k]))
         return q, e
 
-    return sums
+    return sums, ys[1], e1

@@ -250,24 +250,22 @@ def extract_distribution_g2(p0: float, g2: float) -> PhotonDistribution:
     return PhotonDistribution(p0=p0, p1=p1, p2=p2)
 
 
-def _g3_residuals(p: np.ndarray, b: float, g2: float, g3: float) -> np.ndarray:
-    p1, p2, p3 = p
+def _g3_residuals(p1: float, p2: float, p3: float, b: float, g2: float,
+                  g3: float) -> tuple[float, float, float]:
     mu = p1 + 2.0 * p2 + 3.0 * p3
-    return np.array([
-        p1 + p2 + p3 - b,
-        2.0 * p2 + 6.0 * p3 - g2 * mu * mu,
-        6.0 * p3 - g3 * mu**3,
-    ])
+    return (p1 + p2 + p3 - b,
+            2.0 * p2 + 6.0 * p3 - g2 * mu * mu,
+            6.0 * p3 - g3 * mu**3)
 
 
-def _g3_jacobian(p: np.ndarray, g2: float, g3: float) -> np.ndarray:
-    p1, p2, p3 = p
+def _g3_jacobian(p1: float, p2: float, p3: float, g2: float,
+                 g3: float) -> np.ndarray:
     mu = p1 + 2.0 * p2 + 3.0 * p3
-    dmu = np.array([1.0, 2.0, 3.0])
-    row1 = np.array([1.0, 1.0, 1.0])
-    row2 = np.array([0.0, 2.0, 6.0]) - 2.0 * g2 * mu * dmu
-    row3 = np.array([0.0, 0.0, 6.0]) - 3.0 * g3 * mu * mu * dmu
-    return np.vstack([row1, row2, row3])
+    d2 = 2.0 * g2 * mu  # times d mu / d p = (1, 2, 3)
+    d3 = 3.0 * g3 * mu * mu
+    return np.array([[1.0, 1.0, 1.0],
+                     [0.0 - d2, 2.0 - d2 * 2.0, 6.0 - d2 * 3.0],
+                     [0.0 - d3, 0.0 - d3 * 2.0, 6.0 - d3 * 3.0]])
 
 
 def extract_distribution_g3(p0: float, g2: float, g3: float) -> PhotonDistribution:
@@ -276,7 +274,8 @@ def extract_distribution_g3(p0: float, g2: float, g3: float) -> PhotonDistributi
     Solves the 3x3 moment system by damped Newton iteration, seeded with
     the g2-only inversion (three-photon weight zero).  The damping halves
     the step until the residual norm decreases, which keeps the iteration
-    inside the physical simplex for all feasible inputs.
+    inside the physical simplex for all feasible inputs.  The iterate and
+    residuals are Python floats; only the linear solve uses numpy.
     """
     if g3 < 0 or not math.isfinite(g3):
         raise ValueError("g3 must be non-negative")
@@ -284,22 +283,23 @@ def extract_distribution_g3(p0: float, g2: float, g3: float) -> PhotonDistributi
     if g3 == 0.0:
         return seed2
     b = 1.0 - p0
-    p = np.array([seed2.p1, seed2.p2, max(g3 * b**3 / 6.0, 1e-12)])
-    res = _g3_residuals(p, b, g2, g3)
+    p = (seed2.p1, seed2.p2, max(g3 * b**3 / 6.0, 1e-12))
+    res = _g3_residuals(*p, b, g2, g3)
     for _ in range(_MAX_NEWTON_ITER):
-        norm = np.max(np.abs(res))
-        if norm < _ROOT_TOL:
+        if all(abs(r) < _ROOT_TOL for r in res):  # NaN never converges
             break
         try:
-            step = np.linalg.solve(_g3_jacobian(p, g2, g3), -res)
+            step = np.linalg.solve(_g3_jacobian(*p, g2, g3),
+                                   [-r for r in res]).tolist()
         except np.linalg.LinAlgError as exc:
             raise InfeasibleObservablesError(
                 "moment system is singular at the current iterate") from exc
         scale = 1.0
+        sse = sum(r * r for r in res)  # left to right, as np.sum of three
         for _ in range(60):
-            trial = p + scale * step
-            trial_res = _g3_residuals(trial, b, g2, g3)
-            if np.sum(trial_res**2) < np.sum(res**2):
+            trial = tuple(x + scale * s for x, s in zip(p, step))
+            trial_res = _g3_residuals(*trial, b, g2, g3)
+            if sum(r * r for r in trial_res) < sse:
                 p, res = trial, trial_res
                 break
             scale *= 0.5

@@ -363,9 +363,7 @@ def skr_wcs_infinite_decoy_array(channel: ChannelParams, loss_db: np.ndarray,
     """
     _check_settings(q_sift, f_ec)
     loss_db = np.asarray(loss_db, dtype=float).reshape(-1)
-    series = wcs_series_array(channel, loss_db)
-    y1, e1 = np.array([yields(channel.with_loss(loss), n_max=1)[1]
-                       for loss in loss_db.tolist()]).reshape(-1, 2).T
+    series, y1, e1 = wcs_series_array(channel, loss_db)
     secret1 = 1.0 - _entropy_cost_each(e1)
 
     def raw_rate(idx: np.ndarray, m: np.ndarray) -> np.ndarray:

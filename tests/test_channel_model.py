@@ -288,7 +288,7 @@ class TestWcsSeriesArray:
         # several calls on one series: a later, brighter call needs terms
         # that an earlier one did not build
         ch = ChannelParams(0.0, eta_bob, p_dc, e_d)
-        series = wcs_series_array(ch, np.array(losses))
+        series = wcs_series_array(ch, np.array(losses))[0]
         scalar = [wcs_series(ch.with_loss(loss)) for loss in losses]
         for mus in calls:
             idx = np.arange(len(mus)) % len(losses)
@@ -298,6 +298,22 @@ class TestWcsSeriesArray:
             want = [scalar[k](m, w) for k, m, w
                     in zip(idx.tolist(), mus, weight.tolist())]
             assert list(zip(q.tolist(), e.tolist())) == want
+
+    @given(st.one_of(st.just(1.0), st.floats(min_value=1e-3, max_value=1.0)),
+           st.one_of(st.just(0.0), st.floats(min_value=0.0, max_value=0.1)),
+           st.one_of(st.just(0.0), st.floats(min_value=0.0, max_value=0.5)),
+           st.lists(st.one_of(st.just(0.0),
+                              st.floats(min_value=0.0, max_value=4000.0)),
+                    max_size=10))
+    @settings(max_examples=100, deadline=None)
+    def test_single_photon_terms_are_the_yields(self, eta_bob, p_dc, e_d,
+                                                losses):
+        # Y_1 = 0 (no dark counts, loss past the float range of eta) keeps
+        # the e_1 = 1/2 of ``yields``
+        ch = ChannelParams(0.0, eta_bob, p_dc, e_d)
+        _, y1, e1 = wcs_series_array(ch, np.array(losses))
+        want = [yields(ch.with_loss(loss), n_max=1)[1] for loss in losses]
+        assert list(zip(y1.tolist(), e1.tolist())) == want
 
     def test_the_scalar_series_is_the_observed_rates(self, channel):
         ch = channel.with_loss(7.0)
@@ -316,7 +332,7 @@ class TestWcsSeriesArray:
         with pytest.raises(ValueError, match=message):
             wcs_series(ch)(0.5, math.exp(-0.5))
         with pytest.raises(ValueError, match=message):
-            wcs_series_array(ch, np.zeros(2))(
+            wcs_series_array(ch, np.zeros(2))[0](
                 np.arange(2), np.full(2, 0.5), np.full(2, math.exp(-0.5)))
 
 

@@ -1,5 +1,6 @@
 """Photon-statistics layer: cascade model, moments, inversions, transforms."""
 
+import hashlib
 import json
 import math
 from importlib import resources
@@ -244,6 +245,24 @@ class TestExtractDistributionG3:
     def test_zero_g3_reduces_to_the_two_moment_inversion(self):
         assert (extract_distribution_g3(0.57, 0.747, 0.0)
                 == extract_distribution_g2(0.57, 0.747))
+
+    def test_a_grid_of_640_inversions_is_pinned(self):
+        # (p0, g2, g3) of 640 distributions with a three-photon term; the
+        # SHA-256 of the repr'd results was recorded when the Newton
+        # iteration still ran on numpy arrays, so the float loop must keep
+        # every bit
+        rows = []
+        for p0 in np.linspace(0.3, 0.72, 10):
+            for p2 in np.linspace(0.01, 0.08, 8):
+                for p3 in np.linspace(0.001, 0.008, 8):
+                    d = PhotonDistribution(p0=float(p0),
+                                           p1=1.0 - p0 - p2 - p3,
+                                           p2=float(p2), p3=float(p3))
+                    got = extract_distribution_g3(float(p0), g2_of(d),
+                                                  g3_of(d))
+                    rows.append(",".join(map(repr, got.as_tuple())) + "\n")
+        assert hashlib.sha256("".join(rows).encode()).hexdigest() == (
+            "969f081790bafe98fb7935f6de3c8d27a1dc831e797ee9174e9f9ebe59c6d111")
 
     @given(distributions(max_p3=0.05))
     @settings(max_examples=200, deadline=None)

@@ -330,6 +330,42 @@ class TestSkrHpArray:
             skr_hp_array(eff, ch, np.zeros(1))
 
 
+class TestHpMonotoneOnTheMclGrid:
+    """``mcl`` and ``hp_threshold`` read one sign per grid loss and rest on
+    the purified rate not increasing in loss; ``mcl``'s losses are the
+    multiples of 25/4096 dB up to the 200 dB cap."""
+
+    STEP = 25.0 / 4096
+
+    @given(st.floats(min_value=1e-3, max_value=1.0),
+           st.one_of(st.just(0.0), st.floats(min_value=0.0, max_value=1e-3)),
+           st.one_of(st.just(0.0), st.floats(min_value=0.0, max_value=0.3)),
+           st.floats(min_value=1e-3, max_value=1.0),
+           st.floats(min_value=1e-3, max_value=1.0 - 1e-3),
+           st.floats(min_value=1e-3, max_value=1.0),
+           st.one_of(st.none(), st.just(0.0),
+                     st.floats(min_value=0.0, max_value=1e-2)),
+           st.integers(min_value=0, max_value=32768 - 20),
+           st.lists(st.integers(min_value=0, max_value=32768), max_size=20))
+    @settings(max_examples=200, deadline=None)
+    def test_rates_do_not_increase_along_the_grid(self, eta_bob, p_dc, e_d,
+                                                  p2, t, eta_d, p_dc_alice,
+                                                  start, spread):
+        # a run of neighbouring grid losses and a spread over the whole grid
+        ch = ChannelParams(loss_db=0.0, eta_bob=eta_bob, p_dc=p_dc, e_d=e_d)
+        d = PhotonDistribution(1.0 - p2, 0.0, p2)
+        ks = sorted(set(range(start, start + 20)) | set(spread))
+        losses = [k * self.STEP for k in ks]
+        scalar = [skr_hp(d, ch.with_loss(loss), t=t, eta_d=eta_d,
+                         p_dc_alice=p_dc_alice).rate for loss in losses]
+        probs = np.repeat(np.array([d.as_tuple()]).T, len(losses), axis=1)
+        dark = p_dc if p_dc_alice is None else p_dc_alice
+        array = skr_hp_array(hp_effective_array(probs, t, eta_d, dark), ch,
+                             np.array(losses)).tolist()
+        for rates in (scalar, array):
+            assert all(b <= a for a, b in zip(rates, rates[1:]))
+
+
 @pytest.mark.parametrize("q_sift", [0.0, -1.0, 1.5, math.nan])
 def test_every_rate_bound_rejects_a_sifting_factor_outside_0_1(channel, sps1,
                                                               q_sift):
