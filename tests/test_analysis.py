@@ -534,17 +534,17 @@ class TestHpThresholdCounts:
         seen = {"mcl": 0, "mcl_lockstep": 0, "mu_searches": 0,
                 "skr_hp_array": 0, "skr_hp": 0}
 
-        def counted(module, name):
+        def counted(module, name, key):
             fn = getattr(module, name)
 
             def wrapper(*args, **kwargs):
-                seen[name.replace("golden_max", "mu_searches")] += 1
+                seen[key] += 1
                 return fn(*args, **kwargs)
             monkeypatch.setattr(module, name, wrapper)
 
         for name in ("mcl", "mcl_lockstep", "skr_hp_array", "skr_hp"):
-            counted(analysis, name)
-        counted(protocols, "golden_max")
+            counted(analysis, name, name)
+        counted(protocols, "golden_max", "mu_searches")
         return seen
 
     def test_a_bisected_float_threshold(self, counts, channel):
