@@ -29,7 +29,7 @@ from .protocols import (DEFAULT_ETA_D, DEFAULT_F_EC, DEFAULT_F_EC_TAGGING,
                         hp_effective_array, skr_dtb, skr_dtb_array, skr_hp,
                         skr_hp_array, skr_wcs_infinite_decoy,
                         skr_wcs_infinite_decoy_array, skr_wcs_tagging_bound)
-from .search import bisect, bisect_lockstep, golden_max_lockstep
+from .search import bisect, golden_max_lockstep
 
 # Bisection width for maximal-loss searches, in dB.
 MCL_TOL_DB = 0.01
@@ -286,9 +286,9 @@ def gamma_map_dtb(channel: ChannelParams, eta_c: float = 1.0, n: int = 200,
     return GammaMap(p1=p1_axis, p2=p2_axis, gamma_db=out, wcs_mcl_db=baseline)
 
 
-def hp_threshold(eta_d, channel: ChannelParams, t: float = DEFAULT_T,
+def hp_threshold(eta_d: float, channel: ChannelParams, t: float = DEFAULT_T,
                  p_dc_alice: float | None = None,
-                 f_ec: float = DEFAULT_F_EC_TAGGING):
+                 f_ec: float = DEFAULT_F_EC_TAGGING) -> float:
     """Minimal two-photon probability where purification beats the laser.
 
     The reference is the weak-coherent source evaluated under the same
@@ -305,71 +305,48 @@ def hp_threshold(eta_d, channel: ChannelParams, t: float = DEFAULT_T,
 
     Neither step searches the purified MCL.  ``mcl`` probes only losses on
     one grid (25 dB brackets halved down to ``MCL_TOL_DB``, all exact in
-    float), and for a rate non-increasing in loss it returns the half-step
-    above the highest grid loss with key.  So a purified MCL reaches the
-    reference exactly when the purified rate is positive at the reference's
-    highest keyed grid loss, and each scan point and p2 probe costs one
-    rate evaluation there.
-
-    ``eta_d`` is one herald efficiency, or a sequence of them for an array
-    of thresholds.  A float runs the bisection on ``skr_hp`` and raises
-    NoKeyError when no scan point reaches the reference.  An array shares
-    one reference, scans all rows in one ``skr_hp_array`` call and bisects
-    them together (``bisect_lockstep``); a row without a crossing is NaN.
-    Each row equals the float call bit for bit, unless a probed rate lies
-    within the kernels' last-place rounding of zero.  FitError is raised
+    float); its final bracket starts at the last loss where it found key,
+    and for a rate non-increasing in loss that is the highest grid loss
+    with key.  So a purified MCL reaches the reference exactly when the
+    purified rate is positive where the reference's final bracket starts,
+    and each scan point and p2 probe costs one rate evaluation there.
+    NoKeyError is raised when no scan point reaches the reference; FitError
     when a scan point still has key at the 200 dB cap, as ``mcl`` raises.
     """
-    eta_ds = np.array(eta_d, dtype=float).reshape(-1)
-    if not np.all((0.0 < eta_ds) & (eta_ds <= 1.0)):
+    if not 0.0 < eta_d <= 1.0:
         raise ValueError("eta_d must lie in (0, 1]")
-    at = _last_keyed_loss(mcl(wcs_tagged_rate_fn(channel, f_ec=f_ec)))
-    herald = {"t": t, "p_dc_alice": p_dc_alice, "f_ec": f_ec}
+    laser = wcs_tagged_rate_fn(channel, f_ec=f_ec)
+    keyed = [0.0]  # the losses where the reference search found key
 
-    def keyed(p2: np.ndarray, eta: np.ndarray,
-              loss_db: float = at) -> np.ndarray:
-        # whether each {vacuum, two-photon} source has key at ``loss_db``
-        none = np.zeros_like(p2)
-        probs = check_distribution_array(np.stack([1.0 - p2, none, p2, none]))
-        rate = hp_rate_array_fn(probs, channel, eta_d=eta, **herald)
-        return rate(np.arange(p2.size), np.full(p2.size, loss_db)) > 0.0
+    def reference(loss_db: float) -> float:
+        rate = laser(loss_db)
+        if rate > 0.0:
+            keyed.append(loss_db)
+        return rate
+
+    mcl(reference)
+    at = keyed[-1]
+    herald = {"t": t, "eta_d": eta_d, "p_dc_alice": p_dc_alice, "f_ec": f_ec}
 
     scan = np.linspace(0.02, 1.0, 50)
-    p2s, etas = np.tile(scan, eta_ds.size), np.repeat(eta_ds, scan.size)
-    hit = keyed(p2s, etas)
-    if hit.any() and keyed(p2s[hit], etas[hit], _LOSS_CAP_DB).any():
+    none = np.zeros_like(scan)
+    probs = check_distribution_array(np.stack([1.0 - scan, none, scan, none]))
+    rate = hp_rate_array_fn(probs, channel, **herald)
+    hits = np.flatnonzero(rate(np.arange(scan.size), np.full(scan.size, at))
+                          > 0.0)
+    if hits.size == 0:
+        raise NoKeyError("no two-photon probability reaches the reference loss")
+    if np.any(rate(hits, np.full(hits.size, _LOSS_CAP_DB)) > 0.0):
         raise FitError(f"key rate still positive at {_LOSS_CAP_DB} dB")
-    hit = hit.reshape(eta_ds.size, scan.size)
-    found, k = hit.any(axis=1), hit.argmax(axis=1)  # k: first keyed point
-    if np.ndim(eta_d) == 0:
-        if not found[0]:
-            raise NoKeyError(
-                "no two-photon probability reaches the reference loss")
-        if k[0] == 0:
-            return float(scan[0])
+    k = hits[0]
+    if k == 0:
+        return float(scan[0])
 
-        def below(p2: float) -> bool:
-            d = PhotonDistribution(p0=1.0 - p2, p1=0.0, p2=p2)
-            return not hp_rate_fn(d, channel, eta_d=eta_d, **herald)(at) > 0.0
+    def below(p2: float) -> bool:
+        d = PhotonDistribution(p0=1.0 - p2, p1=0.0, p2=p2)
+        return not hp_rate_fn(d, channel, **herald)(at) > 0.0
 
-        return float(bisect(below, scan[k[0] - 1], scan[k[0]],
-                            HP_THRESHOLD_TOL))
-    out = np.where(found, scan[0], np.nan)
-    rows = np.flatnonzero(found & (k > 0))
-    out[rows] = bisect_lockstep(lambda idx, p2: ~keyed(p2, eta_ds[rows[idx]]),
-                                scan[k[rows] - 1], scan[k[rows]],
-                                HP_THRESHOLD_TOL)
-    return out
-
-
-def _last_keyed_loss(mcl_db: float) -> float:
-    # the lower end of the final bracket of an ``mcl`` search that returned
-    # ``mcl_db``: its brackets start 25 dB wide and halve until no wider
-    # than MCL_TOL_DB, and every end is exact in float
-    width = 25.0
-    while width > MCL_TOL_DB:
-        width *= 0.5
-    return mcl_db - 0.5 * width
+    return bisect(below, scan[k - 1], scan[k], HP_THRESHOLD_TOL)
 
 
 def optimal_bs_transmission(p2, p_dc: float, eta_d: float,

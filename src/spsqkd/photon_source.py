@@ -258,6 +258,12 @@ def _g3_residuals(p1: float, p2: float, p3: float, b: float, g2: float,
             6.0 * p3 - g3 * mu**3)
 
 
+def _sum_sq(res: tuple[float, float, float]) -> float:
+    # left to right, as np.sum of three (built-in sum compensates from 3.12)
+    r0, r1, r2 = res
+    return r0 * r0 + r1 * r1 + r2 * r2
+
+
 def _g3_jacobian(p1: float, p2: float, p3: float, g2: float,
                  g3: float) -> np.ndarray:
     mu = p1 + 2.0 * p2 + 3.0 * p3
@@ -295,11 +301,11 @@ def extract_distribution_g3(p0: float, g2: float, g3: float) -> PhotonDistributi
             raise InfeasibleObservablesError(
                 "moment system is singular at the current iterate") from exc
         scale = 1.0
-        sse = sum(r * r for r in res)  # left to right, as np.sum of three
+        sse = _sum_sq(res)
         for _ in range(60):
             trial = tuple(x + scale * s for x, s in zip(p, step))
             trial_res = _g3_residuals(*trial, b, g2, g3)
-            if sum(r * r for r in trial_res) < sse:
+            if _sum_sq(trial_res) < sse:
                 p, res = trial, trial_res
                 break
             scale *= 0.5

@@ -1,5 +1,5 @@
-"""The package's searches: golden-section maximum and sign bisection, each
-also in lockstep over many independent problems."""
+"""The package's searches: golden-section maximum and sign bisection, the
+golden section also in lockstep over many independent problems."""
 
 from __future__ import annotations
 
@@ -70,26 +70,4 @@ def bisect(below: Callable[[float], bool], lo: float, hi: float,
             lo = mid
         else:
             hi = mid
-    return 0.5 * (lo + hi)
-
-
-def bisect_lockstep(below: Callable[[np.ndarray, np.ndarray], np.ndarray],
-                    lo: np.ndarray, hi: np.ndarray, tol: float) -> np.ndarray:
-    """``bisect`` of independent problems, searched together.
-
-    Problem k starts from the bracket ``[lo[k], hi[k]]``; ``below(idx, x)``
-    returns a boolean array, ``below`` of problems ``idx`` at the points
-    ``x`` (equal-length arrays).  Each problem does ``bisect``'s float
-    operations in the same order and drops out when its own bracket is
-    within ``tol``, so it probes the points one ``bisect`` call probes and
-    returns the same midpoint.
-    """
-    lo, hi = np.array(lo, dtype=float), np.array(hi, dtype=float)
-    todo = np.flatnonzero(hi - lo > tol)
-    while todo.size:
-        mid = 0.5 * (lo[todo] + hi[todo])
-        up = below(todo, mid)
-        lo[todo[up]] = mid[up]
-        hi[todo[~up]] = mid[~up]
-        todo = todo[hi[todo] - lo[todo] > tol]
     return 0.5 * (lo + hi)

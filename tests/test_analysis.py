@@ -469,58 +469,15 @@ class TestHpThreshold:
             hp_threshold(0.0, channel)
         with pytest.raises(ValueError):
             hp_threshold(1.2, channel)
-        with pytest.raises(ValueError):
-            hp_threshold([0.9, 0.0], channel)
 
-    @given(st.floats(min_value=0.01, max_value=1.0),
-           st.one_of(st.just(2e-7), st.floats(min_value=1e-9, max_value=1e-4)),
-           st.floats(min_value=0.0, max_value=0.11),
-           st.floats(min_value=0.05, max_value=0.95),
-           st.one_of(st.none(), st.just(0.0),
-                     st.floats(min_value=0.0, max_value=0.05)),
-           st.lists(st.one_of(st.just(1.0), st.just(0.01),
-                              st.floats(min_value=0.005, max_value=1.0)),
-                    min_size=1, max_size=8))
-    @settings(max_examples=40, deadline=None)
-    def test_each_row_of_an_array_equals_its_float_call(self, eta_bob, p_dc,
-                                                        e_d, t, p_dc_alice,
-                                                        eta_ds):
-        # a row whose float call finds no crossing is NaN
-        ch = ChannelParams(loss_db=0.0, eta_bob=eta_bob, p_dc=p_dc, e_d=e_d)
-        herald = {"t": t, "p_dc_alice": p_dc_alice}
-        try:
-            want = [hp_threshold(e, ch, **herald) for e in eta_ds]
-        except NoKeyError as exc:
-            if "two-photon" not in str(exc):  # the laser itself has no key
-                with pytest.raises(NoKeyError, match="zero channel loss"):
-                    hp_threshold(eta_ds, ch, **herald)
-                return
-            want = []
-            for e in eta_ds:
-                try:
-                    want.append(hp_threshold(e, ch, **herald))
-                except NoKeyError:
-                    want.append(math.nan)
-        got = hp_threshold(np.array(eta_ds), ch, **herald)
-        assert isinstance(got, np.ndarray) and got.shape == (len(eta_ds),)
-        assert same_floats(got, want)
-
-    def test_an_array_keeps_rows_without_a_crossing_as_nan(self, channel):
-        noisy = ChannelParams(loss_db=0.0, eta_bob=0.045, p_dc=2e-7, e_d=0.105)
-        got = hp_threshold([0.01, 0.1, 1.0], noisy, p_dc_alice=0.0)
-        assert math.isnan(got[0]) and got[2] == 0.02
-        assert got[1] == hp_threshold(0.1, noisy, p_dc_alice=0.0)
-        assert hp_threshold([], channel).shape == (0,)
-
-    @pytest.mark.parametrize("eta_d", [0.9, [0.9, 0.5]])
-    def test_key_at_the_cap_fails_the_scan(self, monkeypatch, eta_d):
+    def test_key_at_the_cap_fails_the_scan(self, monkeypatch):
         # a reference that dies at 30 dB against a clean channel, where the
         # purified rate keeps its key past 200 dB
         monkeypatch.setattr(analysis, "wcs_tagged_rate_fn",
                             lambda channel, **kw: ramp(30.0))
         clean = ChannelParams(loss_db=0.0, eta_bob=1.0, p_dc=0.0, e_d=0.0)
         with pytest.raises(FitError, match="200.0 dB"):
-            hp_threshold(eta_d, clean, p_dc_alice=1e-7)
+            hp_threshold(0.9, clean, p_dc_alice=1e-7)
 
 
 class TestHpThresholdCounts:
@@ -558,12 +515,6 @@ class TestHpThresholdCounts:
         # this laser has no key at 25 dB: one bracket fewer to expand
         assert counts == {"mcl": 1, "mcl_lockstep": 0, "mu_searches": 14,
                           "skr_hp_array": 2, "skr_hp": 0}
-
-    def test_an_array_shares_one_reference(self, counts, channel):
-        hp_threshold([0.5 + 0.01 * i for i in range(48)], channel)
-        # the scan, the cap and the eight bisection steps
-        assert counts == {"mcl": 1, "mcl_lockstep": 0, "mu_searches": 15,
-                          "skr_hp_array": 10, "skr_hp": 0}
 
 
 class TestOptimalBsTransmission:

@@ -1,13 +1,12 @@
-"""The shared searches: golden-section maximum and sign bisection, each
-scalar and in lockstep."""
+"""The shared searches: golden-section maximum (scalar and lockstep) and
+sign bisection."""
 
 import math
 
 import numpy as np
 import pytest
 
-from spsqkd.search import (bisect, bisect_lockstep, golden_max,
-                           golden_max_lockstep)
+from spsqkd.search import bisect, golden_max, golden_max_lockstep
 
 
 class TestGoldenMax:
@@ -111,46 +110,3 @@ class TestBisect:
     def test_predicate_true_everywhere_walks_to_the_upper_end(self):
         x = bisect(lambda t: True, 0.0, 1.0, 1e-6)
         assert 1.0 - 1e-6 < x < 1.0
-
-
-class TestBisectLockstep:
-    # turning points inside, at and outside the brackets, one predicate
-    # true everywhere and one false everywhere
-    PREDICATES = (lambda t: t * t < 2.0, lambda t: t < 0.3,
-                  lambda t: True, lambda t: False, lambda t: t < 4.25,
-                  lambda t: t <= 0.1)
-    BRACKETS = ((1.0, 2.0), (0.0, 1.0), (0.0, 1.0), (0.02, 0.04),
-                (4.0, 5.0), (0.1, 0.1 + 1e-9))
-
-    @pytest.mark.parametrize("tol", [1e-12, 1e-4, 0.25, 1.0])
-    def test_probes_what_bisect_probes(self, tol):
-        fns = self.PREDICATES
-        want_probes, want = [], []
-        for fn, (lo, hi) in zip(fns, self.BRACKETS):
-            seen = []
-            want.append(bisect(lambda t: seen.append(t) or fn(t), lo, hi, tol))
-            want_probes.append(seen)
-        got_probes = [[] for _ in fns]
-
-        def batch(idx, x):
-            assert idx.size == x.size
-            for k, t in zip(idx.tolist(), x.tolist()):
-                got_probes[k].append(t)
-            return np.array([fns[k](t) for k, t in zip(idx.tolist(),
-                                                       x.tolist())])
-
-        lo, hi = np.array(self.BRACKETS).T
-        got = bisect_lockstep(batch, lo, hi, tol)
-        assert got.tolist() == want
-        assert got_probes == want_probes
-
-    def test_leaves_the_brackets_it_is_given_alone(self):
-        lo, hi = np.array([0.0]), np.array([1.0])
-        bisect_lockstep(lambda idx, x: x < 0.3, lo, hi, 1e-3)
-        assert (lo.tolist(), hi.tolist()) == ([0.0], [1.0])
-
-    def test_no_problems(self):
-        def batch(idx, x):
-            raise AssertionError("probed")
-
-        assert bisect_lockstep(batch, np.zeros(0), np.zeros(0), 1e-3).size == 0
