@@ -187,15 +187,9 @@ def skr_curve(skr_fn: RateFn, losses: Iterable[float],
     return SkrCurve(points=points, mcl_db=mcl_db)
 
 
-def _loss_rate(kernel, channel: ChannelParams, *data, **kw):
-    # ``kernel``'s rate as a function of loss, for every factory below, which
-    # passes its keywords through: loss -> kernel(*data, channel at that
-    # loss, **kw).rate, or for an array kernel over the columns of ``data``
-    # (one (4, N) array) (idx, losses) -> kernel(data[:, idx], channel,
-    # losses, **kw)
-    if data and isinstance(data[0], np.ndarray):
-        cols, = data
-        return lambda idx, loss_db: kernel(cols[:, idx], channel, loss_db, **kw)
+def _loss_rate(kernel, channel: ChannelParams, *data, **kw) -> RateFn:
+    # loss -> kernel(*data, channel at that loss, **kw).rate, for the four
+    # scalar factories below, which pass their keywords through
     return lambda loss_db: kernel(*data, channel.with_loss(loss_db), **kw).rate
 
 
@@ -209,7 +203,8 @@ def dtb_rate_array_fn(probs: np.ndarray, channel: ChannelParams,
                       **kw) -> ArrayRateFn:
     """``dtb_rate_fn`` for the columns of a (4, N) array of checked
     distributions, in the form ``mcl_lockstep`` takes (``skr_dtb_array``)."""
-    return _loss_rate(skr_dtb_array, channel, probs, **kw)
+    return lambda idx, loss_db: skr_dtb_array(probs[:, idx], channel, loss_db,
+                                              **kw)
 
 
 def hp_rate_fn(source: PhotonDistribution, channel: ChannelParams,
@@ -227,7 +222,8 @@ def hp_rate_array_fn(probs: np.ndarray, channel: ChannelParams,
     distributions are checked once, here."""
     eff = hp_effective_array(probs, t, eta_d,
                              herald_dark_rate(p_dc_alice, channel))
-    return _loss_rate(skr_hp_array, channel, eff, **kw)
+    return lambda idx, loss_db: skr_hp_array(eff[:, idx], channel, loss_db,
+                                             **kw)
 
 
 def wcs_rate_fn(channel: ChannelParams, **kw) -> RateFn:
@@ -286,6 +282,14 @@ def gamma_map_dtb(channel: ChannelParams, eta_c: float = 1.0, n: int = 200,
     return GammaMap(p1=p1_axis, p2=p2_axis, gamma_db=out, wcs_mcl_db=baseline)
 
 
+def _check_herald(t: float = DEFAULT_T, eta_d: float = DEFAULT_ETA_D) -> None:
+    # the CLI's and SimConfig's rules; the kernels accept [0, 1]
+    if not 0.0 < t < 1.0:
+        raise ValueError("t must lie in (0, 1)")
+    if not 0.0 < eta_d <= 1.0:
+        raise ValueError("eta_d must lie in (0, 1]")
+
+
 def hp_threshold(eta_d: float, channel: ChannelParams, t: float = DEFAULT_T,
                  p_dc_alice: float | None = None,
                  f_ec: float = DEFAULT_F_EC_TAGGING) -> float:
@@ -312,9 +316,10 @@ def hp_threshold(eta_d: float, channel: ChannelParams, t: float = DEFAULT_T,
     and each scan point and p2 probe costs one rate evaluation there.
     NoKeyError is raised when no scan point reaches the reference; FitError
     when a scan point still has key at the 200 dB cap, as ``mcl`` raises.
+    ValueError is raised before any search for ``t`` outside (0, 1) or
+    ``eta_d`` outside (0, 1].
     """
-    if not 0.0 < eta_d <= 1.0:
-        raise ValueError("eta_d must lie in (0, 1]")
+    _check_herald(t, eta_d)
     laser = wcs_tagged_rate_fn(channel, f_ec=f_ec)
     keyed = [0.0]  # the losses where the reference search found key
 
@@ -374,8 +379,7 @@ def optimal_bs_transmission(p2, p_dc: float, eta_d: float,
     one-photon pulses into the key through the t p1 p_dc term, which
     rewards transmission until genuine two-photon coincidences dominate.
     """
-    if not 0.0 < eta_d <= 1.0:
-        raise ValueError("eta_d must lie in (0, 1]")
+    _check_herald(eta_d=eta_d)
     p2s = np.array(p2, dtype=float).reshape(-1)
     if not np.all((0.0 < p2s) & (p2s <= 1.0)):
         raise ValueError("p2 must lie in (0, 1]")
@@ -441,6 +445,9 @@ def gamma_vs_efficiency(protocol: str, axis: str, values: Sequence[float],
         raise ValueError("the decoy protocol has no herald detector")
     if not 0.0 <= eta_c <= 1.0:
         raise ValueError("eta_c must lie in [0, 1]")
+    if protocol == "hp":
+        # a swept eta_d is left to the kernels
+        _check_herald(t, eta_d if axis == "eta_c" else DEFAULT_ETA_D)
     # an explicit f_ec reaches the rates and the baseline; None leaves each
     # kernel its own default
     kw = {"q_sift": q_sift} if f_ec is None else {"q_sift": q_sift, "f_ec": f_ec}

@@ -161,10 +161,14 @@ def _clicks(surv, p_dc: float, e_d: float):
 
 
 def weighted_gains(probs, y, e):
-    """Gain and error-weighted gain (sum p_n Y_n, sum p_n Y_n e_n), summed
-    from n = 0 up in one order for floats and numpy rows alike."""
-    return (sum(p * y_n for p, y_n in zip(probs, y)),
-            sum(p * y_n * e_n for p, y_n, e_n in zip(probs, y, e)))
+    """Gain and error-weighted gain (sum p_n Y_n, sum p_n Y_n e_n), folded
+    from n = 0 up for floats and numpy rows alike (not by ``sum``, which
+    compensates float sums from Python 3.12 on)."""
+    q = eq = 0.0
+    for p, y_n, e_n in zip(probs, y, e):
+        q = q + p * y_n
+        eq = eq + p * y_n * e_n
+    return q, eq
 
 
 def gain_and_qber(d: PhotonDistribution, channel: ChannelParams) -> ObservedRates:
@@ -186,42 +190,38 @@ def wcs_gain_and_qber(mu: float, channel: ChannelParams) -> ObservedRates:
     """Observed rates for a phase-randomized weak coherent pulse.
 
     Sums the Poisson photon-number expansion against the yields until the
-    remaining tail mass drops below 1e-12.  (The closed forms
-    ``Q = 1 - (1 - p_dc) exp(-eta mu)`` and
+    remaining tail mass drops below 1e-12 (``wcs_series``).  (The closed
+    forms ``Q = 1 - (1 - p_dc) exp(-eta mu)`` and
     ``E Q = e_d (1 - exp(-eta mu)) + p_dc / 2`` are reserved for tests.)
     """
-    return wcs_rates(channel)(mu)
+    if not 0.0 < mu <= _WCS_MU_MAX:
+        raise ValueError("mean photon number mu must lie in (0, 700]")
+    return ObservedRates(*wcs_series(channel)[0](mu, math.exp(-mu)))
 
 
-def wcs_rates(channel: ChannelParams) -> Callable[[float], ObservedRates]:
-    """``mu -> wcs_gain_and_qber(mu, channel)``, over one ``wcs_series``."""
-    series = wcs_series(channel)
+def wcs_series(channel: ChannelParams
+               ) -> tuple[Callable[[float, float], tuple[float, float]],
+                          float, float]:
+    """``(series, y1, e1)`` of a weak coherent pulse on ``channel``.
 
-    def rates(mu: float) -> ObservedRates:
-        if not 0.0 < mu <= _WCS_MU_MAX:
-            raise ValueError("mean photon number mu must lie in (0, 700]")
-        return ObservedRates(*series(mu, math.exp(-mu)))
-
-    return rates
-
-
-def wcs_series(channel: ChannelParams) -> Callable[[float, float],
-                                                   tuple[float, float]]:
-    """``(mu, exp(-mu)) -> (Q, E)`` of a weak coherent pulse on ``channel``.
-
-    The caller passes the Poisson vacuum weight, so one ``math.exp`` serves
-    the series and its own use (the laser's Q_1 = mu exp(-mu) Y_1).  Each
-    photon number's click and error-click terms depend on the channel alone;
-    they are kept in two flat lists, extended when the series first reaches
-    them, and reused by later calls.  The sum runs from n = 0 up until the
-    Poisson tail mass left drops below 1e-12, on ``math`` floats.  Raises
-    ValueError, as ``ObservedRates`` does, unless Q and E lie in [0, 1].
+    ``series`` maps ``(mu, exp(-mu))`` to (Q, E): the caller passes the
+    Poisson vacuum weight, so one ``math.exp`` serves the series and its own
+    use (the laser's Q_1 = mu exp(-mu) Y_1).  ``y1`` and ``e1`` are Y_1 and
+    e_1 from the series' own n = 1 terms, equal to ``yields``' (e_1 = 1/2
+    where Y_1 = 0).  Each photon number's click and error-click terms depend
+    on the channel alone; they are kept in two flat lists, extended when the
+    series first reaches them, and reused by later calls.  The sum runs from
+    n = 0 up until the Poisson tail mass left drops below 1e-12, on ``math``
+    floats.  Raises ValueError, as ``ObservedRates`` does, unless Q and E
+    lie in [0, 1].
     """
     eta = transmittance(channel)
     log_miss = math.log1p(-eta) if eta < 1.0 else None
     p_dc, e_d = channel.p_dc, channel.e_d
     y0, ey0 = _clicks(0.0, p_dc, e_d)  # n = 0, where eta_0 = 0
-    ys, eys = [y0], [ey0]
+    y1, ey1 = _clicks(1.0 if log_miss is None else -math.expm1(log_miss),
+                      p_dc, e_d)
+    ys, eys = [y0, y1], [ey0, ey1]
 
     def sums(mu: float, weight: float) -> tuple[float, float]:
         q = 0.0
@@ -247,20 +247,19 @@ def wcs_series(channel: ChannelParams) -> Callable[[float, float],
         _check_rates(q, e)
         return q, e
 
-    return sums
+    return sums, y1, ey1 / y1 if y1 > 0.0 else 0.5
 
 
 def wcs_series_array(channel: ChannelParams, loss_db: np.ndarray
                      ) -> tuple[Callable[[np.ndarray, np.ndarray, np.ndarray],
                                          tuple[np.ndarray, np.ndarray]],
                                 np.ndarray, np.ndarray]:
-    """``wcs_series`` at many channel losses, with the single-photon terms.
+    """``wcs_series`` at many channel losses.
 
     Returns ``(series, y1, e1)``.  ``series`` maps ``(idx, mu, exp(-mu))``
     to (Q, E), arrays whose element k is the series of
     ``channel.with_loss(loss_db[idx[k]])`` at ``mu[k]``; ``y1`` and ``e1``
-    hold Y_1 and e_1 of each loss, equal to ``yields``' (e_1 = 1/2 where
-    Y_1 = 0), from the series' own n = 1 terms.
+    hold each loss's Y_1 and e_1, as ``wcs_series`` gives them.
 
     Every float operation is ``wcs_series``'s, in its order: the click
     terms come from ``math`` one loss at a time, and the sums use numpy's

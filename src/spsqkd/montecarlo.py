@@ -4,7 +4,8 @@ Serves as an independent check on the closed-form gain/error model: each
 pulse draws a photon number, photons are thinned binomially through
 collection and channel, Bob's two threshold detectors click on photons or
 dark counts, and tallies accumulate per intensity.  Reports carry raw
-integer tallies only; rates and binomial errors are derived on demand.
+integer tallies only; the empirical gain and error rate are derived from
+them.
 
 Error bookkeeping is matched-basis: every pulse is scored as if the bases
 agreed (each arriving photon lands on the wrong detector with probability
@@ -152,24 +153,10 @@ class SimReport:
         t = self.tallies[label]
         return t.detected / t.sent if t.sent else 0.0
 
-    def q_sigma(self, label: str) -> float:
-        t = self.tallies[label]
-        if not t.sent:
-            return 0.0
-        p = t.detected / t.sent
-        return math.sqrt(max(p * (1.0 - p), 0.0) / t.sent)
-
     def e(self, label: str) -> float:
         """Empirical matched-basis error fraction among detections."""
         t = self.tallies[label]
         return t.errors / t.detected if t.detected else 0.0
-
-    def e_sigma(self, label: str) -> float:
-        t = self.tallies[label]
-        if not t.detected:
-            return 0.0
-        p = t.errors / t.detected
-        return math.sqrt(max(p * (1.0 - p), 0.0) / t.detected)
 
     def to_dict(self) -> dict:
         out = {

@@ -186,6 +186,13 @@ def _decoy_bound(q, e, q1, secret1, q_sift, f_ec, h):
     return q_sift * (-q * f_ec * h(e) + q1 * secret1)
 
 
+def _gllp_bound(q, e, omega, ratio, q_sift, f_ec, h):
+    # q_sift Q (-f_ec H(E) + omega (1 - H(E / omega))), given ratio =
+    # E / omega, with the entropy cost ``h`` (math or numpy); shared by the
+    # scalar and array tagging bounds
+    return q_sift * q * (-f_ec * h(e) + omega * (1.0 - h(ratio)))
+
+
 def _tagging_bound(q, e, q1, q_sift, f_ec) -> tuple[float, float]:
     # (rate, raw) of the GLLP tagging bound, shared by skr_hp and the
     # tagged laser: omega = Q_1 / Q is clamped to 1 (InconsistentDataError
@@ -196,8 +203,7 @@ def _tagging_bound(q, e, q1, q_sift, f_ec) -> tuple[float, float]:
     omega = min(omega, 1.0)
     if omega <= 0.0:
         return 0.0, -q_sift * q * f_ec * _entropy_cost(e)
-    pa_term = omega * (1.0 - _entropy_cost(e / omega))
-    raw = q_sift * q * (-f_ec * _entropy_cost(e) + pa_term)
+    raw = _gllp_bound(q, e, omega, e / omega, q_sift, f_ec, _entropy_cost)
     return max(raw, 0.0), raw
 
 
@@ -326,8 +332,8 @@ def skr_hp_array(eff: np.ndarray, channel: ChannelParams, loss_db: np.ndarray,
     keyed = omega > 0.0
     with np.errstate(over="ignore"):  # a subnormal omega: e_s / omega = inf
         ratio = np.divide(e_s, omega, out=np.zeros_like(eq), where=keyed)
-    raw = q_sift * q_s * (-f_ec * _entropy_cost_array(e_s)
-                          + omega * (1.0 - _entropy_cost_array(ratio)))
+    raw = _gllp_bound(q_s, e_s, omega, ratio, q_sift, f_ec,
+                      _entropy_cost_array)
     return np.where(keyed, np.maximum(raw, 0.0), 0.0)
 
 
@@ -341,11 +347,12 @@ def skr_wcs_infinite_decoy(channel: ChannelParams, mu: float | None = None,
     ``mu exp(-mu)``.  When ``mu`` is None the intensity is optimized over
     (0, 2] by golden-section search to 1e-6.
     """
-    def bound(e1):
-        secret1 = 1.0 - _entropy_cost(e1)  # once per search
-        return lambda q, e, q1: _decoy_bound(q, e, q1, secret1, q_sift, f_ec,
-                                             _entropy_cost)
-    return _laser(channel, mu, q_sift, f_ec, bound)
+    _check_settings(q_sift, f_ec)
+    series, y1, e1 = wcs_series(channel)
+    secret1 = 1.0 - _entropy_cost(e1)  # once per search
+    return _laser(series, y1, mu,
+                  lambda q, e, q1: _decoy_bound(q, e, q1, secret1, q_sift,
+                                                f_ec, _entropy_cost))
 
 
 def skr_wcs_infinite_decoy_array(channel: ChannelParams, loss_db: np.ndarray,
@@ -389,22 +396,17 @@ def skr_wcs_tagging_bound(channel: ChannelParams, mu: float | None = None,
     baseline (``skr_wcs_infinite_decoy``) compares two different security
     analyses.  ``f_ec`` defaults to 1 to mirror ``skr_hp``.
     """
-    def bound(_e1):
-        return lambda q, e, q1: (0.0 if q <= 0.0 else
-                                 _tagging_bound(q, e, q1, q_sift, f_ec)[1])
-    return _laser(channel, mu, q_sift, f_ec, bound)
-
-
-def _laser(channel: ChannelParams, mu: float | None, q_sift: float,
-           f_ec: float, bound) -> SkrResult:
-    # raw = bound(e_1)(Q, E, Q_1) of a laser at ``mu``, or at the mu in
-    # (0, 2] that maximises it; each probe takes one exp(-mu) on math, for
-    # the series and for Q_1 = mu exp(-mu) Y_1
     _check_settings(q_sift, f_ec)
-    y1, e1 = yields(channel, n_max=1)[1]
-    series = wcs_series(channel)
-    raw_of = bound(e1)
+    series, y1, _ = wcs_series(channel)
+    return _laser(series, y1, mu,
+                  lambda q, e, q1: (0.0 if q <= 0.0 else
+                                    _tagging_bound(q, e, q1, q_sift, f_ec)[1]))
 
+
+def _laser(series, y1: float, mu: float | None, raw_of) -> SkrResult:
+    # raw = raw_of(Q, E, Q_1) of a laser on ``series`` (``wcs_series``) at
+    # ``mu``, or at the mu in (0, 2] that maximises it; each probe takes one
+    # exp(-mu) on math, for the series and for Q_1 = mu exp(-mu) Y_1
     def raw_rate(m: float) -> float:
         w = math.exp(-m)
         q, e = series(m, w)

@@ -31,12 +31,16 @@ def pytest_terminal_summary(terminalreporter, exitstatus, config):
             terminalreporter.write_line(line)
 
 
+def _bundled(name: str) -> dict:
+    # the bundled file fixtures/<name>.json, whatever QKD_FIXTURES_DIR says
+    root = resources.files("spsqkd").joinpath("fixtures")
+    return json.loads(root.joinpath(f"{name}.json").read_text())
+
+
 @pytest.fixture(scope="session")
 def bundled_sources() -> dict[str, PhotonDistribution]:
     """Name -> distribution of each bundled source file fixtures/<name>.json."""
-    root = resources.files("spsqkd").joinpath("fixtures")
-    return {name: PhotonDistribution.from_dict(
-                json.loads(root.joinpath(f"{name}.json").read_text()))
+    return {name: PhotonDistribution.from_dict(_bundled(name))
             for name in ("bare-s1", "bare-s2", "bare-s3", "perfect", "sps1",
                          "sps2")}
 
@@ -44,24 +48,24 @@ def bundled_sources() -> dict[str, PhotonDistribution]:
 @pytest.fixture(scope="session")
 def channel() -> ChannelParams:
     """Default receiver at zero extra channel attenuation."""
-    return ChannelParams(loss_db=0.0, eta_bob=0.045, p_dc=2e-7, e_d=0.033)
+    return ChannelParams.from_dict(_bundled("channel"))
 
 
 @pytest.fixture(scope="session")
-def sps1() -> PhotonDistribution:
-    return PhotonDistribution(p0=0.359, p1=0.529, p2=0.112)
+def sps1(bundled_sources) -> PhotonDistribution:
+    return bundled_sources["sps1"]
 
 
 @pytest.fixture(scope="session")
-def sps2() -> PhotonDistribution:
-    return PhotonDistribution(p0=0.115, p1=0.458, p2=0.427)
+def sps2(bundled_sources) -> PhotonDistribution:
+    return bundled_sources["sps2"]
 
 
 @pytest.fixture(scope="session")
-def bare_decoy() -> PhotonDistribution:
-    return PhotonDistribution(p0=0.9023, p1=0.096, p2=0.0017)
+def bare_decoy(bundled_sources) -> PhotonDistribution:
+    return bundled_sources["bare-s1"]
 
 
 @pytest.fixture(scope="session")
-def bare_signal() -> PhotonDistribution:
-    return PhotonDistribution(p0=0.675, p1=0.296, p2=0.029)
+def bare_signal(bundled_sources) -> PhotonDistribution:
+    return bundled_sources["bare-s2"]

@@ -36,6 +36,10 @@ from spsqkd.search import bisect, golden_max
 PERFECT = PhotonDistribution(0.0, 1.0, 0.0)
 
 
+def no_search(*args, **kwargs):
+    raise AssertionError("a settings check must come before any search")
+
+
 def ramp(cutoff_db: float):
     return lambda loss: max(0.0, 1e-3 * (1.0 - loss / cutoff_db))
 
@@ -138,34 +142,41 @@ class TestGoldenMaximalLosses:
 class TestLaserProbeCounts:
     """Deterministic costs of the laser MCL on the bundled channel: one mu
     search per rate, 34 series probes per search (33 by the golden section
-    to 1e-6 on (0, 2], one at the optimum) and one settings check."""
+    to 1e-6 on (0, 2], one at the optimum), one settings check, and no
+    ``yields`` call: Y_1 and e_1 come from the series."""
 
     @pytest.fixture
     def counts(self, monkeypatch):
-        seen = {"searches": 0, "probes": 0, "checks": 0}
+        seen = {"searches": 0, "probes": 0, "checks": 0, "yields": 0}
         golden_max = protocols.golden_max
         wcs_series = protocols.wcs_series
         check = protocols._check_settings
+        yields = protocols.yields
 
         def search(*args):
             seen["searches"] += 1
             return golden_max(*args)
 
         def series(channel):
-            sums = wcs_series(channel)
+            sums, y1, e1 = wcs_series(channel)
 
             def probe(*args):
                 seen["probes"] += 1
                 return sums(*args)
-            return probe
+            return probe, y1, e1
 
         def settings_check(*args):
             seen["checks"] += 1
             return check(*args)
 
+        def counted_yields(*args, **kwargs):
+            seen["yields"] += 1
+            return yields(*args, **kwargs)
+
         monkeypatch.setattr(protocols, "golden_max", search)
         monkeypatch.setattr(protocols, "wcs_series", series)
         monkeypatch.setattr(protocols, "_check_settings", settings_check)
+        monkeypatch.setattr(protocols, "yields", counted_yields)
         return seen
 
     @pytest.mark.parametrize("search", [
@@ -173,7 +184,8 @@ class TestLaserProbeCounts:
         ids=["decoy", "tagged"])
     def test_fifteen_searches_and_510_probes(self, counts, search):
         search(load_channel("channel"))
-        assert counts == {"searches": 15, "probes": 510, "checks": 15}
+        assert counts == {"searches": 15, "probes": 510, "checks": 15,
+                          "yields": 0}
 
 
 class TestGammaAndCurve:
@@ -470,6 +482,13 @@ class TestHpThreshold:
         with pytest.raises(ValueError):
             hp_threshold(1.2, channel)
 
+    @pytest.mark.parametrize("t", [0.0, 1.0, 1.5, -0.1, math.nan])
+    def test_a_herald_transmission_outside_0_1_fails_before_any_search(
+            self, monkeypatch, channel, t):
+        monkeypatch.setattr(analysis, "mcl", no_search)
+        with pytest.raises(ValueError, match=r"t must lie in \(0, 1\)"):
+            hp_threshold(0.9, channel, t=t)
+
     def test_key_at_the_cap_fails_the_scan(self, monkeypatch):
         # a reference that dies at 30 dB against a clean channel, where the
         # purified rate keeps its key past 200 dB
@@ -658,6 +677,19 @@ class TestGammaVsEfficiency:
 
     def test_empty_sweep(self, channel, sps1):
         assert gamma_vs_efficiency("dtb", "eta_c", [], sps1, channel) == []
+
+    @pytest.mark.parametrize("axis, herald, message", [
+        ("eta_c", {"t": 0.0}, "t must"), ("eta_c", {"t": 1.0}, "t must"),
+        ("eta_d", {"t": 0.0}, "t must"), ("eta_d", {"t": 1.0}, "t must"),
+        ("eta_c", {"eta_d": 0.0}, "eta_d must")])
+    def test_herald_settings_outside_their_range_fail_before_any_search(
+            self, monkeypatch, channel, sps2, axis, herald, message):
+        # they gave all-NaN rows; a swept eta_d is not checked (0 is a
+        # point of test_herald_sweep_equals_the_per_point_scalar_search)
+        monkeypatch.setattr(analysis, "mcl", no_search)
+        with pytest.raises(ValueError, match=message):
+            gamma_vs_efficiency("hp", axis, [0.5, 0.9], sps2, channel,
+                                **herald)
 
     def test_validation(self, channel, sps1):
         with pytest.raises(ValueError):

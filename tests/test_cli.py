@@ -116,15 +116,14 @@ class TestSkrCurve:
         assert all(a >= b for a, b in zip(skr, skr[1:]))
         assert all(r[1] == 0.0 for r in rows if r[0] > footer["mcl_db"])
 
-    def test_footer_cutoff_matches_the_direct_search(self, capsys):
+    def test_footer_cutoff_matches_the_direct_search(self, capsys, sps1):
         _, out, _ = invoke(capsys, [
             "skr-curve", "--protocol", "dtb", "--source", "sps1",
             "--loss-min", "0", "--loss-max", "2", "--loss-step", "1"])
         _, _, rows, footer = parse_csv(out)
         assert len(rows) == 3
         channel = load_channel("channel")
-        source = PhotonDistribution(p0=0.359, p1=0.529, p2=0.112)
-        assert footer["mcl_db"] == mcl(dtb_rate_fn(source, channel))
+        assert footer["mcl_db"] == mcl(dtb_rate_fn(sps1, channel))
 
     @pytest.mark.parametrize("argv, cutoff_db", [
         (["--protocol", "wcs"], 39.1571044921875),
@@ -593,18 +592,17 @@ class TestSimulate:
 
 
 @pytest.fixture(scope="module")
-def experiment_dir(tmp_path_factory):
+def experiment_dir(tmp_path_factory, bare_decoy, bare_signal):
     """Simulated tomography CSVs for one ND setting, sidecars alongside."""
     channel = load_channel("channel")
     from spsqkd.ingest import AliceBudget
 
     budget = AliceBudget(rep_rate_n=2e6, eta_a=0.195, eta_c_na=0.1418)
     vacuum = PhotonDistribution(1.0, 0.0, 0.0)
-    decoy = PhotonDistribution(0.9023, 0.096, 0.0017)
-    signal = PhotonDistribution(0.675, 0.296, 0.029)
     cfg = SimConfig(protocol="dtb", n_pulses=3_000_000, seed=100,
                     channel=channel.with_loss(1.0),
-                    intensities={"s0": vacuum, "s1": decoy, "s2": signal},
+                    intensities={"s0": vacuum, "s1": bare_decoy,
+                                 "s2": bare_signal},
                     intensity_weights={"s0": 1 / 3, "s1": 1 / 3, "s2": 1 / 3})
     maps = maps_from_report(run_dtb(cfg), cfg, budget, 1.0, seed=100)
     root = tmp_path_factory.mktemp("experiment")
@@ -633,12 +631,12 @@ class TestIngest:
         assert 0.0 < point["skr"] < 1.0
         assert point["skr_sigma"] > 0.0
 
-    def test_report_matches_the_library_call(self, capsys, experiment_dir):
+    def test_report_matches_the_library_call(self, capsys, experiment_dir,
+                                             bare_decoy, bare_signal):
         paths, maps, budget = experiment_dir
         _, out, _ = invoke(capsys, ["ingest"] + paths)
         (point,) = json.loads(out)["skr_points"]
-        stats = {"S1": PhotonDistribution(0.9023, 0.096, 0.0017),
-                 "S2": PhotonDistribution(0.675, 0.296, 0.029)}
+        stats = {"S1": bare_decoy, "S2": bare_signal}
         (direct,) = skr_from_experiment(maps, stats, budget)
         assert point["skr"] == direct.skr
         assert point["skr_sigma"] == direct.skr_sigma

@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 
 from spsqkd.channel_model import ChannelParams, gain_and_qber, yields
+from spsqkd.cli import load_source
 from spsqkd.errors import ConfigError
 from spsqkd.montecarlo import (
     SHARD_SIZE,
@@ -207,8 +208,7 @@ class TestDtbSimulation:
 # rewritten around the same draws.  They pin the draw order; never
 # re-record them to absorb a change.
 NOISY = ChannelParams(loss_db=3.0, eta_bob=0.9, p_dc=0.05, e_d=0.2)
-SPS1 = PhotonDistribution(p0=0.359, p1=0.529, p2=0.112)
-SPS2 = PhotonDistribution(p0=0.115, p1=0.458, p2=0.427)
+SPS1, SPS2 = load_source("sps1"), load_source("sps2")
 GOLDEN_RUNS = {
     # name: (config kwargs, {label: (sent, detected, errors, sifted)},
     #        hp (heralds, herald_and_one, herald_and_two) or None)

@@ -141,11 +141,11 @@ class TestSolveDtb:
            st.floats(min_value=0.0, max_value=1e-3),
            st.floats(min_value=0.0, max_value=0.2))
     @settings(max_examples=150)
-    def test_inversion_of_the_forward_model_is_exact(self, loss, eta_bob,
+    def test_inversion_of_the_forward_model_is_exact(self, bare_signal,
+                                                     bare_decoy, loss, eta_bob,
                                                      p_dc, e_d):
         ch = ChannelParams(loss_db=loss, eta_bob=eta_bob, p_dc=p_dc, e_d=e_d)
-        sig_stats = PhotonDistribution(0.675, 0.296, 0.029)
-        dec_stats = PhotonDistribution(0.9023, 0.096, 0.0017)
+        sig_stats, dec_stats = bare_signal, bare_decoy
         signal = gain_and_qber(sig_stats, ch) if (p_dc or eta_bob) else None
         decoy = gain_and_qber(dec_stats, ch)
         vacuum = ObservedRates(q=p_dc, e=0.5)
@@ -245,9 +245,10 @@ class TestSkrHp:
         assert result.rate == 0.0
         assert result.raw <= 0.0
 
-    def test_dark_free_herald_makes_every_kept_pulse_single(self, sps2):
+    def test_dark_free_herald_makes_every_kept_pulse_single(self, channel,
+                                                            sps2):
         # p_dc_alice = 0 removes the two-photon leak entirely: omega = 1
-        ch = ChannelParams(loss_db=10.0, eta_bob=0.045, p_dc=2e-7, e_d=0.033)
+        ch = channel.with_loss(10.0)
         result = skr_hp(sps2, ch, t=0.5, eta_d=0.9, p_dc_alice=0.0)
         p1t = 2.0 * sps2.p2 * 0.25 * 0.9
         ys = yields(ch, n_max=1)
