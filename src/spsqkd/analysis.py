@@ -14,6 +14,7 @@ efficiency curves, and the optimal beam-splitter transmission.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from typing import Callable, Iterable, Sequence
@@ -40,6 +41,9 @@ _LOSS_CAP_DB = 200.0
 # Search widths of hp_threshold (in p2) and optimal_bs_transmission (in t).
 HP_THRESHOLD_TOL = 1e-4
 BS_TRANSMISSION_TOL = 1e-4
+
+# (receiver, f_ec) pairs whose tagged-laser reference hp_threshold keeps
+_REFERENCE_MEMO_SIZE = 64
 
 RateFn = Callable[[float], float]
 # (problem indices, losses in dB) -> rates, for mcl_lockstep
@@ -282,12 +286,37 @@ def gamma_map_dtb(channel: ChannelParams, eta_c: float = 1.0, n: int = 200,
     return GammaMap(p1=p1_axis, p2=p2_axis, gamma_db=out, wcs_mcl_db=baseline)
 
 
-def _check_herald(t: float = DEFAULT_T, eta_d: float = DEFAULT_ETA_D) -> None:
-    # the CLI's and SimConfig's rules; the kernels accept [0, 1]
+def _check_herald(t: float = DEFAULT_T, eta_d: float = DEFAULT_ETA_D,
+                  p_dc: float = 0.0) -> None:
+    # t and eta_d by the CLI's and SimConfig's rules (the kernels accept
+    # [0, 1]); the herald's dark rate p_dc by the kernels' own rule
     if not 0.0 < t < 1.0:
         raise ValueError("t must lie in (0, 1)")
     if not 0.0 < eta_d <= 1.0:
         raise ValueError("eta_d must lie in (0, 1]")
+    if not 0.0 <= p_dc <= 1.0:
+        raise ValueError("p_dc must lie in [0, 1]")
+
+
+@functools.lru_cache(maxsize=_REFERENCE_MEMO_SIZE)
+def _reference_loss(receiver: ChannelParams, f_ec: float) -> float:
+    """The last loss where ``mcl`` over the tagged laser found key.
+
+    The search sets the loss of every probe, so ``receiver`` is keyed at
+    zero loss.  A NoKeyError or FitError is raised again on every call:
+    ``lru_cache`` keeps only returned values.
+    """
+    laser = wcs_tagged_rate_fn(receiver, f_ec=f_ec)
+    keyed = [0.0]  # the losses where the search found key
+
+    def reference(loss_db: float) -> float:
+        rate = laser(loss_db)
+        if rate > 0.0:
+            keyed.append(loss_db)
+        return rate
+
+    mcl(reference)
+    return keyed[-1]
 
 
 def hp_threshold(eta_d: float, channel: ChannelParams, t: float = DEFAULT_T,
@@ -314,23 +343,20 @@ def hp_threshold(eta_d: float, channel: ChannelParams, t: float = DEFAULT_T,
     with key.  So a purified MCL reaches the reference exactly when the
     purified rate is positive where the reference's final bracket starts,
     and each scan point and p2 probe costs one rate evaluation there.
+
+    The reference depends only on the receiver (``eta_bob``, ``p_dc``,
+    ``e_d``) and ``f_ec``, so it is searched once per such pair and shared
+    by later calls, whatever their ``loss_db``, ``eta_d``, ``t`` or
+    ``p_dc_alice``; its errors are not kept, and a reference without key
+    or past the cap fails every call that needs it.
+
     NoKeyError is raised when no scan point reaches the reference; FitError
     when a scan point still has key at the 200 dB cap, as ``mcl`` raises.
-    ValueError is raised before any search for ``t`` outside (0, 1) or
-    ``eta_d`` outside (0, 1].
+    ValueError is raised before any search for ``t`` outside (0, 1),
+    ``eta_d`` outside (0, 1] or a herald dark rate outside [0, 1].
     """
-    _check_herald(t, eta_d)
-    laser = wcs_tagged_rate_fn(channel, f_ec=f_ec)
-    keyed = [0.0]  # the losses where the reference search found key
-
-    def reference(loss_db: float) -> float:
-        rate = laser(loss_db)
-        if rate > 0.0:
-            keyed.append(loss_db)
-        return rate
-
-    mcl(reference)
-    at = keyed[-1]
+    _check_herald(t, eta_d, herald_dark_rate(p_dc_alice, channel))
+    at = _reference_loss(channel.with_loss(0.0), f_ec)
     herald = {"t": t, "eta_d": eta_d, "p_dc_alice": p_dc_alice, "f_ec": f_ec}
 
     scan = np.linspace(0.02, 1.0, 50)
@@ -447,7 +473,8 @@ def gamma_vs_efficiency(protocol: str, axis: str, values: Sequence[float],
         raise ValueError("eta_c must lie in [0, 1]")
     if protocol == "hp":
         # a swept eta_d is left to the kernels
-        _check_herald(t, eta_d if axis == "eta_c" else DEFAULT_ETA_D)
+        _check_herald(t, eta_d if axis == "eta_c" else DEFAULT_ETA_D,
+                      herald_dark_rate(p_dc_alice, channel))
     # an explicit f_ec reaches the rates and the baseline; None leaves each
     # kernel its own default
     kw = {"q_sift": q_sift} if f_ec is None else {"q_sift": q_sift, "f_ec": f_ec}

@@ -3,7 +3,7 @@ from importlib import resources
 
 import pytest
 
-from spsqkd import ChannelParams, PhotonDistribution
+from spsqkd import ChannelParams, PhotonDistribution, analysis
 
 # All shared fixtures are frozen dataclasses, so session scope is safe.
 
@@ -22,6 +22,13 @@ def criterion():
         assert ok, line
 
     return check
+
+
+@pytest.fixture(autouse=True)
+def fresh_reference_memo():
+    """Each test starts without the tagged-laser references that
+    ``analysis.hp_threshold`` keeps, so its counts and patches are its own."""
+    analysis._reference_loss.cache_clear()
 
 
 def pytest_terminal_summary(terminalreporter, exitstatus, config):

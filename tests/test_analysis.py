@@ -464,8 +464,11 @@ class TestHpThreshold:
             lo = p2
         want = hi if lo is None else bisect(
             lambda p2: not excess(p2) >= 0.0, lo, hi, 1e-4)
-        assert hp_threshold(eta_d, channel, t=t,
-                            p_dc_alice=p_dc_alice) == want
+        # a cold call searches the reference, a warm one reuses it
+        for hits in (0, 1):
+            assert hp_threshold(eta_d, channel, t=t,
+                                p_dc_alice=p_dc_alice) == want
+            assert analysis._reference_loss.cache_info().hits == hits
 
     def test_first_scan_point_and_no_crossing(self, channel):
         # at high misalignment the tagged laser barely has key, so a
@@ -489,6 +492,14 @@ class TestHpThreshold:
         with pytest.raises(ValueError, match=r"t must lie in \(0, 1\)"):
             hp_threshold(0.9, channel, t=t)
 
+    @pytest.mark.parametrize("p_dc_alice", [2.0, -0.1, math.nan])
+    def test_a_herald_dark_rate_outside_0_1_fails_before_any_search(
+            self, monkeypatch, channel, p_dc_alice):
+        monkeypatch.setattr(analysis, "mcl", no_search)
+        with pytest.raises(ValueError, match=r"p_dc must lie in \[0, 1\]"):
+            hp_threshold(0.9, channel, p_dc_alice=p_dc_alice)
+        assert analysis._reference_loss.cache_info().currsize == 0
+
     def test_key_at_the_cap_fails_the_scan(self, monkeypatch):
         # a reference that dies at 30 dB against a clean channel, where the
         # purified rate keeps its key past 200 dB
@@ -503,7 +514,8 @@ class TestHpThresholdCounts:
     """What one threshold costs: one tagged-laser MCL (15 mu searches on the
     bundled channel), one scan array call plus one at the cap when some scan
     point has key, and the bisection's probes; the purified MCL is never
-    searched."""
+    searched.  The reference is searched once per receiver and ``f_ec``:
+    later calls on the same pair search no laser at all."""
 
     @pytest.fixture
     def counts(self, monkeypatch):
@@ -534,6 +546,42 @@ class TestHpThresholdCounts:
         # this laser has no key at 25 dB: one bracket fewer to expand
         assert counts == {"mcl": 1, "mcl_lockstep": 0, "mu_searches": 14,
                           "skr_hp_array": 2, "skr_hp": 0}
+
+    @staticmethod
+    def threshold(channel, eta_d=0.9, loss_db=0.0, e_d=None, **herald):
+        ch = ChannelParams(loss_db, channel.eta_bob, channel.p_dc,
+                           channel.e_d if e_d is None else e_d)
+        return hp_threshold(eta_d, ch, **herald)
+
+    @pytest.mark.parametrize("second", [
+        {"loss_db": 12.0}, {"eta_d": 0.7}, {"t": 0.4}, {"p_dc_alice": 1e-4}])
+    def test_the_same_receiver_and_f_ec_share_the_reference(self, counts,
+                                                            channel, second):
+        self.threshold(channel)
+        assert counts["mcl"] == 1 and counts["mu_searches"] == 15
+        counts.update(dict.fromkeys(counts, 0))
+        self.threshold(channel, **second)
+        assert counts["mcl"] == 0 and counts["mu_searches"] == 0
+        assert counts["mcl_lockstep"] == 0 and counts["skr_hp_array"] == 2
+
+    @pytest.mark.parametrize("second", [{"e_d": 0.02}, {"f_ec": 1.1}])
+    def test_another_receiver_or_f_ec_searches_its_own(self, counts, channel,
+                                                       second):
+        self.threshold(channel)
+        counts.update(dict.fromkeys(counts, 0))
+        self.threshold(channel, **second)
+        assert counts["mcl"] == 1 and counts["mu_searches"] == 15
+        counts.update(dict.fromkeys(counts, 0))
+        self.threshold(channel)
+        assert counts["mcl"] == 0 and counts["mu_searches"] == 0
+
+    def test_a_reference_without_key_fails_every_call(self, counts, channel):
+        # at e_d = 1/2 the laser has no key at zero loss
+        for calls in (1, 2):
+            with pytest.raises(NoKeyError, match="zero channel loss"):
+                self.threshold(channel, e_d=0.5)
+            assert counts["mcl"] == calls and counts["mu_searches"] == calls
+        assert analysis._reference_loss.cache_info().currsize == 0
 
 
 class TestOptimalBsTransmission:
@@ -681,7 +729,8 @@ class TestGammaVsEfficiency:
     @pytest.mark.parametrize("axis, herald, message", [
         ("eta_c", {"t": 0.0}, "t must"), ("eta_c", {"t": 1.0}, "t must"),
         ("eta_d", {"t": 0.0}, "t must"), ("eta_d", {"t": 1.0}, "t must"),
-        ("eta_c", {"eta_d": 0.0}, "eta_d must")])
+        ("eta_c", {"eta_d": 0.0}, "eta_d must"),
+        ("eta_d", {"p_dc_alice": 2.0}, "p_dc must")])
     def test_herald_settings_outside_their_range_fail_before_any_search(
             self, monkeypatch, channel, sps2, axis, herald, message):
         # they gave all-NaN rows; a swept eta_d is not checked (0 is a

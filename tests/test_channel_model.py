@@ -252,11 +252,14 @@ class TestWcsGainAndQber:
         assert rates.q == pytest.approx(q_ref, rel=1e-10)
         assert rates.e * rates.q == pytest.approx(eq_ref, rel=1e-10)
 
-    @pytest.mark.parametrize("order", [(2.0, 0.01, 0.48), (0.01, 0.48, 2.0)])
+    @pytest.mark.parametrize("loss_db, order", [
+        (12.5, (2.0, 0.01, 0.48)), (12.5, (0.01, 0.48, 2.0)),
+        (7.0, (0.48, 30.0, 0.01))])
     def test_per_channel_terms_do_not_depend_on_the_call_order(self, channel,
-                                                               order):
-        # the terms are filled as far as each call's series reaches
-        ch = channel.with_loss(12.5)
+                                                               loss_db, order):
+        # the terms are filled as far as each call's series reaches, and
+        # each value is the observed rates of wcs_gain_and_qber
+        ch = channel.with_loss(loss_db)
         series = wcs_series(ch)[0]
         for mu in order:
             got = wcs_gain_and_qber(mu, ch)
@@ -322,13 +325,6 @@ class TestWcsSeriesArray:
         want = [yields(ch.with_loss(loss), n_max=1)[1] for loss in losses]
         assert list(zip(y1.tolist(), e1.tolist())) == want
         assert [wcs_series(ch.with_loss(loss))[1:] for loss in losses] == want
-
-    def test_the_scalar_series_is_the_observed_rates(self, channel):
-        ch = channel.with_loss(7.0)
-        series = wcs_series(ch)[0]
-        for mu in (0.48, 30.0, 0.01):
-            got = wcs_gain_and_qber(mu, ch)
-            assert series(mu, math.exp(-mu)) == (got.q, got.e)
 
     @pytest.mark.parametrize("p_dc, e_d, message", [
         (1.5, 0.0, "gain must lie in"), (0.0, 5.0, "error rate must lie in")])
