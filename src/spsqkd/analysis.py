@@ -24,12 +24,13 @@ import numpy as np
 from .channel_model import ChannelParams
 from .errors import FitError, NoKeyError
 from .photon_source import (PhotonDistribution, apply_collection_array,
-                            check_distribution_array)
+                            check_collection, check_distribution_array)
 from .protocols import (DEFAULT_ETA_D, DEFAULT_F_EC, DEFAULT_F_EC_TAGGING,
-                        DEFAULT_Q_SIFT, DEFAULT_T, herald_dark_rate,
-                        hp_effective_array, skr_dtb, skr_dtb_array, skr_hp,
-                        skr_hp_array, skr_wcs_infinite_decoy,
-                        skr_wcs_infinite_decoy_array, skr_wcs_tagging_bound)
+                        DEFAULT_Q_SIFT, DEFAULT_T, check_herald,
+                        herald_dark_rate, hp_effective_array, skr_dtb,
+                        skr_dtb_array, skr_hp, skr_hp_array,
+                        skr_wcs_infinite_decoy, skr_wcs_infinite_decoy_array,
+                        skr_wcs_tagging_bound)
 from .search import bisect, golden_max_lockstep
 
 # Bisection width for maximal-loss searches, in dB.
@@ -267,8 +268,7 @@ def gamma_map_dtb(channel: ChannelParams, eta_c: float = 1.0, n: int = 200,
     """
     if n < 2:
         raise ValueError("the grid needs n >= 2 points per axis")
-    if not 0.0 <= eta_c <= 1.0:
-        raise ValueError("eta_c must lie in [0, 1]")
+    check_collection(eta_c)
     baseline = wcs_mcl(channel, q_sift=q_sift, f_ec=f_ec)
     p1_axis = np.linspace(0.0, 1.0, n)
     p2_axis = np.linspace(0.0, 1.0, n)
@@ -284,18 +284,6 @@ def gamma_map_dtb(channel: ChannelParams, eta_c: float = 1.0, n: int = 200,
     out = np.full((n, n), np.nan)
     out[inside] = m - baseline
     return GammaMap(p1=p1_axis, p2=p2_axis, gamma_db=out, wcs_mcl_db=baseline)
-
-
-def _check_herald(t: float = DEFAULT_T, eta_d: float = DEFAULT_ETA_D,
-                  p_dc: float = 0.0) -> None:
-    # t and eta_d by the CLI's and SimConfig's rules (the kernels accept
-    # [0, 1]); the herald's dark rate p_dc by the kernels' own rule
-    if not 0.0 < t < 1.0:
-        raise ValueError("t must lie in (0, 1)")
-    if not 0.0 < eta_d <= 1.0:
-        raise ValueError("eta_d must lie in (0, 1]")
-    if not 0.0 <= p_dc <= 1.0:
-        raise ValueError("p_dc must lie in [0, 1]")
 
 
 @functools.lru_cache(maxsize=_REFERENCE_MEMO_SIZE)
@@ -355,7 +343,7 @@ def hp_threshold(eta_d: float, channel: ChannelParams, t: float = DEFAULT_T,
     ValueError is raised before any search for ``t`` outside (0, 1),
     ``eta_d`` outside (0, 1] or a herald dark rate outside [0, 1].
     """
-    _check_herald(t, eta_d, herald_dark_rate(p_dc_alice, channel))
+    check_herald(t, eta_d, herald_dark_rate(p_dc_alice, channel))
     at = _reference_loss(channel.with_loss(0.0), f_ec)
     herald = {"t": t, "eta_d": eta_d, "p_dc_alice": p_dc_alice, "f_ec": f_ec}
 
@@ -404,8 +392,11 @@ def optimal_bs_transmission(p2, p_dc: float, eta_d: float,
     1/2 at small p2 and relaxes back as p2 grows: false heralds promote
     one-photon pulses into the key through the t p1 p_dc term, which
     rewards transmission until genuine two-photon coincidences dominate.
+
+    ValueError is raised before any search for ``eta_d`` outside (0, 1]
+    or ``p_dc`` outside [0, 1] (``check_herald``).
     """
-    _check_herald(eta_d=eta_d)
+    check_herald(eta_d=eta_d, p_dc=p_dc)
     p2s = np.array(p2, dtype=float).reshape(-1)
     if not np.all((0.0 < p2s) & (p2s <= 1.0)):
         raise ValueError("p2 must lie in (0, 1]")
@@ -469,12 +460,11 @@ def gamma_vs_efficiency(protocol: str, axis: str, values: Sequence[float],
         raise ValueError("axis must be 'eta_c' or 'eta_d'")
     if protocol == "dtb" and axis == "eta_d":
         raise ValueError("the decoy protocol has no herald detector")
-    if not 0.0 <= eta_c <= 1.0:
-        raise ValueError("eta_c must lie in [0, 1]")
+    check_collection(eta_c)
     if protocol == "hp":
         # a swept eta_d is left to the kernels
-        _check_herald(t, eta_d if axis == "eta_c" else DEFAULT_ETA_D,
-                      herald_dark_rate(p_dc_alice, channel))
+        check_herald(t, eta_d if axis == "eta_c" else DEFAULT_ETA_D,
+                     herald_dark_rate(p_dc_alice, channel))
     # an explicit f_ec reaches the rates and the baseline; None leaves each
     # kernel its own default
     kw = {"q_sift": q_sift} if f_ec is None else {"q_sift": q_sift, "f_ec": f_ec}

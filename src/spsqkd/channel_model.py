@@ -107,24 +107,31 @@ def transmittance(channel: ChannelParams) -> float:
     return 10.0 ** (-channel.loss_db / 10.0) * channel.eta_bob
 
 
+def _survival(channel: ChannelParams) -> Callable[[int], float]:
+    # n -> eta_n of one channel, for eta_n, yields and both weak-coherent
+    # series; -expm1(n*log1p(-eta)) keeps 1-(1-eta)^n accurate for tiny eta
+    eta = transmittance(channel)
+    if eta >= 1.0:
+        return lambda n: 0.0 if n == 0 else 1.0
+    log_miss = math.log1p(-eta)
+    return lambda n: -math.expm1(n * log_miss)
+
+
 def eta_n(channel: ChannelParams, n: int) -> float:
     """Probability that at least one of n photons survives the channel."""
     if n < 0:
         raise ValueError("photon number n must be non-negative")
-    eta = transmittance(channel)
-    if eta >= 1.0:
-        return 0.0 if n == 0 else 1.0
-    # -expm1(n*log1p(-eta)) keeps 1-(1-eta)^n accurate for tiny eta.
-    return -math.expm1(n * math.log1p(-eta))
+    return _survival(channel)(n)
 
 
 def yields(channel: ChannelParams, n_max: int = 3) -> YieldSet:
     """Yields ``Y_n`` and error rates ``e_n`` for n = 0..n_max."""
     if n_max < 0:
         raise ValueError("n_max must be non-negative")
+    surv = _survival(channel)
     y_list, e_list = [], []
     for n in range(n_max + 1):
-        y_n, ey_n = _clicks(eta_n(channel, n), channel.p_dc, channel.e_d)
+        y_n, ey_n = _clicks(surv(n), channel.p_dc, channel.e_d)
         y_list.append(y_n)
         # A zero-yield term contributes nothing; 1/2 is the error rate
         # of the only click source left (none), kept for continuity.
@@ -215,12 +222,10 @@ def wcs_series(channel: ChannelParams
     floats.  Raises ValueError, as ``ObservedRates`` does, unless Q and E
     lie in [0, 1].
     """
-    eta = transmittance(channel)
-    log_miss = math.log1p(-eta) if eta < 1.0 else None
+    surv = _survival(channel)
     p_dc, e_d = channel.p_dc, channel.e_d
     y0, ey0 = _clicks(0.0, p_dc, e_d)  # n = 0, where eta_0 = 0
-    y1, ey1 = _clicks(1.0 if log_miss is None else -math.expm1(log_miss),
-                      p_dc, e_d)
+    y1, ey1 = _clicks(surv(1), p_dc, e_d)
     ys, eys = [y0, y1], [ey0, ey1]
 
     def sums(mu: float, weight: float) -> tuple[float, float]:
@@ -238,8 +243,7 @@ def wcs_series(channel: ChannelParams
             weight *= mu / n
             tail -= weight
             if n == size:
-                surv = 1.0 if log_miss is None else -math.expm1(n * log_miss)
-                y_n, ey_n = _clicks(surv, p_dc, e_d)
+                y_n, ey_n = _clicks(surv(n), p_dc, e_d)
                 ys.append(y_n)
                 eys.append(ey_n)
                 size += 1
@@ -268,19 +272,15 @@ def wcs_series_array(channel: ChannelParams, loss_db: np.ndarray
     when some element first needs them.  The [0, 1] checks are
     ``ObservedRates``', for the first element that fails them.
     """
-    log_miss = []
-    for loss in np.asarray(loss_db, dtype=float).reshape(-1).tolist():
-        eta = transmittance(channel.with_loss(loss))
-        log_miss.append(math.log1p(-eta) if eta < 1.0 else None)
+    survs = [_survival(channel.with_loss(loss))
+             for loss in np.asarray(loss_db, dtype=float).reshape(-1).tolist()]
     p_dc, e_d = channel.p_dc, channel.e_d
-    y0, ey0 = _clicks(np.zeros(len(log_miss)), p_dc, e_d)
+    y0, ey0 = _clicks(np.zeros(len(survs)), p_dc, e_d)
     ys, eys = [y0], [ey0]
 
     def extend() -> None:
         n = len(ys)
-        surv = np.array([1.0 if lm is None else -math.expm1(n * lm)
-                         for lm in log_miss])
-        y_n, ey_n = _clicks(surv, p_dc, e_d)
+        y_n, ey_n = _clicks(np.array([surv(n) for surv in survs]), p_dc, e_d)
         ys.append(y_n)
         eys.append(ey_n)
 

@@ -39,7 +39,7 @@ from .ingest import (AliceBudget, gains_and_errors, read_tomography_csv,
                      skr_from_experiment)
 from .montecarlo import SimConfig, run
 from .photon_source import PhotonDistribution
-from .protocols import DEFAULT_ETA_D, DEFAULT_Q_SIFT, DEFAULT_T
+from .protocols import DEFAULT_ETA_D, DEFAULT_Q_SIFT, DEFAULT_T, check_herald
 
 PROTOCOLS = ("dtb", "hp", "wcs", "perfect-sps")
 
@@ -411,18 +411,12 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _check_herald(args) -> None:
-    # the herald flags, checked where they enter (SimConfig's rules)
-    if not 0.0 < getattr(args, "t", DEFAULT_T) < 1.0:
-        raise ConfigError("t must lie in (0, 1)")
-    if not 0.0 < getattr(args, "eta_d", DEFAULT_ETA_D) <= 1.0:
-        raise ConfigError("eta_d must lie in (0, 1]")
-
-
 def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
     try:
-        _check_herald(args)
+        # the herald flags, checked where they enter
+        check_herald(getattr(args, "t", DEFAULT_T),
+                     getattr(args, "eta_d", DEFAULT_ETA_D))
         return args.fn(args)
     except (QkdError, OSError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -57,8 +57,10 @@ class TomographyMap:
             raise ConfigError("counts must be a 4x4 matrix")
         if (arr < 0).any():
             raise ConfigError("counts must be non-negative")
-        if not self.exposure_s > 0:
-            raise ConfigError("exposure_s must be positive")
+        if not 0.0 < self.exposure_s < math.inf:
+            raise ConfigError("exposure_s must be positive and finite")
+        if not math.isfinite(self.nd_filter_db):
+            raise ConfigError("nd_filter_db must be finite")
         object.__setattr__(self, "counts", arr)
 
     def cell(self, alice: str, bob: str) -> int:
@@ -74,8 +76,8 @@ class AliceBudget:
     eta_c_na: float
 
     def __post_init__(self) -> None:
-        if not self.rep_rate_n > 0:
-            raise ConfigError("rep_rate_n must be positive")
+        if not 0.0 < self.rep_rate_n < math.inf:
+            raise ConfigError("rep_rate_n must be positive and finite")
         for name in ("eta_a", "eta_c_na"):
             v = getattr(self, name)
             if not 0.0 < v <= 1.0:

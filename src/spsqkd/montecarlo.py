@@ -31,8 +31,9 @@ import numpy as np
 
 from .channel_model import ChannelParams, transmittance
 from .errors import ConfigError
-from .photon_source import PhotonDistribution
-from .protocols import DEFAULT_ETA_D, DEFAULT_T, herald_dark_rate
+from .photon_source import PhotonDistribution, check_collection
+from .protocols import (DEFAULT_ETA_D, DEFAULT_T, check_herald,
+                        herald_dark_rate)
 
 # Pulses per RNG shard; fixed so reports are independent of worker layout.
 SHARD_SIZE = 1_000_000
@@ -67,8 +68,12 @@ class SimConfig:
             raise ConfigError(f"protocol must be one of {_PROTOCOLS}")
         if self.n_pulses < 1:
             raise ConfigError("n_pulses must be at least 1")
-        if not 0.0 <= self.eta_c <= 1.0:
-            raise ConfigError("eta_c must lie in [0, 1]")
+        try:  # the package's collection and herald rules, as ConfigError
+            check_collection(self.eta_c)
+            if self.protocol == "hp":
+                check_herald(self.t, self.eta_d)
+        except ValueError as exc:
+            raise ConfigError(str(exc)) from exc
         if self.protocol == "dtb":
             if not self.intensities:
                 raise ConfigError("dtb runs need at least one intensity")
@@ -83,10 +88,6 @@ class SimConfig:
         else:
             if self.source is None:
                 raise ConfigError("hp runs need a source distribution")
-            if not 0.0 < self.t < 1.0:
-                raise ConfigError("t must lie in (0, 1)")
-            if not 0.0 < self.eta_d <= 1.0:
-                raise ConfigError("eta_d must lie in (0, 1]")
             if not 0.0 <= (self.p_dc_alice or 0.0) <= 1.0:
                 raise ConfigError("p_dc_alice must lie in [0, 1]")
         dists = [self.source] if self.protocol == "hp" else self.intensities.values()

@@ -330,8 +330,7 @@ def apply_collection(d: PhotonDistribution, eta_c: float) -> PhotonDistribution:
     this loss sits inside the transmitter, before the quantum channel, so
     it reshapes the emission statistics instead of adding channel loss.
     """
-    if not 0.0 <= eta_c <= 1.0:
-        raise ValueError("eta_c must lie in [0, 1]")
+    check_collection(eta_c)
     p1, p2, p3 = _collected(d.p1, d.p2, d.p3, eta_c)
     return PhotonDistribution(p0=1.0 - p1 - p2 - p3, p1=p1, p2=p2, p3=p3)
 
@@ -340,10 +339,16 @@ def apply_collection_array(probs: np.ndarray, eta_c) -> np.ndarray:
     """``apply_collection`` on every column of a (4, N) array of
     distributions, checked like ``PhotonDistribution``; ``eta_c`` is a
     scalar or a length-N array."""
-    if not np.all((0.0 <= eta_c) & (eta_c <= 1.0)):
-        raise ValueError("eta_c must lie in [0, 1]")
+    check_collection(eta_c)
     p1, p2, p3 = _collected(probs[1], probs[2], probs[3], eta_c)
     return check_distribution_array(np.stack([1.0 - p1 - p2 - p3, p1, p2, p3]))
+
+
+def check_collection(eta_c) -> None:
+    """ValueError unless the collection efficiency ``eta_c``, a scalar or
+    every entry of an array, lies in [0, 1]."""
+    if not np.all((0.0 <= eta_c) & (eta_c <= 1.0)):
+        raise ValueError("eta_c must lie in [0, 1]")
 
 
 def _collected(p1, p2, p3, eta_c):
@@ -377,12 +382,18 @@ def hp_transform(d: PhotonDistribution, t: float, eta_d: float,
     dark count fakes the herald, which is what suppresses multi-photon
     leakage.
     """
+    _check_hp(d, t, eta_d, p_dc)
+    return _heralded(d.p1, d.p2, t, eta_d, p_dc)
+
+
+def _check_hp(d: PhotonDistribution, t: float, eta_d: float,
+              p_dc: float) -> None:
+    # the scalar purification inputs: each setting in [0, 1], no p3
     for what, v in zip(_HP_SETTINGS, (t, eta_d, p_dc)):
         if not 0.0 <= v <= 1.0:
             raise ValueError(f"{what} must lie in [0, 1]")
     if d.p3 != 0.0:
         raise ValueError("heralded purification is defined on the {0,1,2} basis")
-    return _heralded(d.p1, d.p2, t, eta_d, p_dc)
 
 
 def hp_transform_array(probs: np.ndarray, t, eta_d,
@@ -413,10 +424,10 @@ def hp_herald_probability(d: PhotonDistribution, t: float, eta_d: float,
 
     Exact threshold-detector click probability: with ``k`` photons
     reflected, the herald fires unless all of them are missed and no dark
-    count occurs.
+    count occurs.  The settings and basis are checked as in
+    ``hp_transform``.
     """
-    if d.p3 != 0.0:
-        raise ValueError("heralded purification is defined on the {0,1,2} basis")
+    _check_hp(d, t, eta_d, p_dc)
     r = 1.0 - t
     miss = 1.0 - eta_d
     quiet = 1.0 - p_dc

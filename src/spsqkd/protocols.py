@@ -257,6 +257,20 @@ def herald_dark_rate(p_dc_alice: float | None, channel: ChannelParams) -> float:
     return channel.p_dc if p_dc_alice is None else p_dc_alice
 
 
+def check_herald(t: float = DEFAULT_T, eta_d: float = DEFAULT_ETA_D,
+                 p_dc: float = 0.0) -> None:
+    """The herald's settings where they enter: ValueError unless the
+    beam-splitter transmission ``t`` lies in (0, 1), the herald efficiency
+    ``eta_d`` in (0, 1] and the herald's dark rate ``p_dc`` in [0, 1] (the
+    kernels themselves accept t and eta_d in [0, 1])."""
+    if not 0.0 < t < 1.0:
+        raise ValueError("t must lie in (0, 1)")
+    if not 0.0 < eta_d <= 1.0:
+        raise ValueError("eta_d must lie in (0, 1]")
+    if not 0.0 <= p_dc <= 1.0:
+        raise ValueError("p_dc must lie in [0, 1]")
+
+
 def hp_effective_distribution(d: PhotonDistribution, t: float, eta_d: float,
                               p_dc_alice: float) -> PhotonDistribution:
     """Effective per-pulse distribution sent onward by the purification stage.

@@ -36,6 +36,9 @@ from spsqkd.search import bisect, golden_max
 PERFECT = PhotonDistribution(0.0, 1.0, 0.0)
 
 
+ETA_C_RANGE = r"eta_c must lie in \[0, 1\]"
+
+
 def no_search(*args, **kwargs):
     raise AssertionError("a settings check must come before any search")
 
@@ -416,8 +419,11 @@ class TestGammaMap:
     @pytest.mark.parametrize("kwargs", [
         {"n": 1}, {"n": 0}, {"n": -3}, {"eta_c": 1.5}, {"eta_c": -0.1},
         {"eta_c": math.nan}])
-    def test_bad_grid_or_collection_rejected(self, channel, kwargs):
-        with pytest.raises(ValueError):
+    def test_bad_grid_or_collection_rejected(self, monkeypatch, channel,
+                                             kwargs):
+        monkeypatch.setattr(analysis, "mcl", no_search)
+        message = ETA_C_RANGE if "eta_c" in kwargs else "n >= 2"
+        with pytest.raises(ValueError, match=message):
             gamma_map_dtb(channel, **kwargs)
 
     def test_baseline_uses_the_given_f_ec(self, channel):
@@ -645,7 +651,10 @@ class TestOptimalBsTransmission:
         with pytest.raises(ValueError, match="eta_d must lie in"):
             optimal_bs_transmission([0.1, 0.3], 2e-7, eta_d, channel)
 
-    def test_domain_checks(self, channel):
+    def test_domain_checks(self, monkeypatch, channel):
+        monkeypatch.setattr(analysis, "mcl_lockstep", no_search)
+        with pytest.raises(ValueError, match=r"p_dc must lie in \[0, 1\]"):
+            optimal_bs_transmission([0.1, 0.3], 2.0, 0.9, channel)
         with pytest.raises(ValueError):
             optimal_bs_transmission([0.1, 0.0], 1e-3, 0.9, channel)
         with pytest.raises(ValueError):
@@ -740,8 +749,9 @@ class TestGammaVsEfficiency:
             gamma_vs_efficiency("hp", axis, [0.5, 0.9], sps2, channel,
                                 **herald)
 
-    def test_validation(self, channel, sps1):
-        with pytest.raises(ValueError):
+    def test_validation(self, monkeypatch, channel, sps1):
+        monkeypatch.setattr(analysis, "mcl_lockstep", no_search)
+        with pytest.raises(ValueError, match=ETA_C_RANGE):
             gamma_vs_efficiency("dtb", "eta_c", [0.5, 1.5], sps1, channel)
         with pytest.raises(ValueError):
             gamma_vs_efficiency("laser", "eta_c", [1.0], sps1, channel)
@@ -750,6 +760,8 @@ class TestGammaVsEfficiency:
         with pytest.raises(ValueError):
             gamma_vs_efficiency("dtb", "eta_d", [1.0], sps1, channel)
         for eta_c in (1.5, -0.1, math.nan):
-            with pytest.raises(ValueError, match="eta_c"):
+            with pytest.raises(ValueError, match=ETA_C_RANGE):
                 gamma_vs_efficiency("hp", "eta_d", [0.9], sps1, channel,
                                     eta_c=eta_c)
+            with pytest.raises(ValueError, match=ETA_C_RANGE):
+                gamma_vs_efficiency("dtb", "eta_c", [eta_c], sps1, channel)

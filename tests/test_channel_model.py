@@ -105,6 +105,33 @@ class TestYields:
         ys = yields(channel)
         assert ys[2] == (ys.y[2], ys.e[2])
 
+    @given(st.one_of(st.just(1.0), st.floats(min_value=1e-3, max_value=1.0)),
+           st.one_of(st.just(0.0), st.floats(min_value=0.0, max_value=4000.0)),
+           st.one_of(st.just(0.0), st.floats(min_value=0.0, max_value=0.1)),
+           st.floats(min_value=0.0, max_value=0.5))
+    @example(1.0, 0.0, 0.01, 0.03)  # eta = 1: every photon arrives
+    @example(0.5, 4000.0, 0.0, 0.03)  # eta underflows, so Y_1 = 0
+    @settings(max_examples=200)
+    def test_bits_of_the_per_photon_number_formula(self, eta_bob, loss_db,
+                                                   p_dc, e_d):
+        # the survival term with the transmittance and log1p taken afresh
+        # for every n, as eta_n computes it alone
+        ch = ChannelParams(loss_db, eta_bob, p_dc, e_d)
+        want = []
+        for n in range(4):
+            eta = 10.0 ** (-loss_db / 10.0) * eta_bob
+            if eta >= 1.0:
+                surv = 0.0 if n == 0 else 1.0
+            else:
+                surv = -math.expm1(n * math.log1p(-eta))
+            y = surv + p_dc - surv * p_dc
+            ey = e_d * surv + 0.5 * p_dc
+            want.append((surv.hex(), y.hex(),
+                         (ey / y if y > 0.0 else 0.5).hex()))
+        ys = yields(ch, 3)
+        assert [(eta_n(ch, n).hex(), ys.y[n].hex(), ys.e[n].hex())
+                for n in range(4)] == want
+
     @given(channels, st.integers(min_value=0, max_value=3))
     @settings(max_examples=200)
     def test_error_yield_product_identity(self, ch: ChannelParams, n: int):

@@ -672,6 +672,36 @@ class TestIngest:
         assert code == 1
         assert err.startswith("error:")
 
+    @pytest.mark.parametrize("field, value, message", [
+        ("exposure_s", math.inf, "exposure_s must be positive and finite"),
+        ("nd_filter_db", math.nan, "nd_filter_db must be finite"),
+        ("rep_rate_n", 1e400, "rep_rate_n must be positive and finite")])
+    def test_non_finite_input_fails_cleanly(self, capsys, experiment_dir,
+                                            tmp_path, field, value, message):
+        # they gave a zero gain with a positive key rate, all-zero gains,
+        # or a report of a missing S2 map; the json module writes them as
+        # Infinity and NaN, and reads 1e400 as inf
+        paths, _, _ = experiment_dir
+        copies = []
+        for path in map(Path, paths):
+            for src in (path, path.with_suffix(".csv.json")):
+                (tmp_path / src.name).write_bytes(src.read_bytes())
+            copies.append(str(tmp_path / path.name))
+        budget = tmp_path / "budget.json"
+        budget.write_text(json.dumps(
+            {"rep_rate_n": 2e6, "eta_a": 0.195, "eta_c_na": 0.1418}))
+        if field == "rep_rate_n":
+            budget.write_text(budget.read_text().replace("2000000.0", "1e400"))
+        else:
+            sidecar = tmp_path / "s2.csv.json"
+            meta = json.loads(sidecar.read_text())
+            meta[field] = value
+            sidecar.write_text(json.dumps(meta))
+        code, out, err = invoke(capsys, ["ingest", "--budget", str(budget)]
+                                + copies)
+        assert code == 1 and out == ""
+        assert err == f"error: {message}\n"
+
 
 @pytest.mark.parametrize("flags, digest", [
     ([], "6c8921f212fb"),

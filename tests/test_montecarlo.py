@@ -2,6 +2,7 @@
 
 import json
 import math
+import re
 import tracemalloc
 
 import numpy as np
@@ -105,9 +106,13 @@ class TestConfigValidation:
             SimConfig(protocol="hp", n_pulses=10, seed=0, channel=channel)
 
     @pytest.mark.parametrize("kwargs", [{"t": 0.0}, {"t": 1.0},
-                                        {"eta_d": 0.0}, {"eta_c": 1.5}])
+                                        {"eta_d": 0.0}, {"eta_c": 1.5},
+                                        {"eta_c": -0.1}, {"eta_c": math.nan}])
     def test_hp_parameter_domains(self, channel, sps2, kwargs):
-        with pytest.raises(ConfigError):
+        message = {"t": "t must lie in (0, 1)",
+                   "eta_d": "eta_d must lie in (0, 1]",
+                   "eta_c": "eta_c must lie in [0, 1]"}[next(iter(kwargs))]
+        with pytest.raises(ConfigError, match=re.escape(message)):
             SimConfig(protocol="hp", n_pulses=10, seed=0, channel=channel,
                       source=sps2, **kwargs)
 

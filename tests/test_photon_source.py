@@ -35,6 +35,8 @@ from spsqkd.photon_source import (
     saturation_power,
 )
 
+ETA_C_RANGE = r"eta_c must lie in \[0, 1\]"
+
 
 def distributions(max_p3: float = 0.0) -> st.SearchStrategy[PhotonDistribution]:
     """Random points of the probability simplex with bounded p3."""
@@ -335,14 +337,21 @@ class TestDistributionArrays:
         assert [tuple(col) for col in out.T] == [
             apply_collection(d, eta).as_tuple() for eta in etas]
 
+    @pytest.mark.parametrize("eta", [1.5, -0.1, math.nan])
+    def test_scalar_collection_checks_eta(self, eta):
+        with pytest.raises(ValueError, match=ETA_C_RANGE):
+            apply_collection(PhotonDistribution(1.0, 0.0, 0.0), eta)
+
     def test_array_collection_checks_eta(self):
-        with pytest.raises(ValueError, match="eta_c"):
-            apply_collection_array(np.array([[1.0], [0.0], [0.0], [0.0]]), 1.5)
+        for eta in (1.5, -0.1, math.nan):
+            with pytest.raises(ValueError, match=ETA_C_RANGE):
+                apply_collection_array(np.array([[1.0], [0.0], [0.0], [0.0]]),
+                                       eta)
 
     @pytest.mark.parametrize("eta", [[0.5, 1.5], [0.5, float("nan")],
                                      [-0.1, 0.5]])
     def test_array_collection_checks_each_eta(self, eta):
-        with pytest.raises(ValueError, match="eta_c"):
+        with pytest.raises(ValueError, match=ETA_C_RANGE):
             apply_collection_array(np.array([[1.0, 1.0], [0.0, 0.0],
                                              [0.0, 0.0], [0.0, 0.0]]),
                                    np.array(eta))
@@ -382,7 +391,21 @@ class TestHpTransform:
         with pytest.raises(ValueError):
             hp_transform(d, 0.5, 0.9, 0.0)
 
-    unit = st.floats(min_value=0.0, max_value=1.0)
+    @pytest.mark.parametrize("fn", [hp_transform, hp_herald_probability])
+    @pytest.mark.parametrize("d, t, eta_d, p_dc, message", [
+        ((0.3, 0.4, 0.3), 2.0, 0.8, 0.05, "beam-splitter transmission"),
+        ((0.3, 0.4, 0.3), 0.6, 1.7, 0.05, "eta_d"),
+        ((0.3, 0.4, 0.3), 0.6, 0.8, -3.0, "p_dc"),
+        ((0.3, 0.4, 0.3), 0.6, math.nan, 0.05, "eta_d"),
+        ((0.9, 0.0, 0.05, 0.05), 0.5, 0.9, 0.0, "basis")])
+    def test_settings_and_basis_are_checked(self, fn, d, t, eta_d, p_dc,
+                                            message):
+        # the herald probability returned -0.89, 0.65 and -1.59 for the
+        # first three
+        with pytest.raises(ValueError, match=message):
+            fn(PhotonDistribution(*d), t, eta_d, p_dc)
+
+    unit =st.floats(min_value=0.0, max_value=1.0)
 
     @given(st.lists(st.tuples(distributions(), unit, unit), min_size=1,
                     max_size=6), unit, unit)
