@@ -34,8 +34,6 @@ from spsqkd.photon_source import PhotonDistribution, apply_collection
 from spsqkd.search import bisect, golden_max
 
 PERFECT = PhotonDistribution(0.0, 1.0, 0.0)
-
-
 ETA_C_RANGE = r"eta_c must lie in \[0, 1\]"
 
 
