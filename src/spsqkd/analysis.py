@@ -2,6 +2,13 @@
 
 Everything here reduces to one primitive: the maximal channel loss (MCL),
 the largest attenuation at which a protocol's key rate stays positive.
+It is searched once, by ``_mcl_bracket``, over one problem (``mcl``) or
+many in lockstep (``mcl_lockstep``): a zero-loss key check, 25 dB
+brackets expanded up to a 200 dB cap, then bisection.  Every loss it
+probes is a multiple of the step 25/2^k dB, the first halving of 25 dB at
+or below the tolerance (25/4096 dB at the default 0.01 dB), so for a rate
+whose sign does not increase along that grid the result is fixed by the
+highest grid loss with key, whatever order the problems are probed in.
 Protocol merit is then expressed as the relative gain
 
     gamma_dB = MCL_protocol - MCL_baseline
@@ -112,21 +119,64 @@ class GammaMap:
         return float(slope), float(intercept)
 
 
+def _mcl_bracket(rate_fn: ArrayRateFn, size: int,
+                 tol_db: float) -> tuple[np.ndarray, float]:
+    """The one maximal-loss search, over ``size`` problems in lockstep.
+
+    ``rate_fn(idx, loss_db)`` returns the key rates of problems ``idx`` at
+    the losses ``loss_db`` (equal-length arrays).  Problems with key at
+    zero loss ("not <= 0", so a NaN rate is searched too) expand 25 dB
+    brackets until a probe has no key, and FitError is raised when any
+    problem still has key at the 200 dB cap.  Then every bracket is 25 dB
+    wide, so all are halved together down to the step 25/2^k, the first
+    halving of 25 dB at or below ``tol_db``; every loss probed is a
+    multiple of that step, exact in float.  Returns each problem's last
+    loss with key, the floor of its final bracket (NaN without key at
+    zero loss), and the step.
+    """
+    keyed = np.flatnonzero(~(rate_fn(np.arange(size), np.zeros(size)) <= 0.0))
+    floor = np.full(size, np.nan)
+    live, loss = keyed, 0.0  # the problems with key at every 25 dB so far
+    while live.size:
+        floor[live] = loss
+        if loss >= _LOSS_CAP_DB:
+            raise FitError(f"key rate still positive at {_LOSS_CAP_DB} dB")
+        loss += 25.0
+        live = live[rate_fn(live, np.full(live.size, loss)) > 0.0]
+    at, step = floor[keyed], 25.0
+    while keyed.size and step > tol_db:
+        step *= 0.5
+        mid = at + step
+        np.copyto(at, mid, where=rate_fn(keyed, mid) > 0.0)
+    floor[keyed] = at
+    return floor, step
+
+
+def _scalar_bracket(skr_fn: RateFn, tol_db: float) -> tuple[float, float]:
+    """``_mcl_bracket`` of one scalar rate function, which sees Python
+    floats; NoKeyError without key at zero loss."""
+    floor, step = _mcl_bracket(
+        lambda idx, loss_db: np.array([skr_fn(loss_db.item())]), 1, tol_db)
+    floor = floor.item()
+    if math.isnan(floor):
+        raise NoKeyError("key rate is non-positive at zero channel loss")
+    return floor, step
+
+
 def mcl(skr_fn: RateFn, tol_db: float = MCL_TOL_DB) -> float:
-    """Maximal channel loss of a rate function, by bisection.
+    """Maximal channel loss of a rate function, by the one MCL search
+    (``_mcl_bracket``): ``mcl_lockstep`` of a single problem.
 
     ``skr_fn`` maps loss in dB to a key rate.  The rate must be positive
-    at 0 dB (otherwise there is no key to lose) and non-increasing in
-    loss; the returned value m satisfies skr_fn(m - tol) > 0 >= skr_fn(m + tol).
+    at 0 dB (otherwise there is no key to lose: NoKeyError) and
+    non-increasing in loss; FitError is raised when it still has key at
+    the 200 dB cap.  The losses probed are multiples of the step 25/2^k
+    dB, the first halving of 25 dB at or below ``tol_db``, and the result
+    m is the last of them with key plus half a step, so it satisfies
+    skr_fn(m - tol) > 0 >= skr_fn(m + tol).
     """
-    if skr_fn(0.0) <= 0.0:
-        raise NoKeyError("key rate is non-positive at zero channel loss")
-    lo, hi = 0.0, 25.0
-    while skr_fn(hi) > 0.0:
-        lo, hi = hi, hi + 25.0
-        if hi > _LOSS_CAP_DB:
-            raise FitError(f"key rate still positive at {_LOSS_CAP_DB} dB")
-    return bisect(lambda loss_db: skr_fn(loss_db) > 0.0, lo, hi, tol_db)
+    floor, step = _scalar_bracket(skr_fn, tol_db)
+    return floor + 0.5 * step
 
 
 def mcl_lockstep(rate_fn: ArrayRateFn, size: int,
@@ -134,36 +184,15 @@ def mcl_lockstep(rate_fn: ArrayRateFn, size: int,
     """``mcl`` of ``size`` independent problems, searched together.
 
     ``rate_fn(idx, loss_db)`` returns the key rates of problems ``idx`` at
-    the losses ``loss_db`` (equal-length arrays).  Every problem takes the
-    steps ``mcl(..., tol_db)`` takes -- the zero-loss key check, 25 dB
-    bracket expansion up to the 200 dB cap, bisection to ``tol_db`` -- and
-    drops out as soon as its own bracket is done, so the losses probed and
-    the results are those of one ``mcl`` call per problem.  Problems
+    the losses ``loss_db`` (equal-length arrays).  Both run
+    ``_mcl_bracket``, so every problem probes the grid losses one ``mcl``
+    call probes, in the same order, and gets the same result.  Problems
     without key at zero loss are NaN where ``mcl`` raises NoKeyError;
     FitError is raised when any problem's rate is still positive at the
     cap, where a loop of ``mcl`` calls raises at the first such problem.
     """
-    out = np.full(size, np.nan)
-    # "not <= 0" as in mcl, so a NaN rate at zero loss is searched there too
-    idx = np.flatnonzero(~(rate_fn(np.arange(size), np.zeros(size)) <= 0.0))
-    lo = np.zeros(idx.size)
-    hi = np.full(idx.size, 25.0)
-    todo = np.arange(idx.size)
-    while todo.size:
-        todo = todo[rate_fn(idx[todo], hi[todo]) > 0.0]
-        lo[todo] = hi[todo]
-        hi[todo] += 25.0
-        if np.any(hi[todo] > _LOSS_CAP_DB):
-            raise FitError(f"key rate still positive at {_LOSS_CAP_DB} dB")
-    todo = np.flatnonzero(hi - lo > tol_db)
-    while todo.size:
-        mid = 0.5 * (lo[todo] + hi[todo])
-        up = rate_fn(idx[todo], mid) > 0.0
-        lo[todo[up]] = mid[up]
-        hi[todo[~up]] = mid[~up]
-        todo = todo[hi[todo] - lo[todo] > tol_db]
-    out[idx] = 0.5 * (lo + hi)
-    return out
+    floor, step = _mcl_bracket(rate_fn, size, tol_db)
+    return floor + 0.5 * step
 
 
 def gamma(mcl_protocol_db: float, mcl_wcs_db: float) -> float:
@@ -288,23 +317,14 @@ def gamma_map_dtb(channel: ChannelParams, eta_c: float = 1.0, n: int = 200,
 
 @functools.lru_cache(maxsize=_REFERENCE_MEMO_SIZE)
 def _reference_loss(receiver: ChannelParams, f_ec: float) -> float:
-    """The last loss where ``mcl`` over the tagged laser found key.
+    """The last loss where the MCL search over the tagged laser found key.
 
     The search sets the loss of every probe, so ``receiver`` is keyed at
     zero loss.  A NoKeyError or FitError is raised again on every call:
     ``lru_cache`` keeps only returned values.
     """
-    laser = wcs_tagged_rate_fn(receiver, f_ec=f_ec)
-    keyed = [0.0]  # the losses where the search found key
-
-    def reference(loss_db: float) -> float:
-        rate = laser(loss_db)
-        if rate > 0.0:
-            keyed.append(loss_db)
-        return rate
-
-    mcl(reference)
-    return keyed[-1]
+    return _scalar_bracket(wcs_tagged_rate_fn(receiver, f_ec=f_ec),
+                           MCL_TOL_DB)[0]
 
 
 def hp_threshold(eta_d: float, channel: ChannelParams, t: float = DEFAULT_T,
@@ -324,13 +344,14 @@ def hp_threshold(eta_d: float, channel: ChannelParams, t: float = DEFAULT_T,
     p2, hence a single sign change: a 50-point scan brackets it, and a
     bisection in p2 refines it.
 
-    Neither step searches the purified MCL.  ``mcl`` probes only losses on
-    one grid (25 dB brackets halved down to ``MCL_TOL_DB``, all exact in
-    float); its final bracket starts at the last loss where it found key,
-    and for a rate non-increasing in loss that is the highest grid loss
-    with key.  So a purified MCL reaches the reference exactly when the
-    purified rate is positive where the reference's final bracket starts,
-    and each scan point and p2 probe costs one rate evaluation there.
+    Neither step searches the purified MCL.  The MCL search
+    (``_mcl_bracket``) probes only multiples of one step, 25/4096 dB at
+    ``MCL_TOL_DB``, all exact in float; its final bracket starts at the
+    last loss where it found key, and for a rate non-increasing in loss
+    that is the highest grid loss with key.  The reference is that floor
+    of the tagged laser's search.  So a purified MCL reaches the reference
+    exactly when the purified rate is positive at the reference, and each
+    scan point and p2 probe costs one rate evaluation there.
 
     The reference depends only on the receiver (``eta_bob``, ``p_dc``,
     ``e_d``) and ``f_ec``, so it is searched once per such pair and shared
@@ -468,7 +489,6 @@ def gamma_vs_efficiency(protocol: str, axis: str, values: Sequence[float],
     # an explicit f_ec reaches the rates and the baseline; None leaves each
     # kernel its own default
     kw = {"q_sift": q_sift} if f_ec is None else {"q_sift": q_sift, "f_ec": f_ec}
-    baseline = wcs_mcl(channel, **kw)
     grid = np.array(values, dtype=float).reshape(-1)
     # float grids routinely overshoot the unit interval by one ulp
     grid[(1.0 < grid) & (grid < 1.0 + 1e-9)] = 1.0
@@ -484,6 +504,8 @@ def gamma_vs_efficiency(protocol: str, axis: str, values: Sequence[float],
         fn = hp_rate_array_fn(probs, channel, t=t,
                               eta_d=grid if axis == "eta_d" else eta_d,
                               p_dc_alice=p_dc_alice, **kw)
+    # after the sweep's own checks above, so a bad sweep searches nothing
+    baseline = wcs_mcl(channel, **kw)
     m = mcl_lockstep(fn, grid.size)
     return [(vi, float(mi) - baseline if not math.isnan(mi) else math.nan)
             for vi, mi in zip(grid.tolist(), m)]

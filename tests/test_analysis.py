@@ -298,6 +298,105 @@ class TestMclLockstep:
                 idx == 1, 1.0, np.maximum(0.0, 1.0 - loss / 30.0)), 3)
 
 
+def loop_mcl(skr_fn, tol_db: float = 0.01) -> float:
+    """The MCL search as the scalar loop it was written as before
+    ``mcl`` and ``mcl_lockstep`` shared one: the zero-loss check, 25 dB
+    brackets expanded up to the 200 dB cap, then ``bisect``."""
+    if skr_fn(0.0) <= 0.0:
+        raise NoKeyError("key rate is non-positive at zero channel loss")
+    lo, hi = 0.0, 25.0
+    while skr_fn(hi) > 0.0:
+        lo, hi = hi, hi + 25.0
+        if hi > 200.0:
+            raise FitError("key rate still positive at 200.0 dB")
+    return bisect(lambda loss_db: skr_fn(loss_db) > 0.0, lo, hi, tol_db)
+
+
+def logged(skr_fn, log: list):
+    """``skr_fn`` that appends the ``float.hex`` of each loss it is asked."""
+    def rate(loss_db: float) -> float:
+        log.append(float.hex(loss_db))
+        return skr_fn(loss_db)
+    return rate
+
+
+RATES = st.sampled_from([1e-3, 1e-3, 0.0, -1.0, math.nan])
+
+
+@st.composite
+def sign_patterns(draw):
+    """A rate over loss, piecewise constant between breakpoints, with its
+    own value at exactly 0 dB: key below a cut-off that may lie past the
+    cap, or any mix of key, no key and NaN."""
+    if draw(st.booleans()):
+        breaks = [draw(st.floats(min_value=0.0, max_value=260.0))]
+        values = [1e-3, draw(st.sampled_from([0.0, -1.0, math.nan]))]
+    else:
+        breaks = sorted(draw(st.lists(st.floats(min_value=0.0,
+                                                max_value=230.0),
+                                      max_size=8)))
+        values = draw(st.lists(RATES, min_size=len(breaks) + 1,
+                               max_size=len(breaks) + 1))
+    at_zero = draw(st.one_of(st.none(), RATES))
+
+    def rate(loss_db: float) -> float:
+        if loss_db == 0.0 and at_zero is not None:
+            return at_zero
+        return values[int(np.searchsorted(breaks, loss_db, side="right"))]
+    return rate
+
+
+def probes_and_result(search, skr_fn, tol_db: float):
+    """The losses ``search`` asks ``skr_fn`` for, and its result's hex
+    (or the error it raises)."""
+    log = []
+    try:
+        result = float.hex(search(logged(skr_fn, log), tol_db))
+    except (NoKeyError, FitError) as err:
+        result = type(err)
+    return log, result
+
+
+class TestOneSearch:
+    """``mcl`` and ``mcl_lockstep`` are one search: each problem probes the
+    losses the scalar loop probes, in the same order, and gets the same
+    result, whatever the signs of the rate along the loss axis."""
+
+    @given(st.lists(sign_patterns(), min_size=1, max_size=4),
+           # 25/1024 dB: a tolerance that one bracket width equals
+           st.sampled_from([0.01, 1e-5, 0.3, 25.0 / 1024]))
+    @settings(max_examples=300, deadline=None)
+    def test_probes_and_results_equal_the_scalar_loop(self, rates, tol_db):
+        want = [probes_and_result(loop_mcl, r, tol_db) for r in rates]
+        assert [probes_and_result(mcl, r, tol_db) for r in rates] == want
+        logs = [[] for _ in rates]
+        fns = [logged(r, log) for r, log in zip(rates, logs)]
+
+        def rate_fn(idx, loss):
+            return np.array([fns[i](x) for i, x in zip(idx.tolist(),
+                                                       loss.tolist())])
+
+        if any(result is FitError for _, result in want):
+            with pytest.raises(FitError):
+                mcl_lockstep(rate_fn, len(rates), tol_db=tol_db)
+            return
+        got = mcl_lockstep(rate_fn, len(rates), tol_db=tol_db)
+        assert logs == [log for log, _ in want]
+        assert [NoKeyError if math.isnan(m) else float.hex(m)
+                for m in got.tolist()] == [result for _, result in want]
+
+    def test_the_laser_on_the_bundled_channel_costs_fifteen_rates(
+            self, monkeypatch, channel):
+        log = []
+        factory = analysis.wcs_rate_fn
+        monkeypatch.setattr(analysis, "wcs_rate_fn",
+                            lambda ch, **kw: logged(factory(ch, **kw), log))
+        got = float.hex(wcs_mcl(channel))
+        assert len(log) == 15
+        assert (log, got) == probes_and_result(loop_mcl, factory(channel),
+                                               0.01)
+
+
 def scalar_hp_mcl(d: PhotonDistribution, channel: ChannelParams,
                   tol_db: float = 0.01, **kwargs) -> float:
     """The per-point heralded reference: NaN where mcl finds no key."""
@@ -419,7 +518,7 @@ class TestGammaMap:
         {"eta_c": math.nan}])
     def test_bad_grid_or_collection_rejected(self, monkeypatch, channel,
                                              kwargs):
-        monkeypatch.setattr(analysis, "mcl", no_search)
+        monkeypatch.setattr(analysis, "_mcl_bracket", no_search)
         message = ETA_C_RANGE if "eta_c" in kwargs else "n >= 2"
         with pytest.raises(ValueError, match=message):
             gamma_map_dtb(channel, **kwargs)
@@ -492,14 +591,14 @@ class TestHpThreshold:
     @pytest.mark.parametrize("t", [0.0, 1.0, 1.5, -0.1, math.nan])
     def test_a_herald_transmission_outside_0_1_fails_before_any_search(
             self, monkeypatch, channel, t):
-        monkeypatch.setattr(analysis, "mcl", no_search)
+        monkeypatch.setattr(analysis, "_mcl_bracket", no_search)
         with pytest.raises(ValueError, match=r"t must lie in \(0, 1\)"):
             hp_threshold(0.9, channel, t=t)
 
     @pytest.mark.parametrize("p_dc_alice", [2.0, -0.1, math.nan])
     def test_a_herald_dark_rate_outside_0_1_fails_before_any_search(
             self, monkeypatch, channel, p_dc_alice):
-        monkeypatch.setattr(analysis, "mcl", no_search)
+        monkeypatch.setattr(analysis, "_mcl_bracket", no_search)
         with pytest.raises(ValueError, match=r"p_dc must lie in \[0, 1\]"):
             hp_threshold(0.9, channel, p_dc_alice=p_dc_alice)
         assert analysis._reference_loss.cache_info().currsize == 0
@@ -523,8 +622,8 @@ class TestHpThresholdCounts:
 
     @pytest.fixture
     def counts(self, monkeypatch):
-        seen = {"mcl": 0, "mcl_lockstep": 0, "mu_searches": 0,
-                "skr_hp_array": 0, "skr_hp": 0}
+        seen = {"searches": 0, "mu_searches": 0, "skr_hp_array": 0,
+                "skr_hp": 0}
 
         def counted(module, name, key):
             fn = getattr(module, name)
@@ -534,21 +633,23 @@ class TestHpThresholdCounts:
                 return fn(*args, **kwargs)
             monkeypatch.setattr(module, name, wrapper)
 
-        for name in ("mcl", "mcl_lockstep", "skr_hp_array", "skr_hp"):
+        # every MCL search, by mcl, mcl_lockstep or the reference memo
+        counted(analysis, "_mcl_bracket", "searches")
+        for name in ("skr_hp_array", "skr_hp"):
             counted(analysis, name, name)
         counted(protocols, "golden_max", "mu_searches")
         return seen
 
     def test_a_bisected_float_threshold(self, counts, channel):
         hp_threshold(0.9, channel)
-        assert counts == {"mcl": 1, "mcl_lockstep": 0, "mu_searches": 15,
+        assert counts == {"searches": 1, "mu_searches": 15,
                           "skr_hp_array": 2, "skr_hp": 8}
 
     def test_a_threshold_at_the_first_scan_point(self, counts):
         noisy = ChannelParams(loss_db=0.0, eta_bob=0.045, p_dc=2e-7, e_d=0.105)
         assert hp_threshold(1.0, noisy, p_dc_alice=0.0) == 0.02
         # this laser has no key at 25 dB: one bracket fewer to expand
-        assert counts == {"mcl": 1, "mcl_lockstep": 0, "mu_searches": 14,
+        assert counts == {"searches": 1, "mu_searches": 14,
                           "skr_hp_array": 2, "skr_hp": 0}
 
     @staticmethod
@@ -562,11 +663,11 @@ class TestHpThresholdCounts:
     def test_the_same_receiver_and_f_ec_share_the_reference(self, counts,
                                                             channel, second):
         self.threshold(channel)
-        assert counts["mcl"] == 1 and counts["mu_searches"] == 15
+        assert counts["searches"] == 1 and counts["mu_searches"] == 15
         counts.update(dict.fromkeys(counts, 0))
         self.threshold(channel, **second)
-        assert counts["mcl"] == 0 and counts["mu_searches"] == 0
-        assert counts["mcl_lockstep"] == 0 and counts["skr_hp_array"] == 2
+        assert counts["searches"] == 0 and counts["mu_searches"] == 0
+        assert counts["skr_hp_array"] == 2
 
     @pytest.mark.parametrize("second", [{"e_d": 0.02}, {"f_ec": 1.1}])
     def test_another_receiver_or_f_ec_searches_its_own(self, counts, channel,
@@ -574,17 +675,18 @@ class TestHpThresholdCounts:
         self.threshold(channel)
         counts.update(dict.fromkeys(counts, 0))
         self.threshold(channel, **second)
-        assert counts["mcl"] == 1 and counts["mu_searches"] == 15
+        assert counts["searches"] == 1 and counts["mu_searches"] == 15
         counts.update(dict.fromkeys(counts, 0))
         self.threshold(channel)
-        assert counts["mcl"] == 0 and counts["mu_searches"] == 0
+        assert counts["searches"] == 0 and counts["mu_searches"] == 0
 
     def test_a_reference_without_key_fails_every_call(self, counts, channel):
         # at e_d = 1/2 the laser has no key at zero loss
         for calls in (1, 2):
             with pytest.raises(NoKeyError, match="zero channel loss"):
                 self.threshold(channel, e_d=0.5)
-            assert counts["mcl"] == calls and counts["mu_searches"] == calls
+            assert (counts["searches"] == calls
+                    and counts["mu_searches"] == calls)
         assert analysis._reference_loss.cache_info().currsize == 0
 
 
@@ -650,7 +752,7 @@ class TestOptimalBsTransmission:
             optimal_bs_transmission([0.1, 0.3], 2e-7, eta_d, channel)
 
     def test_domain_checks(self, monkeypatch, channel):
-        monkeypatch.setattr(analysis, "mcl_lockstep", no_search)
+        monkeypatch.setattr(analysis, "_mcl_bracket", no_search)
         with pytest.raises(ValueError, match=r"p_dc must lie in \[0, 1\]"):
             optimal_bs_transmission([0.1, 0.3], 2.0, 0.9, channel)
         with pytest.raises(ValueError):
@@ -742,15 +844,20 @@ class TestGammaVsEfficiency:
             self, monkeypatch, channel, sps2, axis, herald, message):
         # they gave all-NaN rows; a swept eta_d is not checked (0 is a
         # point of test_herald_sweep_equals_the_per_point_scalar_search)
-        monkeypatch.setattr(analysis, "mcl", no_search)
+        monkeypatch.setattr(analysis, "_mcl_bracket", no_search)
         with pytest.raises(ValueError, match=message):
             gamma_vs_efficiency("hp", axis, [0.5, 0.9], sps2, channel,
                                 **herald)
 
     def test_validation(self, monkeypatch, channel, sps1):
-        monkeypatch.setattr(analysis, "mcl_lockstep", no_search)
-        with pytest.raises(ValueError, match=ETA_C_RANGE):
-            gamma_vs_efficiency("dtb", "eta_c", [0.5, 1.5], sps1, channel)
+        monkeypatch.setattr(analysis, "_mcl_bracket", no_search)
+        for protocol in ("dtb", "hp"):
+            with pytest.raises(ValueError, match=ETA_C_RANGE):
+                gamma_vs_efficiency(protocol, "eta_c", [0.5, 1.5], sps1,
+                                    channel)
+        for values in ([0.5, 1.5], [-0.2]):
+            with pytest.raises(ValueError, match=r"eta_d must lie in \[0,"):
+                gamma_vs_efficiency("hp", "eta_d", values, sps1, channel)
         with pytest.raises(ValueError):
             gamma_vs_efficiency("laser", "eta_c", [1.0], sps1, channel)
         with pytest.raises(ValueError):

@@ -332,12 +332,14 @@ class TestSkrHpArray:
 
 
 class TestHpMonotoneOnTheMclGrid:
-    """``mcl`` and ``hp_threshold`` read one sign per grid loss and rest on
-    the purified rate not increasing in loss; ``mcl``'s losses are the
-    multiples of 25/4096 dB up to the 200 dB cap."""
+    """The MCL search (``mcl``, ``mcl_lockstep``) and ``hp_threshold`` read
+    one sign per grid loss and rest on the purified rate not increasing in
+    loss.  The grid is the multiples of the step 25/2^k dB up to the 200 dB
+    cap, 25/2^k the first halving of 25 dB at or below the search's
+    ``tol_db``: 25/4096 dB at the default 0.01 dB, 25/2^22 dB at the 1e-5
+    dB of ``optimal_bs_transmission``."""
 
-    STEP = 25.0 / 4096
-
+    @pytest.mark.parametrize("halvings", [12, 22])
     @given(st.floats(min_value=1e-3, max_value=1.0),
            st.one_of(st.just(0.0), st.floats(min_value=0.0, max_value=1e-3)),
            st.one_of(st.just(0.0), st.floats(min_value=0.0, max_value=0.3)),
@@ -346,17 +348,20 @@ class TestHpMonotoneOnTheMclGrid:
            st.floats(min_value=1e-3, max_value=1.0),
            st.one_of(st.none(), st.just(0.0),
                      st.floats(min_value=0.0, max_value=1e-2)),
-           st.integers(min_value=0, max_value=32768 - 20),
-           st.lists(st.integers(min_value=0, max_value=32768), max_size=20))
+           st.floats(min_value=0.0, max_value=1.0),
+           st.lists(st.floats(min_value=0.0, max_value=1.0), max_size=20))
     @settings(max_examples=200, deadline=None)
-    def test_rates_do_not_increase_along_the_grid(self, eta_bob, p_dc, e_d,
-                                                  p2, t, eta_d, p_dc_alice,
-                                                  start, spread):
+    def test_rates_do_not_increase_along_the_grid(self, halvings, eta_bob,
+                                                  p_dc, e_d, p2, t, eta_d,
+                                                  p_dc_alice, start, spread):
         # a run of neighbouring grid losses and a spread over the whole grid
+        step, top = 25.0 / 2**halvings, 8 * 2**halvings  # top: 200 dB
+        first = int(start * (top - 19))
         ch = ChannelParams(loss_db=0.0, eta_bob=eta_bob, p_dc=p_dc, e_d=e_d)
         d = PhotonDistribution(1.0 - p2, 0.0, p2)
-        ks = sorted(set(range(start, start + 20)) | set(spread))
-        losses = [k * self.STEP for k in ks]
+        ks = sorted(set(range(first, first + 20))
+                    | {int(u * top) for u in spread})
+        losses = [k * step for k in ks]
         scalar = [skr_hp(d, ch.with_loss(loss), t=t, eta_d=eta_d,
                          p_dc_alice=p_dc_alice).rate for loss in losses]
         probs = np.repeat(np.array([d.as_tuple()]).T, len(losses), axis=1)
@@ -626,7 +631,7 @@ channels = st.builds(
 
 
 class TestSearchPreconditions:
-    """What ``mcl`` and the laser mu search rely on."""
+    """What the MCL search and the laser mu search rely on."""
 
     @given(channels, st.floats(min_value=0.0, max_value=1.0),
            st.floats(min_value=0.0, max_value=1.0),
@@ -655,6 +660,23 @@ class TestSearchPreconditions:
         for name, rate in bounds.items():
             rates = [rate(ch.with_loss(loss)) for loss in losses]
             assert all(r1 <= r0 for r0, r1 in zip(rates, rates[1:])), name
+
+    @given(channels)
+    @settings(max_examples=20, deadline=None)
+    def test_laser_signs_do_not_increase_along_the_mcl_grid(self, ch):
+        # wcs_mcl and hp_threshold's tagged-laser reference read one sign
+        # of the mu-optimised rate per multiple of 25/4096 dB; key that came
+        # back beyond the first grid loss without it would move the cut-off
+        step = 25.0 / 4096
+        for rate_fn in (wcs_rate_fn, wcs_tagged_rate_fn):
+            rate = rate_fn(ch)
+            try:
+                last = int(mcl(rate) / step)  # the last grid loss with key
+            except NoKeyError:
+                continue
+            ks = range(max(last - 64, 0), last + 65)
+            assert ([rate(k * step) > 0.0 for k in ks]
+                    == [k <= last for k in ks]), rate_fn.__name__
 
     @given(channels)
     @settings(max_examples=20, deadline=None)
