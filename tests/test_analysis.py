@@ -299,9 +299,9 @@ class TestMclLockstep:
 
 
 def loop_mcl(skr_fn, tol_db: float = 0.01) -> float:
-    """The MCL search as the scalar loop it was written as before
-    ``mcl`` and ``mcl_lockstep`` shared one: the zero-loss check, 25 dB
-    brackets expanded up to the 200 dB cap, then ``bisect``."""
+    """The MCL search as a plain scalar loop, the reference the shared
+    lockstep search is held to: the zero-loss check, 25 dB brackets
+    expanded up to the 200 dB cap, then ``bisect``."""
     if skr_fn(0.0) <= 0.0:
         raise NoKeyError("key rate is non-positive at zero channel loss")
     lo, hi = 0.0, 25.0
