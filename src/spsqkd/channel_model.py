@@ -102,6 +102,15 @@ def _check_rates(q: float, e: float) -> None:
         raise ValueError("error rate must lie in [0, 1]")
 
 
+def check_rates_array(q: np.ndarray, e: np.ndarray) -> None:
+    """``ObservedRates``' checks on each pair (q[k], e[k]): the first pair
+    outside [0, 1] raises through them, as a loop of scalar calls would."""
+    ok = (0.0 <= q) & (q <= 1.0) & (0.0 <= e) & (e <= 1.0)
+    if not ok.all():
+        k = np.argmin(ok)
+        _check_rates(float(q[k]), float(e[k]))
+
+
 def transmittance(channel: ChannelParams) -> float:
     """Overall single-photon transmittance ``10**(-loss/10) * eta_bob``."""
     return 10.0 ** (-channel.loss_db / 10.0) * channel.eta_bob
@@ -147,11 +156,13 @@ def yields_array(channel: ChannelParams,
     the yields and error rates of ``channel.with_loss(loss_db[k])``, with
     the same operations in the same order as ``yields``.  numpy's
     log1p/expm1/power may round differently from ``math`` in the last
-    place, so entries can differ from ``yields`` by a few ulp.
+    place, so entries can differ from ``yields`` by a few ulp.  The first
+    loss that ``ChannelParams`` rejects raises through ``channel.with_loss``.
     """
     loss_db = np.asarray(loss_db, dtype=float).reshape(-1)
-    if not np.all(np.isfinite(loss_db) & (loss_db >= 0)):
-        raise ValueError("loss_db must be a finite non-negative attenuation")
+    ok = np.isfinite(loss_db) & (loss_db >= 0)
+    if not ok.all():
+        channel.with_loss(float(loss_db[np.argmin(ok)]))
     eta = 10.0 ** (-loss_db / 10.0) * channel.eta_bob
     n = np.arange(4.0)[:, None]
     with np.errstate(divide="ignore", invalid="ignore"):
@@ -270,7 +281,8 @@ def wcs_series_array(channel: ChannelParams, loss_db: np.ndarray
     ``+ - * /``, which round as Python floats do; each element stops at its
     own tail, so each (Q, E) equals the scalar series'.  Term rows are added
     when some element first needs them.  The [0, 1] checks are
-    ``ObservedRates``', for the first element that fails them.
+    ``ObservedRates``', for the first element that fails them
+    (``check_rates_array``).
     """
     survs = [_survival(channel.with_loss(loss))
              for loss in np.asarray(loss_db, dtype=float).reshape(-1).tolist()]
@@ -308,10 +320,7 @@ def wcs_series_array(channel: ChannelParams, loss_db: np.ndarray
             weight = weight * (mu / n)
             tail = tail - weight
         e = np.divide(eq, q, out=np.full_like(q, 0.5), where=q > 0.0)
-        bad = ~((0.0 <= q) & (q <= 1.0) & (0.0 <= e) & (e <= 1.0))
-        if bad.any():
-            k = np.flatnonzero(bad)[0]
-            _check_rates(float(q[k]), float(e[k]))
+        check_rates_array(q, e)
         return q, e
 
     return sums, ys[1], e1

@@ -179,9 +179,10 @@ def _solve_slack(signal: RatesWithSigma, decoy: RatesWithSigma,
     returns a 5-sigma band; the solve clamps within it and still
     rejects data that is genuinely inconsistent.
     """
+    # solved first: its DegenerateDecoyError guards the divisions by det
+    sol = solve_dtb(signal.observed(), decoy.observed(), vacuum,
+                    s_stats, d_stats, tol=math.inf)
     det = abs(s_stats.p1 * d_stats.p2 - s_stats.p2 * d_stats.p1)
-    if det == 0.0:
-        return 0.0
     eq_s = math.hypot(signal.e * signal.q_sigma, signal.q * signal.e_sigma)
     eq_d = math.hypot(decoy.e * decoy.q_sigma, decoy.q * decoy.e_sigma)
     s_y1 = math.hypot(d_stats.p2 * signal.q_sigma,
@@ -190,8 +191,6 @@ def _solve_slack(signal: RatesWithSigma, decoy: RatesWithSigma,
                       d_stats.p1 * signal.q_sigma) / det
     s_y1e1 = math.hypot(d_stats.p2 * eq_s, s_stats.p2 * eq_d) / det
     s_y2e2 = math.hypot(s_stats.p1 * eq_d, d_stats.p1 * eq_s) / det
-    sol = solve_dtb(signal.observed(), decoy.observed(), vacuum,
-                    s_stats, d_stats, tol=math.inf)
     # ratio sigmas, regularized: a yield consistent with zero must not
     # zero the scale of its error-rate uncertainty
     s_e1 = math.hypot(s_y1e1, sol.e1 * s_y1) / max(sol.y1, s_y1, 1e-300)

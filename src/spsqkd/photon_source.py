@@ -76,15 +76,14 @@ class PhotonDistribution:
 
 def check_distribution_array(probs: np.ndarray) -> np.ndarray:
     """``PhotonDistribution``'s range and sum checks on every column of a
-    (4, N) array with rows (p0, p1, p2, p3); returns the array."""
+    (4, N) array with rows (p0, p1, p2, p3); returns the array.  The first
+    failing column raises through ``PhotonDistribution``, as a loop over
+    the columns would."""
     ok = np.isfinite(probs) & (probs >= -_NEG_TOL) & (probs <= 1.0 + _NEG_TOL)
-    if not ok.all():
-        col, row = np.argwhere(~ok.T)[0]
-        raise ValueError(f"p{row}={float(probs[row, col])!r} is not a probability")
     total = probs[0] + probs[1] + probs[2] + probs[3]
-    bad = np.flatnonzero(np.abs(total - 1.0) > _SUM_TOL)
-    if bad.size:
-        raise ValueError(f"probabilities sum to {float(total[bad[0]])!r}, expected 1")
+    ok = ok.all(axis=0) & (np.abs(total - 1.0) <= _SUM_TOL)
+    if not ok.all():
+        PhotonDistribution(*probs[:, np.argmin(ok)].tolist())
     return probs
 
 
@@ -106,9 +105,7 @@ class SourceModel:
     def __post_init__(self) -> None:
         if not math.isfinite(self.alpha_times_is) or self.alpha_times_is <= 0:
             raise ValueError("alpha_times_is must be positive")
-        for name, value in (("qy_x", self.qy_x), ("qy_xx", self.qy_xx)):
-            if not 0.0 <= value <= 1.0:
-                raise ValueError(f"{name}={value!r} must lie in [0, 1]")
+        _check_unit(qy_x=self.qy_x, qy_xx=self.qy_xx)
 
     def to_dict(self) -> dict[str, float]:
         return asdict(self)
@@ -117,6 +114,13 @@ class SourceModel:
     def from_dict(cls, data: dict) -> "SourceModel":
         return cls(alpha_times_is=float(data["alpha_times_is"]),
                    qy_x=float(data["qy_x"]), qy_xx=float(data["qy_xx"]))
+
+
+def _check_unit(**values: float) -> None:
+    # ValueError naming the first of ``values`` outside [0, 1]
+    for name, value in values.items():
+        if not 0.0 <= value <= 1.0:
+            raise ValueError(f"{name}={value!r} must lie in [0, 1]")
 
 
 @dataclass(frozen=True, slots=True)
@@ -148,10 +152,7 @@ def cascade_distribution(ex: ExcitationProbs, qy_x: float,
     radiatively; one photon if exactly one line does.  An exciton
     preparation emits one photon with yield ``qy_x``.
     """
-    for name, value in (("p_xx", ex.p_xx), ("p_x", ex.p_x),
-                        ("qy_x", qy_x), ("qy_xx", qy_xx)):
-        if not 0.0 <= value <= 1.0:
-            raise ValueError(f"{name}={value!r} must lie in [0, 1]")
+    _check_unit(p_xx=ex.p_xx, p_x=ex.p_x, qy_x=qy_x, qy_xx=qy_xx)
     if ex.p_xx + ex.p_x > 1.0 + _NEG_TOL:
         raise ValueError("occupation probabilities exceed 1")
     p2 = ex.p_xx * qy_x * qy_xx
@@ -230,8 +231,7 @@ def extract_distribution_g2(p0: float, g2: float) -> PhotonDistribution:
     the one returned; the feasibility bound ``g2 <= 1/(2b)`` is exactly the
     condition for real roots.
     """
-    if not 0.0 <= p0 < 1.0:
-        raise ValueError("p0 must lie in [0, 1)")
+    bound = g2_upper_bound(p0)  # checks p0
     if g2 < 0 or not math.isfinite(g2):
         raise ValueError("g2 must be non-negative")
     b = 1.0 - p0
@@ -240,7 +240,7 @@ def extract_distribution_g2(p0: float, g2: float) -> PhotonDistribution:
     disc = 1.0 - 2.0 * g2 * b
     if disc < -_ROOT_TOL:
         raise InfeasibleObservablesError(
-            f"g2={g2} exceeds the bound {g2_upper_bound(p0):.6g} for p0={p0}")
+            f"g2={g2} exceeds the bound {bound:.6g} for p0={p0}")
     disc = max(disc, 0.0)
     # smaller root in the cancellation-free (citardauq) form: the naive
     # (1 - g2 b - sqrt(disc)) / g2 loses all digits as g2 -> 0
@@ -274,22 +274,51 @@ def _g3_jacobian(p1: float, p2: float, p3: float, g2: float,
                      [0.0 - d3, 0.0 - d3 * 2.0, 6.0 - d3 * 3.0]])
 
 
+def _cubic_seed(b: float, g2: float,
+                g3: float) -> tuple[float, float, float] | None:
+    # With p3 = g3 mu^3 / 6 and p2 = (g2 mu^2 - g3 mu^3) / 2, the moments
+    # leave one cubic in the mean mu: g3 mu^3/6 - g2 mu^2/2 + mu - b = 0.
+    # (p1, p2, p3) of its smallest positive root with non-negative weights,
+    # or None if no root has them
+    roots = np.roots([g3 / 6.0, -g2 / 2.0, 1.0, -b])
+    for mu in sorted(r.real for r in roots
+                     if r.real > 0.0 and abs(r.imag) <= 1e-6 * abs(r)):
+        p3 = g3 * mu**3 / 6.0
+        p2 = (g2 * mu * mu - g3 * mu**3) / 2.0
+        if min(b - p2 - p3, p2, p3) >= -1e-9:
+            return b - p2 - p3, p2, p3
+    return None
+
+
 def extract_distribution_g3(p0: float, g2: float, g3: float) -> PhotonDistribution:
     """Invert (p0, g2, g3) to a {0, 1, 2, 3} distribution.
 
-    Solves the 3x3 moment system by damped Newton iteration, seeded with
-    the g2-only inversion (three-photon weight zero).  The damping halves
-    the step until the residual norm decreases, which keeps the iteration
-    inside the physical simplex for all feasible inputs.  The iterate and
-    residuals are Python floats; only the linear solve uses numpy.
+    At g3 = 0 this is ``extract_distribution_g2``.  Otherwise it solves
+    the 3x3 moment system by damped Newton iteration; the damping halves
+    the step until the residual norm decreases.  At or below the
+    {0, 1, 2}-basis ceiling ``g2 <= 1 / (2 (1 - p0))`` the seed is the
+    g2-only inversion with a small three-photon weight.  Above it, where
+    that inversion does not exist, the seed is the exact solution from the
+    cubic in the mean photon number (``_cubic_seed``), which Newton only
+    polishes; InfeasibleObservablesError if no root of the cubic has
+    non-negative weights.  It is raised too when the iteration stalls or
+    ends outside the simplex.  The iterate and residuals are Python floats;
+    only the linear solve and the cubic's roots use numpy.
     """
     if g3 < 0 or not math.isfinite(g3):
         raise ValueError("g3 must be non-negative")
-    seed2 = extract_distribution_g2(p0, g2)
     if g3 == 0.0:
-        return seed2
+        return extract_distribution_g2(p0, g2)
     b = 1.0 - p0
-    p = (seed2.p1, seed2.p2, max(g3 * b**3 / 6.0, 1e-12))
+    try:
+        seed2 = extract_distribution_g2(p0, g2)
+        p = (seed2.p1, seed2.p2, max(g3 * b**3 / 6.0, 1e-12))
+    except InfeasibleObservablesError as exc:  # above the {0,1,2} ceiling
+        p = _cubic_seed(b, g2, g3)
+        if p is None:
+            raise InfeasibleObservablesError(
+                f"no {{0,1,2,3}} distribution has p0={p0}, g2={g2}, g3={g3}"
+            ) from exc
     res = _g3_residuals(*p, b, g2, g3)
     for _ in range(_MAX_NEWTON_ITER):
         if all(abs(r) < _ROOT_TOL for r in res):  # NaN never converges
@@ -361,10 +390,6 @@ def _collected(p1, p2, p3, eta_c):
             p3 * cube)
 
 
-# hp_transform's settings, each checked to lie in [0, 1]
-_HP_SETTINGS = ("beam-splitter transmission", "eta_d", "p_dc")
-
-
 def hp_transform(d: PhotonDistribution, t: float, eta_d: float,
                  p_dc: float) -> tuple[float, float]:
     """Heralded-purification joint probabilities toward the channel.
@@ -382,17 +407,17 @@ def hp_transform(d: PhotonDistribution, t: float, eta_d: float,
     dark count fakes the herald, which is what suppresses multi-photon
     leakage.
     """
-    _check_hp(d, t, eta_d, p_dc)
+    _check_hp(d.p3, t, eta_d, p_dc)
     return _heralded(d.p1, d.p2, t, eta_d, p_dc)
 
 
-def _check_hp(d: PhotonDistribution, t: float, eta_d: float,
-              p_dc: float) -> None:
-    # the scalar purification inputs: each setting in [0, 1], no p3
-    for what, v in zip(_HP_SETTINGS, (t, eta_d, p_dc)):
+def _check_hp(p3: float, t: float, eta_d: float, p_dc: float) -> None:
+    # the scalar purification inputs: each setting in [0, 1], then no p3
+    for what, v in (("beam-splitter transmission", t), ("eta_d", eta_d),
+                    ("p_dc", p_dc)):
         if not 0.0 <= v <= 1.0:
             raise ValueError(f"{what} must lie in [0, 1]")
-    if d.p3 != 0.0:
+    if p3 != 0.0:
         raise ValueError("heralded purification is defined on the {0,1,2} basis")
 
 
@@ -402,13 +427,15 @@ def hp_transform_array(probs: np.ndarray, t, eta_d,
 
     ``t``, ``eta_d`` and ``p_dc`` are scalars or length-N arrays.  The
     formula uses only +, - and *, so every entry equals the scalar result
-    bit for bit; the range and p3 checks are the scalar form's.
+    bit for bit; the first column that fails the range or p3 checks raises
+    through the scalar form's.
     """
-    for what, v in zip(_HP_SETTINGS, (t, eta_d, p_dc)):
-        if not np.all((0.0 <= v) & (v <= 1.0)):
-            raise ValueError(f"{what} must lie in [0, 1]")
-    if np.any(probs[3] != 0.0):
-        raise ValueError("heralded purification is defined on the {0,1,2} basis")
+    ok = probs[3] == 0.0
+    for v in (t, eta_d, p_dc):
+        ok = ok & (0.0 <= v) & (v <= 1.0)
+    if not ok.all():
+        _check_hp(*(float(np.broadcast_to(v, ok.shape)[np.argmin(ok)])
+                    for v in (probs[3], t, eta_d, p_dc)))
     return _heralded(probs[1], probs[2], t, eta_d, p_dc)
 
 
@@ -427,7 +454,7 @@ def hp_herald_probability(d: PhotonDistribution, t: float, eta_d: float,
     count occurs.  The settings and basis are checked as in
     ``hp_transform``.
     """
-    _check_hp(d, t, eta_d, p_dc)
+    _check_hp(d.p3, t, eta_d, p_dc)
     r = 1.0 - t
     miss = 1.0 - eta_d
     quiet = 1.0 - p_dc

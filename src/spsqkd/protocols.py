@@ -24,9 +24,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .channel_model import (ChannelParams, ObservedRates, wcs_series,
-                            wcs_series_array, weighted_gains, yields,
-                            yields_array)
+from .channel_model import (ChannelParams, ObservedRates, check_rates_array,
+                            wcs_series, wcs_series_array, weighted_gains,
+                            yields, yields_array)
 from .errors import DegenerateDecoyError, InconsistentDataError
 from .photon_source import (PhotonDistribution, check_distribution_array,
                             hp_transform, hp_transform_array)
@@ -101,11 +101,11 @@ def _entropy_cost_each(x: np.ndarray) -> np.ndarray:
 
 
 def _entropy_cost_array(x: np.ndarray) -> np.ndarray:
-    # _entropy_cost elementwise, with the same checks
-    bad = ~(x >= 0.0)
-    if bad.any():
-        raise ValueError(f"binary entropy argument {float(x[bad][0])!r} "
-                         "outside [0, 1]")
+    # _entropy_cost elementwise; the first element it rejects (negative or
+    # NaN) raises through binary_entropy
+    ok = x >= 0.0
+    if not ok.all():
+        binary_entropy(float(x[np.argmin(ok)]))
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
         h = -x * np.log2(x) - (1.0 - x) * np.log2(1.0 - x)
     return np.where(x >= 0.5, 1.0, np.where(x == 0.0, 0.0, h))
@@ -232,7 +232,8 @@ def skr_dtb_array(probs: np.ndarray, channel: ChannelParams,
 
     Column k of ``probs`` (shape (4, N), rows p0..p3, already checked as
     distributions) is evaluated on ``channel.with_loss(loss_db[k])``.  The
-    arithmetic and the ``ObservedRates`` checks are those of ``skr_dtb``;
+    arithmetic and the ``ObservedRates`` checks (``check_rates_array``, for
+    the first failing column) are those of ``skr_dtb``;
     numpy's log/exp may round differently from ``math`` in the last place,
     so rates can differ from ``skr_dtb`` by a few ulp.  A single
     evaluation is ten times faster through ``skr_dtb``.
@@ -241,11 +242,9 @@ def skr_dtb_array(probs: np.ndarray, channel: ChannelParams,
     y, e = yields_array(channel, loss_db)
     q_s, eq = weighted_gains(probs, y, e)
     detected = ~(q_s <= 0.0)
-    if not np.all((0.0 <= q_s[detected]) & (q_s[detected] <= 1.0)):
-        raise ValueError("gain must lie in [0, 1]")
     e_s = np.divide(eq, q_s, out=np.zeros_like(eq), where=detected)
-    if not np.all((0.0 <= e_s) & (e_s <= 1.0)):
-        raise ValueError("error rate must lie in [0, 1]")
+    # an undetected column (q_s <= 0) is rate 0 and unchecked, as in skr_dtb
+    check_rates_array(np.maximum(q_s, 0.0), e_s)
     raw = _decoy_bound(q_s, e_s, y[1] * probs[1],
                        1.0 - _entropy_cost_array(e[1]), q_sift, f_ec,
                        _entropy_cost_array)
@@ -329,19 +328,22 @@ def skr_hp_array(eff: np.ndarray, channel: ChannelParams, loss_db: np.ndarray,
     """``skr_hp(...).rate`` of many problems, column k of the effective
     distributions ``eff`` (from ``hp_effective_array``) at ``loss_db[k]``.
 
-    The arithmetic, the omega clamp and its InconsistentDataError, and the
-    omega <= 0 branch are ``skr_hp``'s; numpy's log/exp may round
-    differently from ``math`` in the last place.
+    The arithmetic, the omega clamp and its InconsistentDataError (raised
+    by ``_tagging_bound`` for the first column past it), and the omega <= 0
+    branch are ``skr_hp``'s; numpy's log/exp may round differently from
+    ``math`` in the last place.
     """
     _check_settings(q_sift, f_ec)
     y, e = yields_array(channel, loss_db)
     q_s, eq = weighted_gains(eff[:3], y, e)
     detected = ~(q_s <= 0.0)
     e_s = np.divide(eq, q_s, out=np.zeros_like(eq), where=detected)
-    omega = np.divide(eff[1] * y[1], q_s, out=np.zeros_like(eq), where=detected)
-    if np.any(omega > 1.0 + _CLAMP_TOL):
-        raise InconsistentDataError("single-photon fraction omega="
-                                    f"{float(omega.max()):.6g} > 1")
+    q1 = eff[1] * y[1]
+    omega = np.divide(q1, q_s, out=np.zeros_like(eq), where=detected)
+    over = omega > 1.0 + _CLAMP_TOL
+    if over.any():  # the first such column raises through _tagging_bound
+        k = np.argmax(over)
+        _tagging_bound(float(q_s[k]), float(e_s[k]), float(q1[k]), q_sift, f_ec)
     omega = np.minimum(omega, 1.0)
     keyed = omega > 0.0
     with np.errstate(over="ignore"):  # a subnormal omega: e_s / omega = inf

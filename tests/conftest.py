@@ -31,6 +31,23 @@ def fresh_reference_memo():
     analysis._reference_loss.cache_clear()
 
 
+@pytest.fixture(scope="session")
+def first_error():
+    """The (type, message) of the first exception that a sequence of calls
+    raises, or None: how an array form's error is compared with a loop of
+    scalar calls over the same entries."""
+
+    def first(calls) -> tuple[type, str] | None:
+        for call in calls:
+            try:
+                call()
+            except Exception as exc:
+                return type(exc), str(exc)
+        return None
+
+    return first
+
+
 def pytest_terminal_summary(terminalreporter, exitstatus, config):
     if _ACCEPTANCE_LINES:
         terminalreporter.section("acceptance criteria")

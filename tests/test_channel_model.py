@@ -1,6 +1,7 @@
 """Threshold-detector channel: yields, gains, weak-coherent expansion."""
 
 import math
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -10,6 +11,7 @@ from hypothesis import strategies as st
 from spsqkd.channel_model import (
     ChannelParams,
     ObservedRates,
+    check_rates_array,
     eta_n,
     gain_and_qber,
     transmittance,
@@ -59,6 +61,8 @@ class TestEtaN:
     def test_negative_photon_number_rejected(self, channel):
         with pytest.raises(ValueError):
             eta_n(channel, -1)
+        with pytest.raises(ValueError, match="n_max must be non-negative"):
+            yields(channel, n_max=-1)
 
     def test_stays_accurate_deep_in_the_attenuated_regime(self):
         ch = ChannelParams(loss_db=120.0, eta_bob=1.0, p_dc=0.0, e_d=0.0)
@@ -177,6 +181,17 @@ class TestYieldsArray:
             channel.with_loss(loss)
         with pytest.raises(ValueError):
             yields_array(channel, np.array([10.0, loss]))
+
+    @given(st.lists(st.one_of(st.floats(min_value=-10.0, max_value=100.0),
+                              st.sampled_from([math.nan, math.inf,
+                                               -math.inf])),
+                    min_size=1, max_size=6))
+    @settings(max_examples=100)
+    def test_raises_as_a_loop_of_with_loss(self, first_error, channel,
+                                           losses):
+        assert first_error([lambda: yields_array(channel, np.array(losses))]
+                           ) == first_error([lambda x=x: channel.with_loss(x)
+                                             for x in losses])
 
     @given(st.floats(min_value=1e-3, max_value=1.0),
            st.floats(min_value=0.0, max_value=0.1),
@@ -365,6 +380,49 @@ class TestWcsSeriesArray:
         with pytest.raises(ValueError, match=message):
             wcs_series_array(ch, np.zeros(2))[0](
                 np.arange(2), np.full(2, 0.5), np.full(2, math.exp(-0.5)))
+
+    @given(st.lists(st.tuples(st.sampled_from([0, 1, 2]),
+                              st.floats(min_value=1e-3, max_value=2.0),
+                              st.one_of(st.none(),
+                                        st.floats(min_value=1.0,
+                                                  max_value=1e6))),
+                    min_size=1, max_size=6),
+           st.sampled_from([0.033, 5.0]))
+    @example([(0, 0.5, None), (2, 0.5, 1e5)], 5.0)
+    @example([(2, 0.5, 1e5), (0, 0.5, None)], 5.0)
+    @settings(max_examples=100, deadline=None)
+    def test_raises_as_a_loop_of_scalar_series(self, first_error, elements,
+                                               e_d):
+        # a weight of 1 or more stops the sum at n = 0 with Q = weight Y_0,
+        # a gain past 1 from 1e3 on; e_d = 5 puts E past 1 where photons
+        # arrive (not at 4000 dB); channels built past their own checks
+        losses = np.array([0.0, 3.0, 4000.0])
+        idx = np.array([k for k, _, _ in elements])
+        mu = np.array([m for _, m, _ in elements])
+        weight = np.array([math.exp(-m) if w is None else w
+                           for _, m, w in elements])
+        with mock.patch.object(ChannelParams, "__post_init__",
+                               lambda self: None):
+            ch = ChannelParams(0.0, 0.5, 1e-3, e_d)
+            series = wcs_series_array(ch, losses)[0]
+            scalar = [wcs_series(ch.with_loss(x))[0] for x in losses.tolist()]
+        assert first_error([lambda: series(idx, mu, weight)]) == first_error(
+            [lambda k=k, m=m, w=w: scalar[k](m, w) for k, m, w
+             in zip(idx.tolist(), mu.tolist(), weight.tolist())])
+
+
+class TestCheckRatesArray:
+    rate = st.one_of(st.floats(min_value=-0.5, max_value=1.5),
+                     st.just(math.nan))
+
+    @given(st.lists(st.tuples(rate, rate), min_size=1, max_size=6))
+    # a bad error rate before a bad gain
+    @example([(0.5, 1.5), (1.5, 0.5)])
+    @settings(max_examples=200)
+    def test_raises_as_a_loop_of_observed_rates(self, first_error, pairs):
+        q, e = (np.array(v) for v in zip(*pairs))
+        assert first_error([lambda: check_rates_array(q, e)]) == first_error(
+            [lambda q=q, e=e: ObservedRates(q, e) for q, e in pairs])
 
 
 class TestValidationAndSerialization:

@@ -722,6 +722,24 @@ def test_ingest_config_hash_is_pinned(capsys, monkeypatch, experiment_dir,
 
 
 class TestFixtureResolution:
+    @pytest.mark.parametrize("loader, text, message", [
+        (load_channel, None, "channel file not found: {path}"),
+        (load_channel, "{not json", "channel file {path} is not valid JSON: "),
+        (load_channel, "[0.045, 2e-07, 0.033]",
+         "channel file {path} must hold a JSON object"),
+        (load_channel, '{"p_dc": 2e-07, "e_d": 0.033}',
+         "channel {path!r} lacks required field 'eta_bob'"),
+        (cli.load_stats, '{"note": "no intensity entries"}',
+         "stats {path!r} defines no intensities")])
+    def test_a_bad_fixture_file_is_a_config_error(self, tmp_path, loader,
+                                                  text, message):
+        path = str(tmp_path / "fixture.json")
+        if text is not None:
+            Path(path).write_text(text)
+        with pytest.raises(ConfigError,
+                           match="^" + re.escape(message.format(path=path))):
+            loader(path)
+
     def test_env_root_overrides_the_bundled_fixtures(self, capsys,
                                                      monkeypatch, tmp_path):
         noisy = tmp_path / "noisy.json"

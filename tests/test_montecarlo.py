@@ -422,3 +422,6 @@ class TestEmpiricalG2:
             empirical_g2(np.zeros(100, dtype=int))
         with pytest.raises(ValueError):
             empirical_g2(np.ones(100, dtype=int), eta=0.5)
+        with pytest.raises(ValueError, match="no clicks on one arm"):
+            empirical_g2(np.ones(100, dtype=int), rng=np.random.default_rng(0),
+                         eta=0.0)

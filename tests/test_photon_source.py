@@ -3,14 +3,15 @@
 import hashlib
 import json
 import math
+import re
 from importlib import resources
 
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
-from spsqkd.errors import InfeasibleObservablesError
+from spsqkd.errors import FitError, InfeasibleObservablesError
 from spsqkd.photon_source import (
     ExcitationProbs,
     PhotonDistribution,
@@ -267,12 +268,16 @@ class TestExtractDistributionG3:
             "969f081790bafe98fb7935f6de3c8d27a1dc831e797ee9174e9f9ebe59c6d111")
 
     @given(distributions(max_p3=0.05))
+    @example(PhotonDistribution(0.5, 0.1, 0.35, 0.05))  # g2 1.108 > 1
+    # just below the ceiling: the damping halves a Newton step
+    @example(PhotonDistribution(0.789, 0.07, 0.136, 0.005))
     @settings(max_examples=200, deadline=None)
     def test_forward_map_round_trip(self, d: PhotonDistribution):
         assume(mean_photon_number(d) >= 1e-3 and d.p0 < 1.0 - 1e-9)
-        # the solver seeds from the two-moment inversion, which only
-        # exists below the {0,1,2}-basis autocorrelation ceiling
-        assume(g2_of(d) < 0.95 * g2_upper_bound(d.p0))
+        # at p1 = 0 the cubic in the mean has a double root at the
+        # solution (its slope there is p1 / mu), where the inversion is
+        # ill-conditioned, so stay off that boundary
+        assume(d.p1 >= 1e-4)
         back = extract_distribution_g3(d.p0, g2_of(d), g3_of(d))
         assert back.p1 == pytest.approx(d.p1, abs=1e-10)
         assert back.p2 == pytest.approx(d.p2, abs=1e-10)
@@ -372,6 +377,22 @@ class TestDistributionArrays:
         with pytest.raises(ValueError):
             check_distribution_array(np.array([(0.3, 0.5, 0.2, 0.0), column]).T)
 
+    weight = st.one_of(st.floats(min_value=-0.2, max_value=1.2),
+                       st.sampled_from([math.nan, math.inf, -1e-11]))
+
+    @given(st.lists(st.one_of(distributions(max_p3=0.2).map(
+        PhotonDistribution.as_tuple), st.tuples(weight, weight, weight,
+                                                weight)),
+                    min_size=1, max_size=6))
+    # a bad sum before a bad weight: the whole-array range check raised first
+    @example([(0.5, 0.4, 0.0, 0.0), (-0.5, 1.0, 0.5, 0.0)])
+    @settings(max_examples=200)
+    def test_raises_as_a_loop_of_dataclass_calls(self, first_error, columns):
+        probs = np.array(columns, dtype=float).T
+        assert first_error([lambda: check_distribution_array(probs)]) == (
+            first_error([lambda c=c: PhotonDistribution(*c)
+                         for c in columns]))
+
 
 class TestHpTransform:
     def test_dark_count_free_herald(self):
@@ -430,6 +451,29 @@ class TestHpTransform:
         probs = np.array([(0.5, 0.2, 0.3, 0.0), (0.6, 0.1, 0.3, 0.0)]).T
         with pytest.raises(ValueError, match=message):
             hp_transform_array(probs, np.array(t), np.array(eta_d), p_dc)
+
+    setting = st.one_of(st.floats(min_value=-0.5, max_value=1.5),
+                        st.just(math.nan))
+
+    @given(st.lists(st.tuples(distributions(max_p3=0.1), setting, setting,
+                              setting), min_size=1, max_size=6),
+           st.booleans())
+    # a bad eta_d before a bad t: the per-setting checks raised for t first
+    @example([(PhotonDistribution(0.5, 0.5, 0.0), 0.5, 2.0, 0.0),
+              (PhotonDistribution(0.5, 0.5, 0.0), 2.0, 0.5, 0.0)], False)
+    @settings(max_examples=200)
+    def test_array_form_raises_as_a_loop_of_scalar_calls(self, first_error,
+                                                         rows, shared_p_dc):
+        # per-column t and eta_d; p_dc per column or the first row's for all
+        probs = np.array([d.as_tuple() for d, _, _, _ in rows]).T
+        t, eta_d, p_dc = (np.array(v) for v in list(zip(*rows))[1:])
+        if shared_p_dc:
+            p_dc = float(p_dc[0])
+        scalar_p_dc = np.broadcast_to(p_dc, t.shape).tolist()
+        assert first_error([lambda: hp_transform_array(probs, t, eta_d,
+                                                        p_dc)]) == (
+            first_error([lambda r=r, p=p: hp_transform(r[0], r[1], r[2], p)
+                         for r, p in zip(rows, scalar_p_dc)]))
 
     def test_array_form_rejects_three_photon_input(self):
         probs = np.array([(0.5, 0.2, 0.3, 0.0), (0.9, 0.0, 0.05, 0.05)]).T
@@ -578,3 +622,82 @@ class TestSerialization:
     def test_unnormalized_distribution_rejected(self):
         with pytest.raises(ValueError):
             PhotonDistribution(p0=0.57, p1=0.3231, p2=0.1114)
+
+
+NAN = math.nan
+SAT = np.array([0.1, 0.5, 1.0])  # saturation-curve powers
+
+
+class TestArgumentChecks:
+    @pytest.mark.parametrize("call, error, message", [
+        (lambda: SourceModel(0.0, 0.5, 0.5), ValueError,
+         "alpha_times_is must be positive"),
+        (lambda: SourceModel(1.0, 1.5, 0.5), ValueError,
+         "qy_x=1.5 must lie in [0, 1]"),
+        (lambda: SourceModel(1.0, 0.5, -0.1), ValueError,
+         "qy_xx=-0.1 must lie in [0, 1]"),
+        (lambda: cascade_distribution(ExcitationProbs(1.5, 0.0), 0.5, 0.5),
+         ValueError, "p_xx=1.5 must lie in [0, 1]"),
+        (lambda: cascade_distribution(ExcitationProbs(0.5, 0.5), NAN, 0.5),
+         ValueError, "qy_x=nan must lie in [0, 1]"),
+        (lambda: cascade_distribution(ExcitationProbs(0.6, 0.5), 0.5, 0.5),
+         ValueError, "occupation probabilities exceed 1"),
+        (lambda: emission_distribution(SourceModel(1.0, 1.0, 1.0), -1.0),
+         ValueError, "pump power must be non-negative"),
+        (lambda: emission_distribution(SourceModel(1.0, 1.0, 1.0), NAN),
+         ValueError, "pump power must be non-negative"),
+        (lambda: g3_of(PhotonDistribution(1.0, 0.0, 0.0)), ValueError,
+         "g3 is undefined for a vacuum distribution"),
+        (lambda: extract_p0(-1.0, 2e6, 0.01), ValueError,
+         "count rate, repetition rate and efficiency must be physical"),
+        (lambda: extract_p0(100.0, 0.0, 0.01), ValueError,
+         "count rate, repetition rate and efficiency must be physical"),
+        (lambda: extract_p0(100.0, 2e6, 0.0), ValueError,
+         "count rate, repetition rate and efficiency must be physical"),
+        (lambda: extract_distribution_g2(1.0, 0.5), ValueError,
+         "p0 must lie in [0, 1)"),
+        (lambda: extract_distribution_g2(0.5, -0.1), ValueError,
+         "g2 must be non-negative"),
+        (lambda: extract_distribution_g2(0.5, NAN), ValueError,
+         "g2 must be non-negative"),
+        (lambda: extract_distribution_g3(-0.1, 0.5, 0.1), ValueError,
+         "p0 must lie in [0, 1)"),
+        (lambda: extract_distribution_g3(0.5, -0.1, 0.1), ValueError,
+         "g2 must be non-negative"),
+        (lambda: extract_distribution_g3(0.5, 0.5, -0.1), ValueError,
+         "g3 must be non-negative"),
+        (lambda: extract_distribution_g3(0.5, 0.5, NAN), ValueError,
+         "g3 must be non-negative"),
+        # above the {0,1,2} ceiling, where no root of the cubic has
+        # non-negative weights
+        (lambda: extract_distribution_g3(0.5, 10.0, 1.0),
+         InfeasibleObservablesError,
+         "no {0,1,2,3} distribution has p0=0.5, g2=10.0, g3=1.0"),
+        # below it, where the weights that match are not all non-negative
+        (lambda: extract_distribution_g3(0.0, 0.005, 0.1),
+         InfeasibleObservablesError,
+         "inversion of p0=0.0, g2=0.005, g3=0.1 leaves the simplex"),
+        (lambda: saturation_power(1.5, 0.5), ValueError,
+         "quantum yields must lie in [0, 1]"),
+        (lambda: saturation_power(0.5, NAN), ValueError,
+         "quantum yields must lie in [0, 1]"),
+        (lambda: saturation_power(0.0, 0.0), ValueError,
+         "at least one quantum yield must be positive"),
+        (lambda: fit_source_model(SAT[:2], SAT[:2]), FitError,
+         "need matching 1-d arrays with at least 3 samples"),
+        (lambda: fit_source_model(SAT, np.append(SAT, 2.0)), FitError,
+         "need matching 1-d arrays with at least 3 samples"),
+        (lambda: fit_source_model(np.array([-0.1, 0.5, 1.0]), SAT), FitError,
+         "powers must be non-negative and finite"),
+        (lambda: fit_source_model(np.array([0.1, 0.5, NAN]), SAT), FitError,
+         "powers must be non-negative and finite"),
+        (lambda: fit_source_model(SAT, np.array([0.1, 0.5, math.inf])),
+         FitError, "powers must be non-negative and finite"),
+    ])
+    def test_each_check_raises_its_own_message(self, call, error, message):
+        with pytest.raises(error, match=f"^{re.escape(message)}$"):
+            call()
+
+    def test_a_large_detection_efficiency_is_flagged(self):
+        with pytest.warns(UserWarning, match="eta_detection=0.5 is too large"):
+            assert extract_p0(1e5, 2e6, 0.5) == pytest.approx(0.9, abs=1e-15)
