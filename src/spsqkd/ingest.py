@@ -31,10 +31,10 @@ from .photon_source import PhotonDistribution
 from .protocols import (DEFAULT_F_EC, DEFAULT_Q_SIFT, skr_dtb_from_rates,
                         solve_dtb)
 
+# Row and column order of the count matrices.  Index i's wrong-detector
+# partner is i ^ 1; the other basis is the two indices j with
+# j // 2 != i // 2.
 STATES = ("H", "V", "D", "A")
-
-# Wrong-detector partner within each basis.
-_CONJUGATE = {"H": "V", "V": "H", "D": "A", "A": "D"}
 
 # Vacuum-intensity constants used when no S0 map was recorded: the
 # receiver's measured dark yield and the random error of dark clicks.
@@ -138,11 +138,8 @@ def gains_and_errors(tmap: TomographyMap, budget: AliceBudget) -> RatesWithSigma
     q = detected / sent
     q_sigma = math.sqrt(detected) / sent if detected else 1.0 / sent
 
-    matched = wrong = 0
-    for a in STATES:
-        partner = _CONJUGATE[a]
-        matched += tmap.cell(a, a) + tmap.cell(a, partner)
-        wrong += tmap.cell(a, partner)
+    wrong = sum(int(tmap.counts[i, i ^ 1]) for i in range(len(STATES)))
+    matched = int(tmap.counts.trace()) + wrong
     if matched == 0:
         e = math.nan
         e_sigma = math.nan
@@ -266,8 +263,6 @@ def skr_from_experiment(maps: list[TomographyMap],
         r0 = rate(*center)
         var = 0.0
         for i, sig in enumerate(sigmas):
-            if sig == 0.0:
-                continue
             lo, hi = list(center), list(center)
             lo[i] -= sig
             hi[i] += sig
@@ -376,10 +371,9 @@ def _place_row(counts: np.ndarray, i: int, right: int, wrong: int,
     and ``cross`` split evenly, by one multinomial draw, over the two
     detectors of the other basis.
     """
-    a = STATES[i]
     counts[i, i] += right
-    counts[i, STATES.index(_CONJUGATE[a])] += wrong
-    others = [j for j, s in enumerate(STATES) if s not in (a, _CONJUGATE[a])]
+    counts[i, i ^ 1] += wrong
+    others = [j for j in range(len(STATES)) if j // 2 != i // 2]
     counts[i, others] += rng.multinomial(cross, [0.5, 0.5])
 
 
@@ -420,16 +414,11 @@ def maps_from_report(report, config, budget: AliceBudget,
         if tally.sent == 0:
             continue
         counts = np.zeros((4, 4), dtype=np.int64)
-        # round-robin the detections over rows to keep integers exact
-        per_row = [tally.detected // 4] * 4
-        for i in range(tally.detected % 4):
-            per_row[i] += 1
-        err_row = [tally.errors // 4] * 4
-        for i in range(tally.errors % 4):
-            err_row[i] += 1
         for i in range(len(STATES)):
-            det = per_row[i]
-            err = min(err_row[i], det)
+            # round-robin of n clicks: n // 4 per row, one more in the
+            # first n % 4 rows, so the rows sum to n exactly
+            det = (tally.detected + 3 - i) // 4
+            err = min((tally.errors + 3 - i) // 4, det)
             # error flags and basis matching are independent, so the
             # wrong-detector count among matched clicks is hypergeometric;
             # past numpy's 1e9 population limit, the same law as two binomials

@@ -449,23 +449,17 @@ def hp_herald_probability(d: PhotonDistribution, t: float, eta_d: float,
                           p_dc: float) -> float:
     """Total probability per pulse that the heralding detector fires.
 
-    Exact threshold-detector click probability: with ``k`` photons
-    reflected, the herald fires unless all of them are missed and no dark
-    count occurs.  The settings and basis are checked as in
-    ``hp_transform``.
+    Exact threshold-detector click probability: the herald fires unless
+    every photon passes the splitter or is missed and no dark count
+    occurs.  Each photon is silent with probability u = 1 - (1 - t) eta_d,
+    so an n-photon pulse fires it with probability 1 - u**n (1 - p_dc).
+    The settings and basis are checked as in ``hp_transform``.
     """
     _check_hp(d.p3, t, eta_d, p_dc)
-    r = 1.0 - t
-    miss = 1.0 - eta_d
+    u = 1.0 - (1.0 - t) * eta_d
     quiet = 1.0 - p_dc
-    # Split each Fock component over the beam splitter and apply the
-    # click probability 1 - miss**k_reflected * quiet.
-    total = 0.0
-    for n, pn in enumerate((d.p0, d.p1, d.p2)):
-        for k in range(n + 1):
-            split = math.comb(n, k) * (r ** k) * (t ** (n - k))
-            total += pn * split * (1.0 - miss**k * quiet)
-    return total
+    return (d.p0 * (1.0 - quiet) + d.p1 * (1.0 - u * quiet)
+            + d.p2 * (1.0 - u * u * quiet))
 
 
 def saturation_power(qy_x: float, qy_xx: float) -> float:

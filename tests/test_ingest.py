@@ -26,7 +26,7 @@ from spsqkd.ingest import (
 )
 from spsqkd.montecarlo import IntensityTally, SimReport, run_dtb
 from spsqkd.photon_source import PhotonDistribution
-from spsqkd.protocols import skr_dtb
+from spsqkd.protocols import skr_dtb, solve_dtb
 
 VACUUM = PhotonDistribution(1.0, 0.0, 0.0)
 
@@ -377,6 +377,36 @@ class TestExperimentExtraction:
         assert signal.e == 1.0 and signal.e_sigma > 0.0
         (point,) = skr_from_experiment(maps, stats, budget)
         assert (point.skr, point.skr_sigma) == (0.0, 0.0)
+
+    @pytest.mark.parametrize("step", range(4))
+    def test_a_step_the_solve_rejects_adds_its_sigma_squared(
+            self, monkeypatch, bare_signal, bare_decoy, budget, step):
+        # the all-wrong maps give no key at and around the centre, so every
+        # step contributes 0 unless the solve rejects it: then its sigma
+        # stands in for the rate difference, and the variance is sigma**2
+        stats = {"S1": bare_decoy, "S2": bare_signal}
+        maps = [tally_map(label, 0, n, n)
+                for label, n in (("S0", 1), ("S1", 30), ("S2", 200))]
+        signal = gains_and_errors(maps[2], budget)
+        decoy = gains_and_errors(maps[1], budget)
+        centre = (signal.q, signal.e, decoy.q, decoy.e)
+        sigmas = (signal.q_sigma, signal.e_sigma, decoy.q_sigma,
+                  decoy.e_sigma)
+
+        def solve_rejecting_the_step(signal_obs, decoy_obs, *args, **kw):
+            at = (signal_obs.q, signal_obs.e, decoy_obs.q, decoy_obs.e)
+            if at[step] != centre[step]:
+                raise InconsistentDataError("step left the physical region")
+            return solve_dtb(signal_obs, decoy_obs, *args, **kw)
+
+        (base,) = skr_from_experiment(maps, stats, budget)
+        assert base.skr_sigma == 0.0
+        monkeypatch.setattr("spsqkd.ingest.solve_dtb",
+                            solve_rejecting_the_step)
+        (point,) = skr_from_experiment(maps, stats, budget)
+        assert point.skr == base.skr
+        assert point.skr_sigma ** 2 == pytest.approx(sigmas[step] ** 2,
+                                                     rel=1e-15)
 
     def test_a_single_photon_yield_at_the_dark_level_is_inconsistent(
             self, bare_signal, bare_decoy, budget):

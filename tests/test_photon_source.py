@@ -54,6 +54,20 @@ def distributions(max_p3: float = 0.0) -> st.SearchStrategy[PhotonDistribution]:
     return st.builds(build, floats, floats, p3s)
 
 
+def herald_by_enumeration(d: PhotonDistribution, t: float, eta_d: float,
+                          p_dc: float) -> float:
+    """The herald probability as the sum over each Fock component's split:
+    with ``k`` of ``n`` photons reflected, the herald fires unless all
+    ``k`` are missed and no dark count occurs."""
+    r, miss, quiet = 1.0 - t, 1.0 - eta_d, 1.0 - p_dc
+    total = 0.0
+    for n, pn in enumerate((d.p0, d.p1, d.p2)):
+        for k in range(n + 1):
+            split = math.comb(n, k) * (r ** k) * (t ** (n - k))
+            total += pn * split * (1.0 - miss**k * quiet)
+    return total
+
+
 class TestExcitationProbs:
     def test_zero_drive_is_ground_state(self):
         ex = excitation_probs(0.0)
@@ -505,6 +519,20 @@ class TestHpTransform:
         p1t, p2t = hp_transform(d, t, eta_d, p_dc)
         assert p1t == pytest.approx(exact_p1, rel=1e-2)
         assert p2t == pytest.approx(exact_p2, rel=1e-12)
+
+    @given(distributions(), unit, unit, unit)
+    @settings(max_examples=500)
+    def test_herald_probability_is_the_split_and_click_sum(self, d, t, eta_d,
+                                                         p_dc):
+        assert abs(hp_herald_probability(d, t, eta_d, p_dc)
+                   - herald_by_enumeration(d, t, eta_d, p_dc)) <= 1e-15
+
+    @pytest.mark.parametrize("t", [0.0, 1.0])
+    @pytest.mark.parametrize("eta_d", [0.0, 1.0])
+    @given(d=distributions(), p_dc=st.sampled_from([0.0, 0.05]))
+    def test_herald_probability_at_the_edges(self, t, eta_d, d, p_dc):
+        assert abs(hp_herald_probability(d, t, eta_d, p_dc)
+                   - herald_by_enumeration(d, t, eta_d, p_dc)) <= 1e-15
 
     def test_herald_probability_sums_the_click_tree(self):
         d = PhotonDistribution(p0=0.3, p1=0.4, p2=0.3)
