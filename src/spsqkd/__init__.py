@@ -72,6 +72,7 @@ from .photon_source import (
     g2_of,
     g2_upper_bound,
     g3_of,
+    hp_effective_distribution,
     hp_herald_probability,
     hp_transform,
     mean_photon_number,
@@ -81,7 +82,6 @@ from .protocols import (
     DecoySolution,
     SkrResult,
     binary_entropy,
-    hp_effective_distribution,
     skr_dtb,
     skr_dtb_from_rates,
     skr_hp,

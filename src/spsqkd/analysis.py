@@ -31,13 +31,13 @@ import numpy as np
 from .channel_model import ChannelParams
 from .errors import FitError, NoKeyError
 from .photon_source import (PhotonDistribution, apply_collection_array,
-                            check_collection, check_distribution_array)
+                            check_collection, check_distribution_array,
+                            hp_effective_array)
 from .protocols import (DEFAULT_ETA_D, DEFAULT_F_EC, DEFAULT_F_EC_TAGGING,
                         DEFAULT_Q_SIFT, DEFAULT_T, check_herald,
-                        herald_dark_rate, hp_effective_array, skr_dtb,
-                        skr_dtb_array, skr_hp, skr_hp_array,
-                        skr_wcs_infinite_decoy, skr_wcs_infinite_decoy_array,
-                        skr_wcs_tagging_bound)
+                        herald_dark_rate, skr_dtb, skr_dtb_array, skr_hp,
+                        skr_hp_array, skr_wcs_infinite_decoy,
+                        skr_wcs_infinite_decoy_array, skr_wcs_tagging_bound)
 from .search import bisect, golden_max_lockstep
 
 # Bisection width for maximal-loss searches, in dB.

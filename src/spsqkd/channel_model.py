@@ -16,12 +16,12 @@ error rates of a whole distribution are probability-weighted sums.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from typing import Callable
 
 import numpy as np
 
-from .errors import InfeasibleObservablesError
+from .errors import InfeasibleObservablesError, raise_first
 from .photon_source import PhotonDistribution
 
 # Poisson tail mass below which the weak-coherent sum is truncated.
@@ -60,8 +60,7 @@ class ChannelParams:
                              p_dc=self.p_dc, e_d=self.e_d)
 
     def to_dict(self) -> dict[str, float]:
-        return {"loss_db": self.loss_db, "eta_bob": self.eta_bob,
-                "p_dc": self.p_dc, "e_d": self.e_d}
+        return asdict(self)
 
     @classmethod
     def from_dict(cls, data: dict) -> "ChannelParams":
@@ -105,10 +104,8 @@ def _check_rates(q: float, e: float) -> None:
 def check_rates_array(q: np.ndarray, e: np.ndarray) -> None:
     """``ObservedRates``' checks on each pair (q[k], e[k]): the first pair
     outside [0, 1] raises through them, as a loop of scalar calls would."""
-    ok = (0.0 <= q) & (q <= 1.0) & (0.0 <= e) & (e <= 1.0)
-    if not ok.all():
-        k = np.argmin(ok)
-        _check_rates(float(q[k]), float(e[k]))
+    raise_first((0.0 <= q) & (q <= 1.0) & (0.0 <= e) & (e <= 1.0),
+                _check_rates, q, e)
 
 
 def transmittance(channel: ChannelParams) -> float:
@@ -156,16 +153,15 @@ def yields_array(channel: ChannelParams,
     the yields and error rates of ``channel.with_loss(loss_db[k])``, with
     the same operations in the same order as ``yields``.  numpy's
     log1p/expm1/power may round differently from ``math`` in the last
-    place, so entries can differ from ``yields`` by a few ulp.  The first
-    loss that ``ChannelParams`` rejects raises through ``channel.with_loss``.
+    place, so entries can differ from ``yields`` by a few ulp.  The losses
+    are not checked: the rate kernels check each column's loss in their
+    order of rules, and a loss that ``ChannelParams`` rejects gives
+    meaningless entries here.
     """
     loss_db = np.asarray(loss_db, dtype=float).reshape(-1)
-    ok = np.isfinite(loss_db) & (loss_db >= 0)
-    if not ok.all():
-        channel.with_loss(float(loss_db[np.argmin(ok)]))
-    eta = 10.0 ** (-loss_db / 10.0) * channel.eta_bob
     n = np.arange(4.0)[:, None]
-    with np.errstate(divide="ignore", invalid="ignore"):
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        eta = 10.0 ** (-loss_db / 10.0) * channel.eta_bob
         surv = -np.expm1(n * np.log1p(-eta))
     surv[:, eta >= 1.0] = n > 0  # every photon arrives
     y, ey = _clicks(surv, channel.p_dc, channel.e_d)

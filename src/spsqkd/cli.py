@@ -241,12 +241,9 @@ def cmd_gamma_map(args) -> int:
              for prefix, g_row in zip(prefixes, gmap.gamma_db))
     footer = {"wcs_mcl_db": gmap.wcs_mcl_db}
     try:
-        slope, intercept = gmap.fit_zero_contour()
-        footer["fit_slope"] = slope
-        footer["fit_intercept"] = intercept
+        footer["fit_slope"], footer["fit_intercept"] = gmap.fit_zero_contour()
     except FitError:
-        footer["fit_slope"] = math.nan
-        footer["fit_intercept"] = math.nan
+        footer["fit_slope"] = footer["fit_intercept"] = math.nan
     write_csv(args.out, _config(args), ("p1", "p2", "gamma_db"), lines, footer)
     return 0
 

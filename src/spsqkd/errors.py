@@ -5,9 +5,15 @@ power) raise ValueError.  The classes below mark conditions that are
 semantically meaningful to callers: measured data that no physical state
 can produce, decoy systems that cannot be inverted, and searches that
 cannot bracket a solution.
+
+An array form of a scalar check raises as a loop of its scalar calls
+would: ``raise_first`` replays the scalar rule at the first element that
+the array's validity mask rejects.
 """
 
 from __future__ import annotations
+
+import numpy as np
 
 
 class QkdError(Exception):
@@ -36,3 +42,13 @@ class FitError(QkdError):
 
 class ConfigError(QkdError):
     """A configuration file or CLI argument set is invalid."""
+
+
+def raise_first(ok: np.ndarray, rule, *values) -> None:
+    """Where ``ok`` (one bool per element) is not all true, call ``rule``
+    on the entries of ``values`` (arrays, or scalars shared by every
+    element) at the first false element, as floats: the scalar rule that
+    ``ok`` mirrors, which raises there as a loop of scalar calls would."""
+    if not ok.all():
+        k = int(np.argmin(ok))
+        rule(*(float(np.broadcast_to(v, ok.shape)[k]) for v in values))

@@ -92,9 +92,8 @@ class AliceBudget:
 
     @classmethod
     def from_dict(cls, data: dict) -> "AliceBudget":
-        return cls(rep_rate_n=float(data["rep_rate_n"]),
-                   eta_a=float(data["eta_a"]),
-                   eta_c_na=float(data["eta_c_na"]))
+        return cls(**{k: float(data[k])
+                      for k in ("rep_rate_n", "eta_a", "eta_c_na")})
 
 
 @dataclass(frozen=True, slots=True)
@@ -141,8 +140,7 @@ def gains_and_errors(tmap: TomographyMap, budget: AliceBudget) -> RatesWithSigma
     wrong = sum(int(tmap.counts[i, i ^ 1]) for i in range(len(STATES)))
     matched = int(tmap.counts.trace()) + wrong
     if matched == 0:
-        e = math.nan
-        e_sigma = math.nan
+        e = e_sigma = math.nan
     else:
         e = wrong / matched
         e_sigma = math.sqrt(max(e * (1.0 - e), 0.0) / matched)
@@ -325,8 +323,8 @@ def read_tomography_csv(csv_path: str | Path) -> TomographyMap:
     exposure_s, intensity_label, and nd_filter_db.
     """
     csv_path = Path(csv_path)
-    meta = json.loads(csv_path.with_suffix(csv_path.suffix + ".json")
-                      .read_text())
+    sidecar = csv_path.with_suffix(csv_path.suffix + ".json")
+    meta = json.loads(sidecar.read_text())
     counts = np.zeros((4, 4), dtype=np.int64)
     with open(csv_path, newline="") as fh:
         reader = csv.DictReader(fh)
@@ -335,6 +333,9 @@ def read_tomography_csv(csv_path: str | Path) -> TomographyMap:
             raise ConfigError(
                 f"tomography CSV must have columns {sorted(expected)}")
         for row in reader:
+            if row["counts"] is None:  # a short row
+                raise ConfigError(
+                    f"{csv_path} line {reader.line_num}: expected 3 fields")
             a, b = row["alice_state"].strip(), row["bob_detector"].strip()
             if a not in STATES or b not in STATES:
                 raise ConfigError(f"unknown state/detector pair ({a}, {b})")
@@ -344,8 +345,9 @@ def read_tomography_csv(csv_path: str | Path) -> TomographyMap:
                              exposure_s=float(meta["exposure_s"]),
                              intensity_label=str(meta["intensity_label"]),
                              nd_filter_db=float(meta["nd_filter_db"]))
-    except KeyError as exc:
-        raise ConfigError(f"sidecar lacks required field {exc}") from exc
+    except (KeyError, TypeError, ValueError) as exc:
+        # a field missing, null or not a number, or a sidecar not an object
+        raise ConfigError(f"{sidecar}: missing or bad field: {exc}") from exc
 
 
 def write_tomography_csv(tmap: TomographyMap, csv_path: str | Path) -> None:

@@ -24,7 +24,7 @@ from dataclasses import dataclass, asdict
 
 import numpy as np
 
-from .errors import FitError, InfeasibleObservablesError
+from .errors import FitError, InfeasibleObservablesError, raise_first
 from .search import golden_max
 
 # Construction tolerances: distributions arriving from JSON round-trips may
@@ -79,12 +79,15 @@ def check_distribution_array(probs: np.ndarray) -> np.ndarray:
     (4, N) array with rows (p0, p1, p2, p3); returns the array.  The first
     failing column raises through ``PhotonDistribution``, as a loop over
     the columns would."""
+    raise_first(_distributions_ok(probs), PhotonDistribution, *probs)
+    return probs
+
+
+def _distributions_ok(probs: np.ndarray) -> np.ndarray:
+    # PhotonDistribution's range and sum rules, one bool per column
     ok = np.isfinite(probs) & (probs >= -_NEG_TOL) & (probs <= 1.0 + _NEG_TOL)
     total = probs[0] + probs[1] + probs[2] + probs[3]
-    ok = ok.all(axis=0) & (np.abs(total - 1.0) <= _SUM_TOL)
-    if not ok.all():
-        PhotonDistribution(*probs[:, np.argmin(ok)].tolist())
-    return probs
+    return ok.all(axis=0) & (np.abs(total - 1.0) <= _SUM_TOL)
 
 
 @dataclass(frozen=True, slots=True)
@@ -421,28 +424,45 @@ def _check_hp(p3: float, t: float, eta_d: float, p_dc: float) -> None:
         raise ValueError("heralded purification is defined on the {0,1,2} basis")
 
 
-def hp_transform_array(probs: np.ndarray, t, eta_d,
-                       p_dc) -> tuple[np.ndarray, np.ndarray]:
-    """``hp_transform`` of every column of a (4, N) array of distributions.
-
-    ``t``, ``eta_d`` and ``p_dc`` are scalars or length-N arrays.  The
-    formula uses only +, - and *, so every entry equals the scalar result
-    bit for bit; the first column that fails the range or p3 checks raises
-    through the scalar form's.
-    """
-    ok = probs[3] == 0.0
-    for v in (t, eta_d, p_dc):
-        ok = ok & (0.0 <= v) & (v <= 1.0)
-    if not ok.all():
-        _check_hp(*(float(np.broadcast_to(v, ok.shape)[np.argmin(ok)])
-                    for v in (probs[3], t, eta_d, p_dc)))
-    return _heralded(probs[1], probs[2], t, eta_d, p_dc)
-
-
 def _heralded(p1, p2, t, eta_d, p_dc):
     # shared by the scalar and array forms, so both round alike
     r = 1.0 - t
     return 2.0 * p2 * r * t * (eta_d + p_dc) + t * p1 * p_dc, t * t * p2 * p_dc
+
+
+def hp_effective_distribution(d: PhotonDistribution, t: float, eta_d: float,
+                              p_dc_alice: float) -> PhotonDistribution:
+    """Effective per-pulse distribution sent onward by the purification stage.
+
+    The heralding beam splitter maps the source onto the joint
+    probabilities of (herald, n photons toward the channel) for n = 1, 2;
+    every other pulse contributes vacuum, since un-heralded pulses are
+    discarded from the key and heralded-vacuum pulses carry nothing.
+    """
+    p1t, p2t = hp_transform(d, t, eta_d, p_dc_alice)
+    return PhotonDistribution(p0=1.0 - p1t - p2t, p1=p1t, p2=p2t)
+
+
+def hp_effective_array(probs: np.ndarray, t, eta_d, p_dc_alice) -> np.ndarray:
+    """``hp_effective_distribution`` of each column of a (4, N) array of
+    checked distributions; ``t``, ``eta_d`` and ``p_dc_alice`` are scalars
+    or length-N arrays.
+
+    Rows 1 and 2 are ``hp_transform``'s results: the formula uses only +,
+    - and *, so every entry equals the scalar result bit for bit.  The
+    first column that fails the settings, the basis or the effective
+    distribution's checks replays the scalar call, which raises there.
+    """
+    ok = probs[3] == 0.0
+    for v in (t, eta_d, p_dc_alice):
+        ok = ok & (0.0 <= v) & (v <= 1.0)
+    p1t, p2t = _heralded(probs[1], probs[2], t, eta_d, p_dc_alice)
+    eff = np.stack([1.0 - p1t - p2t, p1t, p2t, np.zeros_like(p1t)])
+    raise_first(ok & _distributions_ok(eff),
+                lambda p0, p1, p2, p3, *setting: hp_effective_distribution(
+                    PhotonDistribution(p0, p1, p2, p3), *setting),
+                *probs, t, eta_d, p_dc_alice)
+    return eff
 
 
 def hp_herald_probability(d: PhotonDistribution, t: float, eta_d: float,

@@ -24,12 +24,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .channel_model import (ChannelParams, ObservedRates, check_rates_array,
-                            wcs_series, wcs_series_array, weighted_gains,
-                            yields, yields_array)
-from .errors import DegenerateDecoyError, InconsistentDataError
-from .photon_source import (PhotonDistribution, check_distribution_array,
-                            hp_transform, hp_transform_array)
+from .channel_model import (ChannelParams, ObservedRates, wcs_series,
+                            wcs_series_array, weighted_gains, yields,
+                            yields_array)
+from .errors import DegenerateDecoyError, InconsistentDataError, raise_first
+from .photon_source import PhotonDistribution, hp_effective_distribution
 from .search import golden_max, golden_max_lockstep
 
 # Defaults named once for every module and CLI flag: error correction costs
@@ -101,17 +100,13 @@ def _entropy_cost_each(x: np.ndarray) -> np.ndarray:
 
 
 def _entropy_cost_array(x: np.ndarray) -> np.ndarray:
-    # _entropy_cost elementwise; the first element it rejects (negative or
-    # NaN) raises through binary_entropy
-    ok = x >= 0.0
-    if not ok.all():
-        binary_entropy(float(x[np.argmin(ok)]))
+    # _entropy_cost elementwise, on numpy; the kernels check x >= 0 first
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
         h = -x * np.log2(x) - (1.0 - x) * np.log2(1.0 - x)
     return np.where(x >= 0.5, 1.0, np.where(x == 0.0, 0.0, h))
 
 
-def _clamp_unit(value: float, what: str, tol: float = _CLAMP_TOL) -> float:
+def _clamp_unit(value: float, what: str, tol: float) -> float:
     if value < -tol or value > 1.0 + tol:
         raise InconsistentDataError(
             f"solved {what} = {value:.6g} lies outside [0, 1] beyond tolerance")
@@ -232,19 +227,20 @@ def skr_dtb_array(probs: np.ndarray, channel: ChannelParams,
 
     Column k of ``probs`` (shape (4, N), rows p0..p3, already checked as
     distributions) is evaluated on ``channel.with_loss(loss_db[k])``.  The
-    arithmetic and the ``ObservedRates`` checks (``check_rates_array``, for
-    the first failing column) are those of ``skr_dtb``;
-    numpy's log/exp may round differently from ``math`` in the last place,
-    so rates can differ from ``skr_dtb`` by a few ulp.  A single
-    evaluation is ten times faster through ``skr_dtb``.
+    arithmetic and the checks are those of ``skr_dtb``, and the first
+    column that fails them raises as a loop of scalar calls would
+    (``_raise_as_scalar``); numpy's log/exp may round differently from
+    ``math`` in the last place, so rates can differ from ``skr_dtb`` by a
+    few ulp.  A single evaluation is ten times faster through ``skr_dtb``.
     """
     _check_settings(q_sift, f_ec)
     y, e = yields_array(channel, loss_db)
     q_s, eq = weighted_gains(probs, y, e)
     detected = ~(q_s <= 0.0)
     e_s = np.divide(eq, q_s, out=np.zeros_like(eq), where=detected)
-    # an undetected column (q_s <= 0) is rate 0 and unchecked, as in skr_dtb
-    check_rates_array(np.maximum(q_s, 0.0), e_s)
+    _raise_as_scalar(channel, loss_db, detected,
+                     (0.0 <= q_s) & (q_s <= 1.0) & (0.0 <= e_s) & (e_s <= 1.0),
+                     ObservedRates, q_s, e_s)
     raw = _decoy_bound(q_s, e_s, y[1] * probs[1],
                        1.0 - _entropy_cost_array(e[1]), q_sift, f_ec,
                        _entropy_cost_array)
@@ -268,19 +264,6 @@ def check_herald(t: float = DEFAULT_T, eta_d: float = DEFAULT_ETA_D,
         raise ValueError("eta_d must lie in (0, 1]")
     if not 0.0 <= p_dc <= 1.0:
         raise ValueError("p_dc must lie in [0, 1]")
-
-
-def hp_effective_distribution(d: PhotonDistribution, t: float, eta_d: float,
-                              p_dc_alice: float) -> PhotonDistribution:
-    """Effective per-pulse distribution sent onward by the purification stage.
-
-    The heralding beam splitter maps the source onto the joint
-    probabilities of (herald, n photons toward the channel) for n = 1, 2;
-    every other pulse contributes vacuum, since un-heralded pulses are
-    discarded from the key and heralded-vacuum pulses carry nothing.
-    """
-    p1t, p2t = hp_transform(d, t, eta_d, p_dc_alice)
-    return PhotonDistribution(p0=1.0 - p1t - p2t, p1=p1t, p2=p2t)
 
 
 def skr_hp(d: PhotonDistribution, channel: ChannelParams,
@@ -314,23 +297,17 @@ def skr_hp(d: PhotonDistribution, channel: ChannelParams,
                                      f_ec))
 
 
-def hp_effective_array(probs: np.ndarray, t, eta_d, p_dc_alice) -> np.ndarray:
-    """``hp_effective_distribution`` of each column of a (4, N) array, checked;
-    ``t``, ``eta_d`` and ``p_dc_alice`` are scalars or length-N arrays."""
-    p1t, p2t = hp_transform_array(probs, t, eta_d, p_dc_alice)
-    return check_distribution_array(
-        np.stack([1.0 - p1t - p2t, p1t, p2t, np.zeros_like(p1t)]))
-
-
 def skr_hp_array(eff: np.ndarray, channel: ChannelParams, loss_db: np.ndarray,
                  q_sift: float = DEFAULT_Q_SIFT,
                  f_ec: float = DEFAULT_F_EC_TAGGING) -> np.ndarray:
     """``skr_hp(...).rate`` of many problems, column k of the effective
-    distributions ``eff`` (from ``hp_effective_array``) at ``loss_db[k]``.
+    distributions ``eff`` (from ``photon_source.hp_effective_array``) at
+    ``loss_db[k]``.
 
-    The arithmetic, the omega clamp and its InconsistentDataError (raised
-    by ``_tagging_bound`` for the first column past it), and the omega <= 0
-    branch are ``skr_hp``'s; numpy's log/exp may round differently from
+    The arithmetic, the omega clamp and the omega <= 0 branch are
+    ``skr_hp``'s (``_tagging_bound``'s), and the first column that fails
+    its checks raises as a loop of scalar calls would
+    (``_raise_as_scalar``); numpy's log/exp may round differently from
     ``math`` in the last place.
     """
     _check_settings(q_sift, f_ec)
@@ -340,10 +317,11 @@ def skr_hp_array(eff: np.ndarray, channel: ChannelParams, loss_db: np.ndarray,
     e_s = np.divide(eq, q_s, out=np.zeros_like(eq), where=detected)
     q1 = eff[1] * y[1]
     omega = np.divide(q1, q_s, out=np.zeros_like(eq), where=detected)
-    over = omega > 1.0 + _CLAMP_TOL
-    if over.any():  # the first such column raises through _tagging_bound
-        k = np.argmax(over)
-        _tagging_bound(float(q_s[k]), float(e_s[k]), float(q1[k]), q_sift, f_ec)
+    # the omega clamp, then the entropy of E; E >= 0 covers the entropy of
+    # E / omega where omega > 0 too, since omega is NaN only where E is
+    _raise_as_scalar(channel, loss_db, detected,
+                     ~(omega > 1.0 + _CLAMP_TOL) & (e_s >= 0.0),
+                     _tagging_bound, q_s, e_s, q1, q_sift, f_ec)
     omega = np.minimum(omega, 1.0)
     keyed = omega > 0.0
     with np.errstate(over="ignore"):  # a subnormal omega: e_s / omega = inf
@@ -351,6 +329,20 @@ def skr_hp_array(eff: np.ndarray, channel: ChannelParams, loss_db: np.ndarray,
     raw = _gllp_bound(q_s, e_s, omega, ratio, q_sift, f_ec,
                       _entropy_cost_array)
     return np.where(keyed, np.maximum(raw, 0.0), 0.0)
+
+
+def _raise_as_scalar(channel, loss_db, detected, ok, rule, *values) -> None:
+    # the rules of one skr_* call per column, in its order: the loss
+    # (ChannelParams'), then where the gain is positive or NaN (``detected``)
+    # those that ``ok`` masks and ``rule`` raises on the gain and ``values``;
+    # the first column that fails raises as the scalar call does
+    def column(loss: float, q: float, *rest: float) -> None:
+        channel.with_loss(loss)
+        if not q <= 0.0:
+            rule(q, *rest)
+
+    raise_first(np.isfinite(loss_db) & (loss_db >= 0) & (~detected | ok),
+                column, loss_db, *values)
 
 
 def skr_wcs_infinite_decoy(channel: ChannelParams, mu: float | None = None,

@@ -175,24 +175,6 @@ class TestYieldsArray:
         assert y[:, 0].tolist() == list(yields(ch).y) == [0.0, 1.0, 1.0, 1.0]
         assert e[:, 0].tolist() == list(yields(ch).e)
 
-    @pytest.mark.parametrize("loss", [-1.0, math.inf, math.nan])
-    def test_bad_losses_rejected_as_with_loss_rejects_them(self, channel, loss):
-        with pytest.raises(ValueError):
-            channel.with_loss(loss)
-        with pytest.raises(ValueError):
-            yields_array(channel, np.array([10.0, loss]))
-
-    @given(st.lists(st.one_of(st.floats(min_value=-10.0, max_value=100.0),
-                              st.sampled_from([math.nan, math.inf,
-                                               -math.inf])),
-                    min_size=1, max_size=6))
-    @settings(max_examples=100)
-    def test_raises_as_a_loop_of_with_loss(self, first_error, channel,
-                                           losses):
-        assert first_error([lambda: yields_array(channel, np.array(losses))]
-                           ) == first_error([lambda x=x: channel.with_loss(x)
-                                             for x in losses])
-
     @given(st.floats(min_value=1e-3, max_value=1.0),
            st.floats(min_value=0.0, max_value=0.1),
            st.floats(min_value=0.0, max_value=0.5),

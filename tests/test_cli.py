@@ -10,6 +10,7 @@ import io
 import json
 import math
 import re
+import runpy
 import sys
 import tracemalloc
 from pathlib import Path
@@ -63,6 +64,22 @@ class TestTopLevel:
             main(["frobnicate"])
         assert exc.value.code == 2
         assert "invalid choice" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("argv, code", [
+        (["skr-curve", "--protocol", "wcs"], 0),
+        (["gamma-map", "--grid", "1"], 1)])
+    def test_module_run_as_a_script_exits_with_the_code_of_main(
+            self, capsys, monkeypatch, argv, code):
+        # python -m spsqkd.cli, in process; runpy warns that the package
+        # has imported the module already
+        want = invoke(capsys, argv)
+        monkeypatch.setattr(sys, "argv", ["spsqkd.cli"] + argv)
+        with pytest.warns(RuntimeWarning, match="found in sys.modules"), \
+                pytest.raises(SystemExit) as exc:
+            runpy.run_module("spsqkd.cli", run_name="__main__")
+        captured = capsys.readouterr()
+        assert (exc.value.code, captured.out, captured.err) == want
+        assert want[0] == code
 
     def test_subcommand_is_required(self):
         with pytest.raises(SystemExit) as exc:
@@ -671,6 +688,16 @@ class TestIngest:
         code, _, err = invoke(capsys, ["ingest", str(path)])
         assert code == 1
         assert err.startswith("error:")
+
+    def test_short_csv_row_fails_cleanly(self, capsys, tmp_path):
+        # the row "H,H" without a count escaped main as a TypeError
+        path = tmp_path / "short.csv"
+        path.write_text("alice_state,bob_detector,counts\nH,H\n")
+        path.with_suffix(".csv.json").write_text(json.dumps(
+            {"exposure_s": 1.0, "intensity_label": "S1", "nd_filter_db": 0.0}))
+        code, out, err = invoke(capsys, ["ingest", str(path)])
+        assert code == 1 and out == ""
+        assert err == f"error: {path} line 2: expected 3 fields\n"
 
     @pytest.mark.parametrize("field, value, message", [
         ("exposure_s", math.inf, "exposure_s must be positive and finite"),

@@ -202,6 +202,22 @@ class TestFileFormats:
         with pytest.raises(ConfigError):
             read_tomography_csv(path)
 
+    SIDECAR = {"exposure_s": 1.0, "intensity_label": "S1", "nd_filter_db": 0.0}
+
+    @pytest.mark.parametrize("rows, sidecar", [
+        ("H,H\n", SIDECAR),  # no count: int(None) raised TypeError
+        ("H\n", SIDECAR),  # no detector: None.strip() raised AttributeError
+        ("H,H,5\n", dict(SIDECAR, exposure_s=None)),  # float(None)
+        ("H,H,5\n", [1.0, "S1", 0.0])],  # a list indexed by field name
+        ids=["no-count", "no-detector", "null-exposure", "array-sidecar"])
+    def test_malformed_input_rejected_naming_the_file(self, tmp_path, rows,
+                                                      sidecar):
+        path = tmp_path / "m.csv"
+        path.write_text("alice_state,bob_detector,counts\n" + rows)
+        path.with_suffix(".csv.json").write_text(json.dumps(sidecar))
+        with pytest.raises(ConfigError, match="m.csv"):
+            read_tomography_csv(path)
+
     def test_duplicate_rows_accumulate(self, tmp_path):
         path = tmp_path / "s.csv"
         path.write_text(

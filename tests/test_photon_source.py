@@ -29,9 +29,10 @@ from spsqkd.photon_source import (
     g2_of,
     g2_upper_bound,
     g3_of,
+    hp_effective_array,
+    hp_effective_distribution,
     hp_herald_probability,
     hp_transform,
-    hp_transform_array,
     mean_photon_number,
     saturation_power,
 )
@@ -443,17 +444,18 @@ class TestHpTransform:
     unit =st.floats(min_value=0.0, max_value=1.0)
 
     @given(st.lists(st.tuples(distributions(), unit, unit), min_size=1,
-                    max_size=6), unit, unit)
+                    max_size=6), unit, st.floats(min_value=0.0, max_value=0.5))
     @settings(max_examples=100)
     def test_array_form_equals_the_scalar_form(self, rows, eta_d, p_dc):
-        # per-column t and eta_d, one shared dark-count probability
+        # per-column t and eta_d, one shared dark-count probability, at most
+        # 1/2: from (sqrt(5) - 1) / 2 on, p1~ + p2~ can pass 1
         probs = np.array([d.as_tuple() for d, _, _ in rows]).T
         t = np.array([t for _, t, _ in rows])
         etas = np.array([e for _, _, e in rows])
-        p1t, p2t = hp_transform_array(probs, t, etas, p_dc)
+        p1t, p2t = hp_effective_array(probs, t, etas, p_dc)[1:3]
         assert list(zip(p1t.tolist(), p2t.tolist())) == [
             hp_transform(d, t, e, p_dc) for d, t, e in rows]
-        p1t, p2t = hp_transform_array(probs, 0.5, eta_d, p_dc)
+        p1t, p2t = hp_effective_array(probs, 0.5, eta_d, p_dc)[1:3]
         assert list(zip(p1t.tolist(), p2t.tolist())) == [
             hp_transform(d, 0.5, eta_d, p_dc) for d, _, _ in rows]
 
@@ -464,7 +466,7 @@ class TestHpTransform:
     def test_array_form_checks_each_setting(self, t, eta_d, p_dc, message):
         probs = np.array([(0.5, 0.2, 0.3, 0.0), (0.6, 0.1, 0.3, 0.0)]).T
         with pytest.raises(ValueError, match=message):
-            hp_transform_array(probs, np.array(t), np.array(eta_d), p_dc)
+            hp_effective_array(probs, np.array(t), np.array(eta_d), p_dc)
 
     setting = st.one_of(st.floats(min_value=-0.5, max_value=1.5),
                         st.just(math.nan))
@@ -475,6 +477,10 @@ class TestHpTransform:
     # a bad eta_d before a bad t: the per-setting checks raised for t first
     @example([(PhotonDistribution(0.5, 0.5, 0.0), 0.5, 2.0, 0.0),
               (PhotonDistribution(0.5, 0.5, 0.0), 2.0, 0.5, 0.0)], False)
+    # an effective p0 of -0.25 before a three-photon input
+    @example([(PhotonDistribution(0.0, 0.0, 1.0), 0.5, 1.0, 1.0),
+              (PhotonDistribution(0.9, 0.0, 0.05, 0.05), 0.5, 0.9, 0.0)],
+             False)
     @settings(max_examples=200)
     def test_array_form_raises_as_a_loop_of_scalar_calls(self, first_error,
                                                          rows, shared_p_dc):
@@ -484,15 +490,15 @@ class TestHpTransform:
         if shared_p_dc:
             p_dc = float(p_dc[0])
         scalar_p_dc = np.broadcast_to(p_dc, t.shape).tolist()
-        assert first_error([lambda: hp_transform_array(probs, t, eta_d,
+        assert first_error([lambda: hp_effective_array(probs, t, eta_d,
                                                         p_dc)]) == (
-            first_error([lambda r=r, p=p: hp_transform(r[0], r[1], r[2], p)
-                         for r, p in zip(rows, scalar_p_dc)]))
+            first_error([lambda r=r, p=p: hp_effective_distribution(
+                r[0], r[1], r[2], p) for r, p in zip(rows, scalar_p_dc)]))
 
     def test_array_form_rejects_three_photon_input(self):
         probs = np.array([(0.5, 0.2, 0.3, 0.0), (0.9, 0.0, 0.05, 0.05)]).T
         with pytest.raises(ValueError, match="basis"):
-            hp_transform_array(probs, 0.5, 0.9, 0.0)
+            hp_effective_array(probs, 0.5, 0.9, 0.0)
 
     def test_joint_frequencies_match_a_pulse_level_simulation(self):
         # split / herald / count, vectorized over four million pulses

@@ -6,7 +6,7 @@ from importlib import resources
 
 import numpy as np
 import pytest
-from hypothesis import assume, example, given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from scipy.stats import entropy as shannon_entropy
 
@@ -14,16 +14,13 @@ from spsqkd.analysis import mcl, wcs_rate_fn, wcs_tagged_rate_fn
 from spsqkd.channel_model import (ChannelParams, ObservedRates, gain_and_qber,
                                   weighted_gains, yields, yields_array)
 from spsqkd.errors import DegenerateDecoyError, InconsistentDataError, NoKeyError
-from spsqkd.photon_source import PhotonDistribution
+from spsqkd.photon_source import (PhotonDistribution, hp_effective_array,
+                                  hp_effective_distribution)
 from spsqkd.protocols import (
     DecoySolution,
     SkrResult,
-    _entropy_cost,
-    _entropy_cost_array,
     _tagging_bound,
     binary_entropy,
-    hp_effective_array,
-    hp_effective_distribution,
     skr_dtb,
     skr_dtb_array,
     skr_dtb_from_rates,
@@ -34,6 +31,11 @@ from spsqkd.protocols import (
     skr_wcs_tagging_bound,
     solve_dtb,
 )
+
+
+# channel losses for the raise-as-a-loop tests: valid ones, and those that
+# ChannelParams rejects
+LOSSES = st.sampled_from([0.0, 3.0, 10.0, -1.0, math.nan, math.inf])
 
 
 def h2(x: float) -> float:
@@ -67,14 +69,6 @@ class TestBinaryEntropy:
             binary_entropy(-0.01)
         with pytest.raises(ValueError):
             binary_entropy(1.01)
-
-    @given(st.lists(st.one_of(st.floats(min_value=-1.0, max_value=2.0),
-                              st.just(math.nan)), min_size=1, max_size=6))
-    @settings(max_examples=200)
-    def test_array_cost_raises_as_a_loop_of_scalar_costs(self, first_error,
-                                                          xs):
-        assert first_error([lambda: _entropy_cost_array(np.array(xs))]) == (
-            first_error([lambda x=x: _entropy_cost(x) for x in xs]))
 
 
 class TestSolveDtb:
@@ -250,22 +244,25 @@ class TestSkrDtbArray:
 
     weight = st.floats(min_value=-1.0, max_value=3.0)
 
-    @given(st.lists(st.tuples(weight, weight, weight, weight,
-                              st.sampled_from([0.0, 3.0, 10.0])),
+    @given(st.lists(st.tuples(weight, weight, weight, weight, LOSSES),
                     min_size=1, max_size=6))
     # an error rate past 1 (Q = 4.9e-5, E = 9.6) before a gain past 1: the
     # gains of all columns were checked first
     @example([(1.0, -0.0019, 0.0, 0.0, 0.0), (0.0, 2.0, 0.0, 0.0, 0.0)])
+    # the same error rate before a negative loss: every loss was checked first
+    @example([(1.0, -0.0019, 0.0, 0.0, 0.0), (0.5, 0.5, 0.0, 0.0, -1.0)])
     @settings(max_examples=200, deadline=None)
     def test_raises_as_a_loop_of_observed_rates(self, first_error, columns):
-        # unchecked columns: skr_dtb's step per column (no check where the
-        # gain is <= 0, else ObservedRates) on the array's own yields
+        # unchecked columns and losses: skr_dtb's steps per column (the loss,
+        # then no check where the gain is <= 0, else ObservedRates) on the
+        # array's own yields
         ch = ChannelParams(loss_db=0.0, eta_bob=0.5, p_dc=1e-3, e_d=0.03)
         probs = np.array([c[:4] for c in columns]).T
         losses = np.array([c[4] for c in columns])
         y, e = yields_array(ch, losses)
 
         def scalar(k: int) -> None:
+            ch.with_loss(float(losses[k]))
             q, eq = weighted_gains(probs[:, k].tolist(), y[:, k].tolist(),
                                    e[:, k].tolist())
             if not q <= 0.0:
@@ -376,37 +373,52 @@ class TestSkrHpArray:
         with pytest.raises(InconsistentDataError, match="omega"):
             skr_hp_array(eff, ch, np.zeros(1))
 
-    @given(st.lists(st.tuples(st.floats(min_value=0.0, max_value=1.0),
+    @given(st.lists(st.tuples(st.floats(min_value=-1.0, max_value=1.0),
                               st.floats(min_value=0.0, max_value=1.5),
                               st.floats(min_value=-0.3, max_value=0.5),
-                              st.sampled_from([0.0, 3.0, 10.0])),
+                              LOSSES),
                     min_size=1, max_size=6))
     # omega 1.18 before omega 1.82: the maximum was reported
     @example([(0.0, 1.0, -0.1, 0.0), (0.0, 1.0, -0.3, 0.0)])
+    # a negative error rate before omega 1.18: every omega was checked first
+    @example([(-1.0, 0.01, 0.01, 0.0), (0.0, 1.0, -0.1, 0.0)])
+    # the same error rate before a negative loss: every loss was checked first
+    @example([(-1.0, 0.01, 0.01, 0.0), (0.5, 0.5, 0.0, -1.0)])
     @settings(max_examples=200, deadline=None)
     def test_omega_clamp_raises_as_a_loop_of_tagging_bounds(self, first_error,
                                                             columns):
-        # unchecked columns: skr_hp's step per column (no bound where the
-        # gain is <= 0, else _tagging_bound) on the array's own yields
+        # unchecked columns and losses: skr_hp's steps per column (the loss,
+        # then no bound where the gain is <= 0, else _tagging_bound) on the
+        # array's own yields
         ch = ChannelParams(loss_db=0.0, eta_bob=0.5, p_dc=1e-3, e_d=0.03)
         eff = np.array([c[:3] + (0.0,) for c in columns]).T
         losses = np.array([c[3] for c in columns])
         y, e = yields_array(ch, losses)
 
         def scalar(k: int) -> None:
+            ch.with_loss(float(losses[k]))
             q, eq = weighted_gains(eff[:3, k].tolist(), y[:3, k].tolist(),
                                    e[:3, k].tolist())
             if not q <= 0.0:
                 _tagging_bound(q, eq / q, float(eff[1, k] * y[1, k]), 0.5, 1.0)
 
-        errors = [first_error([lambda k=k: scalar(k)])
-                  for k in range(len(columns))]
-        # the omega rule alone: a negative error rate fails the entropy
-        # first in a scalar call, but only after every omega in the array
-        assume(all(err is None or err[0] is InconsistentDataError
-                   for err in errors))
-        assert first_error([lambda: skr_hp_array(eff, ch, losses)]) == next(
-            (err for err in errors if err), None)
+        assert first_error([lambda: skr_hp_array(eff, ch, losses)]) == (
+            first_error([lambda k=k: scalar(k) for k in range(len(columns))]))
+
+
+@pytest.mark.parametrize("loss", [-1.0, math.inf, math.nan])
+def test_bad_losses_rejected_as_with_loss_rejects_them(channel, sps1, loss):
+    # the second of two columns, in both rate kernels
+    probs = np.array([sps1.as_tuple()] * 2).T
+    losses = np.array([10.0, loss])
+    with pytest.raises(ValueError, match="loss_db must be") as scalar:
+        channel.with_loss(loss)
+    for call in (lambda: skr_dtb_array(probs, channel, losses),
+                 lambda: skr_hp_array(hp_effective_array(probs, 0.5, 0.9, 0.0),
+                                      channel, losses)):
+        with pytest.raises(ValueError) as array:
+            call()
+        assert str(array.value) == str(scalar.value)
 
 
 class TestHpMonotoneOnTheMclGrid:
