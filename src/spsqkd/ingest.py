@@ -92,8 +92,9 @@ class AliceBudget:
 
     @classmethod
     def from_dict(cls, data: dict) -> "AliceBudget":
-        return cls(**{k: float(data[k])
-                      for k in ("rep_rate_n", "eta_a", "eta_c_na")})
+        return cls(rep_rate_n=float(data["rep_rate_n"]),
+                   eta_a=float(data["eta_a"]),
+                   eta_c_na=float(data["eta_c_na"]))
 
 
 @dataclass(frozen=True, slots=True)
@@ -140,7 +141,8 @@ def gains_and_errors(tmap: TomographyMap, budget: AliceBudget) -> RatesWithSigma
     wrong = sum(int(tmap.counts[i, i ^ 1]) for i in range(len(STATES)))
     matched = int(tmap.counts.trace()) + wrong
     if matched == 0:
-        e = e_sigma = math.nan
+        e = math.nan
+        e_sigma = math.nan
     else:
         e = wrong / matched
         e_sigma = math.sqrt(max(e * (1.0 - e), 0.0) / matched)
@@ -319,27 +321,28 @@ def read_tomography_csv(csv_path: str | Path) -> TomographyMap:
     """Load one tomography matrix from CSV plus its JSON sidecar.
 
     The CSV has a ``alice_state,bob_detector,counts`` header; missing
-    cells default to zero.  The sidecar ``<csv>.json`` must define
-    exposure_s, intensity_label, and nd_filter_db.
+    cells default to zero.  Each row holds a state and a detector from
+    ``STATES`` and a count of decimal digits; any other row, a short one
+    included, is a ConfigError naming the file and line.  The sidecar
+    ``<csv>.json`` must define exposure_s, intensity_label, and
+    nd_filter_db.
     """
     csv_path = Path(csv_path)
     sidecar = csv_path.with_suffix(csv_path.suffix + ".json")
     meta = json.loads(sidecar.read_text())
     counts = np.zeros((4, 4), dtype=np.int64)
     with open(csv_path, newline="") as fh:
-        reader = csv.DictReader(fh)
-        expected = {"alice_state", "bob_detector", "counts"}
-        if reader.fieldnames is None or set(reader.fieldnames) != expected:
+        reader = csv.DictReader(fh, restval="")  # a missing field reads ""
+        fields = ("alice_state", "bob_detector", "counts")
+        if reader.fieldnames is None or set(reader.fieldnames) != set(fields):
             raise ConfigError(
-                f"tomography CSV must have columns {sorted(expected)}")
+                f"tomography CSV must have columns {sorted(fields)}")
         for row in reader:
-            if row["counts"] is None:  # a short row
-                raise ConfigError(
-                    f"{csv_path} line {reader.line_num}: expected 3 fields")
-            a, b = row["alice_state"].strip(), row["bob_detector"].strip()
-            if a not in STATES or b not in STATES:
-                raise ConfigError(f"unknown state/detector pair ({a}, {b})")
-            counts[STATES.index(a), STATES.index(b)] += int(row["counts"])
+            a, b, n = (row[k].strip() for k in fields)
+            if a not in STATES or b not in STATES or not n.isdecimal():
+                raise ConfigError(f"{csv_path} line {reader.line_num}: "
+                                  f"bad row ({a}, {b}, {n})")
+            counts[STATES.index(a), STATES.index(b)] += int(n)
     try:
         return TomographyMap(counts=counts,
                              exposure_s=float(meta["exposure_s"]),

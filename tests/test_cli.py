@@ -697,7 +697,7 @@ class TestIngest:
             {"exposure_s": 1.0, "intensity_label": "S1", "nd_filter_db": 0.0}))
         code, out, err = invoke(capsys, ["ingest", str(path)])
         assert code == 1 and out == ""
-        assert err == f"error: {path} line 2: expected 3 fields\n"
+        assert err == f"error: {path} line 2: bad row (H, H, )\n"
 
     @pytest.mark.parametrize("field, value, message", [
         ("exposure_s", math.inf, "exposure_s must be positive and finite"),

@@ -208,8 +208,11 @@ class TestFileFormats:
         ("H,H\n", SIDECAR),  # no count: int(None) raised TypeError
         ("H\n", SIDECAR),  # no detector: None.strip() raised AttributeError
         ("H,H,5\n", dict(SIDECAR, exposure_s=None)),  # float(None)
-        ("H,H,5\n", [1.0, "S1", 0.0])],  # a list indexed by field name
-        ids=["no-count", "no-detector", "null-exposure", "array-sidecar"])
+        ("H,H,5\n", [1.0, "S1", 0.0]),  # a list indexed by field name
+        ("H,H,x\n", SIDECAR),  # int("x") raised ValueError
+        ("H,H,-5\n", SIDECAR)],  # rejected without naming the file
+        ids=["no-count", "no-detector", "null-exposure", "array-sidecar",
+             "non-numeric-count", "negative-count"])
     def test_malformed_input_rejected_naming_the_file(self, tmp_path, rows,
                                                       sidecar):
         path = tmp_path / "m.csv"
