@@ -9,6 +9,10 @@ probes is a multiple of the step 25/2^k dB, the first halving of 25 dB at
 or below the tolerance (25/4096 dB at the default 0.01 dB), so for a rate
 whose sign does not increase along that grid the result is fixed by the
 highest grid loss with key, whatever order the problems are probed in.
+That is why the search may also start from a hint, a problem's expected
+MCL: it gallops out from the hint's grid index instead of expanding from
+zero, and ends in the same bisection with the same result.
+``optimal_bs_transmission`` hints each weight's MCL at its last t.
 Protocol merit is then expressed as the relative gain
 
     gamma_dB = MCL_protocol - MCL_baseline
@@ -119,23 +123,41 @@ class GammaMap:
         return float(slope), float(intercept)
 
 
-def _mcl_bracket(rate_fn: ArrayRateFn, size: int,
-                 tol_db: float) -> tuple[np.ndarray, float]:
+def _mcl_bracket(rate_fn: ArrayRateFn, size: int, tol_db: float,
+                 hint: np.ndarray | None = None) -> tuple[np.ndarray, float]:
     """The one maximal-loss search, over ``size`` problems in lockstep.
 
     ``rate_fn(idx, loss_db)`` returns the key rates of problems ``idx`` at
-    the losses ``loss_db`` (equal-length arrays).  Problems with key at
-    zero loss ("not <= 0", so a NaN rate is searched too) expand 25 dB
-    brackets until a probe has no key, and FitError is raised when any
-    problem still has key at the 200 dB cap.  Then every bracket is 25 dB
-    wide, so all are halved together down to the step 25/2^k, the first
-    halving of 25 dB at or below ``tol_db``; every loss probed is a
-    multiple of that step, exact in float.  Returns each problem's last
-    loss with key, the floor of its final bracket (NaN without key at
-    zero loss), and the step.
+    the losses ``loss_db`` (equal-length arrays).  Every loss probed is a
+    grid index times the step s = 25/2^k dB, the first halving of 25 dB at
+    or below ``tol_db``, exact in float.  A problem has key at index 0
+    when its rate is "not <= 0" (so a NaN rate is searched too), and at
+    any other index when its rate is > 0.
+
+    Without a hint a problem checks zero loss, then expands 25 dB brackets
+    until a probe has no key.  ``hint``, when given, holds each problem's
+    expected MCL in dB, NaN for none: a hinted problem probes the index
+    floor(hint / s), clamped to [0, 200 dB], then gallops by 1, 2, 4, ...
+    steps up while it has key or down while it has none, clamped alike;
+    no key at index 0 leaves it without key.  Either way FitError is
+    raised when any problem has key at the 200 dB cap.  Every bracket is
+    then a power of two steps wide (25 dB without a hint), and all are
+    bisected together over grid indices, the widest first; so for a rate
+    whose sign does not increase along the grid the result is the highest
+    index with key, hinted or not.  Returns each problem's last loss with
+    key, the floor of its final bracket (NaN without key at zero loss),
+    and s.
     """
-    keyed = np.flatnonzero(~(rate_fn(np.arange(size), np.zeros(size)) <= 0.0))
-    floor = np.full(size, np.nan)
+    step, width = 25.0, 1  # the grid step, and 25 dB in steps
+    while step > tol_db:
+        step *= 0.5
+        width *= 2
+    cap = 8 * width  # _LOSS_CAP_DB in steps
+    floor = np.full(size, np.nan)  # the highest loss found with key
+
+    keyed = np.arange(size) if hint is None else np.flatnonzero(np.isnan(hint))
+    if keyed.size:
+        keyed = keyed[~(rate_fn(keyed, np.zeros(keyed.size)) <= 0.0)]
     live, loss = keyed, 0.0  # the problems with key at every 25 dB so far
     while live.size:
         floor[live] = loss
@@ -143,12 +165,52 @@ def _mcl_bracket(rate_fn: ArrayRateFn, size: int,
             raise FitError(f"key rate still positive at {_LOSS_CAP_DB} dB")
         loss += 25.0
         live = live[rate_fn(live, np.full(live.size, loss)) > 0.0]
-    at, step = floor[keyed], 25.0
-    while keyed.size and step > tol_db:
-        step *= 0.5
-        mid = at + step
-        np.copyto(at, mid, where=rate_fn(keyed, mid) > 0.0)
-    floor[keyed] = at
+    todo, wide = keyed, np.full(keyed.size, width)  # brackets, in steps
+
+    if hint is not None:
+        hinted = np.flatnonzero(~np.isnan(hint))
+        below = np.full(hinted.size, -1)  # the highest index found with key
+        above = np.full(hinted.size, cap + 1)  # the lowest found without
+        live = np.arange(hinted.size)
+        at = np.clip(np.floor(hint[hinted] / step), 0, cap).astype(np.int64)
+        stride = 1
+        while live.size:
+            rate = rate_fn(hinted[live], at * step)  # "not <= 0" at 0:
+            key = (rate > 0.0) | ((at == 0) & np.isnan(rate))
+            if np.any(key & (at == cap)):
+                raise FitError(f"key rate still positive at {_LOSS_CAP_DB} dB")
+            below[live[key]] = at[key]
+            above[live[~key]] = at[~key]
+            # on down while no key is found above 0, up while all had key
+            live = live[((below[live] < 0) & (above[live] > 0))
+                        | (above[live] > cap)]
+            at = np.where(below[live] < 0,
+                          np.maximum(above[live] - stride, 0),
+                          np.minimum(below[live] + stride, cap))
+            stride *= 2
+        got = below >= 0
+        below, above = below[got], above[got]
+        # a bracket clamped at 0 or at the cap is widened to a power of two
+        # away from that end, over indices whose sign monotonicity fixes
+        pow2 = 2 ** np.ceil(np.log2(above - below)).astype(np.int64)
+        floor[hinted[got]] = np.where(above == cap, cap - pow2, below) * step
+        wide = np.concatenate([wide, pow2])
+        order = np.argsort(-wide, kind="stable")
+        todo, wide = np.concatenate([todo, hinted[got]])[order], wide[order]
+
+    # one bisection, of the widest brackets first and of the others from
+    # the half that fits them; each index j is held as its loss j * step,
+    # exact in float, so the sums below are exact too
+    at, n = floor[todo], 0
+    half = int(wide[0]) >> 1 if todo.size else 0
+    while half:
+        if n < todo.size and wide[n] > half:
+            n = np.count_nonzero(wide > half)
+            head, idx = at[:n], todo[:n]  # views: head writes through to at
+        mid = head + half * step
+        np.copyto(head, mid, where=rate_fn(idx, mid) > 0.0)
+        half >>= 1
+    floor[todo] = at
     return floor, step
 
 
@@ -404,10 +466,17 @@ def optimal_bs_transmission(p2, p_dc: float, eta_d: float,
 
     ``p2`` is one two-photon weight, or a sequence of them for an array of
     optima.  All weights are searched together (``golden_max_lockstep``,
-    with one ``mcl_lockstep`` across them per probe); one weight is the
-    size-1 case.  Each optimum equals a ``golden_max`` over ``mcl(...,
-    tol_db=1e-5)`` bit for bit, unless a probed rate lies within the
-    kernel's last-place rounding of zero.
+    with one MCL search across them per probe, as ``mcl_lockstep`` at
+    ``tol_db=1e-5``); one weight is the size-1 case.  Each weight's search
+    after its first t starts from its MCL at its last t, which usually
+    lies a few grid steps away, and gallops out from there
+    (``_mcl_bracket``): about half the rate calls of a search from zero
+    loss.  Both probe only multiples of one grid step and return the
+    highest of them with key plus half a step, so the hint changes no MCL
+    while the rate's sign does not increase along that grid.  Each optimum
+    equals a ``golden_max`` over ``mcl(..., tol_db=1e-5)`` bit for bit,
+    unless a probed rate lies within the kernel's last-place rounding of
+    zero.
 
     With ``p1 > 0`` and a noisy herald detector the optimum moves above
     1/2 at small p2 and relaxes back as p2 grows: false heralds promote
@@ -421,18 +490,20 @@ def optimal_bs_transmission(p2, p_dc: float, eta_d: float,
     p2s = np.array(p2, dtype=float).reshape(-1)
     if not np.all((0.0 < p2s) & (p2s <= 1.0)):
         raise ValueError("p2 must lie in (0, 1]")
-    if p1 < 0.0 or np.any(p1 + p2s > 1.0):
+    if not p1 >= 0.0 or np.any(p1 + p2s > 1.0):
         raise ValueError("need p1 >= 0 and p1 + p2 <= 1")
     probs = check_distribution_array(np.stack(
         [1.0 - p1 - p2s, np.full_like(p2s, p1), p2s, np.zeros_like(p2s)]))
     keyed = np.zeros(p2s.size, dtype=bool)
+    last = np.full(p2s.size, np.nan)  # each weight's MCL at its last t
 
     def objective(idx: np.ndarray, t: np.ndarray) -> np.ndarray:
         # the landscape is shallow near the top, so the inner loss search
         # runs much tighter than the reported MCL resolution
-        m = mcl_lockstep(hp_rate_array_fn(probs[:, idx], channel, t=t,
-                                          eta_d=eta_d, p_dc_alice=p_dc),
-                         idx.size, tol_db=1e-5)
+        floor, step = _mcl_bracket(
+            hp_rate_array_fn(probs[:, idx], channel, t=t, eta_d=eta_d,
+                             p_dc_alice=p_dc), idx.size, 1e-5, last[idx])
+        m = last[idx] = floor + 0.5 * step
         keyed[idx] |= ~np.isnan(m)
         return np.where(np.isnan(m), -1.0, m)  # no key
 

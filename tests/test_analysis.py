@@ -4,7 +4,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from spsqkd import analysis, protocols
@@ -397,6 +397,91 @@ class TestOneSearch:
                                                0.01)
 
 
+NO_KEY = st.sampled_from([0.0, -1.0, math.nan])
+
+
+@st.composite
+def hinted_problems(draw):
+    """(cut-off, rate above it, rate at exactly 0 dB, hint, whether the hint
+    is snapped to the grid) of a rate whose key holds below the cut-off and
+    nowhere above it, so its sign never increases along the loss axis: key
+    past the cap, no key at zero, a NaN rate at zero (key there), or a
+    cut-off anywhere between."""
+    cutoff = draw(st.one_of(st.just(0.0),
+                            st.floats(min_value=0.0, max_value=260.0)))
+    # only a rate without key above zero may have key at zero alone
+    at_zero = draw(st.sampled_from([None, math.nan] + (
+        [1e-3, 0.0, -1.0] if cutoff == 0.0 else [])))
+    hint = draw(st.one_of(
+        st.just(math.nan), st.just(0.0),
+        st.floats(min_value=-2.0, max_value=2.0).map(
+            lambda d: max(cutoff + d, 0.0)),
+        st.floats(min_value=0.0, max_value=200.0),
+        st.floats(min_value=200.0, max_value=1e6, exclude_min=True)))
+    return cutoff, draw(NO_KEY), at_zero, hint, draw(st.booleans())
+
+
+def monotone_rate(cutoff: float, no_key: float, at_zero):
+    def rate(loss_db: float) -> float:
+        if loss_db == 0.0 and at_zero is not None:
+            return at_zero
+        return 1e-3 if loss_db < cutoff else no_key
+    return rate
+
+
+def grid_step(tol_db: float) -> float:
+    """The step of the search's grid at ``tol_db``."""
+    return analysis._mcl_bracket(lambda idx, loss: -np.ones(idx.size), 1,
+                                 tol_db)[1]
+
+
+class TestHintedSearch:
+    """A hint moves only where ``_mcl_bracket`` starts: on a rate whose sign
+    never increases along the loss axis, a hinted search finds the floor
+    the search without hints finds, and fails where it fails, probing only
+    grid losses between 0 and 200 dB."""
+
+    @given(st.lists(hinted_problems(), min_size=1, max_size=4),
+           st.sampled_from([0.01, 1e-5, 0.3, 25.0 / 1024, 40.0]))
+    # gallops down to 0 dB and finds no key there
+    @example([(0.0, 0.0, None, 37.5, False)], 0.01)
+    # key past the cap, found by gallops up from on and above the cap
+    @example([(230.0, math.nan, None, 150.0, True),
+              (230.0, 0.0, None, 1e6, False)], 0.01)
+    # clamped at the cap 5 steps above its last key: widened upwards, its
+    # bracket would reach past 200 dB
+    @example([(199.9, 0.0, None, 197.65625, True)], 0.3)
+    # one problem without a hint beside one clamped at 0 and one at the cap
+    @example([(30.0, 0.0, None, math.nan, False),
+              (1e-3, 0.0, None, 0.0, True),
+              (199.99, -1.0, None, 250.0, False)], 1e-5)
+    @settings(max_examples=300, deadline=None)
+    def test_a_hint_changes_no_floor_and_no_error(self, problems, tol_db):
+        rates = [monotone_rate(*p[:3]) for p in problems]
+        log = []
+
+        def rate_fn(idx, loss):
+            log.extend(loss.tolist())
+            return np.array([rates[i](x) for i, x in zip(idx.tolist(),
+                                                         loss.tolist())])
+
+        def floors(hint):
+            try:
+                got = analysis._mcl_bracket(rate_fn, len(rates), tol_db, hint)
+            except FitError:
+                return FitError
+            return [float.hex(f) for f in got[0].tolist()]
+
+        step = grid_step(tol_db)
+        want = floors(None)
+        log.clear()
+        hints = np.array([np.floor(h / step) * step if snap else h
+                          for *_, h, snap in problems])
+        assert floors(hints) == want
+        assert log and all(0.0 <= x <= 200.0 and (x / step).is_integer()
+                           for x in log)
+
+
 def scalar_hp_mcl(d: PhotonDistribution, channel: ChannelParams,
                   tol_db: float = 0.01, **kwargs) -> float:
     """The per-point heralded reference: NaN where mcl finds no key."""
@@ -750,6 +835,14 @@ class TestOptimalBsTransmission:
     def test_herald_efficiency_outside_0_1_rejected(self, channel, eta_d):
         with pytest.raises(ValueError, match="eta_d must lie in"):
             optimal_bs_transmission([0.1, 0.3], 2e-7, eta_d, channel)
+
+    @pytest.mark.parametrize("p1", [math.nan, -0.1])
+    def test_a_p1_that_is_not_at_least_0_is_rejected(self, monkeypatch,
+                                                    channel, p1):
+        monkeypatch.setattr(analysis, "_mcl_bracket", no_search)
+        with pytest.raises(ValueError,
+                           match=r"need p1 >= 0 and p1 \+ p2 <= 1"):
+            optimal_bs_transmission([0.1, 0.3], 1e-3, 0.9, channel, p1=p1)
 
     def test_domain_checks(self, monkeypatch, channel):
         monkeypatch.setattr(analysis, "_mcl_bracket", no_search)

@@ -18,7 +18,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from spsqkd import __version__, cli
+from spsqkd import __version__, analysis, cli
 from spsqkd.analysis import dtb_rate_fn, gamma_map_dtb, mcl, wcs_mcl, wcs_rate_fn
 from spsqkd.cli import MAX_GRID, load_channel, main
 from spsqkd.errors import ConfigError
@@ -320,6 +320,20 @@ class TestOptimalT:
         assert rows[0][0] == 0.05 and rows[-1][0] == pytest.approx(0.5)
         assert all(r[1] == 0.5 for r in rows)
 
+    # each weight's search after its first t starts from its last MCL; a
+    # search from zero loss at every t takes 550 calls for either p1
+    @pytest.mark.parametrize("p1, calls", [("0", 263), ("0.2", 259)])
+    def test_the_benchmark_sweep_costs_a_pinned_number_of_rate_calls(
+            self, capsys, monkeypatch, p1, calls):
+        seen = []
+        kernel = analysis.skr_hp_array
+        monkeypatch.setattr(analysis, "skr_hp_array",
+                            lambda *a, **kw: seen.append(1) or kernel(*a, **kw))
+        code, _, _ = invoke(capsys, [
+            "optimal-t", "--p1", p1, "--p2-min", "0.05", "--p2-max", "0.5",
+            "--p2-step", "0.005"])
+        assert code == 0 and len(seen) == calls
+
     @pytest.mark.parametrize("p_dc", ["2e-07", "0"])
     def test_rows_without_key_print_nan(self, capsys, tmp_path, p_dc):
         channel = tmp_path / "noisy.json"
@@ -381,11 +395,12 @@ class TestGammaVsEta:
     (["gamma-vs-eta", "--protocol", "hp", "--axis", "eta-d", "--source",
       "sps2", "--eta-c", "nan"], "eta_c must lie in [0, 1]"),
     (["gamma-vs-eta", "--protocol", "hp", "--axis", "eta-c", "--source",
-      "sps2", "--q-sift", "1.01"], "q_sift must lie in (0, 1]")],
+      "sps2", "--q-sift", "1.01"], "q_sift must lie in (0, 1]"),
+    (["optimal-t", "--p1", "nan"], "need p1 >= 0 and p1 + p2 <= 1")],
     ids=["skr-curve-negative-q-sift", "skr-curve-nan-q-sift",
          "skr-curve-hp-q-sift-2", "skr-curve-wcs-zero-q-sift",
          "gamma-map-q-sift", "gamma-vs-eta-eta-c-1.5", "gamma-vs-eta-nan-eta-c",
-         "gamma-vs-eta-q-sift"])
+         "gamma-vs-eta-q-sift", "optimal-t-nan-p1"])
 def test_out_of_range_setting_fails_cleanly(capsys, argv, message):
     code, out, err = invoke(capsys, argv)
     assert code == 1 and out == ""
