@@ -165,7 +165,7 @@ def _mcl_bracket(rate_fn: ArrayRateFn, size: int, tol_db: float,
             raise FitError(f"key rate still positive at {_LOSS_CAP_DB} dB")
         loss += 25.0
         live = live[rate_fn(live, np.full(live.size, loss)) > 0.0]
-    todo, wide = keyed, np.full(keyed.size, width)  # brackets, in steps
+    todo, n, half = keyed, keyed.size, width >> 1  # all 25 dB brackets
 
     if hint is not None:
         hinted = np.flatnonzero(~np.isnan(hint))
@@ -194,19 +194,20 @@ def _mcl_bracket(rate_fn: ArrayRateFn, size: int, tol_db: float,
         # away from that end, over indices whose sign monotonicity fixes
         pow2 = 2 ** np.ceil(np.log2(above - below)).astype(np.int64)
         floor[hinted[got]] = np.where(above == cap, cap - pow2, below) * step
-        wide = np.concatenate([wide, pow2])
+        wide = np.concatenate([np.full(keyed.size, width), pow2])  # steps
         order = np.argsort(-wide, kind="stable")
-        todo, wide = np.concatenate([todo, hinted[got]])[order], wide[order]
+        todo, wide = np.concatenate([keyed, hinted[got]])[order], wide[order]
+        n, half = 0, int(wide.max(initial=1)) >> 1
 
     # one bisection, of the widest brackets first and of the others from
     # the half that fits them; each index j is held as its loss j * step,
     # exact in float, so the sums below are exact too
-    at, n = floor[todo], 0
-    half = int(wide[0]) >> 1 if todo.size else 0
-    while half:
+    at = floor[todo]
+    head, idx = at[:n], todo[:n]  # views: head writes through to at
+    while half and todo.size:
         if n < todo.size and wide[n] > half:
             n = np.count_nonzero(wide > half)
-            head, idx = at[:n], todo[:n]  # views: head writes through to at
+            head, idx = at[:n], todo[:n]
         mid = head + half * step
         np.copyto(head, mid, where=rate_fn(idx, mid) > 0.0)
         half >>= 1

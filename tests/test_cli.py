@@ -321,18 +321,24 @@ class TestOptimalT:
         assert all(r[1] == 0.5 for r in rows)
 
     # each weight's search after its first t starts from its last MCL; a
-    # search from zero loss at every t takes 550 calls for either p1
-    @pytest.mark.parametrize("p1, calls", [("0", 263), ("0.2", 259)])
+    # search from zero loss at every t takes 550 calls over 50,050 columns
+    # for either p1
+    @pytest.mark.parametrize("p1, calls, columns", [("0", 263, 22513),
+                                                    ("0.2", 259, 22477)])
     def test_the_benchmark_sweep_costs_a_pinned_number_of_rate_calls(
-            self, capsys, monkeypatch, p1, calls):
+            self, capsys, monkeypatch, p1, calls, columns):
         seen = []
         kernel = analysis.skr_hp_array
-        monkeypatch.setattr(analysis, "skr_hp_array",
-                            lambda *a, **kw: seen.append(1) or kernel(*a, **kw))
+
+        def counted(eff, *args, **kwargs):
+            seen.append(eff.shape[1])
+            return kernel(eff, *args, **kwargs)
+
+        monkeypatch.setattr(analysis, "skr_hp_array", counted)
         code, _, _ = invoke(capsys, [
             "optimal-t", "--p1", p1, "--p2-min", "0.05", "--p2-max", "0.5",
             "--p2-step", "0.005"])
-        assert code == 0 and len(seen) == calls
+        assert code == 0 and (len(seen), sum(seen)) == (calls, columns)
 
     @pytest.mark.parametrize("p_dc", ["2e-07", "0"])
     def test_rows_without_key_print_nan(self, capsys, tmp_path, p_dc):
