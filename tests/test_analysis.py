@@ -836,14 +836,6 @@ class TestOptimalBsTransmission:
         with pytest.raises(ValueError, match="eta_d must lie in"):
             optimal_bs_transmission([0.1, 0.3], 2e-7, eta_d, channel)
 
-    @pytest.mark.parametrize("p1", [math.nan, -0.1])
-    def test_a_p1_that_is_not_at_least_0_is_rejected(self, monkeypatch,
-                                                    channel, p1):
-        monkeypatch.setattr(analysis, "_mcl_bracket", no_search)
-        with pytest.raises(ValueError,
-                           match=r"need p1 >= 0 and p1 \+ p2 <= 1"):
-            optimal_bs_transmission([0.1, 0.3], 1e-3, 0.9, channel, p1=p1)
-
     def test_domain_checks(self, monkeypatch, channel):
         monkeypatch.setattr(analysis, "_mcl_bracket", no_search)
         with pytest.raises(ValueError, match=r"p_dc must lie in \[0, 1\]"):
@@ -857,6 +849,9 @@ class TestOptimalBsTransmission:
             optimal_bs_transmission(0.0, 1e-3, 0.9, channel)
         with pytest.raises(ValueError):
             optimal_bs_transmission(0.6, 1e-3, 0.9, channel, p1=0.5)
+        with pytest.raises(ValueError, match=r"need p1 >= 0 and p1 \+ p2"):
+            optimal_bs_transmission([0.1, 0.3], 1e-3, 0.9, channel,
+                                    p1=math.nan)
 
 
 class TestGammaVsEfficiency:
