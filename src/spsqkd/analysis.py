@@ -11,8 +11,10 @@ whose sign does not increase along that grid the result is fixed by the
 highest grid loss with key, whatever order the problems are probed in.
 That is why the search may also start from a hint, a problem's expected
 MCL: it gallops out from the hint's grid index instead of expanding from
-zero, and ends in the same bisection with the same result.
-``optimal_bs_transmission`` hints each weight's MCL at its last t.
+zero, and ends in the same bisection with the same result, because the
+probed rates alone decide it.  ``optimal_bs_transmission`` hints each
+weight's MCL at its last t, and ``wcs_mcl`` the laser's cut-off with its
+Poisson sums in closed form.  The other searches start from zero loss.
 Protocol merit is then expressed as the relative gain
 
     gamma_dB = MCL_protocol - MCL_baseline
@@ -32,13 +34,13 @@ from typing import Callable, Iterable, Sequence
 
 import numpy as np
 
-from .channel_model import ChannelParams
+from .channel_model import ChannelParams, _wcs_closed_form
 from .errors import FitError, NoKeyError
 from .photon_source import (PhotonDistribution, apply_collection_array,
                             check_collection, check_distribution_array,
                             hp_effective_array)
 from .protocols import (DEFAULT_ETA_D, DEFAULT_F_EC, DEFAULT_F_EC_TAGGING,
-                        DEFAULT_Q_SIFT, DEFAULT_T, check_herald,
+                        DEFAULT_Q_SIFT, DEFAULT_T, _decoy_laser, check_herald,
                         herald_dark_rate, skr_dtb, skr_dtb_array, skr_hp,
                         skr_hp_array, skr_wcs_infinite_decoy,
                         skr_wcs_infinite_decoy_array, skr_wcs_tagging_bound)
@@ -215,11 +217,14 @@ def _mcl_bracket(rate_fn: ArrayRateFn, size: int, tol_db: float,
     return floor, step
 
 
-def _scalar_bracket(skr_fn: RateFn, tol_db: float) -> tuple[float, float]:
+def _scalar_bracket(skr_fn: RateFn, tol_db: float,
+                    hint: float = math.nan) -> tuple[float, float]:
     """``_mcl_bracket`` of one scalar rate function, which sees Python
-    floats; NoKeyError without key at zero loss."""
+    floats, started from ``hint`` unless it is NaN; NoKeyError without key
+    at zero loss."""
     floor, step = _mcl_bracket(
-        lambda idx, loss_db: np.array([skr_fn(loss_db.item())]), 1, tol_db)
+        lambda idx, loss_db: np.array([skr_fn(loss_db.item())]), 1, tol_db,
+        None if math.isnan(hint) else np.array([hint]))
     floor = floor.item()
     if math.isnan(floor):
         raise NoKeyError("key rate is non-positive at zero channel loss")
@@ -341,8 +346,28 @@ def wcs_tagged_rate_fn(channel: ChannelParams, **kw) -> RateFn:
 
 
 def wcs_mcl(channel: ChannelParams, **kw) -> float:
-    """MCL of the optimized weak-coherent decoy baseline."""
-    return mcl(wcs_rate_fn(channel, **kw))
+    """MCL of the optimized weak-coherent decoy baseline:
+    ``mcl(wcs_rate_fn(channel, **kw))``, bit for bit and error for error.
+
+    The search starts from a hint, the last grid loss where the same laser
+    has key with its Poisson sums in closed form (``_wcs_closed_form``;
+    NaN where that laser has no key or still has key at the cap).  The two
+    laser rates differ in the last places, so their cut-offs lie on the
+    same or a neighbouring grid loss, and the search gallops out from the
+    hint into the one bisection (``_mcl_bracket``): two series probes on
+    the bundled channel where a search from zero loss takes fifteen.  Only
+    series probes decide the result, so it is the highest grid loss with
+    key plus half a step, as ``mcl`` finds it, while the series rate's
+    sign does not increase along the grid.
+    """
+    estimate = _loss_rate(_decoy_laser, channel, _wcs_closed_form, **kw)
+    try:
+        hint = _scalar_bracket(estimate, MCL_TOL_DB)[0]
+    except (NoKeyError, FitError):
+        hint = math.nan
+    floor, step = _scalar_bracket(wcs_rate_fn(channel, **kw), MCL_TOL_DB,
+                                  hint)
+    return floor + 0.5 * step
 
 
 def gamma_map_dtb(channel: ChannelParams, eta_c: float = 1.0, n: int = 200,
@@ -460,7 +485,9 @@ def optimal_bs_transmission(p2, p_dc: float, eta_d: float,
     exactly zero the heralded one-photon weight is 2 p2 eta_d t(1-t) for
     any p1, the two-photon weight vanishes, and the rate is a monotone
     function of that single product, so the maximum sits at t = 1/2 by
-    symmetry and is returned without searching in t.  Otherwise the MCL is
+    symmetry and is returned without searching in t or in loss: one rate
+    call at zero loss finds the weights with key, and one at the 200 dB cap
+    raises FitError where the MCL search would.  Otherwise the MCL is
     maximized by golden-section over t in (0, 1) to ``BS_TRANSMISSION_TOL``.
     A weight for which no probed t (t = 1/2 when ``p_dc`` is zero) gives
     key has no optimum: NaN.
@@ -495,6 +522,18 @@ def optimal_bs_transmission(p2, p_dc: float, eta_d: float,
         raise ValueError("need p1 >= 0 and p1 + p2 <= 1")
     probs = check_distribution_array(np.stack(
         [1.0 - p1 - p2s, np.full_like(p2s, p1), p2s, np.zeros_like(p2s)]))
+    if p_dc == 0.0:
+        # the MCL search at t = 1/2 finds key exactly where the rate has
+        # key at zero loss ("not <= 0"), and fails exactly where it has key
+        # at the cap
+        rate = hp_rate_array_fn(probs, channel, t=0.5, eta_d=eta_d,
+                                p_dc_alice=p_dc)
+        keyed = ~(rate(np.arange(p2s.size), np.zeros(p2s.size)) <= 0.0)
+        hits = np.flatnonzero(keyed)
+        if np.any(rate(hits, np.full(hits.size, _LOSS_CAP_DB)) > 0.0):
+            raise FitError(f"key rate still positive at {_LOSS_CAP_DB} dB")
+        t_opt = np.where(keyed, 0.5, np.nan)
+        return t_opt if np.ndim(p2) else float(t_opt[0])
     keyed = np.zeros(p2s.size, dtype=bool)
     last = np.full(p2s.size, np.nan)  # each weight's MCL at its last t
 
@@ -508,12 +547,8 @@ def optimal_bs_transmission(p2, p_dc: float, eta_d: float,
         keyed[idx] |= ~np.isnan(m)
         return np.where(np.isnan(m), -1.0, m)  # no key
 
-    if p_dc == 0.0:
-        t_opt = np.full(p2s.size, 0.5)
-        objective(np.arange(p2s.size), t_opt)  # for ``keyed`` alone
-    else:
-        t_opt = golden_max_lockstep(objective, 1e-3, 1.0 - 1e-3,
-                                    BS_TRANSMISSION_TOL, p2s.size)
+    t_opt = golden_max_lockstep(objective, 1e-3, 1.0 - 1e-3,
+                                BS_TRANSMISSION_TOL, p2s.size)
     t_opt[~keyed] = np.nan
     return t_opt if np.ndim(p2) else float(t_opt[0])
 

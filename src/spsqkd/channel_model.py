@@ -204,9 +204,11 @@ def wcs_gain_and_qber(mu: float, channel: ChannelParams) -> ObservedRates:
     """Observed rates for a phase-randomized weak coherent pulse.
 
     Sums the Poisson photon-number expansion against the yields until the
-    remaining tail mass drops below 1e-12 (``wcs_series``).  (The closed
-    forms ``Q = 1 - (1 - p_dc) exp(-eta mu)`` and
-    ``E Q = e_d (1 - exp(-eta mu)) + p_dc / 2`` are reserved for tests.)
+    remaining tail mass drops below 1e-12 (``wcs_series``).  Every rate the
+    package reports is summed so.  The closed forms
+    ``Q = 1 - (1 - p_dc) exp(-eta mu)`` and
+    ``E Q = e_d (1 - exp(-eta mu)) + p_dc / 2`` (``_wcs_closed_form``) only
+    tell ``analysis.wcs_mcl`` where to start its search.
     """
     if not 0.0 < mu <= _WCS_MU_MAX:
         raise ValueError("mean photon number mu must lie in (0, 700]")
@@ -254,6 +256,30 @@ def wcs_series(channel: ChannelParams
                 ys.append(y_n)
                 eys.append(ey_n)
                 size += 1
+        e = eq / q if q > 0.0 else 0.5
+        _check_rates(q, e)
+        return q, e
+
+    return sums, y1, ey1 / y1 if y1 > 0.0 else 0.5
+
+
+def _wcs_closed_form(channel: ChannelParams
+                     ) -> tuple[Callable[[float, float], tuple[float, float]],
+                                float, float]:
+    """``wcs_series`` summed in closed form (Ma, Qi, Zhao & Lo, PRA 72,
+    012326, 2005): with threshold detectors the Poisson sums are the clicks
+    of one photon that survives with probability 1 - exp(-eta mu), so
+    Q = 1 - (1 - p_dc) exp(-eta mu) and E Q = e_d (1 - exp(-eta mu))
+    + p_dc / 2.  ``series`` ignores the vacuum weight it is passed; ``y1``
+    and ``e1`` are ``wcs_series``' own, and so are the [0, 1] checks.  The
+    sums differ from the truncated series' in the last places, so the
+    package reads these only as an estimate (``analysis.wcs_mcl``)."""
+    eta = transmittance(channel)
+    p_dc, e_d = channel.p_dc, channel.e_d
+    y1, ey1 = _clicks(_survival(channel)(1), p_dc, e_d)
+
+    def sums(mu: float, weight: float) -> tuple[float, float]:
+        q, eq = _clicks(-math.expm1(-eta * mu), p_dc, e_d)
         e = eq / q if q > 0.0 else 0.5
         _check_rates(q, e)
         return q, e

@@ -355,8 +355,16 @@ def skr_wcs_infinite_decoy(channel: ChannelParams, mu: float | None = None,
     ``mu exp(-mu)``.  When ``mu`` is None the intensity is optimized over
     (0, 2] by golden-section search to 1e-6.
     """
+    return _decoy_laser(wcs_series, channel, mu, q_sift, f_ec)
+
+
+def _decoy_laser(series_of, channel: ChannelParams, mu: float | None = None,
+                 q_sift: float = DEFAULT_Q_SIFT,
+                 f_ec: float = DEFAULT_F_EC) -> SkrResult:
+    # skr_wcs_infinite_decoy on the laser sums ``series_of(channel)``:
+    # ``wcs_series``, or ``_wcs_closed_form`` for analysis.wcs_mcl's hint
     _check_settings(q_sift, f_ec)
-    series, y1, e1 = wcs_series(channel)
+    series, y1, e1 = series_of(channel)
     secret1 = 1.0 - _entropy_cost(e1)  # once per search
     return _laser(series, y1, mu,
                   lambda q, e, q1: _decoy_bound(q, e, q1, secret1, q_sift,

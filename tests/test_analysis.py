@@ -142,15 +142,18 @@ class TestGoldenMaximalLosses:
 
 class TestLaserProbeCounts:
     """Deterministic costs of the laser MCL on the bundled channel: one mu
-    search per rate, 34 series probes per search (33 by the golden section
-    to 1e-6 on (0, 2], one at the optimum), one settings check, and no
-    ``yields`` call: Y_1 and e_1 come from the series."""
+    search per rate, 34 probes of the laser's sums per search (33 by the
+    golden section to 1e-6 on (0, 2], one at the optimum), one settings
+    check, and no ``yields`` call: Y_1 and e_1 come from the sums.  The
+    tagged laser searches from zero loss, 15 rates; ``wcs_mcl`` takes the
+    same 15 rates of the closed-form laser for its hint, and then 2 rates
+    of the series."""
 
     @pytest.fixture
     def counts(self, monkeypatch):
-        seen = {"searches": 0, "probes": 0, "checks": 0, "yields": 0}
+        seen = {"searches": 0, "probes": 0, "closed_form_probes": 0,
+                "checks": 0, "yields": 0}
         golden_max = protocols.golden_max
-        wcs_series = protocols.wcs_series
         check = protocols._check_settings
         yields = protocols.yields
 
@@ -158,13 +161,15 @@ class TestLaserProbeCounts:
             seen["searches"] += 1
             return golden_max(*args)
 
-        def series(channel):
-            sums, y1, e1 = wcs_series(channel)
+        def counted(sums_of, key):
+            def series(channel):
+                sums, y1, e1 = sums_of(channel)
 
-            def probe(*args):
-                seen["probes"] += 1
-                return sums(*args)
-            return probe, y1, e1
+                def probe(*args):
+                    seen[key] += 1
+                    return sums(*args)
+                return probe, y1, e1
+            return series
 
         def settings_check(*args):
             seen["checks"] += 1
@@ -175,18 +180,25 @@ class TestLaserProbeCounts:
             return yields(*args, **kwargs)
 
         monkeypatch.setattr(protocols, "golden_max", search)
-        monkeypatch.setattr(protocols, "wcs_series", series)
+        monkeypatch.setattr(protocols, "wcs_series",
+                            counted(protocols.wcs_series, "probes"))
+        monkeypatch.setattr(analysis, "_wcs_closed_form",
+                            counted(analysis._wcs_closed_form,
+                                    "closed_form_probes"))
         monkeypatch.setattr(protocols, "_check_settings", settings_check)
         monkeypatch.setattr(protocols, "yields", counted_yields)
         return seen
 
-    @pytest.mark.parametrize("search", [
-        lambda ch: wcs_mcl(ch), lambda ch: mcl(wcs_tagged_rate_fn(ch))],
+    @pytest.mark.parametrize("search, searches, probes, closed_form_probes", [
+        (lambda ch: wcs_mcl(ch), 17, 68, 510),
+        (lambda ch: mcl(wcs_tagged_rate_fn(ch)), 15, 510, 0)],
         ids=["decoy", "tagged"])
-    def test_fifteen_searches_and_510_probes(self, counts, search):
+    def test_searches_and_probes(self, counts, search, searches, probes,
+                                 closed_form_probes):
         search(load_channel("channel"))
-        assert counts == {"searches": 15, "probes": 510, "checks": 15,
-                          "yields": 0}
+        assert counts == {"searches": searches, "probes": probes,
+                          "closed_form_probes": closed_form_probes,
+                          "checks": searches, "yields": 0}
 
 
 class TestGammaAndCurve:
@@ -385,16 +397,20 @@ class TestOneSearch:
         assert [NoKeyError if math.isnan(m) else float.hex(m)
                 for m in got.tolist()] == [result for _, result in want]
 
-    def test_the_laser_on_the_bundled_channel_costs_fifteen_rates(
+    def test_the_laser_on_the_bundled_channel_costs_two_rates(
             self, monkeypatch, channel):
+        # the closed-form laser's cut-off is the series': its grid loss has
+        # key and the next has none, where the loop takes fifteen rates
         log = []
         factory = analysis.wcs_rate_fn
         monkeypatch.setattr(analysis, "wcs_rate_fn",
                             lambda ch, **kw: logged(factory(ch, **kw), log))
         got = float.hex(wcs_mcl(channel))
-        assert len(log) == 15
-        assert (log, got) == probes_and_result(loop_mcl, factory(channel),
-                                               0.01)
+        want_log, want = probes_and_result(loop_mcl, factory(channel), 0.01)
+        assert len(want_log) == 15 and got == want
+        step = grid_step(0.01)
+        floor = float.fromhex(got) - 0.5 * step
+        assert log == [float.hex(floor), float.hex(floor + step)]
 
 
 NO_KEY = st.sampled_from([0.0, -1.0, math.nan])
@@ -480,6 +496,48 @@ class TestHintedSearch:
         assert floors(hints) == want
         assert log and all(0.0 <= x <= 200.0 and (x / step).is_integer()
                            for x in log)
+
+
+def outcome(search) -> str | tuple[type, str]:
+    """``search()``'s hex, or the type and message of what it raises."""
+    try:
+        return float.hex(search())
+    except (NoKeyError, FitError, ValueError) as err:
+        return type(err), str(err)
+
+
+class TestHintedLaser:
+    """``wcs_mcl`` starts its search from the closed-form laser's cut-off;
+    the search from zero loss over the same series rate is the oracle for
+    every result and every error."""
+
+    @given(st.floats(min_value=1e-3, max_value=1.0),
+           st.one_of(st.just(0.0), st.floats(min_value=-9.0, max_value=-2.0)
+                     .map(lambda u: 10.0 ** u)),
+           # the decoy laser keeps no key from about e_d 0.11 on
+           st.floats(min_value=0.0, max_value=0.2),
+           st.floats(min_value=1e-3, max_value=1.0),
+           st.floats(min_value=1.0, max_value=2.0))
+    # the bundled receiver (the errors have their own cases below)
+    @example(0.045, 2e-7, 0.033, 0.5, 1.22)
+    @settings(max_examples=150, deadline=None)
+    def test_the_hint_changes_no_mcl(self, eta_bob, p_dc, e_d, q_sift, f_ec):
+        ch = ChannelParams(0.0, eta_bob, p_dc, e_d)
+        kw = {"q_sift": q_sift, "f_ec": f_ec}
+        assert (outcome(lambda: wcs_mcl(ch, **kw))
+                == outcome(lambda: mcl(wcs_rate_fn(ch, **kw))))
+
+    @pytest.mark.parametrize("ch, kw, error", [
+        (ChannelParams(0.0, 0.045, 2e-7, 0.5), {}, NoKeyError),
+        (ChannelParams(0.0, 1.0, 0.0, 0.0), {}, FitError),
+        (ChannelParams(0.0, 0.045, 2e-7, 0.033), {"q_sift": 1.5}, ValueError),
+        (ChannelParams(0.0, 0.045, 2e-7, 0.033), {"f_ec": 0.9}, ValueError),
+        (ChannelParams(0.0, 0.045, 2e-7, 0.033), {"mu": 3.0}, ValueError)],
+        ids=["no-key", "key-at-the-cap", "q_sift", "f_ec", "mu"])
+    def test_errors_are_the_cold_search_errors(self, ch, kw, error):
+        want = outcome(lambda: mcl(wcs_rate_fn(ch, **kw)))
+        assert want[0] is error
+        assert outcome(lambda: wcs_mcl(ch, **kw)) == want
 
 
 def scalar_hp_mcl(d: PhotonDistribution, channel: ChannelParams,
@@ -830,6 +888,38 @@ class TestOptimalBsTransmission:
         got = optimal_bs_transmission([0.1, 0.3], p_dc, 0.9, noisy)
         assert np.isnan(got).all()
         assert math.isnan(optimal_bs_transmission(0.3, p_dc, 0.9, noisy))
+
+    def test_a_noiseless_herald_costs_two_rate_calls(self, monkeypatch,
+                                                      channel):
+        # one call at zero loss for the weights with key, one at the cap;
+        # the MCL search at t = 1/2 is the oracle for which weights keep key
+        calls = []
+        kernel = analysis.skr_hp_array
+
+        def counted(*args, **kwargs):
+            calls.append(np.asarray(args[2]).tolist())
+            return kernel(*args, **kwargs)
+
+        monkeypatch.setattr(analysis, "skr_hp_array", counted)
+        p2s = np.arange(0.05, 0.5, 0.005)
+        assert optimal_bs_transmission(p2s, 0.0, 0.9, channel).tolist() == (
+            [0.5] * p2s.size)
+        assert calls == [[0.0] * p2s.size, [200.0] * p2s.size]
+        dark = ChannelParams(0.0, channel.eta_bob, 1e-3, channel.e_d)
+        p2s = [0.1, 0.3, 1.0]
+        keyed = [not math.isnan(scalar_hp_mcl(
+                     PhotonDistribution(1.0 - p2, 0.0, p2), dark, 1e-5, t=0.5,
+                     eta_d=0.9, p_dc_alice=0.0)) for p2 in p2s]
+        assert keyed == [False, False, True]
+        calls.clear()
+        got = optimal_bs_transmission(p2s, 0.0, 0.9, dark)
+        assert np.isnan(got[:2]).all() and got[2] == 0.5
+        assert calls == [[0.0] * 3, [200.0]]
+
+    def test_a_noiseless_herald_with_key_at_the_cap_fails(self):
+        with pytest.raises(FitError, match="still positive at 200.0 dB"):
+            optimal_bs_transmission(0.3, 0.0, 0.9,
+                                    ChannelParams(0.0, 1.0, 0.0, 0.0))
 
     @pytest.mark.parametrize("eta_d", [0.0, -0.1, 1.1, math.nan])
     def test_herald_efficiency_outside_0_1_rejected(self, channel, eta_d):

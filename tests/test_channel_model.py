@@ -15,6 +15,7 @@ from spsqkd.channel_model import (
     eta_n,
     gain_and_qber,
     transmittance,
+    _wcs_closed_form,
     wcs_gain_and_qber,
     wcs_series,
     wcs_series_array,
@@ -265,16 +266,24 @@ class TestWcsGainAndQber:
         rates = wcs_gain_and_qber(0.5, ch)
         assert rates.q == pytest.approx(-math.expm1(-0.0045 * 0.5), rel=1e-10)
 
+    @pytest.mark.parametrize("form", [wcs_series, _wcs_closed_form],
+                             ids=["series", "closed-form"])
     @pytest.mark.parametrize("mu", [0.05, 0.1, 0.48, 1.0, 2.0])
     @pytest.mark.parametrize("loss_db", [0.0, 10.0, 26.23])
-    def test_series_matches_the_closed_forms(self, channel, mu, loss_db):
+    def test_series_matches_the_closed_forms(self, channel, mu, loss_db,
+                                             form):
+        # the formulas below are the oracle for the series and for the
+        # package's own closed form, whose Y_1 and e_1 are the series';
+        # abs=0, as E Q falls to 1e-7 where approx's default abs is 1e-12
         ch = channel.with_loss(loss_db)
         eta = transmittance(ch)
         q_ref = 1.0 - (1.0 - ch.p_dc) * math.exp(-eta * mu)
         eq_ref = ch.e_d * (1.0 - math.exp(-eta * mu)) + 0.5 * ch.p_dc
-        rates = wcs_gain_and_qber(mu, ch)
-        assert rates.q == pytest.approx(q_ref, rel=1e-10)
-        assert rates.e * rates.q == pytest.approx(eq_ref, rel=1e-10)
+        sums, y1, e1 = form(ch)
+        q, e = sums(mu, math.exp(-mu))
+        assert q == pytest.approx(q_ref, rel=1e-10, abs=0)
+        assert e * q == pytest.approx(eq_ref, rel=1e-10, abs=0)
+        assert (y1, e1) == wcs_series(ch)[1:]
 
     @pytest.mark.parametrize("loss_db, order", [
         (12.5, (2.0, 0.01, 0.48)), (12.5, (0.01, 0.48, 2.0)),

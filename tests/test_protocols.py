@@ -462,6 +462,41 @@ class TestHpMonotoneOnTheMclGrid:
             assert all(b <= a for a, b in zip(rates, rates[1:]))
 
 
+class TestDtbMonotoneOnTheMclGrid:
+    """``gamma-map`` and ``gamma-vs-eta --protocol dtb`` search the decoy
+    rate's MCL (``mcl_lockstep`` over ``skr_dtb_array``, ``mcl`` over
+    ``skr_dtb``) and rest on it not increasing in loss along the grid of
+    the default 0.01 dB tolerance: the multiples of 25/4096 dB up to the
+    200 dB cap."""
+
+    @given(st.floats(min_value=1e-3, max_value=1.0),
+           st.one_of(st.just(0.0), st.floats(min_value=0.0, max_value=1e-3)),
+           st.one_of(st.just(0.0), st.floats(min_value=0.0, max_value=0.3)),
+           st.floats(min_value=0.0, max_value=1.0),
+           st.floats(min_value=0.0, max_value=1.0),
+           st.floats(min_value=0.0, max_value=0.2),
+           st.floats(min_value=0.0, max_value=1.0),
+           st.lists(st.floats(min_value=0.0, max_value=1.0), max_size=20))
+    @settings(max_examples=200, deadline=None)
+    def test_rates_do_not_increase_along_the_grid(self, eta_bob, p_dc, e_d,
+                                                  a, b, c, start, spread):
+        # a run of neighbouring grid losses and a spread over the whole grid
+        step, top = 25.0 / 4096, 8 * 4096  # top: 200 dB
+        first = int(start * (top - 19))
+        ch = ChannelParams(loss_db=0.0, eta_bob=eta_bob, p_dc=p_dc, e_d=e_d)
+        p1, p2 = a, (1.0 - a) * b
+        p3 = min(c, max(1.0 - p1 - p2, 0.0))
+        d = PhotonDistribution(max(1.0 - p1 - p2 - p3, 0.0), p1, p2, p3)
+        ks = sorted(set(range(first, first + 20))
+                    | {int(u * top) for u in spread})
+        losses = [k * step for k in ks]
+        scalar = [skr_dtb(d, ch.with_loss(loss)).rate for loss in losses]
+        probs = np.repeat(np.array([d.as_tuple()]).T, len(losses), axis=1)
+        array = skr_dtb_array(probs, ch, np.array(losses)).tolist()
+        for rates in (scalar, array):
+            assert all(r1 <= r0 for r0, r1 in zip(rates, rates[1:]))
+
+
 @pytest.mark.parametrize("q_sift", [0.0, -1.0, 1.5, math.nan])
 def test_every_rate_bound_rejects_a_sifting_factor_outside_0_1(channel, sps1,
                                                               q_sift):
