@@ -14,7 +14,9 @@ MCL: it gallops out from the hint's grid index instead of expanding from
 zero, and ends in the same bisection with the same result, because the
 probed rates alone decide it.  ``optimal_bs_transmission`` hints each
 weight's MCL at its last t, and ``wcs_mcl`` the laser's cut-off with its
-Poisson sums in closed form.  The other searches start from zero loss.
+Poisson sums in closed form, found by a few Newton steps in transmittance
+rather than by a search of its own.  The other searches start from zero
+loss.
 Protocol merit is then expressed as the relative gain
 
     gamma_dB = MCL_protocol - MCL_baseline
@@ -51,6 +53,10 @@ MCL_TOL_DB = 0.01
 
 # Expansion limit: no modeled configuration here survives 200 dB.
 _LOSS_CAP_DB = 200.0
+
+# wcs_mcl's Newton hint: the slope's relative step in transmittance, the
+# step in dB that ends it, and its most steps.
+_NEWTON_DX, _NEWTON_TOL_DB, _NEWTON_STEPS = 1e-6, 0.05, 8
 
 # Search widths of hp_threshold (in p2) and optimal_bs_transmission (in t).
 HP_THRESHOLD_TOL = 1e-4
@@ -345,28 +351,66 @@ def wcs_tagged_rate_fn(channel: ChannelParams, **kw) -> RateFn:
     return _loss_rate(skr_wcs_tagging_bound, channel, **kw)
 
 
+def _closed_form_cutoff(channel: ChannelParams, **kw) -> float:
+    """The loss in dB where the closed-form laser's raw rate crosses zero,
+    by Newton's method in the transmittance x = 10^(-loss/10) from 0 dB;
+    NaN where no such loss is found.
+
+    Each step takes the optimized raw rate (``_decoy_laser`` over
+    ``_wcs_closed_form``) at the iterate and one at x (1 - 1e-6) with the
+    iterate's mu fixed: at the optimal mu, the fixed-mu slope is the slope
+    of the optimized rate (envelope theorem), and a caller's own ``mu``
+    stays fixed anyway.  The next iterate is returned unevaluated once a
+    step moves it less than 0.05 dB, or after 8 steps.  NaN where the rate
+    at 0 dB is not > 0, a slope is not > 0, the next x is outside (0, 1]
+    (a receiver without dark counts keeps key as x goes to 0) or the loss
+    passes the cap.  The closed-form laser's own errors propagate.
+    """
+    def raw(loss_db: float, **fixed) -> tuple[float, float]:
+        r = _decoy_laser(_wcs_closed_form, channel.with_loss(loss_db),
+                         **{**kw, **fixed})
+        return r.raw, r.mu
+
+    loss = 0.0
+    rate, mu = raw(loss)
+    if not rate > 0.0:
+        return math.nan
+    for steps in range(1, _NEWTON_STEPS + 1):
+        x = 10.0 ** (-loss / 10.0)
+        probe = loss - 10.0 * math.log10(1.0 - _NEWTON_DX)
+        slope = (rate - raw(probe, mu=mu)[0]) / (x - 10.0 ** (-probe / 10.0))
+        if not slope > 0.0:
+            return math.nan
+        x -= rate / slope
+        if not 0.0 < x <= 1.0:
+            return math.nan
+        last, loss = loss, -10.0 * math.log10(x)
+        if loss > _LOSS_CAP_DB:
+            return math.nan
+        if abs(loss - last) < _NEWTON_TOL_DB or steps == _NEWTON_STEPS:
+            return loss
+        rate, mu = raw(loss)
+
+
 def wcs_mcl(channel: ChannelParams, **kw) -> float:
     """MCL of the optimized weak-coherent decoy baseline:
     ``mcl(wcs_rate_fn(channel, **kw))``, bit for bit and error for error.
 
-    The search starts from a hint, the last grid loss where the same laser
-    has key with its Poisson sums in closed form (``_wcs_closed_form``;
-    NaN where that laser has no key or still has key at the cap).  The two
-    laser rates differ in the last places, so their cut-offs lie on the
-    same or a neighbouring grid loss, and the search gallops out from the
-    hint into the one bisection (``_mcl_bracket``): two series probes on
-    the bundled channel where a search from zero loss takes fifteen.  Only
-    series probes decide the result, so it is the highest grid loss with
-    key plus half a step, as ``mcl`` finds it, while the series rate's
-    sign does not increase along the grid.
+    The search starts from a hint, the loss where the same laser's raw
+    rate crosses zero with its Poisson sums in closed form
+    (``_closed_form_cutoff``: Newton's method in transmittance, 4
+    optimized and 4 fixed-mu closed-form rates on the bundled channel;
+    NaN where it finds no crossing, which leaves the search cold).  The
+    two laser rates differ in the last places, so their cut-offs lie on
+    the same or a neighbouring grid loss, and the search gallops out from
+    the hint's grid index into the one bisection (``_mcl_bracket``): two
+    series probes on the bundled channel where a search from zero loss
+    takes fifteen.  Only series probes decide the result, so it is the
+    highest grid loss with key plus half a step, as ``mcl`` finds it,
+    while the series rate's sign does not increase along the grid.
     """
-    estimate = _loss_rate(_decoy_laser, channel, _wcs_closed_form, **kw)
-    try:
-        hint = _scalar_bracket(estimate, MCL_TOL_DB)[0]
-    except (NoKeyError, FitError):
-        hint = math.nan
     floor, step = _scalar_bracket(wcs_rate_fn(channel, **kw), MCL_TOL_DB,
-                                  hint)
+                                  _closed_form_cutoff(channel, **kw))
     return floor + 0.5 * step
 
 

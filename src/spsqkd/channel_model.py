@@ -208,7 +208,8 @@ def wcs_gain_and_qber(mu: float, channel: ChannelParams) -> ObservedRates:
     package reports is summed so.  The closed forms
     ``Q = 1 - (1 - p_dc) exp(-eta mu)`` and
     ``E Q = e_d (1 - exp(-eta mu)) + p_dc / 2`` (``_wcs_closed_form``) only
-    tell ``analysis.wcs_mcl`` where to start its search.
+    tell ``analysis.wcs_mcl`` where to start its search: a few Newton steps
+    in transmittance on the closed-form laser's rate give that start.
     """
     if not 0.0 < mu <= _WCS_MU_MAX:
         raise ValueError("mean photon number mu must lie in (0, 700]")
@@ -273,7 +274,10 @@ def _wcs_closed_form(channel: ChannelParams
     + p_dc / 2.  ``series`` ignores the vacuum weight it is passed; ``y1``
     and ``e1`` are ``wcs_series``' own, and so are the [0, 1] checks.  The
     sums differ from the truncated series' in the last places, so the
-    package reads these only as an estimate (``analysis.wcs_mcl``)."""
+    package reads these only as an estimate: ``analysis.wcs_mcl`` finds
+    where this laser's rate crosses zero by Newton's method in
+    transmittance (about 4 optimized and 4 fixed-mu rates) and starts its
+    search over the series there."""
     eta = transmittance(channel)
     p_dc, e_d = channel.p_dc, channel.e_d
     y1, ey1 = _clicks(_survival(channel)(1), p_dc, e_d)

@@ -142,12 +142,13 @@ class TestGoldenMaximalLosses:
 
 class TestLaserProbeCounts:
     """Deterministic costs of the laser MCL on the bundled channel: one mu
-    search per rate, 34 probes of the laser's sums per search (33 by the
-    golden section to 1e-6 on (0, 2], one at the optimum), one settings
-    check, and no ``yields`` call: Y_1 and e_1 come from the sums.  The
-    tagged laser searches from zero loss, 15 rates; ``wcs_mcl`` takes the
-    same 15 rates of the closed-form laser for its hint, and then 2 rates
-    of the series."""
+    search per optimized rate, 34 probes of the laser's sums per search (33
+    by the golden section to 1e-6 on (0, 2], one at the optimum), one
+    settings check per rate, and no ``yields`` call: Y_1 and e_1 come from
+    the sums.  The tagged laser searches from zero loss, 15 rates.
+    ``wcs_mcl`` takes 4 Newton steps on the closed-form laser for its hint,
+    each an optimized rate and a fixed-mu rate for the slope (one probe and
+    a settings check, no search), and then 2 rates of the series."""
 
     @pytest.fixture
     def counts(self, monkeypatch):
@@ -189,16 +190,17 @@ class TestLaserProbeCounts:
         monkeypatch.setattr(protocols, "yields", counted_yields)
         return seen
 
-    @pytest.mark.parametrize("search, searches, probes, closed_form_probes", [
-        (lambda ch: wcs_mcl(ch), 17, 68, 510),
-        (lambda ch: mcl(wcs_tagged_rate_fn(ch)), 15, 510, 0)],
+    @pytest.mark.parametrize(
+        "search, searches, probes, closed_form_probes, checks", [
+            (lambda ch: wcs_mcl(ch), 6, 68, 140, 10),
+            (lambda ch: mcl(wcs_tagged_rate_fn(ch)), 15, 510, 0, 15)],
         ids=["decoy", "tagged"])
     def test_searches_and_probes(self, counts, search, searches, probes,
-                                 closed_form_probes):
+                                 closed_form_probes, checks):
         search(load_channel("channel"))
         assert counts == {"searches": searches, "probes": probes,
                           "closed_form_probes": closed_form_probes,
-                          "checks": searches, "yields": 0}
+                          "checks": checks, "yields": 0}
 
 
 class TestGammaAndCurve:
@@ -397,17 +399,24 @@ class TestOneSearch:
         assert [NoKeyError if math.isnan(m) else float.hex(m)
                 for m in got.tolist()] == [result for _, result in want]
 
-    def test_the_laser_on_the_bundled_channel_costs_two_rates(
-            self, monkeypatch, channel):
+    # the bundled receiver, then receivers from the benchmark's grids
+    @pytest.mark.parametrize("eta_bob, p_dc, loop_rates", [
+        (0.045, 2e-7, 15), (0.02, 2e-7, 15), (0.099, 2e-7, 15),
+        (0.038, 1e-8, 16), (0.038, 1e-5, 14)],
+        ids=["bundled", "eta_bob-0.02", "eta_bob-0.099", "p_dc-1e-8",
+             "p_dc-1e-5"])
+    def test_the_laser_costs_two_series_rates(
+            self, monkeypatch, eta_bob, p_dc, loop_rates):
         # the closed-form laser's cut-off is the series': its grid loss has
-        # key and the next has none, where the loop takes fifteen rates
+        # key and the next has none, where the loop takes about fifteen
+        channel = ChannelParams(0.0, eta_bob, p_dc, 0.033)
         log = []
         factory = analysis.wcs_rate_fn
         monkeypatch.setattr(analysis, "wcs_rate_fn",
                             lambda ch, **kw: logged(factory(ch, **kw), log))
         got = float.hex(wcs_mcl(channel))
         want_log, want = probes_and_result(loop_mcl, factory(channel), 0.01)
-        assert len(want_log) == 15 and got == want
+        assert len(want_log) == loop_rates and got == want
         step = grid_step(0.01)
         floor = float.fromhex(got) - 0.5 * step
         assert log == [float.hex(floor), float.hex(floor + step)]
@@ -507,9 +516,10 @@ def outcome(search) -> str | tuple[type, str]:
 
 
 class TestHintedLaser:
-    """``wcs_mcl`` starts its search from the closed-form laser's cut-off;
-    the search from zero loss over the same series rate is the oracle for
-    every result and every error."""
+    """``wcs_mcl`` starts its search from the closed-form laser's cut-off,
+    found by Newton's method in transmittance; the search from zero loss
+    over the same series rate is the oracle for every result and every
+    error, with or without dark counts and at an optimized or fixed mu."""
 
     @given(st.floats(min_value=1e-3, max_value=1.0),
            st.one_of(st.just(0.0), st.floats(min_value=-9.0, max_value=-2.0)
@@ -517,15 +527,43 @@ class TestHintedLaser:
            # the decoy laser keeps no key from about e_d 0.11 on
            st.floats(min_value=0.0, max_value=0.2),
            st.floats(min_value=1e-3, max_value=1.0),
-           st.floats(min_value=1.0, max_value=2.0))
-    # the bundled receiver (the errors have their own cases below)
-    @example(0.045, 2e-7, 0.033, 0.5, 1.22)
+           st.floats(min_value=1.0, max_value=2.0),
+           st.one_of(st.none(), st.floats(min_value=0.0, max_value=2.0,
+                                          exclude_min=True)))
+    # the receivers of every way out of the Newton hint, below (the errors
+    # have their own cases further down)
+    @example(0.045, 2e-7, 0.033, 0.5, 1.22, None)
+    @example(0.045, 2e-7, 0.15, 0.5, 1.22, None)
+    @example(1e-3, 0.0, 0.01, 0.5, 1.0, 1e-300)
+    @example(0.045, 0.0, 0.033, 0.5, 1.22, None)
+    @example(0.045, 0.0, 0.033, 0.5, 1.22, 0.5)
+    @example(0.25, 0.0, 0.033, 0.25, 1.7, 0.8)
     @settings(max_examples=150, deadline=None)
-    def test_the_hint_changes_no_mcl(self, eta_bob, p_dc, e_d, q_sift, f_ec):
+    def test_the_hint_changes_no_mcl(self, eta_bob, p_dc, e_d, q_sift, f_ec,
+                                     mu):
         ch = ChannelParams(0.0, eta_bob, p_dc, e_d)
         kw = {"q_sift": q_sift, "f_ec": f_ec}
+        if mu is not None:
+            kw["mu"] = mu
         assert (outcome(lambda: wcs_mcl(ch, **kw))
                 == outcome(lambda: mcl(wcs_rate_fn(ch, **kw))))
+
+    @pytest.mark.parametrize("eta_bob, p_dc, e_d, kw, hint", [
+        (0.045, 2e-7, 0.033, {}, 39.158),
+        (0.045, 2e-7, 0.15, {}, math.nan),
+        (1e-3, 0.0, 0.01, {"f_ec": 1.0, "mu": 1e-300}, math.nan),
+        (0.045, 0.0, 0.033, {}, math.nan),
+        (0.045, 0.0, 0.033, {"mu": 0.5}, math.nan),
+        (0.25, 0.0, 0.033, {"q_sift": 0.25, "f_ec": 1.7, "mu": 0.8}, 19.720)],
+        ids=["converged", "no-key-at-zero", "flat-slope", "x-not-positive",
+             "past-the-cap", "eight-steps"])
+    def test_the_newton_hint(self, eta_bob, p_dc, e_d, kw, hint):
+        # NaN leaves the search cold; the last case stops after 8 steps,
+        # 0.3 dB short of its cut-off at 20.01 dB, where this dark-free
+        # receiver's rate is nearly flat in x
+        got = analysis._closed_form_cutoff(
+            ChannelParams(0.0, eta_bob, p_dc, e_d), **kw)
+        assert got == pytest.approx(hint, abs=1e-3, nan_ok=True)
 
     @pytest.mark.parametrize("ch, kw, error", [
         (ChannelParams(0.0, 0.045, 2e-7, 0.5), {}, NoKeyError),
