@@ -363,8 +363,9 @@ def _closed_form_cutoff(channel: ChannelParams, **kw) -> float:
     stays fixed anyway.  The next iterate is returned unevaluated once a
     step moves it less than 0.05 dB, or after 8 steps.  NaN where the rate
     at 0 dB is not > 0, a slope is not > 0, the next x is outside (0, 1]
-    (a receiver without dark counts keeps key as x goes to 0) or the loss
-    passes the cap.  The closed-form laser's own errors propagate.
+    (without dark counts the rate is nearly proportional to x, so a step
+    lands near x = 0) or the loss passes the cap.  The closed-form laser's
+    own errors propagate.
     """
     def raw(loss_db: float, **fixed) -> tuple[float, float]:
         r = _decoy_laser(_wcs_closed_form, channel.with_loss(loss_db),
