@@ -553,7 +553,8 @@ class TestHintedLaser:
         (0.045, 2e-7, 0.15, {}, math.nan),
         (1e-3, 0.0, 0.01, {"f_ec": 1.0, "mu": 1e-300}, math.nan),
         (0.045, 0.0, 0.033, {}, math.nan),
-        (0.045, 0.0, 0.033, {"mu": 0.5}, math.nan),
+        # 212.17 dB without the cap
+        (0.045, 1e-24, 0.033, {}, math.nan),
         (0.25, 0.0, 0.033, {"q_sift": 0.25, "f_ec": 1.7, "mu": 0.8}, 19.720)],
         ids=["converged", "no-key-at-zero", "flat-slope", "x-not-positive",
              "past-the-cap", "eight-steps"])
