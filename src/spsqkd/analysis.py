@@ -1,22 +1,25 @@
 """Plot-ready quantities built on the key-rate engines.
 
-Everything here reduces to one primitive: the maximal channel loss (MCL),
-the largest attenuation at which a protocol's key rate stays positive.
-It is searched once, by ``_mcl_bracket``, over one problem (``mcl``) or
-many in lockstep (``mcl_lockstep``): a zero-loss key check, 25 dB
-brackets expanded up to a 200 dB cap, then bisection.  Every loss it
-probes is a multiple of the step 25/2^k dB, the first halving of 25 dB at
-or below the tolerance (25/4096 dB at the default 0.01 dB), so for a rate
-whose sign does not increase along that grid the result is fixed by the
-highest grid loss with key, whatever order the problems are probed in.
-That is why the search may also start from a hint, a problem's expected
-MCL: it gallops out from the hint's grid index instead of expanding from
-zero, and ends in the same bisection with the same result, because the
-probed rates alone decide it.  ``optimal_bs_transmission`` hints each
-weight's MCL at its last t, and ``wcs_mcl`` the laser's cut-off with its
-Poisson sums in closed form, found by a few Newton steps in transmittance
-rather than by a search of its own.  The other searches start from zero
-loss.
+Everything here reduces to one primitive: the maximal channel loss
+(MCL), the largest attenuation at which a protocol's key rate stays
+positive.  It is searched once, by ``_mcl_bracket``, over one problem
+(``mcl``) or many in lockstep (``mcl_lockstep``): a zero-loss key check,
+25 dB brackets expanded up to a 200 dB cap, then bisection.  Every loss
+it probes is a multiple of the step 25/2^k dB, the first halving of 25
+dB at or below the tolerance (25/4096 dB at the default 0.01 dB), so for
+a rate whose sign does not increase along that grid the MCL is the
+highest grid loss with key plus half a step, whatever order the problems
+are probed in.  The search owns its edge rules: it adds that half step,
+raises FitError at the cap (``_check_cap``, which ``hp_threshold`` and a
+noiseless ``optimal_bs_transmission`` call without searching) and clamps
+every hint.  So it may start from any hint, a problem's expected MCL at
+any loss: it gallops out from the hint's grid index, clamped to [0, 200
+dB], instead of expanding from zero, and ends in the same bisection with
+the same result, because the probed rates alone decide it.
+``optimal_bs_transmission`` hints each weight's MCL at its last t, and
+``wcs_mcl`` the laser's cut-off with its Poisson sums in closed form,
+found by a few Newton steps in transmittance rather than by a search of
+its own.  The other searches start from zero loss.
 Protocol merit is then expressed as the relative gain
 
     gamma_dB = MCL_protocol - MCL_baseline
@@ -131,6 +134,12 @@ class GammaMap:
         return float(slope), float(intercept)
 
 
+def _check_cap(key) -> None:
+    """FitError where any problem of ``key`` has key at the 200 dB cap."""
+    if np.any(key):
+        raise FitError(f"key rate still positive at {_LOSS_CAP_DB} dB")
+
+
 def _mcl_bracket(rate_fn: ArrayRateFn, size: int, tol_db: float,
                  hint: np.ndarray | None = None) -> tuple[np.ndarray, float]:
     """The one maximal-loss search, over ``size`` problems in lockstep.
@@ -147,14 +156,15 @@ def _mcl_bracket(rate_fn: ArrayRateFn, size: int, tol_db: float,
     expected MCL in dB, NaN for none: a hinted problem probes the index
     floor(hint / s), clamped to [0, 200 dB], then gallops by 1, 2, 4, ...
     steps up while it has key or down while it has none, clamped alike;
-    no key at index 0 leaves it without key.  Either way FitError is
-    raised when any problem has key at the 200 dB cap.  Every bracket is
-    then a power of two steps wide (25 dB without a hint), and all are
-    bisected together over grid indices, the widest first; so for a rate
-    whose sign does not increase along the grid the result is the highest
-    index with key, hinted or not.  Returns each problem's last loss with
-    key, the floor of its final bracket (NaN without key at zero loss),
-    and s.
+    no key at index 0 leaves it without key.  So any hint is valid, a
+    negative or infinite one included, and only the probed rates decide
+    the result.  Either way FitError is raised when any problem has key
+    at the 200 dB cap.  Every bracket is then a power of two steps wide
+    (25 dB without a hint), and all are bisected together over grid
+    indices, the widest first; so for a rate whose sign does not increase
+    along the grid the last loss with key is the highest grid loss with
+    key, hinted or not.  Returns each problem's MCL, that loss plus half a
+    step (NaN without key at zero loss), and s.
     """
     step, width = 25.0, 1  # the grid step, and 25 dB in steps
     while step > tol_db:
@@ -169,8 +179,7 @@ def _mcl_bracket(rate_fn: ArrayRateFn, size: int, tol_db: float,
     live, loss = keyed, 0.0  # the problems with key at every 25 dB so far
     while live.size:
         floor[live] = loss
-        if loss >= _LOSS_CAP_DB:
-            raise FitError(f"key rate still positive at {_LOSS_CAP_DB} dB")
+        _check_cap(loss >= _LOSS_CAP_DB)
         loss += 25.0
         live = live[rate_fn(live, np.full(live.size, loss)) > 0.0]
     todo, n, half = keyed, keyed.size, width >> 1  # all 25 dB brackets
@@ -185,8 +194,7 @@ def _mcl_bracket(rate_fn: ArrayRateFn, size: int, tol_db: float,
         while live.size:
             rate = rate_fn(hinted[live], at * step)  # "not <= 0" at 0:
             key = (rate > 0.0) | ((at == 0) & np.isnan(rate))
-            if np.any(key & (at == cap)):
-                raise FitError(f"key rate still positive at {_LOSS_CAP_DB} dB")
+            _check_cap(key & (at == cap))
             below[live[key]] = at[key]
             above[live[~key]] = at[~key]
             # on down while no key is found above 0, up while all had key
@@ -220,21 +228,20 @@ def _mcl_bracket(rate_fn: ArrayRateFn, size: int, tol_db: float,
         np.copyto(head, mid, where=rate_fn(idx, mid) > 0.0)
         half >>= 1
     floor[todo] = at
-    return floor, step
+    return floor + 0.5 * step, step
 
 
 def _scalar_bracket(skr_fn: RateFn, tol_db: float,
                     hint: float = math.nan) -> tuple[float, float]:
     """``_mcl_bracket`` of one scalar rate function, which sees Python
-    floats, started from ``hint`` unless it is NaN; NoKeyError without key
-    at zero loss."""
-    floor, step = _mcl_bracket(
+    floats, started from ``hint`` unless it is NaN: its MCL and the grid
+    step; NoKeyError without key at zero loss."""
+    m, step = _mcl_bracket(
         lambda idx, loss_db: np.array([skr_fn(loss_db.item())]), 1, tol_db,
         None if math.isnan(hint) else np.array([hint]))
-    floor = floor.item()
-    if math.isnan(floor):
+    if math.isnan(m.item()):
         raise NoKeyError("key rate is non-positive at zero channel loss")
-    return floor, step
+    return m.item(), step
 
 
 def mcl(skr_fn: RateFn, tol_db: float = MCL_TOL_DB) -> float:
@@ -247,10 +254,10 @@ def mcl(skr_fn: RateFn, tol_db: float = MCL_TOL_DB) -> float:
     the 200 dB cap.  The losses probed are multiples of the step 25/2^k
     dB, the first halving of 25 dB at or below ``tol_db``, and the result
     m is the last of them with key plus half a step, so it satisfies
-    skr_fn(m - tol) > 0 >= skr_fn(m + tol).
+    skr_fn(m - tol) > 0 >= skr_fn(m + tol).  The search adds that half
+    step itself, and this passes its MCL on as is.
     """
-    floor, step = _scalar_bracket(skr_fn, tol_db)
-    return floor + 0.5 * step
+    return _scalar_bracket(skr_fn, tol_db)[0]
 
 
 def mcl_lockstep(rate_fn: ArrayRateFn, size: int,
@@ -265,8 +272,7 @@ def mcl_lockstep(rate_fn: ArrayRateFn, size: int,
     FitError is raised when any problem's rate is still positive at the
     cap, where a loop of ``mcl`` calls raises at the first such problem.
     """
-    floor, step = _mcl_bracket(rate_fn, size, tol_db)
-    return floor + 0.5 * step
+    return _mcl_bracket(rate_fn, size, tol_db)[0]
 
 
 def gamma(mcl_protocol_db: float, mcl_wcs_db: float) -> float:
@@ -354,18 +360,18 @@ def wcs_tagged_rate_fn(channel: ChannelParams, **kw) -> RateFn:
 def _closed_form_cutoff(channel: ChannelParams, **kw) -> float:
     """The loss in dB where the closed-form laser's raw rate crosses zero,
     by Newton's method in the transmittance x = 10^(-loss/10) from 0 dB;
-    NaN where no such loss is found.
+    NaN where a slope is not > 0.
 
     Each step takes the optimized raw rate (``_decoy_laser`` over
     ``_wcs_closed_form``) at the iterate and one at x (1 - 1e-6) with the
     iterate's mu fixed: at the optimal mu, the fixed-mu slope is the slope
     of the optimized rate (envelope theorem), and a caller's own ``mu``
     stays fixed anyway.  The next iterate is returned unevaluated once a
-    step moves it less than 0.05 dB, or after 8 steps.  NaN where the rate
-    at 0 dB is not > 0, a slope is not > 0, the next x is outside (0, 1]
-    (without dark counts the rate is nearly proportional to x, so a step
-    lands near x = 0) or the loss passes the cap.  The closed-form laser's
-    own errors propagate.
+    step moves it less than 0.05 dB, after 8 steps, or once it leaves
+    [0, 200) dB: a negative loss for x > 1, past the cap, or inf for x <=
+    0, where a step lands without dark counts, since the rate is then
+    nearly proportional to x.  The search clamps such a hint to [0, 200
+    dB] itself.  The closed-form laser's own errors propagate.
     """
     def raw(loss_db: float, **fixed) -> tuple[float, float]:
         r = _decoy_laser(_wcs_closed_form, channel.with_loss(loss_db),
@@ -374,8 +380,6 @@ def _closed_form_cutoff(channel: ChannelParams, **kw) -> float:
 
     loss = 0.0
     rate, mu = raw(loss)
-    if not rate > 0.0:
-        return math.nan
     for steps in range(1, _NEWTON_STEPS + 1):
         x = 10.0 ** (-loss / 10.0)
         probe = loss - 10.0 * math.log10(1.0 - _NEWTON_DX)
@@ -383,12 +387,9 @@ def _closed_form_cutoff(channel: ChannelParams, **kw) -> float:
         if not slope > 0.0:
             return math.nan
         x -= rate / slope
-        if not 0.0 < x <= 1.0:
-            return math.nan
-        last, loss = loss, -10.0 * math.log10(x)
-        if loss > _LOSS_CAP_DB:
-            return math.nan
-        if abs(loss - last) < _NEWTON_TOL_DB or steps == _NEWTON_STEPS:
+        last, loss = loss, -10.0 * math.log10(x) if x > 0.0 else math.inf
+        if (not 0.0 <= loss < _LOSS_CAP_DB
+                or abs(loss - last) < _NEWTON_TOL_DB or steps == _NEWTON_STEPS):
             return loss
         rate, mu = raw(loss)
 
@@ -401,18 +402,20 @@ def wcs_mcl(channel: ChannelParams, **kw) -> float:
     rate crosses zero with its Poisson sums in closed form
     (``_closed_form_cutoff``: Newton's method in transmittance, 4
     optimized and 4 fixed-mu closed-form rates on the bundled channel;
-    NaN where it finds no crossing, which leaves the search cold).  The
-    two laser rates differ in the last places, so their cut-offs lie on
-    the same or a neighbouring grid loss, and the search gallops out from
-    the hint's grid index into the one bisection (``_mcl_bracket``): two
-    series probes on the bundled channel where a search from zero loss
-    takes fifteen.  Only series probes decide the result, so it is the
-    highest grid loss with key plus half a step, as ``mcl`` finds it,
-    while the series rate's sign does not increase along the grid.
+    NaN where a slope is not positive, which leaves the search cold).
+    The two laser rates differ in the last places, so their cut-offs lie
+    on the same or a neighbouring grid loss, and the search gallops out
+    from the hint's grid index into the one bisection (``_mcl_bracket``):
+    two series probes on the bundled channel where a search from zero
+    loss takes fifteen.  A hint outside [0, 200 dB] is clamped there by
+    the search: a dark-free receiver with key at the cap, whose Newton
+    step lands at x <= 0, fails after one series probe at the cap.  Only
+    series probes decide the result, so it is the highest grid loss with
+    key plus half a step, as ``mcl`` finds it, while the series rate's
+    sign does not increase along the grid.
     """
-    floor, step = _scalar_bracket(wcs_rate_fn(channel, **kw), MCL_TOL_DB,
-                                  _closed_form_cutoff(channel, **kw))
-    return floor + 0.5 * step
+    return _scalar_bracket(wcs_rate_fn(channel, **kw), MCL_TOL_DB,
+                           _closed_form_cutoff(channel, **kw))[0]
 
 
 def gamma_map_dtb(channel: ChannelParams, eta_c: float = 1.0, n: int = 200,
@@ -453,11 +456,13 @@ def _reference_loss(receiver: ChannelParams, f_ec: float) -> float:
     """The last loss where the MCL search over the tagged laser found key.
 
     The search sets the loss of every probe, so ``receiver`` is keyed at
-    zero loss.  A NoKeyError or FitError is raised again on every call:
+    zero loss.  It is the search's MCL less half a step, exact on the
+    grid.  A NoKeyError or FitError is raised again on every call:
     ``lru_cache`` keeps only returned values.
     """
-    return _scalar_bracket(wcs_tagged_rate_fn(receiver, f_ec=f_ec),
-                           MCL_TOL_DB)[0]
+    m, step = _scalar_bracket(wcs_tagged_rate_fn(receiver, f_ec=f_ec),
+                              MCL_TOL_DB)
+    return m - 0.5 * step
 
 
 def hp_threshold(eta_d: float, channel: ChannelParams, t: float = DEFAULT_T,
@@ -509,8 +514,7 @@ def hp_threshold(eta_d: float, channel: ChannelParams, t: float = DEFAULT_T,
                           > 0.0)
     if hits.size == 0:
         raise NoKeyError("no two-photon probability reaches the reference loss")
-    if np.any(rate(hits, np.full(hits.size, _LOSS_CAP_DB)) > 0.0):
-        raise FitError(f"key rate still positive at {_LOSS_CAP_DB} dB")
+    _check_cap(rate(hits, np.full(hits.size, _LOSS_CAP_DB)) > 0.0)
     k = hits[0]
     if k == 0:
         return float(scan[0])
@@ -575,8 +579,7 @@ def optimal_bs_transmission(p2, p_dc: float, eta_d: float,
                                 p_dc_alice=p_dc)
         keyed = ~(rate(np.arange(p2s.size), np.zeros(p2s.size)) <= 0.0)
         hits = np.flatnonzero(keyed)
-        if np.any(rate(hits, np.full(hits.size, _LOSS_CAP_DB)) > 0.0):
-            raise FitError(f"key rate still positive at {_LOSS_CAP_DB} dB")
+        _check_cap(rate(hits, np.full(hits.size, _LOSS_CAP_DB)) > 0.0)
         t_opt = np.where(keyed, 0.5, np.nan)
         return t_opt if np.ndim(p2) else float(t_opt[0])
     keyed = np.zeros(p2s.size, dtype=bool)
@@ -585,10 +588,9 @@ def optimal_bs_transmission(p2, p_dc: float, eta_d: float,
     def objective(idx: np.ndarray, t: np.ndarray) -> np.ndarray:
         # the landscape is shallow near the top, so the inner loss search
         # runs much tighter than the reported MCL resolution
-        floor, step = _mcl_bracket(
+        m = last[idx] = _mcl_bracket(
             hp_rate_array_fn(probs[:, idx], channel, t=t, eta_d=eta_d,
-                             p_dc_alice=p_dc), idx.size, 1e-5, last[idx])
-        m = last[idx] = floor + 0.5 * step
+                             p_dc_alice=p_dc), idx.size, 1e-5, last[idx])[0]
         keyed[idx] |= ~np.isnan(m)
         return np.where(np.isnan(m), -1.0, m)  # no key
 

@@ -323,26 +323,34 @@ def read_tomography_csv(csv_path: str | Path) -> TomographyMap:
     The CSV has a ``alice_state,bob_detector,counts`` header; missing
     cells default to zero.  Each row holds a state and a detector from
     ``STATES`` and a count of decimal digits; any other row, a short one
-    included, is a ConfigError naming the file and line.  The sidecar
-    ``<csv>.json`` must define exposure_s, intensity_label, and
-    nd_filter_db.
+    included, is a ConfigError naming the file and line; so is a CSV that
+    cannot be decoded as text.  The sidecar ``<csv>.json`` must be JSON
+    and define exposure_s, intensity_label, and nd_filter_db, or a
+    ConfigError names it.
     """
     csv_path = Path(csv_path)
     sidecar = csv_path.with_suffix(csv_path.suffix + ".json")
-    meta = json.loads(sidecar.read_text())
+    try:
+        meta = json.loads(sidecar.read_text())
+    except ValueError as exc:  # not JSON, or not text
+        raise ConfigError(f"{sidecar}: not JSON: {exc}") from exc
     counts = np.zeros((4, 4), dtype=np.int64)
-    with open(csv_path, newline="") as fh:
-        reader = csv.DictReader(fh, restval="")  # a missing field reads ""
-        fields = ("alice_state", "bob_detector", "counts")
-        if reader.fieldnames is None or set(reader.fieldnames) != set(fields):
-            raise ConfigError(
-                f"tomography CSV must have columns {sorted(fields)}")
-        for row in reader:
-            a, b, n = (row[k].strip() for k in fields)
-            if a not in STATES or b not in STATES or not n.isdecimal():
-                raise ConfigError(f"{csv_path} line {reader.line_num}: "
-                                  f"bad row ({a}, {b}, {n})")
-            counts[STATES.index(a), STATES.index(b)] += int(n)
+    try:
+        with open(csv_path, newline="") as fh:
+            reader = csv.DictReader(fh, restval="")  # a missing field: ""
+            fields = ("alice_state", "bob_detector", "counts")
+            if (reader.fieldnames is None
+                    or set(reader.fieldnames) != set(fields)):
+                raise ConfigError(f"{csv_path}: tomography CSV must have "
+                                  f"columns {sorted(fields)}")
+            for row in reader:
+                a, b, n = (row[k].strip() for k in fields)
+                if a not in STATES or b not in STATES or not n.isdecimal():
+                    raise ConfigError(f"{csv_path} line {reader.line_num}: "
+                                      f"bad row ({a}, {b}, {n})")
+                counts[STATES.index(a), STATES.index(b)] += int(n)
+    except UnicodeDecodeError as exc:
+        raise ConfigError(f"{csv_path}: not text: {exc}") from exc
     try:
         return TomographyMap(counts=counts,
                              exposure_s=float(meta["exposure_s"]),

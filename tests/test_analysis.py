@@ -462,8 +462,8 @@ def grid_step(tol_db: float) -> float:
 
 class TestHintedSearch:
     """A hint moves only where ``_mcl_bracket`` starts: on a rate whose sign
-    never increases along the loss axis, a hinted search finds the floor
-    the search without hints finds, and fails where it fails, probing only
+    never increases along the loss axis, a hinted search finds the MCL the
+    search without hints finds, and fails where it fails, probing only
     grid losses between 0 and 200 dB."""
 
     @given(st.lists(hinted_problems(), min_size=1, max_size=4),
@@ -490,19 +490,19 @@ class TestHintedSearch:
             return np.array([rates[i](x) for i, x in zip(idx.tolist(),
                                                          loss.tolist())])
 
-        def floors(hint):
+        def mcls(hint):
             try:
                 got = analysis._mcl_bracket(rate_fn, len(rates), tol_db, hint)
             except FitError:
                 return FitError
-            return [float.hex(f) for f in got[0].tolist()]
+            return [float.hex(m) for m in got[0].tolist()]
 
         step = grid_step(tol_db)
-        want = floors(None)
+        want = mcls(None)
         log.clear()
         hints = np.array([np.floor(h / step) * step if snap else h
                           for *_, h, snap in problems])
-        assert floors(hints) == want
+        assert mcls(hints) == want
         assert log and all(0.0 <= x <= 200.0 and (x / step).is_integer()
                            for x in log)
 
@@ -552,19 +552,39 @@ class TestHintedLaser:
         (0.045, 2e-7, 0.033, {}, 39.158),
         (0.045, 2e-7, 0.15, {}, math.nan),
         (1e-3, 0.0, 0.01, {"f_ec": 1.0, "mu": 1e-300}, math.nan),
-        (0.045, 0.0, 0.033, {}, math.nan),
-        # 212.17 dB without the cap
-        (0.045, 1e-24, 0.033, {}, math.nan),
+        # the search clamps this hint and the next one to the 200 dB cap
+        (0.045, 0.0, 0.033, {}, math.inf),
+        (0.045, 1e-24, 0.033, {}, 211.648),
         (0.25, 0.0, 0.033, {"q_sift": 0.25, "f_ec": 1.7, "mu": 0.8}, 19.720)],
         ids=["converged", "no-key-at-zero", "flat-slope", "x-not-positive",
              "past-the-cap", "eight-steps"])
     def test_the_newton_hint(self, eta_bob, p_dc, e_d, kw, hint):
-        # NaN leaves the search cold; the last case stops after 8 steps,
-        # 0.3 dB short of its cut-off at 20.01 dB, where this dark-free
-        # receiver's rate is nearly flat in x
+        # NaN leaves the search cold; a step to x <= 0 is inf, and one past
+        # the cap is returned as it is (212.17 dB unstopped); the last case
+        # stops after 8 steps, 0.3 dB short of its cut-off at 20.01 dB,
+        # where this dark-free receiver's rate is nearly flat in x
         got = analysis._closed_form_cutoff(
             ChannelParams(0.0, eta_bob, p_dc, e_d), **kw)
         assert got == pytest.approx(hint, abs=1e-3, nan_ok=True)
+
+    @pytest.mark.parametrize("p_dc, kw", [(0.0, {}), (0.0, {"mu": 0.5}),
+                                          (1e-24, {})],
+                             ids=["dark-free", "dark-free-mu", "p_dc-1e-24"])
+    def test_key_at_the_cap_costs_one_series_rate(self, monkeypatch, p_dc,
+                                                  kw):
+        # the hint lies at or past the cap, so the search probes the cap
+        # first and fails there, where the loop expands 25 dB at a time
+        channel = ChannelParams(0.0, 0.045, p_dc, 0.033)
+        log = []
+        factory = analysis.wcs_rate_fn
+        monkeypatch.setattr(analysis, "wcs_rate_fn",
+                            lambda ch, **k: logged(factory(ch, **k), log))
+        with pytest.raises(FitError):
+            wcs_mcl(channel, **kw)
+        want_log, want = probes_and_result(loop_mcl, factory(channel, **kw),
+                                           0.01)
+        assert len(want_log) == 9 and want is FitError
+        assert log == [float.hex(200.0)]
 
     @pytest.mark.parametrize("ch, kw, error", [
         (ChannelParams(0.0, 0.045, 2e-7, 0.5), {}, NoKeyError),

@@ -1,9 +1,12 @@
-"""Package surface: the public names, and a numpy-only command line."""
+"""Package surface: the public names, a numpy-only command line, and one
+site for each raise statement."""
 
+import ast
 import json
 import os
 import subprocess
 import sys
+from collections import Counter
 from pathlib import Path
 
 import spsqkd
@@ -50,3 +53,14 @@ def test_public_names_resolve_and_are_unchanged():
     namespace = {}
     exec("from spsqkd import *", namespace)  # fails on a name that is missing
     assert PUBLIC_NAMES <= namespace.keys()
+
+
+def test_each_exception_is_raised_from_one_site():
+    # one rule, one raise: a second copy of a raise statement is a rule
+    # written twice, which a helper that both sites call replaces
+    package = Path(spsqkd.__file__).resolve().parent
+    raises = Counter(
+        ast.unparse(node) for path in sorted(package.glob("*.py"))
+        for node in ast.walk(ast.parse(path.read_text()))
+        if isinstance(node, ast.Raise) and isinstance(node.exc, ast.Call))
+    assert [text for text, n in raises.items() if n > 1] == []

@@ -183,7 +183,7 @@ class TestFileFormats:
         path.write_text("alice,bob,n\nH,H,5\n")
         path.with_suffix(".csv.json").write_text(json.dumps(
             {"exposure_s": 1.0, "intensity_label": "S1", "nd_filter_db": 0.0}))
-        with pytest.raises(ConfigError):
+        with pytest.raises(ConfigError, match="bad.csv"):
             read_tomography_csv(path)
 
     def test_unknown_state_rejected(self, tmp_path):
@@ -219,6 +219,20 @@ class TestFileFormats:
         path.write_text("alice_state,bob_detector,counts\n" + rows)
         path.with_suffix(".csv.json").write_text(json.dumps(sidecar))
         with pytest.raises(ConfigError, match="m.csv"):
+            read_tomography_csv(path)
+
+    @pytest.mark.parametrize("rows, sidecar, name", [
+        # json's bare ValueError
+        (b"H,H,5\n", b"{exposure_s: 1.0}", r"m\.csv\.json: not JSON"),
+        # a bare UnicodeDecodeError
+        (b"H,H,\xff5\n", json.dumps(SIDECAR).encode(), r"m\.csv: not text")],
+        ids=["sidecar-not-json", "csv-not-text"])
+    def test_undecodable_input_rejected_naming_the_file(self, tmp_path, rows,
+                                                        sidecar, name):
+        path = tmp_path / "m.csv"
+        path.write_bytes(b"alice_state,bob_detector,counts\n" + rows)
+        path.with_suffix(".csv.json").write_bytes(sidecar)
+        with pytest.raises(ConfigError, match=name):
             read_tomography_csv(path)
 
     def test_duplicate_rows_accumulate(self, tmp_path):
