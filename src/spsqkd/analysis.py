@@ -3,19 +3,19 @@
 Everything here reduces to one primitive: the maximal channel loss
 (MCL), the largest attenuation at which a protocol's key rate stays
 positive.  It is searched once, by ``_mcl_bracket``, over one problem
-(``mcl``) or many in lockstep (``mcl_lockstep``): a zero-loss key check,
-25 dB brackets expanded up to a 200 dB cap, then bisection.  Every loss
-it probes is a multiple of the step 25/2^k dB, the first halving of 25
-dB at or below the tolerance (25/4096 dB at the default 0.01 dB), so for
-a rate whose sign does not increase along that grid the MCL is the
-highest grid loss with key plus half a step, whatever order the problems
-are probed in.  The search owns its edge rules: it adds that half step,
+(``mcl``) or many in lockstep (``mcl_lockstep``), in one probe loop and
+one bisection.  Each problem starts at its hint's grid index, clamped to
+[0, 200 dB], or at zero loss without a hint, and steps up while it has
+key and down while it has none: 25 dB at a time without a hint, 1, 2,
+4, ... grid steps with one.  Every loss it probes is a multiple of the
+step 25/2^k dB, the first halving of 25 dB at or below the tolerance
+(25/4096 dB at the default 0.01 dB), so for a rate whose sign does not
+increase along that grid the MCL is the highest grid loss with key plus
+half a step, whatever the hint and whatever order the problems are
+probed in.  The search owns its edge rules: it adds that half step,
 raises FitError at the cap (``_check_cap``, which ``hp_threshold`` and a
 noiseless ``optimal_bs_transmission`` call without searching) and clamps
-every hint.  So it may start from any hint, a problem's expected MCL at
-any loss: it gallops out from the hint's grid index, clamped to [0, 200
-dB], instead of expanding from zero, and ends in the same bisection with
-the same result, because the probed rates alone decide it.
+every hint, so any hint, a problem's expected MCL at any loss, is valid.
 ``optimal_bs_transmission`` hints each weight's MCL at its last t, and
 ``wcs_mcl`` the laser's cut-off with its Poisson sums in closed form,
 found by a few Newton steps in transmittance rather than by a search of
@@ -105,24 +105,20 @@ class GammaMap:
         grid rows gives the crossing.  Columns entirely below or above
         zero are omitted.
         """
-        p2_out, p1_out = [], []
-        for j, p2v in enumerate(self.p2):
-            col = self.gamma_db[:, j]
-            ok = np.isfinite(col)
-            if ok.sum() < 2:
-                continue
-            idx = np.flatnonzero(ok)
-            vals = col[idx]
-            sign_change = np.flatnonzero((vals[:-1] < 0.0) & (vals[1:] >= 0.0))
-            if sign_change.size == 0:
-                continue
-            k = sign_change[0]
-            i0, i1 = idx[k], idx[k + 1]
-            g0, g1 = col[i0], col[i1]
-            frac = -g0 / (g1 - g0)
-            p1_out.append(self.p1[i0] + frac * (self.p1[i1] - self.p1[i0]))
-            p2_out.append(p2v)
-        return np.asarray(p2_out), np.asarray(p1_out)
+        g = self.gamma_db
+        fin = np.isfinite(g)
+        # each entry's previous finite row in its column, -1 for none
+        prev = np.full(g.shape, -1)
+        prev[1:] = np.maximum.accumulate(
+            np.where(fin, np.arange(g.shape[0])[:, None], -1), axis=0)[:-1]
+        cross = (fin & (prev >= 0) & (g >= 0.0)
+                 & (np.take_along_axis(g, prev, axis=0) < 0.0))
+        # the first crossing of each column, in column order
+        j, i1 = np.nonzero((cross & (np.cumsum(cross, axis=0) == 1)).T)
+        i0 = prev[i1, j]
+        g0, g1 = g[i0, j], g[i1, j]
+        frac = -g0 / (g1 - g0)
+        return self.p2[j], self.p1[i0] + frac * (self.p1[i1] - self.p1[i0])
 
     def fit_zero_contour(self, p2_max: float = 0.3) -> tuple[float, float]:
         """Least-squares (slope, intercept) of the contour for p2 <= p2_max."""
@@ -151,69 +147,58 @@ def _mcl_bracket(rate_fn: ArrayRateFn, size: int, tol_db: float,
     when its rate is "not <= 0" (so a NaN rate is searched too), and at
     any other index when its rate is > 0.
 
-    Without a hint a problem checks zero loss, then expands 25 dB brackets
-    until a probe has no key.  ``hint``, when given, holds each problem's
-    expected MCL in dB, NaN for none: a hinted problem probes the index
-    floor(hint / s), clamped to [0, 200 dB], then gallops by 1, 2, 4, ...
-    steps up while it has key or down while it has none, clamped alike;
-    no key at index 0 leaves it without key.  So any hint is valid, a
-    negative or infinite one included, and only the probed rates decide
-    the result.  Either way FitError is raised when any problem has key
-    at the 200 dB cap.  Every bracket is then a power of two steps wide
-    (25 dB without a hint), and all are bisected together over grid
-    indices, the widest first; so for a rate whose sign does not increase
-    along the grid the last loss with key is the highest grid loss with
-    key, hinted or not.  Returns each problem's MCL, that loss plus half a
-    step (NaN without key at zero loss), and s.
+    One probe loop serves every problem.  ``hint``, when given, holds each
+    problem's expected MCL in dB, NaN for none.  A problem starts at the
+    index floor(hint / s), clamped to [0, 200 dB], or at index 0 without a
+    hint, and steps up while it has key and down while it has none,
+    clamped alike: 25 dB at a time without a hint, 1, 2, 4, ... steps
+    with one.  No key at index 0 leaves it without key, so any hint is
+    valid, a negative or infinite one included, and only the probed rates
+    decide the result.  FitError is raised when any problem has key at the
+    200 dB cap.  Every bracket is then a power of two steps wide (25 dB
+    without a hint), and all are bisected together over grid indices, the
+    widest first; so for a rate whose sign does not increase along the
+    grid the last loss with key is the highest grid loss with key, hinted
+    or not.  Returns each problem's MCL, that loss plus half a step (NaN
+    without key at zero loss), and s.
     """
     step, width = 25.0, 1  # the grid step, and 25 dB in steps
     while step > tol_db:
         step *= 0.5
         width *= 2
     cap = 8 * width  # _LOSS_CAP_DB in steps
-    floor = np.full(size, np.nan)  # the highest loss found with key
-
-    keyed = np.arange(size) if hint is None else np.flatnonzero(np.isnan(hint))
-    if keyed.size:
-        keyed = keyed[~(rate_fn(keyed, np.zeros(keyed.size)) <= 0.0)]
-    live, loss = keyed, 0.0  # the problems with key at every 25 dB so far
+    hint = np.full(size, np.nan) if hint is None else hint
+    below = np.full(size, -1)  # the highest index found with key
+    above = np.full(size, cap + 1)  # the lowest found without
+    # the live problems, their brackets so far, and which have no hint
+    live, lo, hi = np.arange(size), below.copy(), above.copy()
+    cold = np.isnan(hint)
+    # fmax takes a NaN hint to index 0
+    at = np.fmin(np.fmax(np.floor(hint / step), 0), cap).astype(np.int64)
+    stride = 1
     while live.size:
-        floor[live] = loss
-        _check_cap(loss >= _LOSS_CAP_DB)
-        loss += 25.0
-        live = live[rate_fn(live, np.full(live.size, loss)) > 0.0]
-    todo, n, half = keyed, keyed.size, width >> 1  # all 25 dB brackets
-
-    if hint is not None:
-        hinted = np.flatnonzero(~np.isnan(hint))
-        below = np.full(hinted.size, -1)  # the highest index found with key
-        above = np.full(hinted.size, cap + 1)  # the lowest found without
-        live = np.arange(hinted.size)
-        at = np.clip(np.floor(hint[hinted] / step), 0, cap).astype(np.int64)
-        stride = 1
-        while live.size:
-            rate = rate_fn(hinted[live], at * step)  # "not <= 0" at 0:
-            key = (rate > 0.0) | ((at == 0) & np.isnan(rate))
-            _check_cap(key & (at == cap))
-            below[live[key]] = at[key]
-            above[live[~key]] = at[~key]
-            # on down while no key is found above 0, up while all had key
-            live = live[((below[live] < 0) & (above[live] > 0))
-                        | (above[live] > cap)]
-            at = np.where(below[live] < 0,
-                          np.maximum(above[live] - stride, 0),
-                          np.minimum(below[live] + stride, cap))
-            stride *= 2
-        got = below >= 0
-        below, above = below[got], above[got]
-        # a bracket clamped at 0 or at the cap is widened to a power of two
-        # away from that end, over indices whose sign monotonicity fixes
-        pow2 = 2 ** np.ceil(np.log2(above - below)).astype(np.int64)
-        floor[hinted[got]] = np.where(above == cap, cap - pow2, below) * step
-        wide = np.concatenate([np.full(keyed.size, width), pow2])  # steps
-        order = np.argsort(-wide, kind="stable")
-        todo, wide = np.concatenate([keyed, hinted[got]])[order], wide[order]
-        n, half = 0, int(wide.max(initial=1)) >> 1
+        rate = rate_fn(live, at * step)  # "not <= 0" at 0:
+        key = (rate > 0.0) | ((at == 0) & np.isnan(rate))
+        _check_cap(key & (at == cap))
+        np.copyto(lo, at, where=key)
+        np.copyto(hi, at, where=~key)
+        below[live], above[live] = lo, hi
+        # on down while no key is found above 0, up while all had key
+        go = ((lo < 0) & (hi > 0)) | (hi > cap)
+        live, lo, hi, cold = live[go], lo[go], hi[go], cold[go]
+        at = np.where(lo < 0, np.maximum(hi - stride, 0),
+                      np.minimum(lo + np.where(cold, width, stride), cap))
+        stride *= 2
+    todo = np.flatnonzero(below >= 0)
+    below, above = below[todo], above[todo]
+    # a bracket clamped at 0 or at the cap is widened to a power of two
+    # away from that end, over indices whose sign monotonicity fixes
+    wide = 2 ** np.ceil(np.log2(above - below)).astype(np.int64)  # steps
+    floor = np.full(size, np.nan)  # the highest loss found with key
+    floor[todo] = np.where(above == cap, cap - wide, below) * step
+    order = np.argsort(-wide, kind="stable")
+    todo, wide = todo[order], wide[order]
+    n, half = 0, int(wide.max(initial=1)) >> 1
 
     # one bisection, of the widest brackets first and of the others from
     # the half that fits them; each index j is held as its loss j * step,
@@ -238,7 +223,7 @@ def _scalar_bracket(skr_fn: RateFn, tol_db: float,
     step; NoKeyError without key at zero loss."""
     m, step = _mcl_bracket(
         lambda idx, loss_db: np.array([skr_fn(loss_db.item())]), 1, tol_db,
-        None if math.isnan(hint) else np.array([hint]))
+        np.array([hint]))
     if math.isnan(m.item()):
         raise NoKeyError("key rate is non-positive at zero channel loss")
     return m.item(), step

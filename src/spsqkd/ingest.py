@@ -41,10 +41,14 @@ STATES = ("H", "V", "D", "A")
 FALLBACK_Y0 = 1.7e-6
 FALLBACK_E0 = 0.5
 
+# The largest count that a matrix cell holds (int64).
+_COUNT_MAX = np.iinfo(np.int64).max
+
 
 @dataclass(frozen=True, slots=True)
 class TomographyMap:
-    """One intensity's 4x4 tomography counts at one ND setting."""
+    """One intensity's 4x4 tomography counts at one ND setting; every
+    cell fits int64 (their total need not)."""
 
     counts: np.ndarray
     exposure_s: float
@@ -52,7 +56,10 @@ class TomographyMap:
     nd_filter_db: float
 
     def __post_init__(self) -> None:
-        arr = np.asarray(self.counts, dtype=np.int64)
+        try:
+            arr = np.asarray(self.counts, dtype=np.int64)
+        except OverflowError as exc:
+            raise ConfigError(f"counts must fit int64: {exc}") from exc
         if arr.shape != (4, 4):
             raise ConfigError("counts must be a 4x4 matrix")
         if (arr < 0).any():
@@ -134,12 +141,13 @@ def gains_and_errors(tmap: TomographyMap, budget: AliceBudget) -> RatesWithSigma
     is NaN; callers decide how to proceed.
     """
     sent = budget.sent(tmap.exposure_s)
-    detected = int(tmap.counts.sum())
+    cells = tmap.counts.tolist()  # Python ints, whose sums do not wrap
+    detected = sum(map(sum, cells))
     q = detected / sent
     q_sigma = math.sqrt(detected) / sent if detected else 1.0 / sent
 
-    wrong = sum(int(tmap.counts[i, i ^ 1]) for i in range(len(STATES)))
-    matched = int(tmap.counts.trace()) + wrong
+    wrong = sum(cells[i][i ^ 1] for i in range(len(STATES)))
+    matched = sum(cells[i][i] for i in range(len(STATES))) + wrong
     if matched == 0:
         e = math.nan
         e_sigma = math.nan
@@ -323,8 +331,9 @@ def read_tomography_csv(csv_path: str | Path) -> TomographyMap:
     The CSV has a ``alice_state,bob_detector,counts`` header; missing
     cells default to zero.  Each row holds a state and a detector from
     ``STATES`` and a count of decimal digits; any other row, a short one
-    included, is a ConfigError naming the file and line; so is a CSV that
-    cannot be decoded as text.  The sidecar ``<csv>.json`` must be JSON
+    included, is a ConfigError naming the file and line, and so is a row
+    whose count takes its cell past int64; so is a CSV that cannot be
+    decoded as text.  The sidecar ``<csv>.json`` must be JSON
     and define exposure_s, intensity_label, and nd_filter_db, or a
     ConfigError names it.
     """
@@ -348,7 +357,11 @@ def read_tomography_csv(csv_path: str | Path) -> TomographyMap:
                 if a not in STATES or b not in STATES or not n.isdecimal():
                     raise ConfigError(f"{csv_path} line {reader.line_num}: "
                                       f"bad row ({a}, {b}, {n})")
-                counts[STATES.index(a), STATES.index(b)] += int(n)
+                cell = STATES.index(a), STATES.index(b)
+                if int(counts[cell]) + int(n) > _COUNT_MAX:  # Python ints
+                    raise ConfigError(f"{csv_path} line {reader.line_num}: "
+                                      f"({a}, {b}) counts past {_COUNT_MAX}")
+                counts[cell] += int(n)
     except UnicodeDecodeError as exc:
         raise ConfigError(f"{csv_path}: not text: {exc}") from exc
     try:

@@ -506,6 +506,56 @@ class TestHintedSearch:
         assert log and all(0.0 <= x <= 200.0 and (x / step).is_integer()
                            for x in log)
 
+    @given(st.lists(st.tuples(hinted_problems(), st.booleans()), min_size=2,
+                    max_size=4),
+           st.sampled_from([0.01, 1e-5, 0.3, 25.0 / 1024]))
+    # a problem without a hint climbing 25 dB at a time beside hinted ones
+    # galloping down and up, one of them from the cap
+    @example([((80.0, 0.0, None, 10.0, False), True),
+              ((80.0, 0.0, None, 10.0, False), False),
+              ((3.0, -1.0, None, 150.0, True), False),
+              ((199.0, math.nan, None, 1e6, False), False)], 0.01)
+    # no key at zero beside a hint below its cut-off
+    @example([((0.0, 0.0, 0.0, 5.0, False), True),
+              ((42.0, 0.0, math.nan, 41.0, True), False)], 0.3)
+    @settings(max_examples=200, deadline=None)
+    def test_cold_and_hinted_problems_probe_as_if_alone(self, problems,
+                                                        tol_db):
+        # cold and hinted problems share the probe rounds of one call; each
+        # still probes the losses it probes alone, and a problem without a
+        # hint those of the plain loop
+        rates = [monotone_rate(*p[:3]) for p, _ in problems]
+        step = grid_step(tol_db)
+        hints = [math.nan if cold else np.floor(h / step) * step if snap
+                 else h for (*_, h, snap), cold in problems]
+
+        def search(ids):
+            logs = {i: [] for i in ids}
+
+            def rate_fn(idx, loss):
+                for k, x in zip(idx.tolist(), loss.tolist()):
+                    logs[ids[k]].append(float.hex(x))
+                return np.array([rates[ids[k]](x) for k, x in
+                                 zip(idx.tolist(), loss.tolist())])
+            try:
+                got = analysis._mcl_bracket(rate_fn, len(ids), tol_db,
+                                            np.array([hints[i] for i in ids]))
+            except FitError:
+                return FitError, logs
+            return [float.hex(m) for m in got[0].tolist()], logs
+
+        alone = [search([i]) for i in range(len(rates))]
+        for i, (result, logs) in enumerate(alone):
+            if math.isnan(hints[i]):
+                assert logs[i] == probes_and_result(loop_mcl, rates[i],
+                                                    tol_db)[0]
+        together, logs = search(list(range(len(rates))))
+        if any(result is FitError for result, _ in alone):
+            assert together is FitError
+            return
+        assert together == [result[0] for result, _ in alone]
+        assert logs == {i: alone[i][1][i] for i in range(len(rates))}
+
 
 def outcome(search) -> str | tuple[type, str]:
     """``search()``'s hex, or the type and message of what it raises."""
@@ -652,6 +702,53 @@ class TestHpLockstep:
             mcl_lockstep(hp_rate_array_fn(probs, clean, p_dc_alice=1e-7), 1)
 
 
+def loop_zero_contour(gmap: GammaMap) -> tuple[np.ndarray, np.ndarray]:
+    """``GammaMap.zero_contour`` as a loop over columns, the reference its
+    array form is held to: each column's first upward zero crossing
+    between consecutive finite entries, linearly interpolated."""
+    p2_out, p1_out = [], []
+    for j, p2v in enumerate(gmap.p2):
+        col = gmap.gamma_db[:, j]
+        ok = np.isfinite(col)
+        if ok.sum() < 2:
+            continue
+        idx = np.flatnonzero(ok)
+        vals = col[idx]
+        sign_change = np.flatnonzero((vals[:-1] < 0.0) & (vals[1:] >= 0.0))
+        if sign_change.size == 0:
+            continue
+        k = sign_change[0]
+        i0, i1 = idx[k], idx[k + 1]
+        g0, g1 = col[i0], col[i1]
+        frac = -g0 / (g1 - g0)
+        p1_out.append(gmap.p1[i0] + frac * (gmap.p1[i1] - gmap.p1[i0]))
+        p2_out.append(p2v)
+    return np.asarray(p2_out), np.asarray(p1_out)
+
+
+GAINS = st.one_of(st.sampled_from([math.nan, math.inf, -math.inf, -0.0, 0.0]),
+                  st.floats(min_value=-5.0, max_value=5.0))
+
+
+@st.composite
+def gain_maps(draw) -> GammaMap:
+    """A map of 0-6 rows and 0-6 columns over sorted axes, with NaN gaps,
+    +-inf and signed zeros among its gains."""
+    rows, cols = draw(st.integers(0, 6)), draw(st.integers(0, 6))
+    axis = lambda n: np.sort(np.array(draw(st.lists(
+        st.floats(min_value=0.0, max_value=1.0), min_size=n, max_size=n)),
+        dtype=float))
+    gains = draw(st.lists(GAINS, min_size=rows * cols, max_size=rows * cols))
+    return GammaMap(p1=axis(rows), p2=axis(cols),
+                    gamma_db=np.array(gains, dtype=float).reshape(rows, cols),
+                    wcs_mcl_db=0.0)
+
+
+def same_arrays(a, b) -> bool:
+    return all(x.dtype == y.dtype and x.shape == y.shape
+               and x.tobytes() == y.tobytes() for x, y in zip(a, b))
+
+
 @pytest.fixture(scope="module")
 def small_map(channel) -> GammaMap:
     return gamma_map_dtb(channel, n=25)
@@ -687,6 +784,29 @@ class TestGammaMap:
             above = fn(min(p1v + 0.06, 1.0 - p2v), p2v)
             assert below <= small_map.wcs_mcl_db + 0.03
             assert above >= small_map.wcs_mcl_db - 0.03
+
+    @given(gain_maps())
+    # +inf is no crossing, though it is >= 0
+    @example(GammaMap(np.array([0.0, 0.5, 1.0]), np.array([0.5]),
+                      np.array([[-1.0], [math.inf], [2.0]]), 0.0))
+    # a NaN gap between a loss and a gain, and -0.0 as the gain
+    @example(GammaMap(np.array([0.0, 0.5, 1.0]), np.array([0.25, 0.75]),
+                      np.array([[-1.0, -2.0], [math.nan, math.nan],
+                                [-0.0, 3.0]]), 0.0))
+    # no rows, one row, no columns
+    @example(GammaMap(np.zeros(0), np.array([0.1, 0.2]), np.zeros((0, 2)),
+                      0.0))
+    @example(GammaMap(np.array([0.3]), np.array([0.1, 0.2]),
+                      np.array([[-1.0, 1.0]]), 0.0))
+    @example(GammaMap(np.array([0.0, 1.0]), np.zeros(0), np.zeros((2, 0)),
+                      0.0))
+    @settings(max_examples=300, deadline=None)
+    def test_contour_equals_the_column_loop(self, gmap):
+        assert same_arrays(gmap.zero_contour(), loop_zero_contour(gmap))
+
+    def test_contour_of_the_map_equals_the_column_loop(self, small_map):
+        assert same_arrays(small_map.zero_contour(),
+                           loop_zero_contour(small_map))
 
     def test_contour_fit_matches_the_published_texture(self, channel):
         fit_map = gamma_map_dtb(channel, n=40)

@@ -720,6 +720,18 @@ class TestIngest:
         assert code == 1 and out == ""
         assert err == f"error: {path} line 2: bad row (H, H, )\n"
 
+    def test_count_past_int64_fails_cleanly(self, capsys, tmp_path):
+        # it escaped main as a bare OverflowError
+        path = tmp_path / "huge.csv"
+        path.write_text("alice_state,bob_detector,counts\n"
+                        "H,H,99999999999999999999\n")
+        path.with_suffix(".csv.json").write_text(json.dumps(
+            {"exposure_s": 1.0, "intensity_label": "S1", "nd_filter_db": 0.0}))
+        code, out, err = invoke(capsys, ["ingest", str(path)])
+        assert code == 1 and out == ""
+        assert err == (f"error: {path} line 2: (H, H) counts past "
+                       f"{2**63 - 1}\n")
+
     @pytest.mark.parametrize("field, value, message", [
         ("exposure_s", math.inf, "exposure_s must be positive and finite"),
         ("nd_filter_db", math.nan, "nd_filter_db must be finite"),

@@ -244,6 +244,43 @@ class TestFileFormats:
         assert read_tomography_csv(path).cell("H", "H") == 12
 
 
+class TestCountsPastInt64:
+    """A count that int64 cannot hold is a ConfigError, and no sum of
+    counts wraps."""
+
+    @pytest.mark.parametrize("rows, line", [
+        # a bare OverflowError
+        ("H,H,99999999999999999999\n", 2),
+        # wrapped, with a RuntimeWarning, into "counts must be non-negative"
+        (f"H,H,{2**62}\nV,V,1\nH,H,{2**62}\n", 4)],
+        ids=["one-row", "two-rows"])
+    def test_rejected_naming_the_file_and_line(self, tmp_path, rows, line):
+        path = tmp_path / "m.csv"
+        path.write_text("alice_state,bob_detector,counts\n" + rows)
+        path.with_suffix(".csv.json").write_text(json.dumps(
+            TestFileFormats.SIDECAR))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ConfigError,
+                               match=rf"m\.csv line {line}: \(H, H\) counts"):
+                read_tomography_csv(path)
+
+    def test_a_cell_past_int64_is_rejected(self):
+        counts = [[0] * 4 for _ in range(4)]
+        counts[2][3] = 2**63
+        with pytest.raises(ConfigError, match="counts must fit int64"):
+            TomographyMap(counts=counts, exposure_s=1.0, intensity_label="S1",
+                          nd_filter_db=0.0)
+
+    def test_sums_past_int64_do_not_wrap(self, budget):
+        # the total and the trace wrapped to 0: q = 0 and e = 1.0
+        tmap = TomographyMap(counts=np.full((4, 4), 2**62), exposure_s=1.0,
+                             intensity_label="S1", nd_filter_db=0.0)
+        rates = gains_and_errors(tmap, budget)
+        assert rates.detected == 2**66 and rates.matched == 2**65
+        assert rates.q == 2**66 / budget.sent(1.0) and rates.e == 0.5
+
+
 @pytest.fixture(scope="module")
 def pipeline(channel, bare_signal, bare_decoy, budget):
     """Simulated 6M-pulse runs at two ND settings, arranged as maps."""
