@@ -545,7 +545,7 @@ class TestHintedSearch:
             return [float.hex(m) for m in got[0].tolist()], logs
 
         alone = [search([i]) for i in range(len(rates))]
-        for i, (result, logs) in enumerate(alone):
+        for i, (_, logs) in enumerate(alone):
             if math.isnan(hints[i]):
                 assert logs[i] == probes_and_result(loop_mcl, rates[i],
                                                     tol_db)[0]
