@@ -57,6 +57,10 @@ MCL_TOL_DB = 0.01
 # Expansion limit: no modeled configuration here survives 200 dB.
 _LOSS_CAP_DB = 200.0
 
+# The finest MCL tolerance: at the step 25/2^59 dB the cap's grid index,
+# 8 * 2^59, is the largest power of two that int64 holds.
+_MCL_TOL_MIN_DB = 25.0 / 2**59
+
 # wcs_mcl's Newton hint: the slope's relative step in transmittance, the
 # step in dB that ends it, and its most steps.
 _NEWTON_DX, _NEWTON_TOL_DB, _NEWTON_STEPS = 1e-6, 0.05, 8
@@ -155,13 +159,17 @@ def _mcl_bracket(rate_fn: ArrayRateFn, size: int, tol_db: float,
     with one.  No key at index 0 leaves it without key, so any hint is
     valid, a negative or infinite one included, and only the probed rates
     decide the result.  FitError is raised when any problem has key at the
-    200 dB cap.  Every bracket is then a power of two steps wide (25 dB
+    200 dB cap, and ValueError, before any rate call, unless ``tol_db`` is
+    finite and at least 25/2^59 dB.  Every bracket is then a power of two steps wide (25 dB
     without a hint), and all are bisected together over grid indices, the
     widest first; so for a rate whose sign does not increase along the
     grid the last loss with key is the highest grid loss with key, hinted
     or not.  Returns each problem's MCL, that loss plus half a step (NaN
     without key at zero loss), and s.
     """
+    if not _MCL_TOL_MIN_DB <= tol_db < math.inf:
+        raise ValueError(f"tol_db must be finite and at least 25/2^59 dB, "
+                         f"not {tol_db!r}")
     step, width = 25.0, 1  # the grid step, and 25 dB in steps
     while step > tol_db:
         step *= 0.5
@@ -240,7 +248,10 @@ def mcl(skr_fn: RateFn, tol_db: float = MCL_TOL_DB) -> float:
     dB, the first halving of 25 dB at or below ``tol_db``, and the result
     m is the last of them with key plus half a step, so it satisfies
     skr_fn(m - tol) > 0 >= skr_fn(m + tol).  The search adds that half
-    step itself, and this passes its MCL on as is.
+    step itself, and this passes its MCL on as is.  ``tol_db`` must be
+    finite and at least 25/2^59 dB (about 4.3e-17 dB), the finest grid
+    whose indices fit int64; any other is a ValueError before the first
+    rate call.
     """
     return _scalar_bracket(skr_fn, tol_db)[0]
 
@@ -256,6 +267,8 @@ def mcl_lockstep(rate_fn: ArrayRateFn, size: int,
     without key at zero loss are NaN where ``mcl`` raises NoKeyError;
     FitError is raised when any problem's rate is still positive at the
     cap, where a loop of ``mcl`` calls raises at the first such problem.
+    ``tol_db`` has the range ``mcl`` accepts: finite and at least 25/2^59
+    dB, or ValueError before any rate call.
     """
     return _mcl_bracket(rate_fn, size, tol_db)[0]
 

@@ -21,6 +21,7 @@ append as trailing comment lines.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import hashlib
 import json
 import math
@@ -90,19 +91,21 @@ def _parse(from_dict, data: dict, where: str):
         raise ConfigError(f"{where}: {exc}") from exc
 
 
+def _load(kind: str, from_dict, arg: str):
+    """The ``kind`` fixture ``arg``, built by ``from_dict``."""
+    return _parse(from_dict, _load_json(arg, kind), f"{kind} {arg!r}")
+
+
 def load_source(arg: str) -> PhotonDistribution:
-    return _parse(PhotonDistribution.from_dict, _load_json(arg, "source"),
-                  f"source {arg!r}")
+    return _load("source", PhotonDistribution.from_dict, arg)
 
 
 def load_channel(arg: str) -> ChannelParams:
-    return _parse(ChannelParams.from_dict, _load_json(arg, "channel"),
-                  f"channel {arg!r}")
+    return _load("channel", ChannelParams.from_dict, arg)
 
 
 def load_budget(arg: str) -> AliceBudget:
-    return _parse(AliceBudget.from_dict, _load_json(arg, "budget"),
-                  f"budget {arg!r}")
+    return _load("budget", AliceBudget.from_dict, arg)
 
 
 def load_stats(arg: str) -> dict[str, PhotonDistribution]:
@@ -274,16 +277,13 @@ def cmd_simulate(args) -> int:
     channel = load_channel(args.channel).with_loss(args.loss)
     source = load_source(args.source)
     if args.protocol == "dtb":
-        decoy = load_source(args.decoy)
-        sim = SimConfig(protocol="dtb", n_pulses=args.n_pulses,
-                        seed=args.seed, channel=channel, eta_c=args.eta_c,
-                        intensities={"s1": decoy, "s2": source},
-                        intensity_weights={"s1": 0.5, "s2": 0.5})
+        own = dict(intensities={"s1": load_source(args.decoy), "s2": source},
+                   intensity_weights={"s1": 0.5, "s2": 0.5})
     else:
-        sim = SimConfig(protocol="hp", n_pulses=args.n_pulses,
-                        seed=args.seed, channel=channel, eta_c=args.eta_c,
-                        source=source, t=args.t, eta_d=args.eta_d,
-                        p_dc_alice=args.p_dc_alice)
+        own = dict(source=source, t=args.t, eta_d=args.eta_d,
+                   p_dc_alice=args.p_dc_alice)
+    sim = SimConfig(protocol=args.protocol, n_pulses=args.n_pulses,
+                    seed=args.seed, channel=channel, eta_c=args.eta_c, **own)
     report = run(sim)
     config = {"cmd": "simulate", "sim": sim.to_dict(),
               "source": args.source, "decoy": args.decoy,
@@ -306,9 +306,7 @@ def cmd_ingest(args) -> int:
     points = skr_from_experiment(maps, stats, budget, q_sift=args.q_sift)
     write_json(args.out, _config(args), {
         "rates": rates,
-        "skr_points": [{"protocol": pt.protocol, "loss_db": pt.loss_db,
-                        "skr": pt.skr, "skr_sigma": pt.skr_sigma}
-                       for pt in points]})
+        "skr_points": [dataclasses.asdict(pt) for pt in points]})
     return 0
 
 
@@ -341,13 +339,16 @@ def build_parser() -> argparse.ArgumentParser:
         for flag in flags:
             p.add_argument(flag, **shared[flag])
 
+    def sweep(p: argparse.ArgumentParser, name: str, *defaults: float) -> None:
+        """``--<name>-min``, ``-max`` and ``-step``, with these defaults."""
+        for end, default in zip(("min", "max", "step"), defaults):
+            p.add_argument(f"--{name}-{end}", type=float, default=default)
+
     p = sub.add_parser("skr-curve", help="rate versus loss for one protocol")
     add(p, "--out", "--channel")
     p.add_argument("--protocol", choices=PROTOCOLS, required=True)
     p.add_argument("--source", help="source fixture name or JSON path")
-    p.add_argument("--loss-min", type=float, default=0.0)
-    p.add_argument("--loss-max", type=float, default=40.0)
-    p.add_argument("--loss-step", type=float, default=0.5)
+    sweep(p, "loss", 0.0, 40.0, 0.5)
     add(p, "--q-sift", "--t", "--eta-d", "--p-dc-alice")
     p.set_defaults(fn=cmd_skr_curve)
 
@@ -361,9 +362,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("optimal-t",
                        help="heralding transmission maximizing loss tolerance")
     add(p, "--out", "--channel")
-    p.add_argument("--p2-min", type=float, default=0.05)
-    p.add_argument("--p2-max", type=float, default=0.5)
-    p.add_argument("--p2-step", type=float, default=0.05)
+    sweep(p, "p2", 0.05, 0.5, 0.05)
     p.add_argument("--p-dc", type=float, default=2e-7,
                    help="herald detector dark rate")
     add(p, "--eta-d")
@@ -376,9 +375,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--protocol", choices=("dtb", "hp"), required=True)
     p.add_argument("--axis", choices=("eta-c", "eta-d"), required=True)
     p.add_argument("--source", required=True)
-    p.add_argument("--eta-min", type=float, default=0.05)
-    p.add_argument("--eta-max", type=float, default=1.0)
-    p.add_argument("--eta-step", type=float, default=0.01)
+    sweep(p, "eta", 0.05, 1.0, 0.01)
     add(p, "--eta-c", "--eta-d", "--t", "--p-dc-alice", "--q-sift")
     p.set_defaults(fn=cmd_gamma_vs_eta)
 

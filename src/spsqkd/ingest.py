@@ -18,6 +18,7 @@ from __future__ import annotations
 import csv
 import json
 import math
+import operator
 import warnings
 from collections.abc import Iterator
 from dataclasses import dataclass
@@ -45,10 +46,25 @@ FALLBACK_E0 = 0.5
 _COUNT_MAX = np.iinfo(np.int64).max
 
 
+def _count(value) -> int:
+    """One tomography count as an int: an integer as is, a float only when
+    its value is an integer (so not NaN or inf)."""
+    if isinstance(value, float) and value.is_integer():
+        return int(value)
+    try:
+        return operator.index(value)
+    except TypeError:
+        raise ConfigError(f"counts must be integers, not {value!r}") from None
+
+
 @dataclass(frozen=True, slots=True)
 class TomographyMap:
-    """One intensity's 4x4 tomography counts at one ND setting; every
-    cell fits int64 (their total need not)."""
+    """One intensity's 4x4 tomography counts at one ND setting.
+
+    Every count is an integer in [0, 2^63 - 1], so it fits int64 (their
+    total need not): an integer, or a float with an integer value, and
+    anything else, such as 2.7, NaN, inf or a string, is a ConfigError.
+    """
 
     counts: np.ndarray
     exposure_s: float
@@ -56,14 +72,16 @@ class TomographyMap:
     nd_filter_db: float
 
     def __post_init__(self) -> None:
-        try:
-            arr = np.asarray(self.counts, dtype=np.int64)
-        except OverflowError as exc:
-            raise ConfigError(f"counts must fit int64: {exc}") from exc
-        if arr.shape != (4, 4):
+        cells = np.array(self.counts, dtype=object)  # each as given, exact
+        if cells.shape != (4, 4):
             raise ConfigError("counts must be a 4x4 matrix")
-        if (arr < 0).any():
+        cells = [_count(value) for value in cells.flat]
+        if min(cells) < 0:
             raise ConfigError("counts must be non-negative")
+        if max(cells) > _COUNT_MAX:
+            raise ConfigError(f"counts must fit int64: {max(cells)} is past "
+                              f"{_COUNT_MAX}")
+        arr = np.array(cells, dtype=np.int64).reshape(4, 4)
         if not 0.0 < self.exposure_s < math.inf:
             raise ConfigError("exposure_s must be positive and finite")
         if not math.isfinite(self.nd_filter_db):

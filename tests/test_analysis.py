@@ -76,6 +76,35 @@ class TestMcl:
         assert mcl(fn) == pytest.approx(alive[-1], abs=0.02)
 
 
+class TestMclTolerance:
+    """The search takes a tolerance that is finite and at least 25/2^59 dB,
+    the finest grid whose cap index fits int64, and rejects any other
+    before the first rate call."""
+
+    # before: -1 and -inf never returned, 0 and 1e-300 were a bare
+    # OverflowError, 25/2^60 numpy's cast TypeError, and NaN or inf
+    # searched a 25 dB grid
+    @pytest.mark.parametrize("tol_db", [
+        math.nan, math.inf, -math.inf, 0.0, -1.0, 1e-300, 25.0 / 2**60],
+        ids=["nan", "inf", "-inf", "zero", "negative", "1e-300", "25/2^60"])
+    def test_rejected_before_any_rate_call(self, tol_db):
+        with pytest.raises(ValueError, match="tol_db must be finite"):
+            mcl(no_search, tol_db=tol_db)
+        with pytest.raises(ValueError, match="tol_db must be finite"):
+            mcl_lockstep(no_search, 3, tol_db=tol_db)
+
+    @pytest.mark.parametrize("tol_db, want", [
+        (25.0 / 2**59, [29.999999999999996, 28.999999999999996,
+                        27.999999999999996]),
+        (analysis.MCL_TOL_DB, [30.0018310546875, 29.0008544921875,
+                               27.9998779296875])],
+        ids=["finest", "default"])
+    def test_accepted_ends_search_as_before(self, tol_db, want):
+        assert mcl(lambda loss: 30.0 - loss, tol_db=tol_db) == want[0]
+        assert mcl_lockstep(lambda idx, loss: 30.0 - loss - idx, 3,
+                            tol_db=tol_db).tolist() == want
+
+
 def _mcl_or_no_key(search) -> float:
     """``search()``, with no key at 0 dB read as -inf (the least loss)."""
     try:

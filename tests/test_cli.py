@@ -598,6 +598,22 @@ class TestSimulate:
             assert all(isinstance(v, int) for v in tally.values())
             assert tally["errors"] <= tally["detected"] <= tally["sent"]
 
+    # SHA-256 of the report with its tool_version blanked, recorded
+    # before SimConfig was built in one call; never re-record them
+    @pytest.mark.parametrize("protocol, digest", [
+        ("dtb",
+         "d01cdbbfa1afbfbabb1a7c38e7ba6bd4c9ca8528097cff5c30d7ac9e85dd15f5"),
+        ("hp",
+         "741b6da51f93b6f9146d4b7715b133fb388585639143db331bfa91701e9697cc")])
+    def test_report_bytes_are_pinned(self, capsys, protocol, digest):
+        code, out, err = invoke(capsys, [
+            "simulate", "--protocol", protocol, "--source", "sps2",
+            "--n-pulses", "200000", "--seed", "7"])
+        assert code == 0 and err == ""
+        body = re.sub(r'"tool_version": "[^"]*"',
+                      '"tool_version": "<version>"', out, count=1)
+        assert hashlib.sha256(body.encode()).hexdigest() == digest
+
     def test_seed_changes_the_tallies(self, capsys, tmp_path):
         out = []
         for seed in ("7", "8"):

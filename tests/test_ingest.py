@@ -2,6 +2,7 @@
 
 import json
 import math
+import re
 import warnings
 
 import numpy as np
@@ -89,6 +90,35 @@ class TestTomographyMap:
             square_map(np.full((4, 4), -1))
         with pytest.raises(ConfigError):
             square_map(np.zeros((4, 4), dtype=int), exposure_s=0.0)
+
+
+class TestCountsAreIntegers:
+    """Each count is an integer in [0, 2^63 - 1]; a float passes only
+    with an integer value, and no entry is cast."""
+
+    # before: 2.7 became 2, NaN, inf and 1e30 warned and then failed as
+    # negative, and "3.5" was a bare ValueError
+    @pytest.mark.parametrize("value, message", [
+        (2.7, "counts must be integers, not 2.7"),
+        (math.nan, "counts must be integers, not nan"),
+        (math.inf, "counts must be integers, not inf"),
+        (1e30, "counts must fit int64"),
+        ("3.5", "counts must be integers, not '3.5'")],
+        ids=["fraction", "nan", "inf", "past-int64", "string"])
+    def test_rejected_by_the_rule_they_break(self, value, message):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ConfigError, match=re.escape(message)):
+                square_map(np.full((4, 4), value))
+
+    @pytest.mark.parametrize("counts, value", [
+        (np.full((4, 4), 7.0), 7), (np.full((4, 4), 7, dtype=np.uint8), 7),
+        ([[2**63 - 1] * 4] * 4, 2**63 - 1)],
+        ids=["integral-floats", "uint8", "largest-python-int"])
+    def test_integer_values_build_exactly_as_int64(self, counts, value):
+        tmap = square_map(counts)
+        assert tmap.counts.dtype == np.int64
+        assert tmap.counts.tolist() == [[value] * 4] * 4
 
 
 class TestGainsAndErrors:
