@@ -160,11 +160,11 @@ def _mcl_bracket(rate_fn: ArrayRateFn, size: int, tol_db: float,
     valid, a negative or infinite one included, and only the probed rates
     decide the result.  FitError is raised when any problem has key at the
     200 dB cap, and ValueError, before any rate call, unless ``tol_db`` is
-    finite and at least 25/2^59 dB.  Every bracket is then a power of two steps wide (25 dB
-    without a hint), and all are bisected together over grid indices, the
-    widest first; so for a rate whose sign does not increase along the
-    grid the last loss with key is the highest grid loss with key, hinted
-    or not.  Returns each problem's MCL, that loss plus half a step (NaN
+    finite and at least 25/2^59 dB.  Every bracket is then a power of two
+    steps wide (25 dB without a hint), and all are bisected together over
+    grid indices, the widest first; so for a rate whose sign does not
+    increase along the grid the last loss with key is the highest grid
+    loss with key, hinted or not.  Returns each problem's MCL, that loss plus half a step (NaN
     without key at zero loss), and s.
     """
     if not _MCL_TOL_MIN_DB <= tol_db < math.inf:
