@@ -236,11 +236,12 @@ def cmd_gamma_map(args) -> int:
     gmap = gamma_map_dtb(load_channel(args.channel), eta_c=args.eta_c,
                          n=args.grid, q_sift=args.q_sift)
     # each axis value formatted once; one string of lines per map row, so
-    # the text is never held whole (45 MB at MAX_GRID)
-    p2 = [_fmt(v) + "," for v in gmap.p2.tolist()]
-    prefixes = (_fmt(p1) + "," for p1 in gmap.p1.tolist())
+    # the text is never held whole (45 MB at MAX_GRID); every cell is a
+    # Python float from tolist(), which _fmt would format as its repr
+    p2 = [repr(v) + "," for v in gmap.p2.tolist()]
+    prefixes = (repr(p1) + "," for p1 in gmap.p1.tolist())
     lines = ("\n".join([prefix + p2_j + g for p2_j, g
-                        in zip(p2, map(_fmt, g_row.tolist()))])
+                        in zip(p2, map(repr, g_row.tolist()))])
              for prefix, g_row in zip(prefixes, gmap.gamma_db))
     footer = {"wcs_mcl_db": gmap.wcs_mcl_db}
     try:
@@ -286,8 +287,9 @@ def cmd_simulate(args) -> int:
                     seed=args.seed, channel=channel, eta_c=args.eta_c, **own)
     report = run(sim)
     config = {"cmd": "simulate", "sim": sim.to_dict(),
-              "source": args.source, "decoy": args.decoy,
-              "channel": args.channel}
+              "source": args.source, "channel": args.channel}
+    if args.protocol == "dtb":  # hp never loads the decoy
+        config["decoy"] = args.decoy
     write_json(args.out, config, report.to_dict())
     return 0
 

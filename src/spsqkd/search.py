@@ -1,5 +1,11 @@
 """The package's searches: golden-section maximum and sign bisection, the
-golden section also in lockstep over many independent problems."""
+golden section also in lockstep over many independent problems.
+
+Each takes a tolerance only when it is finite and positive, and raises
+ValueError before the first call of its function otherwise.  Every
+positive tolerance ends: a bracket that float spacing keeps wider than
+the tolerance stops where it can shrink no further (see each search).
+"""
 
 from __future__ import annotations
 
@@ -11,15 +17,35 @@ import numpy as np
 _GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
 
 
+def _check_tol(tol: float) -> None:
+    if not 0.0 < tol < math.inf:
+        raise ValueError(f"tol must be finite and positive, not {tol!r}")
+
+
 def golden_max(fn: Callable[[float], float], lo: float, hi: float,
                tol: float) -> float:
-    """Golden-section maximizer for a unimodal function on [lo, hi]."""
+    """Golden-section maximizer for a unimodal function on [lo, hi].
+
+    Returns the midpoint of the bracket once it is within ``tol``, or once
+    the search, its bracket down to a float or two, comes back to a state
+    (bracket and inner points) from which a step left the bracket as it
+    was: for an ``fn`` that returns the same value at the same point it
+    would repeat that cycle for ever, so every search that ends within
+    ``tol`` ends as it did without this stop.
+    """
+    _check_tol(tol)
     a, b = lo, hi
     c = b - (b - a) * _GOLDEN
     d = a + (b - a) * _GOLDEN
     fc, fd = fn(c), fn(d)
+    kept = set()  # the states from which a step kept the bracket
     while (b - a) > tol:
-        if fc > fd:
+        left = fc > fd
+        if (d == b) if left else (c == a):  # this step keeps the bracket
+            if (a, b, c, d) in kept:
+                break
+            kept.add((a, b, c, d))
+        if left:
             b, d, fd = d, c, fc
             c = b - (b - a) * _GOLDEN
             fc = fn(c)
@@ -38,17 +64,31 @@ def golden_max_lockstep(fn: Callable[[np.ndarray, np.ndarray], np.ndarray],
     ``fn(idx, x)`` returns the objectives of problems ``idx`` at the points
     ``x`` (equal-length arrays).  Each problem does ``golden_max``'s float
     operations in the same order and drops out when its own bracket is
-    within ``tol``, so it probes the points one ``golden_max`` call probes
-    and returns the same maximizer.
+    within ``tol`` or its state repeats as ``golden_max``'s does, so it
+    probes the points one ``golden_max`` call probes and returns the same
+    maximizer.
     """
+    _check_tol(tol)
     a, b = np.full(size, float(lo)), np.full(size, float(hi))
     c = b - (b - a) * _GOLDEN
     d = a + (b - a) * _GOLDEN
     every = np.arange(size)
     fc, fd = fn(every, c), fn(every, d)
     todo = every[b - a > tol]
+    kept = {}  # each problem's states from which a step kept its bracket
     while todo.size:
         left = fc[todo] > fd[todo]
+        stay = np.where(left, d[todo] == b[todo], c[todo] == a[todo])
+        if stay.any():
+            go = np.ones(todo.size, dtype=bool)
+            for k in np.flatnonzero(stay).tolist():
+                i = todo[k]
+                state = (a[i], b[i], c[i], d[i])
+                go[k] = state not in kept.setdefault(i, set())
+                kept[i].add(state)
+            todo, left = todo[go], left[go]
+            if not todo.size:
+                break
         s, g = todo[left], todo[~left]
         b[s], d[s], fd[s] = d[s], c[s], fc[s]
         c[s] = b[s] - (b[s] - a[s]) * _GOLDEN
@@ -63,9 +103,13 @@ def golden_max_lockstep(fn: Callable[[np.ndarray, np.ndarray], np.ndarray],
 def bisect(below: Callable[[float], bool], lo: float, hi: float,
            tol: float) -> float:
     """Midpoint of the bracket around the one point where ``below`` turns
-    from true (at ``lo``) to false (at ``hi``), halved down to ``tol``."""
+    from true (at ``lo``) to false (at ``hi``), halved down to ``tol`` or
+    until no float lies strictly between its ends."""
+    _check_tol(tol)
     while hi - lo > tol:
         mid = 0.5 * (lo + hi)
+        if not lo < mid < hi:
+            break
         if below(mid):
             lo = mid
         else:

@@ -1065,11 +1065,16 @@ class TestOptimalBsTransmission:
         assert m(t_star) >= m(t_star - 0.05) - 1e-4
         assert m(t_star) >= m(t_star + 0.05) - 1e-4
 
-    @pytest.mark.parametrize("p1, p_dc, eta_d", [
-        (0.0, 2e-7, 0.9), (0.0, 5e-3, 0.6), (0.2, 2e-7, 0.9),
-        (0.458, 0.02, 0.9), (0.458, 0.2, 0.05)])
+    # the last case is a brighter receiver where the herald's dark counts,
+    # t p1 p_dc, outweigh its genuine one-photon weight
+    @pytest.mark.parametrize("p1, p_dc, eta_d, eta_bob", [
+        (0.0, 2e-7, 0.9, None), (0.0, 5e-3, 0.6, None),
+        (0.2, 2e-7, 0.9, None), (0.458, 0.02, 0.9, None),
+        (0.458, 0.2, 0.05, None), (0.458, 0.2, 0.05, 0.5)])
     def test_sweep_equals_the_scalar_golden_section(self, channel, p1, p_dc,
-                                                    eta_d):
+                                                    eta_d, eta_bob):
+        if eta_bob is not None:
+            channel = ChannelParams(0.0, eta_bob, channel.p_dc, channel.e_d)
         p2s = [0.01, 0.05, 0.1, 0.2, 0.35, 0.5]
 
         def scalar(p2: float) -> float:
@@ -1087,6 +1092,19 @@ class TestOptimalBsTransmission:
         assert got.tolist() == want
         assert optimal_bs_transmission(p2s[2], p_dc, eta_d, channel,
                                        p1=p1) == want[2]
+
+    def test_the_hint_moves_no_optimum(self, monkeypatch, channel):
+        # the benchmark sweeps, each weight's MCL searched from zero loss
+        p2s = [0.05 + 0.005 * k for k in range(91)]
+        hinted = [optimal_bs_transmission(p2s, 2e-7, 0.9, channel, p1=p1)
+                  for p1 in (0.0, 0.2)]
+        search = analysis._mcl_bracket
+        monkeypatch.setattr(analysis, "_mcl_bracket",
+                            lambda fn, size, tol_db, hint=None: search(
+                                fn, size, tol_db))
+        for p1, want in zip((0.0, 0.2), hinted):
+            got = optimal_bs_transmission(p2s, 2e-7, 0.9, channel, p1=p1)
+            assert got.tolist() == want.tolist()
 
     @pytest.mark.parametrize("p_dc", [2e-7, 0.0])
     def test_rows_without_key_have_no_optimum(self, channel, p_dc):

@@ -56,7 +56,8 @@ class TestGoldenMaxLockstep:
     @pytest.mark.parametrize("lo, hi, tol", [(1e-3, 1.0 - 1e-3, 1e-4),
                                              (0.0, 1.0, 1e-9),
                                              (1e-6, 2.0, 1e-6),
-                                             (1.0, 3.0, 2.0)])
+                                             (1.0, 3.0, 2.0),
+                                             (0.0, 1.0, 1e-300)])
     def test_probes_what_golden_max_probes(self, lo, hi, tol):
         fns = self.OBJECTIVES
         want_probes, want = [], []
@@ -110,3 +111,50 @@ class TestBisect:
     def test_predicate_true_everywhere_walks_to_the_upper_end(self):
         x = bisect(lambda t: True, 0.0, 1.0, 1e-6)
         assert 1.0 - 1e-6 < x < 1.0
+
+
+
+def refuse(fn):
+    def call(*args):
+        raise AssertionError("a rejected tolerance reached the function")
+
+    return call
+
+
+def capped(fn, calls=10_000):
+    # fails the test where a search that never ends would hang it
+    seen = []
+
+    def call(*args):
+        seen.append(None)
+        if len(seen) > calls:
+            raise AssertionError(f"more than {calls} calls")
+        return fn(*args)
+
+    return call
+
+
+# each search of a problem whose answer is 0.3, its function passed
+# through ``wrap``
+SEARCHES = {
+    "golden_max": lambda wrap, tol: golden_max(
+        wrap(lambda t: -(t - 0.3) ** 2), 0.0, 1.0, tol),
+    "golden_max_lockstep": lambda wrap, tol: golden_max_lockstep(
+        wrap(lambda idx, x: -(x - 0.3) ** 2), 0.0, 1.0, tol, 2)[1],
+    "bisect": lambda wrap, tol: bisect(wrap(lambda t: t < 0.3), 0.0, 1.0,
+                                       tol)}
+
+
+@pytest.mark.parametrize("tol", [0.0, -1.0, math.nan, math.inf, -math.inf])
+@pytest.mark.parametrize("search", SEARCHES)
+def test_a_tolerance_not_finite_and_positive_is_rejected_first(search, tol):
+    with pytest.raises(ValueError, match="tol must be finite and positive"):
+        SEARCHES[search](refuse, tol)
+
+
+@pytest.mark.parametrize("tol", [1e-17, 1e-300])
+@pytest.mark.parametrize("search", SEARCHES)
+def test_a_tolerance_below_the_float_spacing_still_ends(search, tol):
+    # 0.3's float spacing is 5.6e-17: the bracket stops where no float is
+    # left to shrink it by, one spacing from the answer
+    assert abs(SEARCHES[search](capped, tol) - 0.3) <= math.ulp(0.3)
