@@ -16,10 +16,11 @@ probed in.  The search owns its edge rules: it adds that half step,
 raises FitError at the cap (``_check_cap``, which ``hp_threshold`` and a
 noiseless ``optimal_bs_transmission`` call without searching) and clamps
 every hint, so any hint, a problem's expected MCL at any loss, is valid.
-``optimal_bs_transmission`` hints each weight's MCL predicted from its
-earlier probes in t, and ``wcs_mcl`` the laser's cut-off with its Poisson sums in closed form,
-found by a few Newton steps in transmittance rather than by a search of
-its own.  The other searches start from zero loss.
+``optimal_bs_transmission`` hints each weight's MCL as predicted from its
+earlier probes in t, and ``wcs_mcl`` the laser's cut-off with its
+Poisson sums in closed form, found by a few Newton steps in
+transmittance rather than by a search of its own.  The other searches
+start from zero loss.
 Protocol merit is then expressed as the relative gain
 
     gamma_dB = MCL_protocol - MCL_baseline
