@@ -16,10 +16,12 @@ model, whose error rates are defined on the matched-basis subsample.
 Pulses are processed in fixed-size shards, each with a child generator
 spawned as the loop reaches it, and tallies merged by summation, so a
 report depends only on (seed, n_pulses), never on scheduling.  Shards take
-the draws of ``choice`` and whole-array ``binomial``: a pick counts the
-entries of ``choice``'s table (running sum of the normalised weights,
-scaled to end at 1) that its uniform reaches, and n = 0 binomials, which
-draw nothing, are skipped.
+the draws of ``choice`` and whole-array ``binomial``, both computed in
+numpy: a pick counts the entries of ``choice``'s table (running sum of the
+normalised weights, scaled to end at 1) that its uniform reaches.  A
+thinning runs numpy's binomial inversion on one uniform per photon number
+n > 0 (n = 0 binomials draw nothing), and replays ``binomial`` itself for
+the batch in which numpy would draw a uniform again.
 """
 
 from __future__ import annotations
@@ -37,8 +39,18 @@ from .protocols import (DEFAULT_ETA_D, DEFAULT_T, check_herald,
 
 # Pulses per RNG shard; fixed so reports are independent of worker layout.
 SHARD_SIZE = 1_000_000
+# Elements per batch of ``_thin``'s inversion, which bounds its temporaries;
+# consecutive ``random`` calls draw what one call over all would.
+_CHUNK = 1 << 16
 
 _PROTOCOLS = ("dtb", "hp")
+
+
+def _whole(value):
+    """A float with an integer value as that int; anything else as is."""
+    if isinstance(value, float) and value.is_integer():
+        return int(value)
+    return value
 
 
 @dataclass(frozen=True, slots=True)
@@ -66,8 +78,11 @@ class SimConfig:
     def __post_init__(self) -> None:
         if self.protocol not in _PROTOCOLS:
             raise ConfigError(f"protocol must be one of {_PROTOCOLS}")
-        if self.n_pulses < 1:
-            raise ConfigError("n_pulses must be at least 1")
+        for name, low in (("n_pulses", 1), ("seed", 0)):
+            value = getattr(self, name)
+            if type(value) is not int or value < low:  # so not a bool
+                raise ConfigError(
+                    f"{name} must be an integer >= {low}, not {value!r}")
         try:  # the package's collection and herald rules, as ConfigError
             check_collection(self.eta_c)
             if self.protocol == "hp":
@@ -111,8 +126,9 @@ class SimConfig:
 
     @classmethod
     def from_dict(cls, data: dict) -> "SimConfig":
-        kwargs = dict(protocol=data["protocol"], n_pulses=int(data["n_pulses"]),
-                      seed=int(data["seed"]),
+        kwargs = dict(protocol=data["protocol"],
+                      n_pulses=_whole(data["n_pulses"]),
+                      seed=_whole(data["seed"]),
                       channel=ChannelParams.from_dict(data["channel"]),
                       eta_c=float(data.get("eta_c", 1.0)))
         if data["protocol"] == "dtb":
@@ -198,10 +214,55 @@ def _pick(u: np.ndarray, cdf: np.ndarray) -> np.ndarray:
     return out
 
 
+def _inversion_table(n_max: int, p: float) -> np.ndarray:
+    """Row x, column n: numpy's P(X = x) for n trials at p <= 1/2.
+
+    The terms of ``random_binomial_inversion`` in numpy's
+    ``distributions.c``, computed with its float operations in its order;
+    inf past n, where no uniform passes.
+    """
+    q = 1.0 - p
+    table = np.full((n_max + 1, n_max + 1), np.inf)
+    for n in range(1, n_max + 1):
+        px = math.exp(n * math.log(q))
+        for x in range(n + 1):
+            table[x, n] = px
+            px = (n - x) * p * px / ((x + 1) * q)
+    return table
+
+
 def _thin(rng: np.random.Generator, n: np.ndarray, p: float) -> np.ndarray:
-    """``rng.binomial(n, p)`` in place, drawing only where n > 0."""
+    """``rng.binomial(n, p)`` in place, drawing only where n > 0.
+
+    For 0 < p <= 1 and n <= 10, numpy's binomial is an inversion: one
+    uniform per element, from which the table's terms for its n are
+    subtracted while it exceeds them.  This does the same compares and
+    subtractions over batches of ``_CHUNK`` elements.  A uniform that
+    passes all n + 1 terms (about 1e-15 per element) makes numpy draw
+    again, so that batch replays ``rng.binomial`` from its saved state.
+    """
     idx = np.flatnonzero(n > 0)
-    n[idx] = rng.binomial(n[idx], p)
+    n_max = int(n.max(initial=0))
+    if not 0.0 < p <= 1.0 or n_max > 10:
+        n[idx] = rng.binomial(n[idx], p)
+        return n
+    flip = p > 0.5  # numpy inverts at 1 - p and returns n - X
+    steps = _inversion_table(n_max, 1.0 - p if flip else p)
+    for at in range(0, idx.size, _CHUNK):
+        j = idx[at:at + _CHUNK]
+        k = n[j].astype(np.intp)
+        state = rng.bit_generator.state
+        u = rng.random(k.size)
+        x = np.zeros(k.size, dtype=np.int8)
+        for row in steps:
+            px = row[k]
+            x += u > px
+            u -= px
+        if (x > k).any():
+            rng.bit_generator.state = state
+            n[j] = rng.binomial(k, p)
+        else:
+            n[j] = k - x if flip else x
     return n
 
 

@@ -1,8 +1,9 @@
 """The package's searches: golden-section maximum and sign bisection, the
 golden section also in lockstep over many independent problems.
 
-Each takes a tolerance only when it is finite and positive, and raises
-ValueError before the first call of its function otherwise.  Every
+Each takes a bracket only when its ends are finite and ordered (lo <= hi)
+and a tolerance only when it is finite and positive, and raises ValueError
+before the first call of its function otherwise.  Every
 positive tolerance ends: a bracket that float spacing keeps wider than
 the tolerance stops where it can shrink no further (see each search).
 """
@@ -17,9 +18,12 @@ import numpy as np
 _GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
 
 
-def _check_tol(tol: float) -> None:
+def _check(lo: float, hi: float, tol: float) -> None:
     if not 0.0 < tol < math.inf:
         raise ValueError(f"tol must be finite and positive, not {tol!r}")
+    if not -math.inf < lo <= hi < math.inf:
+        raise ValueError(
+            f"bounds must be finite with lo <= hi, not ({lo!r}, {hi!r})")
 
 
 def golden_max(fn: Callable[[float], float], lo: float, hi: float,
@@ -33,7 +37,7 @@ def golden_max(fn: Callable[[float], float], lo: float, hi: float,
     would repeat that cycle for ever, so every search that ends within
     ``tol`` ends as it did without this stop.
     """
-    _check_tol(tol)
+    _check(lo, hi, tol)
     a, b = lo, hi
     c = b - (b - a) * _GOLDEN
     d = a + (b - a) * _GOLDEN
@@ -68,7 +72,7 @@ def golden_max_lockstep(fn: Callable[[np.ndarray, np.ndarray], np.ndarray],
     probes the points one ``golden_max`` call probes and returns the same
     maximizer.
     """
-    _check_tol(tol)
+    _check(lo, hi, tol)
     a, b = np.full(size, float(lo)), np.full(size, float(hi))
     c = b - (b - a) * _GOLDEN
     d = a + (b - a) * _GOLDEN
@@ -105,7 +109,7 @@ def bisect(below: Callable[[float], bool], lo: float, hi: float,
     """Midpoint of the bracket around the one point where ``below`` turns
     from true (at ``lo``) to false (at ``hi``), halved down to ``tol`` or
     until no float lies strictly between its ends."""
-    _check_tol(tol)
+    _check(lo, hi, tol)
     while hi - lo > tol:
         mid = 0.5 * (lo + hi)
         if not lo < mid < hi:

@@ -651,6 +651,16 @@ class TestSimulate:
         assert code == 1 and out == ""
         assert err == "error: p_dc_alice must lie in [0, 1]\n"
 
+    @pytest.mark.parametrize("flag, field, value, low", [
+        ("--seed", "seed", -1, 0), ("--n-pulses", "n_pulses", 0, 1)])
+    def test_seed_and_pulse_count_out_of_range_fail_cleanly(
+            self, capsys, flag, field, value, low):
+        code, out, err = invoke(capsys, [
+            "simulate", "--protocol", "hp", "--source", "sps2",
+            flag, str(value)])
+        assert code == 1 and out == ""
+        assert err == f"error: {field} must be an integer >= {low}, not {value}\n"
+
     def test_herald_counters_appear_for_hp(self, capsys):
         _, out, _ = invoke(capsys, [
             "simulate", "--protocol", "hp", "--source", "sps2",

@@ -7,14 +7,19 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
+from spsqkd import montecarlo
 from spsqkd.channel_model import ChannelParams, gain_and_qber, yields
 from spsqkd.cli import load_source
 from spsqkd.errors import ConfigError
 from spsqkd.montecarlo import (
+    _CHUNK,
     SHARD_SIZE,
     SimConfig,
     _shards,
+    _thin,
     SimReport,
     empirical_g2,
     run,
@@ -58,6 +63,20 @@ class TestConfigValidation:
     def test_pulse_count_positive(self, channel, sps1):
         with pytest.raises(ConfigError):
             dtb_config(channel, {"s": sps1}, 0, 0)
+
+    @pytest.mark.parametrize("field, value", [
+        ("n_pulses", 2.5), ("n_pulses", True), ("n_pulses", "10"),
+        ("n_pulses", 0), ("seed", 1.5), ("seed", True), ("seed", -1),
+        ("seed", None)])
+    def test_pulse_count_and_seed_are_integers(self, channel, sps2, field,
+                                               value):
+        kwargs = dict(protocol="hp", n_pulses=10, seed=0, channel=channel,
+                      source=sps2)
+        kwargs[field] = value
+        low = 1 if field == "n_pulses" else 0
+        with pytest.raises(ConfigError, match=re.escape(
+                f"{field} must be an integer >= {low}, not {value!r}")):
+            SimConfig(**kwargs)
 
     def test_dtb_needs_intensities(self, channel):
         with pytest.raises(ConfigError):
@@ -138,6 +157,79 @@ class TestConfigSerialization:
                         source=sps2, t=0.4, eta_d=0.8, p_dc_alice=1e-4)
         blob = json.dumps(cfg.to_dict())
         assert SimConfig.from_dict(json.loads(blob)) == cfg
+
+
+    def test_from_dict_takes_a_float_only_with_an_integer_value(self,
+                                                                channel,
+                                                                sps2):
+        cfg = SimConfig(protocol="hp", n_pulses=1000, seed=3, channel=channel,
+                        source=sps2)
+        data = cfg.to_dict()
+        back = SimConfig.from_dict(dict(data, n_pulses=1000.0, seed=3.0))
+        assert back == cfg
+        assert json.dumps(back.to_dict()) == json.dumps(data)
+        for field in ("n_pulses", "seed"):
+            with pytest.raises(ConfigError, match=f"{field} must be an int"):
+                SimConfig.from_dict(dict(data, **{field: 2.5}))
+
+
+# numpy's binomial at the ends of (0, 1] and around its flip at p = 1/2
+EDGE_P = (0.0, 1.0, 0.5, math.nextafter(0.5, 0.0), math.nextafter(0.5, 1.0),
+          5e-324, 1e-300, 1.0 - 2.0 ** -53)
+
+
+def at_each_edge_p(test):
+    for p in EDGE_P:
+        test = example(size=2 * _CHUNK + 3, top=3, p=p, seed=0)(test)
+    return test
+
+
+def binomial_where_positive(rng, n, p):
+    out = n.copy()
+    idx = np.flatnonzero(n > 0)
+    out[idx] = rng.binomial(n[idx], p)
+    return out
+
+
+class TestThin:
+    """``_thin`` draws what ``rng.binomial`` on the photon numbers n > 0
+    draws; this pins numpy's sampler beside the golden reports."""
+
+    @given(size=st.integers(0, 3 * _CHUNK), top=st.integers(0, 3),
+           p=st.floats(0.0, 1.0), seed=st.integers(0, 2 ** 32 - 1))
+    @at_each_edge_p
+    @example(size=1000, top=12, p=0.3, seed=1)  # past numpy's n = 10 bound
+    @settings(max_examples=150, deadline=None)
+    def test_draws_what_numpy_binomial_draws(self, size, top, p, seed):
+        n = np.random.default_rng(seed).integers(0, top, size, dtype=np.int8,
+                                                 endpoint=True)
+        ours, theirs = (np.random.default_rng(seed + 1) for _ in range(2))
+        assert np.array_equal(_thin(ours, n.copy(), p),
+                              binomial_where_positive(theirs, n, p))
+        assert ours.random() == theirs.random()
+
+    def test_a_batch_where_numpy_draws_again_replays_numpy(self, monkeypatch):
+        # every uniform passes every term, so every batch replays
+        monkeypatch.setattr(montecarlo, "_inversion_table",
+                            lambda n_max, p: np.full((n_max + 1,) * 2, -1.0))
+        n = np.random.default_rng(2).integers(0, 3, 2 * _CHUNK + 7,
+                                              dtype=np.int8, endpoint=True)
+        ours, theirs = np.random.default_rng(3), np.random.default_rng(3)
+        assert np.array_equal(_thin(ours, n.copy(), 0.7),
+                              binomial_where_positive(theirs, n, 0.7))
+        assert ours.random() == theirs.random()
+
+    def test_a_million_photon_numbers_allocate_little(self):
+        n = np.random.default_rng(4).integers(1, 3, 10 ** 6, dtype=np.int8,
+                                              endpoint=True)
+        rng = np.random.default_rng(5)
+        tracemalloc.start()
+        try:
+            _thin(rng, n, 0.3)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 16e6
 
 
 class TestDtbSimulation:

@@ -116,7 +116,7 @@ class TestBisect:
 
 def refuse(fn):
     def call(*args):
-        raise AssertionError("a rejected tolerance reached the function")
+        raise AssertionError("a rejected input reached the function")
 
     return call
 
@@ -135,14 +135,15 @@ def capped(fn, calls=10_000):
 
 
 # each search of a problem whose answer is 0.3, its function passed
-# through ``wrap``
+# through ``wrap``, over [lo, hi] (by default [0, 1])
 SEARCHES = {
-    "golden_max": lambda wrap, tol: golden_max(
-        wrap(lambda t: -(t - 0.3) ** 2), 0.0, 1.0, tol),
-    "golden_max_lockstep": lambda wrap, tol: golden_max_lockstep(
-        wrap(lambda idx, x: -(x - 0.3) ** 2), 0.0, 1.0, tol, 2)[1],
-    "bisect": lambda wrap, tol: bisect(wrap(lambda t: t < 0.3), 0.0, 1.0,
-                                       tol)}
+    "golden_max": lambda wrap, tol, lo=0.0, hi=1.0: golden_max(
+        wrap(lambda t: -(t - 0.3) ** 2), lo, hi, tol),
+    "golden_max_lockstep": lambda wrap, tol, lo=0.0, hi=1.0:
+        golden_max_lockstep(wrap(lambda idx, x: -(x - 0.3) ** 2), lo, hi,
+                            tol, 2)[1],
+    "bisect": lambda wrap, tol, lo=0.0, hi=1.0: bisect(
+        wrap(lambda t: t < 0.3), lo, hi, tol)}
 
 
 @pytest.mark.parametrize("tol", [0.0, -1.0, math.nan, math.inf, -math.inf])
@@ -158,3 +159,18 @@ def test_a_tolerance_below_the_float_spacing_still_ends(search, tol):
     # 0.3's float spacing is 5.6e-17: the bracket stops where no float is
     # left to shrink it by, one spacing from the answer
     assert abs(SEARCHES[search](capped, tol) - 0.3) <= math.ulp(0.3)
+
+
+@pytest.mark.parametrize("lo, hi", [(-math.inf, 1.0), (0.0, math.inf),
+                                    (1.0, 0.0), (math.nan, 1.0),
+                                    (0.0, math.nan)],
+                         ids=["-inf", "inf", "reversed", "nan-lo", "nan-hi"])
+@pytest.mark.parametrize("search", SEARCHES)
+def test_a_bracket_not_finite_and_ordered_is_rejected_first(search, lo, hi):
+    with pytest.raises(ValueError, match="bounds must be finite with lo <= hi"):
+        SEARCHES[search](refuse, 1e-3, lo, hi)
+
+
+@pytest.mark.parametrize("search", SEARCHES)
+def test_a_one_point_bracket_is_its_answer(search):
+    assert SEARCHES[search](capped, 1e-3, 0.3, 0.3) == 0.3
