@@ -203,24 +203,21 @@ def _mcl_bracket(rate_fn: ArrayRateFn, size: int, tol_db: float,
     # a bracket clamped at 0 or at the cap is widened to a power of two
     # away from that end, over indices whose sign monotonicity fixes
     wide = 2 ** np.ceil(np.log2(above - below)).astype(np.int64)  # steps
-    floor = np.full(size, np.nan)  # the highest loss found with key
-    floor[todo] = np.where(above == cap, cap - wide, below) * step
+    at = np.where(above == cap, cap - wide, below) * step  # lower ends, dB
     order = np.argsort(-wide, kind="stable")
-    todo, wide = todo[order], wide[order]
-    n, half = 0, int(wide.max(initial=1)) >> 1
+    todo, wide, at = todo[order], wide[order], at[order]
+    half = int(wide.max(initial=1)) >> 1
 
     # one bisection, of the widest brackets first and of the others from
-    # the half that fits them; each index j is held as its loss j * step,
-    # exact in float, so the sums below are exact too
-    at = floor[todo]
-    head, idx = at[:n], todo[:n]  # views: head writes through to at
-    while half and todo.size:
-        if n < todo.size and wide[n] > half:
-            n = np.count_nonzero(wide > half)
-            head, idx = at[:n], todo[:n]
-        mid = head + half * step
-        np.copyto(head, mid, where=rate_fn(idx, mid) > 0.0)
+    # the half that fits them, a prefix of the widest-first order; each
+    # index j is held as its loss j * step, exact in float, so the sums
+    # below are exact too
+    while half:
+        n = np.count_nonzero(wide > half)
+        mid = at[:n] + half * step
+        np.copyto(at[:n], mid, where=rate_fn(todo[:n], mid) > 0.0)
         half >>= 1
+    floor = np.full(size, np.nan)  # the highest loss found with key
     floor[todo] = at
     return floor + 0.5 * step, step
 
@@ -548,9 +545,11 @@ def optimal_bs_transmission(p2, p_dc: float, eta_d: float,
     there (``_mcl_bracket``).  The prediction is herald-scaled: base(t) =
     10 log10 p1~(t), the heralded one-photon weight in dB, sets the rate's
     sign near the cut-off against the dark counts, so MCL - base(t) varies
-    slowly in t.  The hint is base(t) plus the quadratic through that
-    residual at the weight's three nearest earlier probes with key (the
-    nearest one's alone with fewer, or where the quadratic is not finite).
+    slowly in t.  The hint is base(t) plus the polynomial through that
+    residual at the nearest up-to-three of the weight's earlier probes
+    with key (``_nearest_quadratic``: a line through two, a quadratic
+    through three; the nearest one's residual alone where it is not
+    finite).  A weight whose residuals are all NaN never had key.
     On the ``optimal-t`` sweep of p2 from 0.05 to 0.5 by 0.005 this takes
     121 rate calls at p1 = 0 and 119 at p1 = 0.2, where a start from the
     last t's MCL took 263 and 259 and a search from zero loss 550.  Each
@@ -587,52 +586,52 @@ def optimal_bs_transmission(p2, p_dc: float, eta_d: float,
         hits = np.flatnonzero(keyed)
         _check_cap(rate(hits, np.full(hits.size, _LOSS_CAP_DB)) > 0.0)
         t_opt = np.where(keyed, 0.5, np.nan)
-        return t_opt if np.ndim(p2) else float(t_opt[0])
-    keyed = np.zeros(p2s.size, dtype=bool)
-    # one row per objective call: each weight's t and its MCL less base(t),
-    # NaN where the call did not probe it or it had no key
-    probed_t, residual = [], []
+    else:
+        # one row per objective call: each weight's t and its MCL less
+        # base(t), NaN where the call did not probe it or it had no key
+        # (base(t) is never NaN)
+        probed_t, residual = [], []
 
-    def objective(idx: np.ndarray, t: np.ndarray) -> np.ndarray:
-        eff = hp_effective_array(probs[:, idx], t, eta_d, p_dc)
-        with np.errstate(divide="ignore", invalid="ignore"):
-            base = 10.0 * np.log10(eff[1])  # heralded one-photon weight, dB
-            hint = base + _nearest_quadratic(
-                np.array(probed_t)[:, idx], np.array(residual)[:, idx],
-                t) if probed_t else None
-        # the landscape is shallow near the top, so the inner loss search
-        # runs much tighter than the reported MCL resolution
-        m = _mcl_bracket(lambda j, loss_db: skr_hp_array(eff[:, j], channel,
-                                                         loss_db),
-                         idx.size, 1e-5, hint)[0]
-        for rows, row in ((probed_t, t), (residual, m - base)):
-            rows.append(np.full(p2s.size, np.nan))
-            rows[-1][idx] = row
-        keyed[idx] |= ~np.isnan(m)
-        return np.where(np.isnan(m), -1.0, m)  # no key
+        def objective(idx: np.ndarray, t: np.ndarray) -> np.ndarray:
+            eff = hp_effective_array(probs[:, idx], t, eta_d, p_dc)
+            with np.errstate(divide="ignore", invalid="ignore"):
+                base = 10.0 * np.log10(eff[1])  # heralded one-photon, dB
+                hint = base + _nearest_quadratic(
+                    np.array(probed_t)[:, idx], np.array(residual)[:, idx],
+                    t) if probed_t else None
+            # the landscape is shallow near the top, so the inner loss
+            # search runs much tighter than the reported MCL resolution
+            m = _mcl_bracket(
+                lambda j, loss_db: skr_hp_array(eff[:, j], channel, loss_db),
+                idx.size, 1e-5, hint)[0]
+            for rows, row in ((probed_t, t), (residual, m - base)):
+                rows.append(np.full(p2s.size, np.nan))
+                rows[-1][idx] = row
+            return np.where(np.isnan(m), -1.0, m)  # no key
 
-    t_opt = golden_max_lockstep(objective, 1e-3, 1.0 - 1e-3,
-                                BS_TRANSMISSION_TOL, p2s.size)
-    t_opt[~keyed] = np.nan
+        t_opt = golden_max_lockstep(objective, 1e-3, 1.0 - 1e-3,
+                                    BS_TRANSMISSION_TOL, p2s.size)
+        t_opt[np.isnan(residual).all(axis=0)] = np.nan  # never had key
     return t_opt if np.ndim(p2) else float(t_opt[0])
 
 
 def _nearest_quadratic(ts: np.ndarray, rs: np.ndarray,
                        t: np.ndarray) -> np.ndarray:
-    """Per column of the (k, N) points (ts, rs), the quadratic through the
-    three nearest ``t`` whose rs is not NaN, at ``t``; the nearest one's rs
-    where fewer than three are or the quadratic is not finite (NaN for
-    none)."""
+    """Per column of the (k, N) points (ts, rs), the polynomial through the
+    nearest up-to-three points whose rs is not NaN, at ``t``: the nearest
+    min(3, k) points in |ts - t|, those with NaN rs last, in Lagrange's
+    form.  Where that is not finite (a NaN rs among them, or two equal ts)
+    the nearest point's rs alone (NaN for none)."""
     near = np.argsort(np.where(np.isnan(rs), np.inf, np.abs(ts - t)), axis=0,
                       kind="stable")[:3]
     ts, rs = (np.take_along_axis(a, near, 0) for a in (ts, rs))
-    if len(ts) < 3:
-        return rs[0]
-    (t0, t1, t2), (r0, r1, r2) = ts, rs
-    quad = (r0 * (t - t1) * (t - t2) / ((t0 - t1) * (t0 - t2))
-            + r1 * (t - t0) * (t - t2) / ((t1 - t0) * (t1 - t2))
-            + r2 * (t - t0) * (t - t1) / ((t2 - t0) * (t2 - t1)))
-    return np.where(np.isfinite(quad), quad, rs[0])
+    fit = 0.0
+    for i, (ti, ri) in enumerate(zip(ts, rs)):
+        num, den = ri, 1.0
+        for tj in np.delete(ts, i, axis=0):
+            num, den = num * (t - tj), den * (ti - tj)
+        fit = fit + num / den
+    return np.where(np.isfinite(fit), fit, rs[0])
 
 
 def gamma_vs_efficiency(protocol: str, axis: str, values: Sequence[float],

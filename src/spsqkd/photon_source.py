@@ -208,9 +208,12 @@ def extract_p0(count_rate_c: float, rep_rate_n: float, eta_detection: float) -> 
 
     Uses the linear-detection approximation ``C = eta * N * <n>`` with
     ``<n> = 1 - p0`` on a nearly single-photon stream; accurate only for
-    small detection efficiency, so values above 10% are flagged.
+    small detection efficiency, so values above 10% are flagged.  The
+    count rate must be finite and >= 0, the repetition rate finite and
+    > 0, and the efficiency in (0, 1], or ValueError.
     """
-    if count_rate_c < 0 or rep_rate_n <= 0 or not 0.0 < eta_detection <= 1.0:
+    if (not 0.0 <= count_rate_c < math.inf or not 0.0 < rep_rate_n < math.inf
+            or not 0.0 < eta_detection <= 1.0):
         raise ValueError("count rate, repetition rate and efficiency must be physical")
     if eta_detection > 0.1:
         warnings.warn(

@@ -134,8 +134,12 @@ def solve_dtb(signal: ObservedRates, decoy: ObservedRates, vacuum: ObservedRates
     InconsistentDataError when the solved yields leave [0, 1] by more than
     ``tol`` (default 1e-9).  Values inside the widened band clamp to the
     boundary; callers working with counted data should pass a tolerance
-    scaled to their statistical uncertainty.
+    scaled to their statistical uncertainty.  ``tol`` must be >= 0 (inf
+    clamps every value): a NaN or negative one is a ValueError before the
+    solve.
     """
+    if not tol >= 0.0:
+        raise ValueError(f"tol must be at least 0, not {tol!r}")
     for name, stats in (("signal", signal_stats), ("decoy", decoy_stats)):
         if stats.p3 != 0.0:
             raise ValueError(f"{name} statistics must live on the {{0,1,2}} basis")

@@ -586,6 +586,47 @@ class TestHintedSearch:
         assert logs == {i: alone[i][1][i] for i in range(len(rates))}
 
 
+class TestRateCallGrouping:
+    """How ``_mcl_bracket`` groups problems into rate calls, the kernels'
+    fixed cost: one call per probe round over the problems still probing,
+    then one per bisection round over the brackets at least twice that
+    round's half width, the widest first."""
+
+    @pytest.mark.parametrize("eta_c, columns", [
+        (1.0, [325, 168, 164] + [168] * 12),
+        (0.8, [325, 234, 228] + [234] * 12)])
+    def test_the_gamma_map_search(self, monkeypatch, channel, eta_c, columns):
+        seen = []
+        kernel = analysis.skr_dtb_array
+
+        def counted(probs, *args, **kwargs):
+            seen.append(probs.shape[1])
+            return kernel(probs, *args, **kwargs)
+
+        monkeypatch.setattr(analysis, "skr_dtb_array", counted)
+        gamma_map_dtb(channel, eta_c=eta_c, n=25)
+        assert seen == columns
+
+    def test_a_hinted_search_of_mixed_widths(self):
+        # hinted problems gallop to brackets 1 to 16 steps wide and the cold
+        # one climbs to a 25 dB bracket, so the bisection's prefix grows
+        cutoff = np.array([10.3, 40.7, 120.1, 5.5, 199.0])
+        seen = []
+
+        def rate_fn(idx, loss):
+            seen.append(idx.size)
+            return cutoff[idx] - loss
+
+        m, step = analysis._mcl_bracket(
+            rate_fn, cutoff.size, 0.01,
+            np.array([10.0, math.nan, 100.0, 50.0, 0.0]))
+        assert seen == [5, 5, 5, 4, 4, 4, 4, 3, 3, 3, 3, 3, 3, 2, 1, 1, 1, 1,
+                        3, 4, 4, 4, 4, 4, 4, 5, 5, 5, 5, 5]
+        # the highest grid loss below each cut-off, plus half a step
+        assert m.tolist() == ((np.ceil(cutoff / step) - 1.0) * step
+                              + 0.5 * step).tolist()
+
+
 def outcome(search) -> str | tuple[type, str]:
     """``search()``'s hex, or the type and message of what it raises."""
     try:
@@ -1168,6 +1209,102 @@ class TestOptimalBsTransmission:
         with pytest.raises(ValueError, match=r"need p1 >= 0 and p1 \+ p2"):
             optimal_bs_transmission([0.1, 0.3], 1e-3, 0.9, channel,
                                     p1=math.nan)
+
+
+def explicit_fit(ts, rs, t):
+    """The hint rule of ``_nearest_quadratic`` for one column, written out
+    point by point: the explicit polynomial through the nearest min(3, k)
+    points with NaN residuals last (ties by row), or the nearest point's
+    residual where it is not finite."""
+    order = sorted(range(len(ts)), key=lambda i: (math.isnan(rs[i]),
+                                                  abs(ts[i] - t), i))
+    pts = [(np.float64(ts[i]), np.float64(rs[i])) for i in order[:3]]
+    with np.errstate(all="ignore"):
+        if len(pts) == 1:
+            fit = pts[0][1]
+        elif len(pts) == 2:
+            (t0, r0), (t1, r1) = pts
+            fit = r0 * (t - t1) / (t0 - t1) + r1 * (t - t0) / (t1 - t0)
+        else:
+            (t0, r0), (t1, r1), (t2, r2) = pts
+            fit = (r0 * (t - t1) * (t - t2) / ((t0 - t1) * (t0 - t2))
+                   + r1 * (t - t0) * (t - t2) / ((t1 - t0) * (t1 - t2))
+                   + r2 * (t - t0) * (t - t1) / ((t2 - t0) * (t2 - t1)))
+    return float(fit) if math.isfinite(fit) else float(pts[0][1])
+
+
+def nearest_fit(ts, rs, t):
+    """``_nearest_quadratic`` on (k, N) lists, as a list."""
+    with np.errstate(divide="ignore", invalid="ignore"):
+        return analysis._nearest_quadratic(np.array(ts, dtype=float),
+                                           np.array(rs, dtype=float),
+                                           np.array(t, dtype=float)).tolist()
+
+
+class TestNearestQuadratic:
+    """``_nearest_quadratic``, the hint rule of ``optimal_bs_transmission``:
+    per column, the polynomial through the nearest up-to-three probes with
+    key, or the nearest one's residual alone where it is not finite."""
+
+    def test_one_probe_is_its_own_residual(self):
+        assert nearest_fit([[0.3, 0.5]], [[-2.0, math.nan]],
+                           [0.7, 0.1]) == [-2.0, pytest.approx(math.nan,
+                                                               nan_ok=True)]
+
+    def test_two_probes_give_their_line(self):
+        got = nearest_fit([[0.2, 0.2, 0.2], [0.6, 0.6, 0.6]],
+                          [[1.0, math.nan, math.nan], [3.0, 3.0, math.nan]],
+                          [0.4, 0.1, 0.5])
+        # the line through both; the one with key alone; none with key
+        assert got[0] == explicit_fit([0.2, 0.6], [1.0, 3.0], 0.4)
+        assert got[0] == pytest.approx(2.0, rel=1e-15)
+        assert got[1] == 3.0 and math.isnan(got[2])
+
+    def test_three_probes_give_their_quadratic(self):
+        # r = t^2 through t = 0.25, 0.5 and 1, at t = 0.75
+        got = nearest_fit([[0.25], [0.5], [1.0]], [[0.0625], [0.25], [1.0]],
+                          [0.75])
+        assert got == [pytest.approx(0.5625, rel=1e-15)]
+
+    def test_the_nearest_three_with_key_are_taken(self):
+        # the farthest probe is left out, and so is the nearest one where
+        # it has no key; a probe without key among only three leaves the
+        # nearest one's residual
+        ts = [[0.1, 0.1, 0.1], [0.4, 0.4, 0.4], [0.5, 0.5, 0.5],
+              [0.9, 0.9, 0.9]]
+        rs = [[5.0, 5.0, 5.0], [1.0, math.nan, 1.0], [2.0, 2.0, 2.0],
+              [7.0, 7.0, 7.0]]
+        got = nearest_fit(ts, rs, [0.6, 0.6, 0.6])
+        assert got[:2] == [explicit_fit([0.4, 0.5, 0.9], [1.0, 2.0, 7.0], 0.6),
+                           explicit_fit([0.1, 0.5, 0.9], [5.0, 2.0, 7.0], 0.6)]
+        assert nearest_fit([[0.1], [0.4], [0.5]], [[5.0], [math.nan], [2.0]],
+                           [0.6]) == [2.0]
+
+    @pytest.mark.parametrize("ts, want", [
+        ([[0.4], [0.4]], 1.0),               # two probes at one t
+        ([[0.4], [0.4], [0.6]], 1.0),        # two of three at one t
+        ([[0.3], [0.45], [0.45]], 2.0)])     # the nearest two at one t
+    def test_coincident_probes_fall_back_to_the_nearest(self, ts, want):
+        rs = [[1.0], [2.0], [3.0]][:len(ts)]
+        assert nearest_fit(ts, rs, [0.45]) == [want]
+
+    @given(st.integers(min_value=1, max_value=5).flatmap(
+        lambda k: st.lists(st.tuples(
+            st.lists(st.floats(1e-3, 1.0 - 1e-3), min_size=k, max_size=k),
+            st.lists(st.one_of(st.just(math.nan), st.floats(-60.0, 60.0)),
+                     min_size=k, max_size=k),
+            st.floats(1e-3, 1.0 - 1e-3)), min_size=1, max_size=6)))
+    @settings(max_examples=300, deadline=None)
+    def test_equals_the_explicit_polynomial_within_a_few_ulp(self, columns):
+        ts = np.array([c[0] for c in columns]).T
+        rs = np.array([c[1] for c in columns]).T
+        t = [c[2] for c in columns]
+        for got, (tc, rc, tt) in zip(nearest_fit(ts, rs, t), columns):
+            want = explicit_fit(tc, rc, tt)
+            if math.isnan(want):
+                assert math.isnan(got)
+            else:
+                assert abs(got - want) <= 4 * np.spacing(abs(want))
 
 
 class TestGammaVsEfficiency:

@@ -688,6 +688,16 @@ class TestArgumentChecks:
          "count rate, repetition rate and efficiency must be physical"),
         (lambda: extract_p0(100.0, 2e6, 0.0), ValueError,
          "count rate, repetition rate and efficiency must be physical"),
+        # non-finite rates: p0 = 1.0 from an infinite repetition rate, and
+        # p0 = nan or -inf from the others, without this rule
+        (lambda: extract_p0(1.0, math.inf, 0.05), ValueError,
+         "count rate, repetition rate and efficiency must be physical"),
+        (lambda: extract_p0(100.0, NAN, 0.01), ValueError,
+         "count rate, repetition rate and efficiency must be physical"),
+        (lambda: extract_p0(NAN, 2e6, 0.01), ValueError,
+         "count rate, repetition rate and efficiency must be physical"),
+        (lambda: extract_p0(math.inf, 2e6, 0.01), ValueError,
+         "count rate, repetition rate and efficiency must be physical"),
         (lambda: extract_distribution_g2(1.0, 0.5), ValueError,
          "p0 must lie in [0, 1)"),
         (lambda: extract_distribution_g2(0.5, -0.1), ValueError,

@@ -135,6 +135,38 @@ class TestSolveDtb:
         assert sol.e2 == 0.5
         assert sol.y1 == pytest.approx(0.5, abs=1e-4)
 
+    @pytest.mark.parametrize("tol", [math.nan, -1.0, -math.inf])
+    def test_a_tolerance_not_at_least_zero_is_rejected_first(
+            self, channel, bare_signal, bare_decoy, tol):
+        # a solve with Y1 = -0.36, which a NaN band clamped to 0, and one
+        # with Y1 = 0.0021 in [0, 1], which a negative band rejected
+        vacuum = ObservedRates(q=2e-7, e=0.5)
+        far = (ObservedRates(q=0.5, e=0.03), ObservedRates(q=0.001, e=0.03))
+        near = self.make_observations(channel.with_loss(10.0), bare_signal,
+                                      bare_decoy)[:2]
+        for signal, decoy in (far, near):
+            with pytest.raises(ValueError, match="^tol must be at least 0, "
+                                                 f"not {tol!r}$"):
+                solve_dtb(signal, decoy, vacuum, bare_signal, bare_decoy,
+                          tol=tol)
+
+    def test_zero_and_infinite_tolerances_are_accepted(self, channel,
+                                                        bare_signal,
+                                                        bare_decoy):
+        vacuum = ObservedRates(q=2e-7, e=0.5)
+        signal, decoy = ObservedRates(q=0.5, e=0.03), ObservedRates(q=0.001,
+                                                                    e=0.03)
+        with pytest.raises(InconsistentDataError, match="Y1 = -0.359964"):
+            solve_dtb(signal, decoy, vacuum, bare_signal, bare_decoy, tol=0.0)
+        sol = solve_dtb(signal, decoy, vacuum, bare_signal, bare_decoy,
+                        tol=math.inf)
+        assert (sol.y1, sol.e1, sol.y2) == (0.0, 0.5, 1.0)
+        signal, decoy, _ = self.make_observations(channel.with_loss(10.0),
+                                                  bare_signal, bare_decoy)
+        exact = solve_dtb(signal, decoy, vacuum, bare_signal, bare_decoy,
+                          tol=0.0)
+        assert 0.0 < exact.y1 < 1.0
+
     def test_three_photon_statistics_rejected(self, channel, bare_signal):
         d3 = PhotonDistribution(0.69, 0.2, 0.1, 0.01)
         signal, decoy, vacuum = self.make_observations(channel, bare_signal,
