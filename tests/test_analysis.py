@@ -608,8 +608,9 @@ class TestRateCallGrouping:
         assert seen == columns
 
     def test_a_hinted_search_of_mixed_widths(self):
-        # hinted problems gallop to brackets 1 to 16 steps wide and the cold
-        # one climbs to a 25 dB bracket, so the bisection's prefix grows
+        # the hinted problems gallop to brackets 32 to 16,384 steps wide and
+        # the cold one climbs to a 25 dB (4,096-step) one, so the
+        # bisection's prefix grows from 1 problem to 3, 4 and 5
         cutoff = np.array([10.3, 40.7, 120.1, 5.5, 199.0])
         seen = []
 
