@@ -30,10 +30,13 @@ import sys
 from importlib import resources
 from pathlib import Path
 
+import numpy as np
+
 from . import __version__
-from .analysis import (dtb_rate_fn, gamma_map_dtb, gamma_vs_efficiency,
-                       hp_rate_fn, optimal_bs_transmission, skr_curve,
-                       wcs_curve_fn, wcs_rate_fn)
+from .analysis import (GammaMap, dtb_rate_fn, gamma_map_dtb,
+                       gamma_vs_efficiency, hp_rate_fn,
+                       optimal_bs_transmission, skr_curve, wcs_curve_fn,
+                       wcs_rate_fn)
 from .channel_model import ChannelParams
 from .errors import ConfigError, FitError, QkdError
 from .ingest import (AliceBudget, gains_and_errors, read_tomography_csv,
@@ -45,8 +48,10 @@ from .protocols import DEFAULT_ETA_D, DEFAULT_Q_SIFT, DEFAULT_T, check_herald
 PROTOCOLS = ("dtb", "hp", "wcs", "perfect-sps")
 
 # Largest gamma-map grid accepted: the lockstep search over n**2 points
-# peaks near 160 MB of process memory at this size; the CSV is written one
-# map row at a time, so formatting adds nothing to that peak.
+# peaks near 186 MB of process memory at this size (ru_maxrss of
+# `gamma-map --grid 1000`, numpy 2.4.6, x86-64 Linux), as does the search
+# alone; the CSV is written one map row at a time, so formatting adds
+# nothing to that peak.
 MAX_GRID = 1000
 
 
@@ -230,25 +235,48 @@ def cmd_skr_curve(args) -> int:
     return 0
 
 
+def _map_rows(gmap: GammaMap):
+    """The map's CSV lines, one newline-joined string per p1 row.
+
+    Every cell reads as ``_fmt`` would format it, but each p2 value and
+    each distinct gamma is formatted once: a row starts as a copy of the
+    all-NaN row, and its other cells are filled in from the table of
+    distinct values.  That table is small because every gamma is a whole
+    number of MCL grid steps within the 200 dB cap; values are told
+    apart by their bits, so -0.0 keeps its sign, and every NaN formats
+    as "nan".  Only one row's strings are held at a time (the text of a
+    MAX_GRID map is 45 MB).
+    """
+    g = gmap.gamma_db
+    p2 = [repr(v) + "," for v in gmap.p2.tolist()]
+    nan_row = [cell + "nan" for cell in p2]
+    keep = ~np.isnan(g)
+    bits, which = np.unique(g[keep].view(np.int64), return_inverse=True)
+    texts = list(map(repr, bits.view(np.float64).tolist()))
+    cols = np.nonzero(keep)[1]
+    ends = np.cumsum(keep.sum(axis=1)).tolist()
+    start = 0
+    for p1, end in zip(gmap.p1.tolist(), ends):
+        prefix = repr(p1) + ","
+        cells = nan_row.copy()
+        for j, k in zip(cols[start:end].tolist(), which[start:end].tolist()):
+            cells[j] = p2[j] + texts[k]
+        start = end
+        yield prefix + ("\n" + prefix).join(cells)
+
+
 def cmd_gamma_map(args) -> int:
     if args.grid > MAX_GRID:
         raise ConfigError(f"--grid must be at most {MAX_GRID}")
     gmap = gamma_map_dtb(load_channel(args.channel), eta_c=args.eta_c,
                          n=args.grid, q_sift=args.q_sift)
-    # each axis value formatted once; one string of lines per map row, so
-    # the text is never held whole (45 MB at MAX_GRID); every cell is a
-    # Python float from tolist(), which _fmt would format as its repr
-    p2 = [repr(v) + "," for v in gmap.p2.tolist()]
-    prefixes = (repr(p1) + "," for p1 in gmap.p1.tolist())
-    lines = ("\n".join([prefix + p2_j + g for p2_j, g
-                        in zip(p2, map(repr, g_row.tolist()))])
-             for prefix, g_row in zip(prefixes, gmap.gamma_db))
     footer = {"wcs_mcl_db": gmap.wcs_mcl_db}
     try:
         footer["fit_slope"], footer["fit_intercept"] = gmap.fit_zero_contour()
     except FitError:
         footer["fit_slope"] = footer["fit_intercept"] = math.nan
-    write_csv(args.out, _config(args), ("p1", "p2", "gamma_db"), lines, footer)
+    write_csv(args.out, _config(args), ("p1", "p2", "gamma_db"),
+              _map_rows(gmap), footer)
     return 0
 
 
@@ -412,7 +440,8 @@ def main(argv: list[str] | None = None) -> int:
     try:
         # the herald flags, checked where they enter
         check_herald(getattr(args, "t", DEFAULT_T),
-                     getattr(args, "eta_d", DEFAULT_ETA_D))
+                     getattr(args, "eta_d", DEFAULT_ETA_D),
+                     p_dc_alice=getattr(args, "p_dc_alice", None))
         return args.fn(args)
     except (QkdError, OSError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -86,7 +86,7 @@ class SimConfig:
         try:  # the package's collection and herald rules, as ConfigError
             check_collection(self.eta_c)
             if self.protocol == "hp":
-                check_herald(self.t, self.eta_d)
+                check_herald(self.t, self.eta_d, p_dc_alice=self.p_dc_alice)
         except ValueError as exc:
             raise ConfigError(str(exc)) from exc
         if self.protocol == "dtb":
@@ -100,11 +100,8 @@ class SimConfig:
             total = sum(weights)
             if abs(total - 1.0) > 1e-9:
                 raise ConfigError(f"intensity weights sum to {total}, not 1")
-        else:
-            if self.source is None:
-                raise ConfigError("hp runs need a source distribution")
-            if not 0.0 <= (self.p_dc_alice or 0.0) <= 1.0:
-                raise ConfigError("p_dc_alice must lie in [0, 1]")
+        elif self.source is None:
+            raise ConfigError("hp runs need a source distribution")
         dists = [self.source] if self.protocol == "hp" else self.intensities.values()
         if any(min(d.as_tuple()) < 0.0 for d in dists):
             raise ConfigError("photon-number probabilities must be >= 0")

@@ -257,17 +257,21 @@ def herald_dark_rate(p_dc_alice: float | None, channel: ChannelParams) -> float:
 
 
 def check_herald(t: float = DEFAULT_T, eta_d: float = DEFAULT_ETA_D,
-                 p_dc: float = 0.0) -> None:
+                 p_dc: float = 0.0, p_dc_alice: float | None = None) -> None:
     """The herald's settings where they enter: ValueError unless the
     beam-splitter transmission ``t`` lies in (0, 1), the herald efficiency
-    ``eta_d`` in (0, 1] and the herald's dark rate ``p_dc`` in [0, 1] (the
-    kernels themselves accept t and eta_d in [0, 1])."""
+    ``eta_d`` in (0, 1], the herald's dark rate ``p_dc`` in [0, 1] and
+    ``p_dc_alice``, the dark rate as given (None for the channel's), is
+    None or in [0, 1] (the kernels themselves accept t and eta_d in
+    [0, 1])."""
     if not 0.0 < t < 1.0:
         raise ValueError("t must lie in (0, 1)")
     if not 0.0 < eta_d <= 1.0:
         raise ValueError("eta_d must lie in (0, 1]")
     if not 0.0 <= p_dc <= 1.0:
         raise ValueError("p_dc must lie in [0, 1]")
+    if p_dc_alice is not None and not 0.0 <= p_dc_alice <= 1.0:
+        raise ValueError("p_dc_alice must lie in [0, 1]")
 
 
 def skr_hp(d: PhotonDistribution, channel: ChannelParams,

@@ -17,9 +17,12 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from spsqkd import __version__, analysis, cli
-from spsqkd.analysis import dtb_rate_fn, gamma_map_dtb, mcl, wcs_mcl, wcs_rate_fn
+from spsqkd.analysis import (GammaMap, dtb_rate_fn, gamma_map_dtb, mcl,
+                             wcs_mcl, wcs_rate_fn)
 from spsqkd.cli import MAX_GRID, load_channel, main
 from spsqkd.errors import ConfigError
 from spsqkd.ingest import maps_from_report, skr_from_experiment, write_tomography_csv
@@ -113,6 +116,89 @@ def test_csv_rows_are_written_as_they_come(monkeypatch):
                                                "# end = 1.0"]
     # each row follows the header and the rows before it onto the output
     assert [text.splitlines()[-1] for text in written] == ["k", "0", "1"]
+
+
+def _cells_one_by_one(gmap):
+    """The map's rows as the per-cell rule writes them."""
+    return ["\n".join(",".join(map(cli._fmt, (p1, p2, g)))
+                      for p2, g in zip(gmap.p2, g_row))
+            for p1, g_row in zip(gmap.p1, gmap.gamma_db)]
+
+
+# a NaN with a payload, beside the plain NaNs of either sign
+_NAN_PAYLOAD = float(np.array(0x7FF8000000000001).view(np.float64))
+_MAP_VALUES = [0.0, -0.0, math.nan, -math.nan, _NAN_PAYLOAD, math.inf,
+               -math.inf, 5e-324, -5e-324, 2.2250738585072009e-308, 1e-310,
+               25 / 4096, -25 / 4096, 0.1 + 0.2, 1e16]
+
+
+@st.composite
+def _small_maps(draw):
+    """Hand-built maps of 1 to 4 points per axis whose cells repeat a few
+    special values (signed zeros and NaNs, infinities, subnormals)
+    within and across rows, or are any float."""
+    n1, n2 = draw(st.integers(1, 4)), draw(st.integers(1, 4))
+    axis = st.one_of(st.sampled_from(_MAP_VALUES), st.floats())
+    cell = st.one_of(st.sampled_from(_MAP_VALUES), st.floats())
+    p1 = draw(st.lists(axis, min_size=n1, max_size=n1))
+    p2 = draw(st.lists(axis, min_size=n2, max_size=n2))
+    gamma = draw(st.lists(cell, min_size=n1 * n2, max_size=n1 * n2))
+    return GammaMap(p1=np.array(p1), p2=np.array(p2),
+                    gamma_db=np.array(gamma).reshape(n1, n2), wcs_mcl_db=0.0)
+
+
+def _unit_map(gamma):
+    """A map of these gammas on evenly spaced axes over [0, 1]."""
+    gamma = np.array(gamma, dtype=float)
+    return GammaMap(p1=np.linspace(0.0, 1.0, gamma.shape[0]),
+                    p2=np.linspace(0.0, 1.0, gamma.shape[1]),
+                    gamma_db=gamma, wcs_mcl_db=0.0)
+
+
+class TestMapRows:
+    @settings(max_examples=300, deadline=None)
+    @given(_small_maps())
+    @example(_unit_map([[math.inf]]))
+    @example(_unit_map([[-math.inf, 1.5]]))
+    @example(_unit_map([[1.5], [math.nan]]))
+    @example(_unit_map([[1.5, 5e-324], [5e-324, 1.5]]))
+    def test_rows_format_each_cell_as_the_cell_rule(self, gmap):
+        assert list(cli._map_rows(gmap)) == _cells_one_by_one(gmap)
+
+    def test_signed_zeros_and_nans(self):
+        gmap = GammaMap(p1=np.array([0.0, -0.0]), p2=np.array([1.0, 2.0]),
+                        gamma_db=np.array([[0.0, -0.0],
+                                           [-math.nan, -0.0]]),
+                        wcs_mcl_db=0.0)
+        assert list(cli._map_rows(gmap)) == ["0.0,1.0,0.0\n0.0,2.0,-0.0",
+                                             "-0.0,1.0,nan\n-0.0,2.0,-0.0"]
+
+    def test_cmd_gamma_map_writes_each_row_before_the_next_is_built(
+            self, monkeypatch):
+        out = io.StringIO()
+        monkeypatch.setattr(sys, "stdout", out)
+        built = []
+
+        class Axis(np.ndarray):
+            # each p1 value is taken as its row is built
+            def tolist(self):
+                for value in self.view(np.ndarray).tolist():
+                    built.append(out.getvalue())
+                    yield value
+
+        gmap = GammaMap(p1=np.array([0.0, 0.5, 1.0]).view(Axis),
+                        p2=np.array([0.0, 1.0]),
+                        gamma_db=np.array([[1.0, 2.0], [1.0, math.nan],
+                                           [math.nan, math.nan]]),
+                        wcs_mcl_db=0.0)
+        monkeypatch.setattr(cli, "gamma_map_dtb", lambda *a, **kw: gmap)
+        assert main(["gamma-map", "--grid", "3"]) == 0
+        assert out.getvalue().splitlines()[2:9] == [
+            "p1,p2,gamma_db", "0.0,0.0,1.0", "0.0,1.0,2.0", "0.5,0.0,1.0",
+            "0.5,1.0,nan", "1.0,0.0,nan", "1.0,1.0,nan"]
+        # each row follows the header and the rows before it onto the output
+        assert [text.splitlines()[-1] for text in built] == [
+            "p1,p2,gamma_db", "0.0,1.0,2.0", "0.5,1.0,nan"]
 
 
 class TestSkrCurve:
@@ -278,6 +364,18 @@ class TestGammaMap:
                   f"# fit_intercept = {cli._fmt(intercept)}"]
         assert out.splitlines()[2:] == ["p1,p2,gamma_db"] + rows + footer
 
+    @pytest.mark.parametrize("eta_c", [1.0, 0.8])
+    def test_gammas_are_whole_grid_steps_within_the_cap(self, eta_c):
+        # _map_rows formats each distinct gamma once; the table stays small
+        # because every gamma is a difference of two MCLs on one dyadic
+        # grid, a whole number of 25/4096 dB steps (MCL_TOL_DB 0.01) within
+        # the 200 dB cap: at most 65,537 values
+        g = gamma_map_dtb(load_channel("channel"), eta_c=eta_c, n=25).gamma_db
+        steps = g[np.isfinite(g)] / (25 / 4096)
+        assert steps.size > 0
+        assert np.array_equal(steps, np.round(steps))
+        assert np.abs(steps).max() <= 200 / (25 / 4096)
+
     @pytest.mark.parametrize("argv, message", [
         (["--grid", "0"], "the grid needs n >= 2 points per axis"),
         (["--grid", "-3"], "the grid needs n >= 2 points per axis"),
@@ -437,6 +535,43 @@ def test_herald_flags_outside_their_range_fail_cleanly(
     code, out, err = invoke(capsys, HERALD_COMMANDS[command] + [flag, value])
     assert code == 1 and out == ""
     assert err == f"error: {HERALD_RANGES[flag][0]}\n"
+
+
+ALICE_DARK_COMMANDS = {
+    "skr-curve-dtb": ["skr-curve", "--protocol", "dtb", "--source", "sps1"],
+    "skr-curve-wcs": ["skr-curve", "--protocol", "wcs"],
+    "skr-curve-perfect-sps": ["skr-curve", "--protocol", "perfect-sps"],
+    "skr-curve-hp": HERALD_COMMANDS["skr-curve"],
+    "gamma-vs-eta-dtb": ["gamma-vs-eta", "--protocol", "dtb", "--axis",
+                         "eta-c", "--source", "sps1"],
+    "gamma-vs-eta-hp": HERALD_COMMANDS["gamma-vs-eta"],
+    "simulate-dtb": ["simulate", "--protocol", "dtb", "--source", "bare-s2"],
+    "simulate-hp": HERALD_COMMANDS["simulate"]}
+
+
+@pytest.mark.parametrize("value", ["5", "-1", "nan", "inf",
+                                   "1.0000000000000002"])
+@pytest.mark.parametrize("command", ALICE_DARK_COMMANDS)
+def test_alice_dark_rate_outside_zero_one_fails_where_it_enters(
+        capsys, monkeypatch, command, value):
+    # every protocol that takes the flag rejects it before any command runs,
+    # also those that never read it
+    for name in ("_rate_fn", "gamma_vs_efficiency", "run"):
+        monkeypatch.setattr(cli, name, None)
+    code, out, err = invoke(capsys, ALICE_DARK_COMMANDS[command]
+                            + ["--p-dc-alice", value])
+    assert code == 1 and out == ""
+    assert err == "error: p_dc_alice must lie in [0, 1]\n"
+
+
+@pytest.mark.parametrize("value", ["0", "-0.0", "1", "0.5"])
+def test_alice_dark_rate_in_zero_one_is_accepted(capsys, value):
+    # dtb never reads it: the rows and footer are those without the flag
+    argv = ["skr-curve", "--protocol", "dtb", "--source", "sps1",
+            "--loss-max", "2"]
+    code, out, err = invoke(capsys, argv + ["--p-dc-alice", value])
+    assert code == 0 and err == ""
+    assert out.splitlines()[2:] == invoke(capsys, argv)[1].splitlines()[2:]
 
 
 SWEEP_COMMANDS = {
