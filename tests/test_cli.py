@@ -134,15 +134,14 @@ _MAP_VALUES = [0.0, -0.0, math.nan, -math.nan, _NAN_PAYLOAD, math.inf,
 
 @st.composite
 def _small_maps(draw):
-    """Hand-built maps of 1 to 4 points per axis whose cells repeat a few
-    special values (signed zeros and NaNs, infinities, subnormals)
-    within and across rows, or are any float."""
+    """Hand-built maps of 1 to 4 points per axis.  Each axis value and
+    cell is any float or one of a few special values (signed zeros and
+    NaNs, infinities, subnormals), which then repeat within and across
+    rows."""
     n1, n2 = draw(st.integers(1, 4)), draw(st.integers(1, 4))
-    axis = st.one_of(st.sampled_from(_MAP_VALUES), st.floats())
-    cell = st.one_of(st.sampled_from(_MAP_VALUES), st.floats())
-    p1 = draw(st.lists(axis, min_size=n1, max_size=n1))
-    p2 = draw(st.lists(axis, min_size=n2, max_size=n2))
-    gamma = draw(st.lists(cell, min_size=n1 * n2, max_size=n1 * n2))
+    value = st.one_of(st.sampled_from(_MAP_VALUES), st.floats())
+    p1, p2, gamma = (draw(st.lists(value, min_size=size, max_size=size))
+                     for size in (n1, n2, n1 * n2))
     return GammaMap(p1=np.array(p1), p2=np.array(p2),
                     gamma_db=np.array(gamma).reshape(n1, n2), wcs_mcl_db=0.0)
 
