@@ -19,8 +19,10 @@ every hint, so any hint, a problem's expected MCL at any loss, is valid.
 ``optimal_bs_transmission`` hints each weight's MCL as predicted from its
 earlier probes in t, and ``wcs_mcl`` the laser's cut-off with its
 Poisson sums in closed form, found by a few Newton steps in
-transmittance rather than by a search of its own.  The other searches
-start from zero loss.
+transmittance rather than by a search of its own.  ``gamma_map_dtb``
+searches its half-resolution lattice from zero loss and hints every
+other point with the mean of its lattice neighbours' MCLs.  The other
+searches start from zero loss.
 Protocol merit is then expressed as the relative gain
 
     gamma_dB = MCL_protocol - MCL_baseline
@@ -414,6 +416,39 @@ def wcs_mcl(channel: ChannelParams, **kw) -> float:
                            _closed_form_cutoff(channel, **kw))[0]
 
 
+def _neighbour_mean(grid: np.ndarray, i: np.ndarray,
+                    j: np.ndarray) -> np.ndarray:
+    """The mean of the entries of ``grid`` next to each (i, j) along its
+    odd indices: the two along one, the four diagonal ones along both,
+    and (i, j) itself along none; NaN where any of them is NaN.  A pair
+    taken twice sums to exactly twice its sum, so two entries have the
+    mean (x + y) / 2."""
+    a, b = i & 1, j & 1
+    return ((grid[i - a, j - b] + grid[i - a, j + b])
+            + (grid[i + a, j - b] + grid[i + a, j + b])) / 4.0
+
+
+def _map_points(p1_axis: np.ndarray, p2_axis: np.ndarray,
+                eta_c: float) -> tuple[np.ndarray, np.ndarray, int, np.ndarray]:
+    """The points of the (p1, p2) grid with p1 + p2 <= 1, the half-resolution
+    lattice (both indices even) first: their indices i and j, the size of
+    the lattice, and their distributions as a checked (4, N) array, after
+    collection at ``eta_c``.  A function of its own, so that the grid-sized
+    arrays that build them are freed before the map's searches start.
+    """
+    p1, p2 = np.meshgrid(p1_axis, p2_axis, indexing="ij")
+    i, j = np.nonzero(p1 + p2 <= 1.0 + 1e-12)
+    odd = (i | j) & 1
+    order = np.argsort(odd, kind="stable")
+    i, j = i[order], j[order]
+    p1, p2 = p1_axis[i], p2_axis[j]
+    probs = check_distribution_array(
+        np.stack([np.maximum(1.0 - p1 - p2, 0.0), p1, p2, np.zeros_like(p1)]))
+    if eta_c < 1.0:
+        probs = apply_collection_array(probs, eta_c)
+    return i, j, odd.size - np.count_nonzero(odd), probs
+
+
 def gamma_map_dtb(channel: ChannelParams, eta_c: float = 1.0, n: int = 200,
                   q_sift: float = DEFAULT_Q_SIFT,
                   f_ec: float = DEFAULT_F_EC) -> GammaMap:
@@ -421,11 +456,20 @@ def gamma_map_dtb(channel: ChannelParams, eta_c: float = 1.0, n: int = 200,
 
     The n x n grid spans [0, 1] on both axes; points with p1 + p2 > 1 and
     points yielding no key at zero loss are NaN.  The baseline MCL is
-    computed once for the shared channel, at the same ``f_ec``.  All simplex
-    points are searched together by ``mcl_lockstep`` over ``skr_dtb_array``.
-    The search reads only the sign of each rate, so entries equal the
-    per-point ``mcl(dtb_rate_fn(...))`` bit for bit unless a probed rate lies
-    within the kernel's last-place rounding of zero.
+    computed once for the shared channel, at the same ``f_ec``.  The simplex
+    points are searched in two lockstep ``_mcl_bracket`` calls over
+    ``skr_dtb_array``.  The first searches the half-resolution lattice,
+    the points whose p1 and p2 indices are both even, from zero loss.  The
+    second searches every other point from a hint: the mean of the
+    lattice MCLs next to it along its odd axis, or of the four diagonal
+    ones when both indices are odd, NaN (a cold start) when any of them
+    is NaN or off the grid.  Neighbouring MCLs lie a fraction of a grid
+    step apart, so on the bundled channel at n = 200 and eta_c = 1 the
+    map costs 76,903 kernel columns in 39 rate calls, where one cold
+    search of every point took 165,407 in 15.  Only probed signs decide a
+    search, hinted or not, so entries equal the per-point
+    ``mcl(dtb_rate_fn(...))`` bit for bit unless a probed rate lies within
+    the kernel's last-place rounding of zero.
     """
     if n < 2:
         raise ValueError("the grid needs n >= 2 points per axis")
@@ -433,18 +477,18 @@ def gamma_map_dtb(channel: ChannelParams, eta_c: float = 1.0, n: int = 200,
     baseline = wcs_mcl(channel, q_sift=q_sift, f_ec=f_ec)
     p1_axis = np.linspace(0.0, 1.0, n)
     p2_axis = np.linspace(0.0, 1.0, n)
-    p1, p2 = np.meshgrid(p1_axis, p2_axis, indexing="ij")
-    inside = p1 + p2 <= 1.0 + 1e-12
-    p1, p2 = p1[inside], p2[inside]
-    probs = check_distribution_array(
-        np.stack([np.maximum(1.0 - p1 - p2, 0.0), p1, p2, np.zeros_like(p1)]))
-    if eta_c < 1.0:
-        probs = apply_collection_array(probs, eta_c)
-    m = mcl_lockstep(dtb_rate_array_fn(probs, channel, q_sift=q_sift,
-                                       f_ec=f_ec), p1.size)
-    out = np.full((n, n), np.nan)
-    out[inside] = m - baseline
-    return GammaMap(p1=p1_axis, p2=p2_axis, gamma_db=out, wcs_mcl_db=baseline)
+    i, j, lattice, probs = _map_points(p1_axis, p2_axis, eta_c)
+    # the MCLs by grid index, with a NaN row and column past the last; the
+    # lattice's hints are its own entries, still NaN, so it starts cold
+    mcls = np.full((n + 1, n + 1), np.nan)
+    for part in (slice(lattice), slice(lattice, None)):
+        pi, pj = i[part], j[part]
+        mcls[pi, pj] = _mcl_bracket(
+            dtb_rate_array_fn(probs[:, part], channel, q_sift=q_sift,
+                              f_ec=f_ec), pi.size, MCL_TOL_DB,
+            _neighbour_mean(mcls, pi, pj))[0]
+    return GammaMap(p1=p1_axis, p2=p2_axis, gamma_db=mcls[:n, :n] - baseline,
+                    wcs_mcl_db=baseline)
 
 
 @functools.lru_cache(maxsize=_REFERENCE_MEMO_SIZE)

@@ -26,6 +26,7 @@ import hashlib
 import json
 import math
 import os
+import re
 import sys
 from importlib import resources
 from pathlib import Path
@@ -48,7 +49,7 @@ from .protocols import DEFAULT_ETA_D, DEFAULT_Q_SIFT, DEFAULT_T, check_herald
 PROTOCOLS = ("dtb", "hp", "wcs", "perfect-sps")
 
 # Largest gamma-map grid accepted: the lockstep search over n**2 points
-# peaks near 186 MB of process memory at this size (ru_maxrss of
+# peaks near 170 MB of process memory at this size (ru_maxrss of
 # `gamma-map --grid 1000`, numpy 2.4.6, x86-64 Linux), as does the search
 # alone; the CSV is written one map row at a time, so formatting adds
 # nothing to that peak.
@@ -245,21 +246,24 @@ def _map_rows(gmap: GammaMap):
     number of MCL grid steps within the 200 dB cap; values are told
     apart by their bits, so -0.0 keeps its sign, and every NaN formats
     as "nan".  Only one row's strings are held at a time (the text of a
-    MAX_GRID map is 45 MB).
+    MAX_GRID map is 45 MB).  Of whole-map arrays only the mask and each
+    cell's table index, in the narrowest dtype that holds it, are kept;
+    a row's columns are found as the row is written.
     """
     g = gmap.gamma_db
     p2 = [repr(v) + "," for v in gmap.p2.tolist()]
     nan_row = [cell + "nan" for cell in p2]
     keep = ~np.isnan(g)
     bits, which = np.unique(g[keep].view(np.int64), return_inverse=True)
+    which = which.astype(np.min_scalar_type(bits.size))
     texts = list(map(repr, bits.view(np.float64).tolist()))
-    cols = np.nonzero(keep)[1]
-    ends = np.cumsum(keep.sum(axis=1)).tolist()
     start = 0
-    for p1, end in zip(gmap.p1.tolist(), ends):
+    for p1, row in zip(gmap.p1.tolist(), keep):
+        cols = np.flatnonzero(row)
+        end = start + cols.size
         prefix = repr(p1) + ","
         cells = nan_row.copy()
-        for j, k in zip(cols[start:end].tolist(), which[start:end].tolist()):
+        for j, k in zip(cols.tolist(), which[start:end].tolist()):
             cells[j] = p2[j] + texts[k]
         start = end
         yield prefix + ("\n" + prefix).join(cells)
@@ -340,8 +344,22 @@ def cmd_ingest(args) -> int:
     return 0
 
 
+class _Parser(argparse.ArgumentParser):
+    """An ArgumentParser that reads every negative float literal as a
+    value, as argparse reads -1 and -.5: -1e3, -1. and -inf, -infinity
+    and -nan in any case too, so that a float flag given one reaches its
+    range check instead of failing as an unknown flag.  Its subparsers
+    are of this class too."""
+
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, **kwargs)
+        self._negative_number_matcher = re.compile(
+            r"^-((\d+\.?\d*|\.\d+)(e[-+]?\d+)?|inf|infinity|nan)$",
+            re.IGNORECASE)
+
+
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="spsqkd",
         description="Key-rate analysis for single-photon-source BB84.")
     parser.add_argument("--version", action="version",

@@ -1,6 +1,7 @@
 """Derived sweeps: maximal loss, gain maps, thresholds, optima."""
 
 import math
+import re
 
 import numpy as np
 import pytest
@@ -30,7 +31,8 @@ from spsqkd.analysis import (
 from spsqkd.channel_model import ChannelParams
 from spsqkd.cli import load_channel
 from spsqkd.errors import FitError, NoKeyError
-from spsqkd.photon_source import PhotonDistribution, apply_collection
+from spsqkd.photon_source import (PhotonDistribution, apply_collection,
+                                  apply_collection_array)
 from spsqkd.search import bisect, golden_max
 
 PERFECT = PhotonDistribution(0.0, 1.0, 0.0)
@@ -592,10 +594,18 @@ class TestRateCallGrouping:
     then one per bisection round over the brackets at least twice that
     round's half width, the widest first."""
 
-    @pytest.mark.parametrize("eta_c, columns", [
-        (1.0, [325, 168, 164] + [168] * 12),
-        (0.8, [325, 234, 228] + [234] * 12)])
-    def test_the_gamma_map_search(self, monkeypatch, channel, eta_c, columns):
+    # the half-resolution lattice's 91 points, cold, then the other 234
+    # from their neighbours' MCLs; one cold search of all 325 took 15
+    # calls of 2,673 columns at eta_c 1 and of 3,595 at 0.8
+    @pytest.mark.parametrize("eta_c, columns, cold", [
+        (1.0, [91, 48, 46] + [48] * 12
+         + [234, 120, 108, 72, 52, 35, 28, 16, 16, 11, 2, 13, 13, 13, 15, 24,
+            29, 29, 41, 48, 65, 85, 110], 2673),
+        (0.8, [91, 63, 62] + [63] * 12
+         + [234, 171, 130, 80, 54, 35, 21, 13, 7, 3, 23, 23, 23, 23, 26, 30,
+            36, 44, 58, 77, 103, 135], 3595)])
+    def test_the_gamma_map_search(self, monkeypatch, channel, eta_c, columns,
+                                  cold):
         seen = []
         kernel = analysis.skr_dtb_array
 
@@ -606,6 +616,7 @@ class TestRateCallGrouping:
         monkeypatch.setattr(analysis, "skr_dtb_array", counted)
         gamma_map_dtb(channel, eta_c=eta_c, n=25)
         assert seen == columns
+        assert sum(columns) < cold
 
     def test_a_hinted_search_of_mixed_widths(self):
         # the hinted problems gallop to brackets 32 to 16,384 steps wide and
@@ -919,6 +930,45 @@ class TestGammaMap:
     def test_baseline_uses_the_given_f_ec(self, channel):
         assert (gamma_map_dtb(channel, n=8, f_ec=1.0).wcs_mcl_db
                 == wcs_mcl(channel, f_ec=1.0))
+
+    @given(st.floats(min_value=1e-3, max_value=1.0),
+           st.one_of(st.just(0.0), st.floats(min_value=0.0, max_value=1e-3)),
+           st.floats(min_value=0.0, max_value=0.2),
+           st.floats(min_value=0.5, max_value=1.0),
+           st.integers(min_value=2, max_value=41))
+    @example(0.045, 2e-7, 0.033, 1.0, 2)
+    @example(0.045, 2e-7, 0.033, 0.8, 3)
+    # the benchmark's variant 7 receiver and collection efficiency
+    @example(0.038 + 0.002 * 7, 2e-7, 0.033, 0.8 + 0.002 * 7, 41)
+    @settings(max_examples=60, deadline=None)
+    def test_equals_one_cold_search_of_every_point(self, eta_bob, p_dc, e_d,
+                                                   eta_c, n):
+        # the map hints half its points from the other half's MCLs; a
+        # hint moves no bit of any gain, nor any error
+        ch = ChannelParams(loss_db=0.0, eta_bob=eta_bob, p_dc=p_dc, e_d=e_d)
+
+        def cold() -> np.ndarray:
+            baseline = wcs_mcl(ch)
+            p1, p2 = np.meshgrid(np.linspace(0.0, 1.0, n),
+                                 np.linspace(0.0, 1.0, n), indexing="ij")
+            inside = p1 + p2 <= 1.0 + 1e-12
+            p1, p2 = p1[inside], p2[inside]
+            probs = np.stack([np.maximum(1.0 - p1 - p2, 0.0), p1, p2,
+                              np.zeros_like(p1)])
+            if eta_c < 1.0:
+                probs = apply_collection_array(probs, eta_c)
+            out = np.full((n, n), np.nan)
+            out[inside] = mcl_lockstep(dtb_rate_array_fn(probs, ch),
+                                       p1.size) - baseline
+            return out
+
+        try:
+            want = cold()
+        except (FitError, NoKeyError) as err:
+            with pytest.raises(type(err), match=re.escape(str(err))):
+                gamma_map_dtb(ch, eta_c=eta_c, n=n)
+            return
+        assert same_floats(gamma_map_dtb(ch, eta_c=eta_c, n=n).gamma_db, want)
 
     def test_deterministic(self, channel):
         a = gamma_map_dtb(channel, n=8)

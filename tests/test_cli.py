@@ -958,6 +958,37 @@ def test_ingest_config_hash_is_pinned(capsys, monkeypatch, experiment_dir,
     assert json.loads(out)["config_hash"] == digest
 
 
+# Arguments that run each subcommand; ingest also takes experiment_dir's maps.
+FLOAT_FLAG_COMMANDS = {
+    "skr-curve": ["skr-curve", "--protocol", "hp", "--source", "sps2"],
+    "gamma-map": ["gamma-map", "--grid", "3"],
+    "optimal-t": ["optimal-t"],
+    "gamma-vs-eta": ["gamma-vs-eta", "--protocol", "hp", "--axis", "eta-d",
+                     "--source", "sps2"],
+    "simulate": ["simulate", "--protocol", "hp", "--source", "sps2",
+                 "--n-pulses", "10"],
+    "ingest": ["ingest"]}
+(_SUBCOMMANDS,) = (action.choices for action in cli.build_parser()._actions
+                   if isinstance(action, argparse._SubParsersAction))
+FLOAT_FLAGS = [(command, action.option_strings[0])
+               for command, parser in _SUBCOMMANDS.items()
+               for action in parser._actions if action.type is float]
+
+
+@pytest.mark.parametrize("value", ["-inf", "-Infinity", "-NAN", "-1e3"])
+@pytest.mark.parametrize("command, flag", FLOAT_FLAGS,
+                         ids=[f"{c}{f}" for c, f in FLOAT_FLAGS])
+def test_a_negative_float_literal_reaches_the_range_check(
+        capsys, experiment_dir, command, flag, value):
+    # read as a value, as "--flag=value" is, not as an unknown flag
+    argv = FLOAT_FLAG_COMMANDS[command] + (
+        experiment_dir[0] if command == "ingest" else [])
+    code, out, err = invoke(capsys, argv + [flag, value])
+    assert (code, out) == (1, "")
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert (code, out, err) == invoke(capsys, argv + [f"{flag}={value}"])
+
+
 class TestFixtureResolution:
     @pytest.mark.parametrize("loader, text, message", [
         (load_channel, None, "channel file not found: {path}"),
