@@ -49,7 +49,7 @@ from .protocols import DEFAULT_ETA_D, DEFAULT_Q_SIFT, DEFAULT_T, check_herald
 PROTOCOLS = ("dtb", "hp", "wcs", "perfect-sps")
 
 # Largest gamma-map grid accepted: the lockstep search over n**2 points
-# peaks near 170 MB of process memory at this size (ru_maxrss of
+# peaks near 164 MB of process memory at this size (ru_maxrss of
 # `gamma-map --grid 1000`, numpy 2.4.6, x86-64 Linux), as does the search
 # alone; the CSV is written one map row at a time, so formatting adds
 # nothing to that peak.
