@@ -37,6 +37,7 @@ from __future__ import annotations
 
 import functools
 import math
+import numbers
 from dataclasses import dataclass
 from typing import Callable, Iterable, Sequence
 
@@ -428,11 +429,22 @@ def _neighbour_mean(grid: np.ndarray, i: np.ndarray,
             + (grid[i + a, j - b] + grid[i + a, j + b])) / 4.0
 
 
+def _source_array(p1, p2: np.ndarray) -> np.ndarray:
+    """The checked (4, N) array of the {0, 1, 2}-photon sources with
+    weights ``p1`` (a scalar or one per column) and ``p2``, and vacuum
+    max(1 - p1 - p2, 0), which clamps a point on the simplex's edge whose
+    rounding leaves p1 + p2 just above 1: one builder for the gamma map,
+    ``hp_threshold`` and ``optimal_bs_transmission``."""
+    p1 = np.full_like(p2, p1)
+    return check_distribution_array(
+        np.stack([np.maximum(1.0 - p1 - p2, 0.0), p1, p2, np.zeros_like(p2)]))
+
+
 def _map_points(p1_axis: np.ndarray, p2_axis: np.ndarray,
                 eta_c: float) -> tuple[np.ndarray, np.ndarray, int, np.ndarray]:
     """The points of the (p1, p2) grid with p1 + p2 <= 1, the half-resolution
     lattice (both indices even) first: their indices i and j, the size of
-    the lattice, and their distributions as a checked (4, N) array, after
+    the lattice, and their distributions (``_source_array``), after
     collection at ``eta_c``.  A function of its own, so that the grid-sized
     arrays that build them are freed before the map's searches start.
     """
@@ -441,9 +453,7 @@ def _map_points(p1_axis: np.ndarray, p2_axis: np.ndarray,
     odd = (i | j) & 1
     order = np.argsort(odd, kind="stable")
     i, j = i[order], j[order]
-    p1, p2 = p1_axis[i], p2_axis[j]
-    probs = check_distribution_array(
-        np.stack([np.maximum(1.0 - p1 - p2, 0.0), p1, p2, np.zeros_like(p1)]))
+    probs = _source_array(p1_axis[i], p2_axis[j])
     if eta_c < 1.0:
         probs = apply_collection_array(probs, eta_c)
     return i, j, odd.size - np.count_nonzero(odd), probs
@@ -454,7 +464,8 @@ def gamma_map_dtb(channel: ChannelParams, eta_c: float = 1.0, n: int = 200,
                   f_ec: float = DEFAULT_F_EC) -> GammaMap:
     """Relative gain of the decoy-state protocol over the (p1, p2) simplex.
 
-    The n x n grid spans [0, 1] on both axes; points with p1 + p2 > 1 and
+    The n x n grid spans [0, 1] on both axes (n an integer, at least 2,
+    else ValueError); points with p1 + p2 > 1 and
     points yielding no key at zero loss are NaN.  The baseline MCL is
     computed once for the shared channel, at the same ``f_ec``.  The simplex
     points are searched in two lockstep ``_mcl_bracket`` calls over
@@ -471,7 +482,7 @@ def gamma_map_dtb(channel: ChannelParams, eta_c: float = 1.0, n: int = 200,
     ``mcl(dtb_rate_fn(...))`` bit for bit unless a probed rate lies within
     the kernel's last-place rounding of zero.
     """
-    if n < 2:
+    if not isinstance(n, numbers.Integral) or n < 2:
         raise ValueError("the grid needs n >= 2 points per axis")
     check_collection(eta_c)
     baseline = wcs_mcl(channel, q_sift=q_sift, f_ec=f_ec)
@@ -547,9 +558,7 @@ def hp_threshold(eta_d: float, channel: ChannelParams, t: float = DEFAULT_T,
     herald = {"t": t, "eta_d": eta_d, "p_dc_alice": p_dc_alice, "f_ec": f_ec}
 
     scan = np.linspace(0.02, 1.0, 50)
-    none = np.zeros_like(scan)
-    probs = check_distribution_array(np.stack([1.0 - scan, none, scan, none]))
-    rate = hp_rate_array_fn(probs, channel, **herald)
+    rate = hp_rate_array_fn(_source_array(0.0, scan), channel, **herald)
     hits = np.flatnonzero(rate(np.arange(scan.size), np.full(scan.size, at))
                           > 0.0)
     if hits.size == 0:
@@ -618,8 +627,7 @@ def optimal_bs_transmission(p2, p_dc: float, eta_d: float,
         raise ValueError("p2 must lie in (0, 1]")
     if not p1 >= 0.0 or np.any(p1 + p2s > 1.0):
         raise ValueError("need p1 >= 0 and p1 + p2 <= 1")
-    probs = check_distribution_array(np.stack(
-        [1.0 - p1 - p2s, np.full_like(p2s, p1), p2s, np.zeros_like(p2s)]))
+    probs = _source_array(p1, p2s)
     if p_dc == 0.0:
         # the MCL search at t = 1/2 finds key exactly where the rate has
         # key at zero loss ("not <= 0"), and fails exactly where it has key

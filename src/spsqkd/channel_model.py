@@ -59,8 +59,7 @@ class ChannelParams:
         return ChannelParams(loss_db=loss_db, eta_bob=self.eta_bob,
                              p_dc=self.p_dc, e_d=self.e_d)
 
-    def to_dict(self) -> dict[str, float]:
-        return asdict(self)
+    to_dict = asdict
 
     @classmethod
     def from_dict(cls, data: dict) -> "ChannelParams":
@@ -92,13 +91,14 @@ class ObservedRates:
         _check_rates(self.q, self.e)
 
 
-def _check_rates(q: float, e: float) -> None:
-    # a gain and error rate in [0, 1], else ValueError; shared by
-    # ObservedRates and the weak-coherent series
+def _check_rates(q: float, e: float) -> tuple[float, float]:
+    # (q, e) if both lie in [0, 1], else ValueError; shared by
+    # ObservedRates and both weak-coherent sums
     if not 0.0 <= q <= 1.0:
         raise ValueError("gain must lie in [0, 1]")
     if not 0.0 <= e <= 1.0:
         raise ValueError("error rate must lie in [0, 1]")
+    return q, e
 
 
 def check_rates_array(q: np.ndarray, e: np.ndarray) -> None:
@@ -257,9 +257,7 @@ def wcs_series(channel: ChannelParams
                 ys.append(y_n)
                 eys.append(ey_n)
                 size += 1
-        e = eq / q if q > 0.0 else 0.5
-        _check_rates(q, e)
-        return q, e
+        return _check_rates(q, eq / q if q > 0.0 else 0.5)
 
     return sums, y1, ey1 / y1 if y1 > 0.0 else 0.5
 
@@ -272,7 +270,8 @@ def _wcs_closed_form(channel: ChannelParams
     of one photon that survives with probability 1 - exp(-eta mu), so
     Q = 1 - (1 - p_dc) exp(-eta mu) and E Q = e_d (1 - exp(-eta mu))
     + p_dc / 2.  ``series`` ignores the vacuum weight it is passed; ``y1``
-    and ``e1`` are ``wcs_series``' own, and so are the [0, 1] checks.  The
+    and ``e1`` are taken from ``wcs_series``, whose sums are never called
+    here, and the [0, 1] checks are its own (``_check_rates``).  The
     sums differ from the truncated series' in the last places, so the
     package reads these only as an estimate: ``analysis.wcs_mcl`` finds
     where this laser's rate crosses zero by Newton's method in
@@ -280,15 +279,12 @@ def _wcs_closed_form(channel: ChannelParams
     search over the series there."""
     eta = transmittance(channel)
     p_dc, e_d = channel.p_dc, channel.e_d
-    y1, ey1 = _clicks(_survival(channel)(1), p_dc, e_d)
 
     def sums(mu: float, weight: float) -> tuple[float, float]:
         q, eq = _clicks(-math.expm1(-eta * mu), p_dc, e_d)
-        e = eq / q if q > 0.0 else 0.5
-        _check_rates(q, e)
-        return q, e
+        return _check_rates(q, eq / q if q > 0.0 else 0.5)
 
-    return sums, y1, ey1 / y1 if y1 > 0.0 else 0.5
+    return (sums, *wcs_series(channel)[1:])
 
 
 def wcs_series_array(channel: ChannelParams, loss_db: np.ndarray

@@ -52,3 +52,12 @@ def raise_first(ok: np.ndarray, rule, *values) -> None:
     if not ok.all():
         k = int(np.argmin(ok))
         rule(*(float(np.broadcast_to(v, ok.shape)[k]) for v in values))
+
+
+def _whole(value):
+    """A float with an integer value as that int; anything else as is.  The
+    one reading of a whole number given as a float: ``ingest``'s counts and
+    ``montecarlo``'s pulse count and seed."""
+    if isinstance(value, float) and value.is_integer():
+        return int(value)
+    return value

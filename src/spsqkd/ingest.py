@@ -27,7 +27,7 @@ from pathlib import Path
 import numpy as np
 
 from .channel_model import ChannelParams, ObservedRates
-from .errors import ConfigError, InconsistentDataError, QkdError
+from .errors import ConfigError, InconsistentDataError, QkdError, _whole
 from .photon_source import PhotonDistribution
 from .protocols import (DEFAULT_F_EC, DEFAULT_Q_SIFT, skr_dtb_from_rates,
                         solve_dtb)
@@ -48,11 +48,9 @@ _COUNT_MAX = np.iinfo(np.int64).max
 
 def _count(value) -> int:
     """One tomography count as an int: an integer as is, a float only when
-    its value is an integer (so not NaN or inf)."""
-    if isinstance(value, float) and value.is_integer():
-        return int(value)
+    its value is an integer (``errors._whole``, so not NaN or inf)."""
     try:
-        return operator.index(value)
+        return operator.index(_whole(value))
     except TypeError:
         raise ConfigError(f"counts must be integers, not {value!r}") from None
 
@@ -322,7 +320,7 @@ def effective_channel(maps: list[TomographyMap],
 
     Estimates are averaged across ND groups.  ``p_dc`` defaults to the
     observed vacuum gain (or the fallback constant).  Inputs are checked
-    as in ``skr_from_experiment``.
+    as in ``skr_from_experiment``, and no maps at all is a ConfigError.
     """
     etas, eds, y0s = [], [], []
     for nd, signal, decoy, vacuum, slack in _nd_groups(maps, stats, budget):
@@ -337,6 +335,9 @@ def effective_channel(maps: list[TomographyMap],
         etas.append(eta_ch / scale)
         eds.append((sol.e1 * sol.y1 - 0.5 * y0) / (sol.y1 - y0))
         y0s.append(y0)
+    if not etas:
+        raise ConfigError("no tomography maps: the channel needs at least "
+                          "one ND group to solve")
     if p_dc is None:
         p_dc = float(np.mean(y0s))
     return ChannelParams(loss_db=0.0, eta_bob=float(np.mean(etas)),

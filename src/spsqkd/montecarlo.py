@@ -32,7 +32,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .channel_model import ChannelParams, transmittance
-from .errors import ConfigError
+from .errors import ConfigError, _whole
 from .photon_source import PhotonDistribution, check_collection
 from .protocols import (DEFAULT_ETA_D, DEFAULT_T, check_herald,
                         herald_dark_rate)
@@ -44,13 +44,6 @@ SHARD_SIZE = 1_000_000
 _CHUNK = 1 << 16
 
 _PROTOCOLS = ("dtb", "hp")
-
-
-def _whole(value):
-    """A float with an integer value as that int; anything else as is."""
-    if isinstance(value, float) and value.is_integer():
-        return int(value)
-    return value
 
 
 @dataclass(frozen=True, slots=True)

@@ -64,8 +64,7 @@ class PhotonDistribution:
     def as_tuple(self) -> tuple[float, float, float, float]:
         return (self.p0, self.p1, self.p2, self.p3)
 
-    def to_dict(self) -> dict[str, float]:
-        return asdict(self)
+    to_dict = asdict
 
     @classmethod
     def from_dict(cls, data: dict) -> "PhotonDistribution":
@@ -110,8 +109,7 @@ class SourceModel:
             raise ValueError("alpha_times_is must be positive")
         _check_unit(qy_x=self.qy_x, qy_xx=self.qy_xx)
 
-    def to_dict(self) -> dict[str, float]:
-        return asdict(self)
+    to_dict = asdict
 
     @classmethod
     def from_dict(cls, data: dict) -> "SourceModel":

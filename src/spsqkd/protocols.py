@@ -230,18 +230,16 @@ def skr_dtb_array(probs: np.ndarray, channel: ChannelParams,
     """``skr_dtb(...).rate`` of many signals, each at its own loss.
 
     Column k of ``probs`` (shape (4, N), rows p0..p3, already checked as
-    distributions) is evaluated on ``channel.with_loss(loss_db[k])``.  The
-    arithmetic and the checks are those of ``skr_dtb``, and the first
+    distributions) is evaluated on ``channel.with_loss(loss_db[k])``, by
+    the forward pass it shares with ``skr_hp_array`` (``_observed_array``).
+    The arithmetic and the checks are those of ``skr_dtb``, and the first
     column that fails them raises as a loop of scalar calls would
     (``_raise_as_scalar``); numpy's log/exp may round differently from
     ``math`` in the last place, so rates can differ from ``skr_dtb`` by a
     few ulp.  A single evaluation is ten times faster through ``skr_dtb``.
     """
     _check_settings(q_sift, f_ec)
-    y, e = yields_array(channel, loss_db)
-    q_s, eq = weighted_gains(probs, y, e)
-    detected = ~(q_s <= 0.0)
-    e_s = np.divide(eq, q_s, out=np.zeros_like(eq), where=detected)
+    y, e, q_s, e_s, detected = _observed_array(probs, channel, loss_db)
     _raise_as_scalar(channel, loss_db, detected,
                      (0.0 <= q_s) & (q_s <= 1.0) & (0.0 <= e_s) & (e_s <= 1.0),
                      ObservedRates, q_s, e_s)
@@ -249,6 +247,18 @@ def skr_dtb_array(probs: np.ndarray, channel: ChannelParams,
                        1.0 - _entropy_cost_array(e[1]), q_sift, f_ec,
                        _entropy_cost_array)
     return np.where(detected, np.maximum(raw, 0.0), 0.0)
+
+
+def _observed_array(probs, channel: ChannelParams, loss_db: np.ndarray):
+    # the forward pass of both array kernels: (Y, e) of each column's loss
+    # (``yields_array``), the signal's gain Q over the rows of ``probs``,
+    # its error rate E = EQ / Q (0 where Q <= 0) and ``detected``, where Q
+    # is positive or NaN, as the scalar kernels' ``q_s <= 0.0`` reads it
+    y, e = yields_array(channel, loss_db)
+    q_s, eq = weighted_gains(probs, y, e)
+    detected = ~(q_s <= 0.0)
+    e_s = np.divide(eq, q_s, out=np.zeros_like(eq), where=detected)
+    return y, e, q_s, e_s, detected
 
 
 def herald_dark_rate(p_dc_alice: float | None, channel: ChannelParams) -> float:
@@ -310,7 +320,8 @@ def skr_hp_array(eff: np.ndarray, channel: ChannelParams, loss_db: np.ndarray,
                  f_ec: float = DEFAULT_F_EC_TAGGING) -> np.ndarray:
     """``skr_hp(...).rate`` of many problems, column k of the effective
     distributions ``eff`` (from ``photon_source.hp_effective_array``) at
-    ``loss_db[k]``.
+    ``loss_db[k]``, by the forward pass of ``skr_dtb_array``
+    (``_observed_array``) over rows 0..2.
 
     The arithmetic, the omega clamp and the omega <= 0 branch are
     ``skr_hp``'s (``_tagging_bound``'s), and the first column that fails
@@ -319,12 +330,9 @@ def skr_hp_array(eff: np.ndarray, channel: ChannelParams, loss_db: np.ndarray,
     ``math`` in the last place.
     """
     _check_settings(q_sift, f_ec)
-    y, e = yields_array(channel, loss_db)
-    q_s, eq = weighted_gains(eff[:3], y, e)
-    detected = ~(q_s <= 0.0)
-    e_s = np.divide(eq, q_s, out=np.zeros_like(eq), where=detected)
+    y, _, q_s, e_s, detected = _observed_array(eff[:3], channel, loss_db)
     q1 = eff[1] * y[1]
-    omega = np.divide(q1, q_s, out=np.zeros_like(eq), where=detected)
+    omega = np.divide(q1, q_s, out=np.zeros_like(q_s), where=detected)
     # the omega clamp, then the entropy of E; E >= 0 covers the entropy of
     # E / omega where omega > 0 too, since omega is NaN only where E is
     _raise_as_scalar(channel, loss_db, detected,
@@ -333,7 +341,7 @@ def skr_hp_array(eff: np.ndarray, channel: ChannelParams, loss_db: np.ndarray,
     omega = np.minimum(omega, 1.0)
     keyed = omega > 0.0
     with np.errstate(over="ignore"):  # a subnormal omega: e_s / omega = inf
-        ratio = np.divide(e_s, omega, out=np.zeros_like(eq), where=keyed)
+        ratio = np.divide(e_s, omega, out=np.zeros_like(q_s), where=keyed)
     raw = _gllp_bound(q_s, e_s, omega, ratio, q_sift, f_ec,
                       _entropy_cost_array)
     return np.where(keyed, np.maximum(raw, 0.0), 0.0)

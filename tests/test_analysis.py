@@ -918,7 +918,7 @@ class TestGammaMap:
 
     @pytest.mark.parametrize("kwargs", [
         {"n": 1}, {"n": 0}, {"n": -3}, {"eta_c": 1.5}, {"eta_c": -0.1},
-        {"eta_c": math.nan}])
+        {"eta_c": math.nan}, {"n": 2.5}, {"n": 2.0}, {"n": math.nan}])
     def test_bad_grid_or_collection_rejected(self, monkeypatch, channel,
                                              kwargs):
         monkeypatch.setattr(analysis, "_mcl_bracket", no_search)

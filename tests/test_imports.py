@@ -1,12 +1,14 @@
-"""Package surface: the public names, a numpy-only command line, and one
-site for each raise statement."""
+"""Package surface: the public names, a numpy-only command line, one
+site for each raise statement and no run of code lines written twice."""
 
 import ast
+import io
 import json
 import os
 import subprocess
 import sys
-from collections import Counter
+import tokenize
+from collections import Counter, defaultdict
 from pathlib import Path
 
 import spsqkd
@@ -55,12 +57,77 @@ def test_public_names_resolve_and_are_unchanged():
     assert PUBLIC_NAMES <= namespace.keys()
 
 
+PACKAGE = Path(spsqkd.__file__).resolve().parent
+
+# tokens that carry no code: layout, comments and the stream's ends
+_LAYOUT = {tokenize.COMMENT, tokenize.NL, tokenize.NEWLINE, tokenize.INDENT,
+           tokenize.DEDENT, tokenize.ENCODING, tokenize.ENDMARKER}
+
+
+def code_lines(source: str) -> list[tuple[int, tuple[str, ...]]]:
+    """(line number, tokens) of each line of ``source`` that holds code:
+    docstrings, comments and blank lines left out, and a token that spans
+    lines counted on its first."""
+    docs = set()
+    for node in ast.walk(ast.parse(source)):
+        if (isinstance(node, (ast.Module, ast.ClassDef, ast.FunctionDef,
+                              ast.AsyncFunctionDef))
+                and ast.get_docstring(node, clean=False) is not None):
+            docs.update(range(node.body[0].lineno, node.body[0].end_lineno + 1))
+    lines = defaultdict(list)
+    for tok in tokenize.generate_tokens(io.StringIO(source).readline):
+        if tok.type not in _LAYOUT and tok.start[0] not in docs:
+            lines[tok.start[0]].append(tok.string)
+    return [(n, tuple(lines[n])) for n in sorted(lines)]
+
+
+def repeated_runs(sources: dict[str, str]) -> dict:
+    """Each run of three or more code lines that appears more than once
+    across ``sources`` (name -> text), as its tokens -> the "name:first-last"
+    line ranges where it appears.  Overlapping repeated windows of three
+    lines merge into one run."""
+    lines = {name: code_lines(text) for name, text in sources.items()}
+    sites = defaultdict(list)
+    for name, code in lines.items():
+        for k in range(len(code) - 2):
+            sites[tuple(t for _, t in code[k:k + 3])].append((name, k))
+    marked = {site for where in sites.values() if len(where) > 1
+              for site in where}
+    runs = defaultdict(list)
+    for name, k in sorted(marked):
+        if (name, k - 1) in marked:
+            continue  # inside a run that starts earlier
+        end = k
+        while (name, end + 1) in marked:
+            end += 1
+        code = lines[name][k:end + 3]
+        runs[tuple(t for _, t in code)].append(
+            f"{name}:{code[0][0]}-{code[-1][0]}")
+    return dict(runs)
+
+
+def test_no_three_code_lines_are_written_twice():
+    # a rule written twice drifts apart: each run of three code lines
+    # (compared by their tokens) appears once in the package
+    sources = {path.name: path.read_text()
+               for path in sorted(PACKAGE.glob("*.py"))}
+    assert list(repeated_runs(sources).values()) == []
+
+
+def test_the_repeat_check_finds_a_copied_run_and_merges_its_windows():
+    # a four-line copy is one run of two windows; a two-line copy is none
+    body = "x = f(a)\ny = g(x)\nz = x + y\nw = z * 2\n"
+    found = repeated_runs({
+        "a.py": '"""doc"""\n' + body + "v = 1\nu = 2\n",
+        "b.py": "# note\n" + body + "t = 3\nv = 1\nu = 2\n"})
+    assert list(found.values()) == [["a.py:2-5", "b.py:2-5"]]
+
+
 def test_each_exception_is_raised_from_one_site():
     # one rule, one raise: a second copy of a raise statement is a rule
     # written twice, which a helper that both sites call replaces
-    package = Path(spsqkd.__file__).resolve().parent
     raises = Counter(
-        ast.unparse(node) for path in sorted(package.glob("*.py"))
+        ast.unparse(node) for path in sorted(PACKAGE.glob("*.py"))
         for node in ast.walk(ast.parse(path.read_text()))
         if isinstance(node, ast.Raise) and isinstance(node.exc, ast.Call))
     assert [text for text, n in raises.items() if n > 1] == []

@@ -429,6 +429,16 @@ class TestExperimentExtraction:
             skr_from_experiment(maps, stats, budget)
         assert str(from_channel.value) == str(from_rate.value)
 
+    @pytest.mark.parametrize("p_dc", [None, 1e-6])
+    def test_effective_channel_without_maps_is_a_config_error(
+            self, pipeline, budget, p_dc):
+        # no ND group leaves nothing to average: no numpy warning first
+        _, stats, _ = pipeline
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ConfigError, match="no tomography maps"):
+                effective_channel([], stats, budget, p_dc=p_dc)
+
     def test_duplicate_maps_are_rejected(self, pipeline, budget):
         maps, stats, _ = pipeline
         with pytest.raises(ConfigError):
