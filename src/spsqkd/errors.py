@@ -8,7 +8,10 @@ cannot bracket a solution.
 
 An array form of a scalar check raises as a loop of its scalar calls
 would: ``raise_first`` replays the scalar rule at the first element that
-the array's validity mask rejects.
+the array's validity mask rejects.  ``_whole`` reads a whole number
+given as a float for the input rules of ``ingest`` and ``montecarlo``;
+it lives in this module because both import it and it imports no
+other module of the package.
 """
 
 from __future__ import annotations
