@@ -30,7 +30,6 @@ from .channel_model import (
     ChannelParams,
     ObservedRates,
     YieldSet,
-    eta_n,
     gain_and_qber,
     transmittance,
     wcs_gain_and_qber,

@@ -275,7 +275,8 @@ def mcl_lockstep(rate_fn: ArrayRateFn, size: int,
 
 
 def gamma(mcl_protocol_db: float, mcl_wcs_db: float) -> float:
-    """Relative gain in dB; positive means the protocol tolerates more loss."""
+    """Relative gain in dB; positive means the protocol tolerates more loss.
+    Elementwise where ``mcl_protocol_db`` is an array (``gamma_map_dtb``)."""
     return mcl_protocol_db - mcl_wcs_db
 
 
@@ -498,8 +499,8 @@ def gamma_map_dtb(channel: ChannelParams, eta_c: float = 1.0, n: int = 200,
             dtb_rate_array_fn(probs[:, part], channel, q_sift=q_sift,
                               f_ec=f_ec), pi.size, MCL_TOL_DB,
             _neighbour_mean(mcls, pi, pj))[0]
-    return GammaMap(p1=p1_axis, p2=p2_axis, gamma_db=mcls[:n, :n] - baseline,
-                    wcs_mcl_db=baseline)
+    return GammaMap(p1=p1_axis, p2=p2_axis,
+                    gamma_db=gamma(mcls[:n, :n], baseline), wcs_mcl_db=baseline)
 
 
 @functools.lru_cache(maxsize=_REFERENCE_MEMO_SIZE)
@@ -747,5 +748,5 @@ def gamma_vs_efficiency(protocol: str, axis: str, values: Sequence[float],
     # after the sweep's own checks above, so a bad sweep searches nothing
     baseline = wcs_mcl(channel, **kw)
     m = mcl_lockstep(fn, grid.size)
-    return [(vi, float(mi) - baseline if not math.isnan(mi) else math.nan)
+    return [(vi, math.nan if math.isnan(mi) else gamma(float(mi), baseline))
             for vi, mi in zip(grid.tolist(), m)]

@@ -76,9 +76,6 @@ class YieldSet:
     y: tuple[float, ...]
     e: tuple[float, ...]
 
-    def __getitem__(self, n: int) -> tuple[float, float]:
-        return self.y[n], self.e[n]
-
 
 @dataclass(frozen=True, slots=True)
 class ObservedRates:
@@ -101,33 +98,19 @@ def _check_rates(q: float, e: float) -> tuple[float, float]:
     return q, e
 
 
-def check_rates_array(q: np.ndarray, e: np.ndarray) -> None:
-    """``ObservedRates``' checks on each pair (q[k], e[k]): the first pair
-    outside [0, 1] raises through them, as a loop of scalar calls would."""
-    raise_first((0.0 <= q) & (q <= 1.0) & (0.0 <= e) & (e <= 1.0),
-                _check_rates, q, e)
-
-
 def transmittance(channel: ChannelParams) -> float:
     """Overall single-photon transmittance ``10**(-loss/10) * eta_bob``."""
     return 10.0 ** (-channel.loss_db / 10.0) * channel.eta_bob
 
 
 def _survival(channel: ChannelParams) -> Callable[[int], float]:
-    # n -> eta_n of one channel, for eta_n, yields and both weak-coherent
-    # series; -expm1(n*log1p(-eta)) keeps 1-(1-eta)^n accurate for tiny eta
+    # n -> eta_n of one channel, for yields and both weak-coherent series;
+    # -expm1(n*log1p(-eta)) keeps 1-(1-eta)^n accurate for tiny eta
     eta = transmittance(channel)
     if eta >= 1.0:
         return lambda n: 0.0 if n == 0 else 1.0
     log_miss = math.log1p(-eta)
     return lambda n: -math.expm1(n * log_miss)
-
-
-def eta_n(channel: ChannelParams, n: int) -> float:
-    """Probability that at least one of n photons survives the channel."""
-    if n < 0:
-        raise ValueError("photon number n must be non-negative")
-    return _survival(channel)(n)
 
 
 def yields(channel: ChannelParams, n_max: int = 3) -> YieldSet:
@@ -303,8 +286,8 @@ def wcs_series_array(channel: ChannelParams, loss_db: np.ndarray
     ``+ - * /``, which round as Python floats do; each element stops at its
     own tail, so each (Q, E) equals the scalar series'.  Term rows are added
     when some element first needs them.  The [0, 1] checks are
-    ``ObservedRates``', for the first element that fails them
-    (``check_rates_array``).
+    ``ObservedRates``', for the first element that fails them, as a loop
+    of scalar series would raise.
     """
     survs = [_survival(channel.with_loss(loss))
              for loss in np.asarray(loss_db, dtype=float).reshape(-1).tolist()]
@@ -342,7 +325,8 @@ def wcs_series_array(channel: ChannelParams, loss_db: np.ndarray
             weight = weight * (mu / n)
             tail = tail - weight
         e = np.divide(eq, q, out=np.full_like(q, 0.5), where=q > 0.0)
-        check_rates_array(q, e)
+        raise_first((0.0 <= q) & (q <= 1.0) & (0.0 <= e) & (e <= 1.0),
+                    _check_rates, q, e)
         return q, e
 
     return sums, ys[1], e1

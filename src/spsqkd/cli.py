@@ -54,6 +54,10 @@ PROTOCOLS = ("dtb", "hp", "wcs", "perfect-sps")
 # alone; the CSV is written one map row at a time, so formatting adds
 # nothing to that peak.
 MAX_GRID = 1000
+# Largest optimal-t --p2 sweep: optimal_bs_transmission keeps about 1.2 kB
+# per weight (tracemalloc peak 24.0 MB at 20,000 weights), so this many
+# peak near 156 MB, within the MAX_GRID map's 164 MB.
+MAX_WEIGHTS = 130_000
 
 
 def fixtures_root() -> Path:
@@ -184,12 +188,13 @@ def write_json(out: str, config: dict, payload: dict) -> None:
     _emit([json.dumps(doc, sort_keys=True, indent=2) + "\n"], out)
 
 
-def _sweep(args, name: str) -> list[float]:
+def _sweep(args, name: str, cap: int = MAX_GRID ** 2) -> list[float]:
     """Points ``--<name>-min`` to ``--<name>-max`` by ``--<name>-step``.
 
     The bounds must be finite with min <= max, the step positive and
-    finite, and the sweep at most MAX_GRID**2 points, as many as the
-    largest gamma map; all of this is checked before any list is built.
+    finite, and the sweep at most ``cap`` points (by default MAX_GRID**2,
+    as many as the largest gamma map); all of this is checked before any
+    list is built.
     """
     flag = f"--{name}"
     lo, hi, step = (getattr(args, f"{name}_{end}")
@@ -202,9 +207,9 @@ def _sweep(args, name: str) -> list[float]:
         raise ConfigError(f"{flag}-max must be at least {flag}-min")
     # the points that fit, allowing for float noise in span / step; clipped
     # so that a span too large for int() still reads as too long
-    n = math.floor(min((hi - lo) / step, MAX_GRID ** 2) + 1e-9)
-    if n + 1 > MAX_GRID ** 2:
-        raise ConfigError(f"{flag} sweep exceeds {MAX_GRID ** 2} points")
+    n = math.floor(min((hi - lo) / step, cap) + 1e-9)
+    if n + 1 > cap:
+        raise ConfigError(f"{flag} sweep exceeds {cap} points")
     return [lo + i * step for i in range(n + 1)]
 
 
@@ -286,7 +291,7 @@ def cmd_gamma_map(args) -> int:
 
 def cmd_optimal_t(args) -> int:
     channel = load_channel(args.channel)
-    p2s = _sweep(args, "p2")
+    p2s = _sweep(args, "p2", MAX_WEIGHTS)
     t_opt = optimal_bs_transmission(p2s, p_dc=args.p_dc, eta_d=args.eta_d,
                                     channel=channel, p1=args.p1)
     write_csv(args.out, _config(args), ("p2", "t_opt"),

@@ -8,10 +8,7 @@ cannot bracket a solution.
 
 An array form of a scalar check raises as a loop of its scalar calls
 would: ``raise_first`` replays the scalar rule at the first element that
-the array's validity mask rejects.  ``_whole`` reads a whole number
-given as a float for the input rules of ``ingest`` and ``montecarlo``;
-it lives in this module because both import it and it imports no
-other module of the package.
+the array's validity mask rejects.
 """
 
 from __future__ import annotations
@@ -55,12 +52,3 @@ def raise_first(ok: np.ndarray, rule, *values) -> None:
     if not ok.all():
         k = int(np.argmin(ok))
         rule(*(float(np.broadcast_to(v, ok.shape)[k]) for v in values))
-
-
-def _whole(value):
-    """A float with an integer value as that int; anything else as is.  The
-    one reading of a whole number given as a float: ``ingest``'s counts and
-    ``montecarlo``'s pulse count and seed."""
-    if isinstance(value, float) and value.is_integer():
-        return int(value)
-    return value

@@ -27,7 +27,7 @@ from pathlib import Path
 import numpy as np
 
 from .channel_model import ChannelParams, ObservedRates
-from .errors import ConfigError, InconsistentDataError, QkdError, _whole
+from .errors import ConfigError, InconsistentDataError, QkdError
 from .photon_source import PhotonDistribution
 from .protocols import (DEFAULT_F_EC, DEFAULT_Q_SIFT, skr_dtb_from_rates,
                         solve_dtb)
@@ -48,9 +48,11 @@ _COUNT_MAX = np.iinfo(np.int64).max
 
 def _count(value) -> int:
     """One tomography count as an int: an integer as is, a float only when
-    its value is an integer (``errors._whole``, so not NaN or inf)."""
+    its value is an integer (so not NaN or inf)."""
+    if isinstance(value, float) and value.is_integer():
+        value = int(value)
     try:
-        return operator.index(_whole(value))
+        return operator.index(value)
     except TypeError:
         raise ConfigError(f"counts must be integers, not {value!r}") from None
 

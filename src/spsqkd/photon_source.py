@@ -20,7 +20,7 @@ from __future__ import annotations
 
 import math
 import warnings
-from dataclasses import dataclass, asdict
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -64,8 +64,6 @@ class PhotonDistribution:
     def as_tuple(self) -> tuple[float, float, float, float]:
         return (self.p0, self.p1, self.p2, self.p3)
 
-    to_dict = asdict
-
     @classmethod
     def from_dict(cls, data: dict) -> "PhotonDistribution":
         """Parse ``p0``..``p3``; an absent weight reads as 0."""
@@ -108,13 +106,6 @@ class SourceModel:
         if not math.isfinite(self.alpha_times_is) or self.alpha_times_is <= 0:
             raise ValueError("alpha_times_is must be positive")
         _check_unit(qy_x=self.qy_x, qy_xx=self.qy_xx)
-
-    to_dict = asdict
-
-    @classmethod
-    def from_dict(cls, data: dict) -> "SourceModel":
-        return cls(alpha_times_is=float(data["alpha_times_is"]),
-                   qy_x=float(data["qy_x"]), qy_xx=float(data["qy_xx"]))
 
 
 def _check_unit(**values: float) -> None:
@@ -419,10 +410,17 @@ def _check_hp(p3: float, t: float, eta_d: float, p_dc: float) -> None:
     # the scalar purification inputs: each setting in [0, 1], then no p3
     for what, v in (("beam-splitter transmission", t), ("eta_d", eta_d),
                     ("p_dc", p_dc)):
-        if not 0.0 <= v <= 1.0:
-            raise ValueError(f"{what} must lie in [0, 1]")
+        check_setting(what, v)
     if p3 != 0.0:
         raise ValueError("heralded purification is defined on the {0,1,2} basis")
+
+
+def check_setting(what: str, value: float) -> None:
+    """ValueError "``what`` must lie in [0, 1]" unless ``value`` does: the
+    purification kernels' rule for each setting, and the herald's for its
+    dark rate (``protocols.check_herald``)."""
+    if not 0.0 <= value <= 1.0:
+        raise ValueError(f"{what} must lie in [0, 1]")
 
 
 def _heralded(p1, p2, t, eta_d, p_dc):

@@ -28,7 +28,8 @@ from .channel_model import (ChannelParams, ObservedRates, wcs_series,
                             wcs_series_array, weighted_gains, yields,
                             yields_array)
 from .errors import DegenerateDecoyError, InconsistentDataError, raise_first
-from .photon_source import PhotonDistribution, hp_effective_distribution
+from .photon_source import (PhotonDistribution, check_setting,
+                            hp_effective_distribution)
 from .search import golden_max, golden_max_lockstep
 
 # Defaults named once for every module and CLI flag: error correction costs
@@ -278,10 +279,9 @@ def check_herald(t: float = DEFAULT_T, eta_d: float = DEFAULT_ETA_D,
         raise ValueError("t must lie in (0, 1)")
     if not 0.0 < eta_d <= 1.0:
         raise ValueError("eta_d must lie in (0, 1]")
-    if not 0.0 <= p_dc <= 1.0:
-        raise ValueError("p_dc must lie in [0, 1]")
-    if p_dc_alice is not None and not 0.0 <= p_dc_alice <= 1.0:
-        raise ValueError("p_dc_alice must lie in [0, 1]")
+    check_setting("p_dc", p_dc)
+    if p_dc_alice is not None:
+        check_setting("p_dc_alice", p_dc_alice)
 
 
 def skr_hp(d: PhotonDistribution, channel: ChannelParams,

@@ -15,8 +15,11 @@ It covers:
   (``protocols.skr_hp``).  The herald uses the package's factor
   eta_d + p_dc (``photon_source._heralded``), not the exact threshold
   herald's eta_d + p_dc - eta_d p_dc.
-
-The laser is not modelled here.
+- the phase-randomised laser at a given mean photon number mu, with
+  infinite decoys (``protocols.skr_wcs_infinite_decoy``) and under the
+  tagging bound (``protocols.skr_wcs_tagging_bound``): its Poisson sum
+  either cut off after a given photon number or summed exactly in closed
+  form (Ma, Qi, Zhao & Lo, PRA 72, 012326, 2005).
 """
 
 from __future__ import annotations
@@ -36,6 +39,11 @@ def _entropy_cost(x):
     return -x * mpmath.log(x, 2) - (1 - x) * mpmath.log(1 - x, 2)
 
 
+def _transmittance(channel) -> mpf:
+    # eta = 10^(-loss/10) eta_bob
+    return mpf(10) ** (-mpf(channel.loss_db) / 10) * mpf(channel.eta_bob)
+
+
 def yields(channel, n_max: int = 3) -> list[tuple[mpf, mpf]]:
     """(Y_n, e_n) for n = 0..n_max of ``channel`` (any object with
     ``loss_db``, ``eta_bob``, ``p_dc`` and ``e_d``):
@@ -43,7 +51,7 @@ def yields(channel, n_max: int = 3) -> list[tuple[mpf, mpf]]:
     Y_n = eta_n + p_dc - eta_n p_dc and e_n = (e_d eta_n + p_dc / 2) / Y_n,
     1/2 where Y_n = 0."""
     with mpmath.workdps(DIGITS):
-        eta = mpf(10) ** (-mpf(channel.loss_db) / 10) * mpf(channel.eta_bob)
+        eta = _transmittance(channel)
         p_dc, e_d = mpf(channel.p_dc), mpf(channel.e_d)
         out = []
         for n in range(n_max + 1):
@@ -73,6 +81,16 @@ def skr_dtb(probs, channel, q_sift: float, f_ec: float) -> mpf:
                               + y1 * mpf(probs[1]) * (1 - _entropy_cost(e1)))
 
 
+def _gllp(q, e, q1, q_sift: float, f_ec: float) -> mpf:
+    # q_sift Q (-f_ec H2(E) + omega (1 - H2(E / omega))) with omega = Q_1 / Q,
+    # at most 1, and only the leakage where omega = 0
+    omega = min(q1 / q, mpf(1))
+    leak = -mpf(f_ec) * _entropy_cost(e)
+    if omega <= 0:
+        return mpf(q_sift) * q * leak
+    return mpf(q_sift) * q * (leak + omega * (1 - _entropy_cost(e / omega)))
+
+
 def heralded(probs, t: float, eta_d: float, p_dc: float) -> tuple[mpf, ...]:
     """(p0~, p1~, p2~) sent on by the purification stage:
     p1~ = 2 p2 (1 - t) t (eta_d + p_dc) + t p1 p_dc, p2~ = t^2 p2 p_dc and
@@ -95,8 +113,47 @@ def skr_hp(probs, channel, t: float, eta_d: float, p_dc_alice: float,
         ys, q, e = _signal(eff, channel)
         if q <= 0:
             return mpf(0)
-        omega = min(eff[1] * ys[1][0] / q, mpf(1))
-        leak = -mpf(f_ec) * _entropy_cost(e)
-        if omega <= 0:
-            return mpf(q_sift) * q * leak
-        return mpf(q_sift) * q * (leak + omega * (1 - _entropy_cost(e / omega)))
+        return _gllp(q, e, eff[1] * ys[1][0], q_sift, f_ec)
+
+
+def laser(channel, mu: float, n_max: int | None = None) -> tuple[mpf, ...]:
+    """(Q, E, Q_1, e_1) of a laser of mean photon number ``mu``.  With
+    ``n_max`` the Poisson weights e^(-mu) mu^n / n! of n = 0..n_max are
+    summed against the yields; with None the whole series is summed in
+    closed form, Q = 1 - (1 - p_dc) e^(-eta mu) and
+    E Q = e_d (1 - e^(-eta mu)) + p_dc / 2.  Q_1 = mu e^(-mu) Y_1."""
+    with mpmath.workdps(DIGITS):
+        mu = mpf(mu)
+        ys = yields(channel, 1 if n_max is None else max(n_max, 1))
+        if n_max is None:
+            vacuum = mpmath.exp(-_transmittance(channel) * mu)
+            p_dc = mpf(channel.p_dc)
+            q = 1 - (1 - p_dc) * vacuum
+            eq = mpf(channel.e_d) * (1 - vacuum) + p_dc / 2
+        else:
+            weights = [mpmath.exp(-mu) * mu ** n / mpmath.factorial(n)
+                       for n in range(n_max + 1)]
+            q = sum(w * y for w, (y, _) in zip(weights, ys))
+            eq = sum(w * y * e for w, (y, e) in zip(weights, ys))
+        y1, e1 = ys[1]
+        e = eq / q if q > 0 else mpf(0.5)
+        return q, e, mu * mpmath.exp(-mu) * y1, e1
+
+
+def skr_wcs(channel, mu: float, q_sift: float, f_ec: float,
+            n_max: int | None = None) -> mpf:
+    """The raw infinite-decoy laser rate of ``laser(channel, mu, n_max)``:
+    q_sift (-Q f_ec H2(E) + Q_1 (1 - H2(e_1)))."""
+    with mpmath.workdps(DIGITS):
+        q, e, q1, e1 = laser(channel, mu, n_max)
+        return mpf(q_sift) * (-q * mpf(f_ec) * _entropy_cost(e)
+                              + q1 * (1 - _entropy_cost(e1)))
+
+
+def skr_wcs_tagged(channel, mu: float, q_sift: float, f_ec: float,
+                   n_max: int | None = None) -> mpf:
+    """The raw tagged-laser rate of ``laser(channel, mu, n_max)``: the GLLP
+    bound with omega = Q_1 / Q, 0 where Q = 0."""
+    with mpmath.workdps(DIGITS):
+        q, e, q1, _ = laser(channel, mu, n_max)
+        return _gllp(q, e, q1, q_sift, f_ec) if q > 0 else mpf(0)

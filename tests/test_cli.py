@@ -23,10 +23,10 @@ from hypothesis import strategies as st
 from spsqkd import __version__, analysis, cli
 from spsqkd.analysis import (GammaMap, dtb_rate_fn, gamma_map_dtb, mcl,
                              wcs_mcl, wcs_rate_fn)
-from spsqkd.cli import MAX_GRID, load_channel, main
+from spsqkd.cli import MAX_GRID, MAX_WEIGHTS, load_channel, main
 from spsqkd.errors import ConfigError
 from spsqkd.ingest import maps_from_report, skr_from_experiment, write_tomography_csv
-from spsqkd.montecarlo import SimConfig, run_dtb
+from spsqkd.montecarlo import MAX_PULSES, SimConfig, run_dtb
 from spsqkd.photon_source import PhotonDistribution
 from spsqkd.protocols import DEFAULT_ETA_D, DEFAULT_Q_SIFT, DEFAULT_T
 
@@ -573,11 +573,16 @@ def test_alice_dark_rate_in_zero_one_is_accepted(capsys, value):
     assert out.splitlines()[2:] == invoke(capsys, argv)[1].splitlines()[2:]
 
 
+def refuse(*args, **kwargs):
+    raise AssertionError("a rejected input reached the analysis")
+
+
+# each sweep's command, flag name and point cap
 SWEEP_COMMANDS = {
-    "skr-curve": (["skr-curve", "--protocol", "wcs"], "loss"),
-    "optimal-t": (["optimal-t"], "p2"),
+    "skr-curve": (["skr-curve", "--protocol", "wcs"], "loss", MAX_GRID**2),
+    "optimal-t": (["optimal-t"], "p2", MAX_WEIGHTS),
     "gamma-vs-eta": (["gamma-vs-eta", "--protocol", "dtb", "--axis", "eta-c",
-                      "--source", "sps1"], "eta")}
+                      "--source", "sps1"], "eta", MAX_GRID**2)}
 
 
 @pytest.mark.parametrize("flags, message", [
@@ -587,16 +592,13 @@ SWEEP_COMMANDS = {
      "--{0}-max must be at least --{0}-min"),
     (["--{0}-max", "inf"], "--{0}-min and --{0}-max must be finite"),
     (["--{0}-min", "0", "--{0}-max", "1", "--{0}-step", "1e-6"],
-     f"--{{0}} sweep exceeds {MAX_GRID**2} points")],
+     "--{0} sweep exceeds {1} points")],
     ids=["zero-step", "nan-step", "reversed", "infinite-bound",
          "over-a-million-points"])
 @pytest.mark.parametrize("command", SWEEP_COMMANDS)
 def test_bad_sweep_fails_cleanly(capsys, monkeypatch, command, flags,
                                  message):
-    argv, name = SWEEP_COMMANDS[command]
-
-    def refuse(*args, **kwargs):
-        raise AssertionError("a bad sweep reached the analysis")
+    argv, name, cap = SWEEP_COMMANDS[command]
 
     # rejected before any point is evaluated or any list is built
     for fn in ("skr_curve", "optimal_bs_transmission", "gamma_vs_efficiency"):
@@ -608,20 +610,21 @@ def test_bad_sweep_fails_cleanly(capsys, monkeypatch, command, flags,
     finally:
         tracemalloc.stop()
     assert code == 1 and out == ""
-    assert err == f"error: {message.format(name)}\n"
+    assert err == f"error: {message.format(name, cap)}\n"
     assert peak < 2**20
 
 
-def test_sweep_point_cap_is_exact():
-    args = argparse.Namespace(loss_min=0.0, loss_max=MAX_GRID**2 - 1.0,
+@pytest.mark.parametrize("cap", [MAX_GRID**2, MAX_WEIGHTS])
+def test_sweep_point_cap_is_exact(cap):
+    args = argparse.Namespace(loss_min=0.0, loss_max=cap - 1.0,
                               loss_step=1.0)
-    assert len(cli._sweep(args, "loss")) == MAX_GRID**2
+    assert len(cli._sweep(args, "loss", cap)) == cap
     # one point over the cap, a span too large for int(), a span that overflows
-    for lo, hi, step in ((0.0, MAX_GRID**2, 1.0), (0.0, 1.0, 1e-320),
+    for lo, hi, step in ((0.0, float(cap), 1.0), (0.0, 1.0, 1e-320),
                          (-1e308, 1e308, 1.0)):
         args = argparse.Namespace(loss_min=lo, loss_max=hi, loss_step=step)
-        with pytest.raises(ConfigError, match="exceeds"):
-            cli._sweep(args, "loss")
+        with pytest.raises(ConfigError, match=f"exceeds {cap} points"):
+            cli._sweep(args, "loss", cap)
 
 
 @pytest.mark.parametrize("argv, count, last", [
@@ -794,6 +797,18 @@ class TestSimulate:
             flag, str(value)])
         assert code == 1 and out == ""
         assert err == f"error: {field} must be an integer >= {low}, not {value}\n"
+
+    @pytest.mark.parametrize("protocol", ["dtb", "hp"])
+    def test_a_pulse_count_past_the_cap_fails_cleanly(
+            self, capsys, monkeypatch, protocol):
+        # 10**30 written out; rejected before any pulse is drawn
+        monkeypatch.setattr(cli, "run", refuse)
+        code, out, err = invoke(capsys, [
+            "simulate", "--protocol", protocol, "--source", "sps2",
+            "--n-pulses", str(10**30)])
+        assert code == 1 and out == ""
+        assert err == (f"error: n_pulses must be at most {MAX_PULSES}, "
+                       f"not {10**30}\n")
 
     def test_herald_counters_appear_for_hp(self, capsys):
         _, out, _ = invoke(capsys, [

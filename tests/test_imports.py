@@ -36,7 +36,7 @@ PUBLIC_NAMES = {
     "SourceModel", "TomographyMap", "YieldSet", "__version__",
     "apply_collection", "binary_entropy", "cascade_distribution",
     "dtb_rate_fn", "effective_channel", "emission_distribution",
-    "empirical_g2", "eta_n", "extract_distribution_g2",
+    "empirical_g2", "extract_distribution_g2",
     "extract_distribution_g3", "fit_source_model", "g2_of", "g2_upper_bound",
     "g3_of", "gain_and_qber", "gains_and_errors", "gamma", "gamma_map_dtb",
     "gamma_vs_efficiency", "hp_effective_distribution",

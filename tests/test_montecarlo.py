@@ -16,6 +16,7 @@ from spsqkd.cli import load_source
 from spsqkd.errors import ConfigError
 from spsqkd.montecarlo import (
     _CHUNK,
+    MAX_PULSES,
     SHARD_SIZE,
     SimConfig,
     _shards,
@@ -52,9 +53,7 @@ class TestConfigValidation:
                         source=sps2)
         assert (cfg.t, cfg.eta_d) == (DEFAULT_T, DEFAULT_ETA_D)
         data = cfg.to_dict()
-        del data["t"], data["eta_d"]
-        back = SimConfig.from_dict(data)
-        assert (back.t, back.eta_d) == (DEFAULT_T, DEFAULT_ETA_D)
+        assert (data["t"], data["eta_d"]) == (DEFAULT_T, DEFAULT_ETA_D)
 
     def test_unknown_protocol(self, channel):
         with pytest.raises(ConfigError):
@@ -77,6 +76,17 @@ class TestConfigValidation:
         with pytest.raises(ConfigError, match=re.escape(
                 f"{field} must be an integer >= {low}, not {value!r}")):
             SimConfig(**kwargs)
+
+    @pytest.mark.parametrize("n_pulses", [MAX_PULSES + 1, 10**30])
+    def test_pulse_count_is_capped(self, channel, sps1, sps2, n_pulses):
+        # the configs only: nothing here runs a pulse
+        hp = dict(protocol="hp", seed=0, channel=channel, source=sps2)
+        assert SimConfig(n_pulses=MAX_PULSES, **hp).n_pulses == MAX_PULSES
+        message = f"n_pulses must be at most {MAX_PULSES}, not {n_pulses}"
+        with pytest.raises(ConfigError, match=re.escape(message)):
+            SimConfig(n_pulses=n_pulses, **hp)
+        with pytest.raises(ConfigError, match=re.escape(message)):
+            dtb_config(channel, {"s": sps1}, n_pulses, 0)
 
     def test_dtb_needs_intensities(self, channel):
         with pytest.raises(ConfigError):
@@ -143,34 +153,6 @@ class TestConfigValidation:
             run_hp(dtb)
         with pytest.raises(ConfigError):
             run_dtb(hp)
-
-
-class TestConfigSerialization:
-    def test_dtb_round_trip_through_json(self, channel, sps1, sps2):
-        cfg = dtb_config(channel.with_loss(10.0), {"s1": sps1, "s2": sps2},
-                         1000, 7)
-        blob = json.dumps(cfg.to_dict())
-        assert SimConfig.from_dict(json.loads(blob)) == cfg
-
-    def test_hp_round_trip_through_json(self, channel, sps2):
-        cfg = SimConfig(protocol="hp", n_pulses=1000, seed=3, channel=channel,
-                        source=sps2, t=0.4, eta_d=0.8, p_dc_alice=1e-4)
-        blob = json.dumps(cfg.to_dict())
-        assert SimConfig.from_dict(json.loads(blob)) == cfg
-
-
-    def test_from_dict_takes_a_float_only_with_an_integer_value(self,
-                                                                channel,
-                                                                sps2):
-        cfg = SimConfig(protocol="hp", n_pulses=1000, seed=3, channel=channel,
-                        source=sps2)
-        data = cfg.to_dict()
-        back = SimConfig.from_dict(dict(data, n_pulses=1000.0, seed=3.0))
-        assert back == cfg
-        assert json.dumps(back.to_dict()) == json.dumps(data)
-        for field in ("n_pulses", "seed"):
-            with pytest.raises(ConfigError, match=f"{field} must be an int"):
-                SimConfig.from_dict(dict(data, **{field: 2.5}))
 
 
 # numpy's binomial at the ends of (0, 1] and around its flip at p = 1/2

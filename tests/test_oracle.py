@@ -1,9 +1,11 @@
-"""The package's source key rates against a 50-digit model (``oracle``).
+"""The package's key rates against a 50-digit model (``oracle``).
 
 The goldens and the CLI cut-offs are pinned with ``==``, which says only
 that the bits did not move.  These checks say the pinned bits are right:
 each golden rate lies within a few ulp of the exact model, and each
-golden cut-off is where the exact model's sign changes.
+golden cut-off is where the exact model's sign changes.  The laser's
+goldens are checked against both the Poisson sum the package truncates
+and the exact (closed-form) sum.
 """
 
 import json
@@ -14,11 +16,35 @@ import pytest
 from mpmath import mpf
 
 import oracle
-from spsqkd.protocols import DEFAULT_F_EC, DEFAULT_F_EC_TAGGING, DEFAULT_Q_SIFT
+from spsqkd.channel_model import _wcs_closed_form
+from spsqkd.protocols import (DEFAULT_F_EC, DEFAULT_F_EC_TAGGING,
+                              DEFAULT_Q_SIFT, _decoy_laser)
 
 # Largest distance of a golden rate from the exact model, in units of the
 # rate's ulp: measured at most 3.14 (perfect-sps at 20 dB), 4.1e-16 relative.
 GOLDEN_ULPS = 4
+
+# The laser goldens' distance from the Poisson sum cut off where the
+# package cuts it: measured at most 3.37 ulp (wcs-tagged at 0 dB).
+LASER_ULPS = 4
+# Their relative distance from the exact sum, which the truncation sets:
+# measured 1.7e-12 to 5.7e-12.
+LASER_TRUNCATION = 1e-11
+# The package's closed-form laser from the exact sum: measured at most
+# 6.5 ulp (wcs at 30 dB).
+CLOSED_FORM_ULPS = 8
+
+
+def golden_records(protocols) -> list[dict]:
+    """The records of ``fixtures/golden/rates.json`` with these protocols."""
+    path = resources.files("spsqkd").joinpath("fixtures/golden/rates.json")
+    return [rec for rec in json.loads(path.read_text())["records"]
+            if rec["protocol"] in protocols]
+
+
+def ulps(value: float, exact) -> float:
+    """The distance of ``value`` from ``exact`` in units of its ulp."""
+    return float(abs(mpf(value) - exact) / mpf(math.ulp(value)))
 
 # The MCL search's grid step at the default tolerance, in dB.
 STEP_DB = 25 / 4096
@@ -37,18 +63,72 @@ def oracle_raw(protocol: str, source, channel, params: dict):
 
 def test_golden_source_rates_lie_within_a_few_ulp_of_the_exact_model(
         channel, bundled_sources):
-    path = resources.files("spsqkd").joinpath("fixtures/golden/rates.json")
-    records = [rec for rec in json.loads(path.read_text())["records"]
-               if rec["protocol"] in ("dtb", "hp", "perfect-sps")]
+    records = golden_records(("dtb", "hp", "perfect-sps"))
     assert len(records) == 12
     for rec in records:
         params = rec["params"]
         exact = max(oracle_raw(rec["protocol"],
                                bundled_sources[params["source"]],
                                channel.with_loss(rec["loss_db"]), params), 0)
-        ulps = abs(mpf(rec["skr"]) - exact) / mpf(math.ulp(rec["skr"]))
-        assert ulps <= GOLDEN_ULPS, (
-            f"{rec['protocol']} at {rec['loss_db']} dB: {float(ulps):.2f} ulp")
+        off = ulps(rec["skr"], exact)
+        assert off <= GOLDEN_ULPS, (
+            f"{rec['protocol']} at {rec['loss_db']} dB: {off:.2f} ulp")
+
+
+def poisson_cutoff(mu: float) -> int:
+    """The last photon number that the package's laser series sums at
+    ``mu``, found by replaying its float rule: add the Poisson weights
+    e^(-mu) mu^n / n! from n = 0 until the tail 1 - (their sum) drops
+    below 1e-12."""
+    weight = math.exp(-mu)
+    tail = 1.0 - weight
+    n = 0
+    while not tail < 1e-12:
+        n += 1
+        weight *= mu / n
+        tail -= weight
+    return n
+
+
+def oracle_laser(rec: dict, channel, n_max: int | None):
+    """The oracle's rate of one laser record at its stored mu: cut off after
+    ``n_max`` photons, or the exact sum with None."""
+    fn = oracle.skr_wcs if rec["protocol"] == "wcs" else oracle.skr_wcs_tagged
+    params = rec["params"]
+    return max(fn(channel.with_loss(rec["loss_db"]), params["mu"],
+                  params["q_sift"], params["f_ec"], n_max), 0)
+
+
+def test_golden_laser_rates_lie_within_a_few_ulp_of_the_cut_off_sum(channel):
+    records = golden_records(("wcs", "wcs-tagged"))
+    assert len(records) == 8
+    for rec in records:
+        cut = oracle_laser(rec, channel, poisson_cutoff(rec["params"]["mu"]))
+        off = ulps(rec["skr"], cut)
+        assert off <= LASER_ULPS, (
+            f"{rec['protocol']} at {rec['loss_db']} dB: {off:.2f} ulp")
+
+
+def test_golden_laser_rates_lie_near_the_exact_sum(channel):
+    for rec in golden_records(("wcs", "wcs-tagged")):
+        exact = oracle_laser(rec, channel, None)
+        rel = float(abs(mpf(rec["skr"]) - exact) / exact)
+        assert rel <= LASER_TRUNCATION, (
+            f"{rec['protocol']} at {rec['loss_db']} dB: {rel:.3g}")
+
+
+def test_the_closed_form_laser_lies_within_a_few_ulp_of_the_exact_sum(
+        channel):
+    records = golden_records(("wcs",))
+    assert len(records) == 4
+    for rec in records:
+        params = rec["params"]
+        got = _decoy_laser(_wcs_closed_form, channel.with_loss(rec["loss_db"]),
+                           mu=params["mu"], q_sift=params["q_sift"],
+                           f_ec=params["f_ec"]).rate
+        off = ulps(got, oracle_laser(rec, channel, None))
+        assert off <= CLOSED_FORM_ULPS, (
+            f"wcs at {rec['loss_db']} dB: {off:.2f} ulp")
 
 
 # ``tests/test_cli.py::TestSkrCurve::test_golden_cutoffs``' pins, with each

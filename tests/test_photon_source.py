@@ -639,14 +639,11 @@ class TestFitSourceModel:
 
 
 class TestSerialization:
-    def test_distribution_round_trip(self, sps1: PhotonDistribution):
-        assert PhotonDistribution.from_dict(sps1.to_dict()) == sps1
-        assert set(sps1.to_dict()) == {"p0", "p1", "p2", "p3"}
-
-    def test_source_model_round_trip(self):
-        model = SourceModel(alpha_times_is=5.0, qy_x=0.8, qy_xx=0.3)
-        assert SourceModel.from_dict(model.to_dict()) == model
-        assert set(model.to_dict()) == {"alpha_times_is", "qy_x", "qy_xx"}
+    def test_distribution_reads_its_weights_by_name(self):
+        # an absent weight reads as 0, and a number given as text is read
+        assert PhotonDistribution.from_dict(
+            {"p2": 0.25, "p0": "0.5", "p1": 0.25}) == PhotonDistribution(
+                0.5, 0.25, 0.25, 0.0)
 
     def test_bundled_sources_are_valid_distributions(self, bundled_sources):
         assert {"sps1", "sps2", "perfect"} <= set(bundled_sources)

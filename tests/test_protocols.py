@@ -15,12 +15,13 @@ from spsqkd.channel_model import (ChannelParams, ObservedRates, gain_and_qber,
                                   weighted_gains, yields, yields_array)
 from spsqkd.errors import DegenerateDecoyError, InconsistentDataError, NoKeyError
 from spsqkd.photon_source import (PhotonDistribution, hp_effective_array,
-                                  hp_effective_distribution)
+                                  hp_effective_distribution, hp_transform)
 from spsqkd.protocols import (
     DecoySolution,
     SkrResult,
     _tagging_bound,
     binary_entropy,
+    check_herald,
     skr_dtb,
     skr_dtb_array,
     skr_dtb_from_rates,
@@ -357,6 +358,24 @@ class TestSkrHp:
                         eta_d=0.9, p_dc_alice=1e-3)
         assert math.copysign(1.0, result.rate) == 1.0
         assert result.rate == 0.0 and math.copysign(1.0, result.raw) == -1.0
+
+    def test_the_herald_dark_rates_raise_from_the_kernels_rule(self, sps2):
+        # check_herald's two dark-rate checks and hp_transform's setting
+        # check raise one message from one function
+        def raised(call, arg):
+            with pytest.raises(ValueError) as info:
+                call(arg)
+            tb = info.tb
+            while tb.tb_next is not None:
+                tb = tb.tb_next
+            return str(info.value), tb.tb_frame.f_code
+
+        message, code = raised(lambda p: check_herald(p_dc=p), 2.0)
+        assert message == "p_dc must lie in [0, 1]"
+        assert raised(lambda p: hp_transform(sps2, 0.5, 0.9, p), 2.0) == (
+            message, code)
+        assert raised(lambda p: check_herald(p_dc_alice=p), -1.0) == (
+            "p_dc_alice must lie in [0, 1]", code)
 
 
 class TestSkrHpArray:
