@@ -113,13 +113,12 @@ def _survival(channel: ChannelParams) -> Callable[[int], float]:
     return lambda n: -math.expm1(n * log_miss)
 
 
-def yields(channel: ChannelParams, n_max: int = 3) -> YieldSet:
-    """Yields ``Y_n`` and error rates ``e_n`` for n = 0..n_max."""
-    if n_max < 0:
-        raise ValueError("n_max must be non-negative")
+def yields(channel: ChannelParams) -> YieldSet:
+    """Yields ``Y_n`` and error rates ``e_n`` for n = 0..3, the photon
+    numbers of the truncated basis."""
     surv = _survival(channel)
     y_list, e_list = [], []
-    for n in range(n_max + 1):
+    for n in range(4):
         y_n, ey_n = _clicks(surv(n), channel.p_dc, channel.e_d)
         y_list.append(y_n)
         # A zero-yield term contributes nothing; 1/2 is the error rate
@@ -168,6 +167,15 @@ def weighted_gains(probs, y, e):
     return q, eq
 
 
+def _observed(d: PhotonDistribution,
+              channel: ChannelParams) -> tuple[YieldSet, float, float]:
+    # the scalar forward pass, shared by gain_and_qber and the scalar rate
+    # kernels (the twin of protocols._observed_array): the yields of
+    # ``channel``, the gain Q of ``d`` and its error-weighted gain EQ
+    ys = yields(channel)
+    return (ys, *weighted_gains(d.as_tuple(), ys.y, ys.e))
+
+
 def gain_and_qber(d: PhotonDistribution, channel: ChannelParams) -> ObservedRates:
     """Forward-model the observed gain and error rate of a distribution.
 
@@ -175,8 +183,7 @@ def gain_and_qber(d: PhotonDistribution, channel: ChannelParams) -> ObservedRate
     dark-count-free channel fed pure vacuum): the error rate has no
     defined value there.
     """
-    ys = yields(channel, n_max=3)
-    q, eq = weighted_gains(d.as_tuple(), ys.y, ys.e)
+    _, q, eq = _observed(d, channel)
     if q <= 0.0:
         raise InfeasibleObservablesError(
             "zero gain: the error rate is undefined")

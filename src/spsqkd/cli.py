@@ -58,6 +58,12 @@ MAX_GRID = 1000
 # per weight (tracemalloc peak 24.0 MB at 20,000 weights), so this many
 # peak near 156 MB, within the MAX_GRID map's 164 MB.
 MAX_WEIGHTS = 130_000
+# Largest skr-curve --loss and gamma-vs-eta --eta sweeps, from the same
+# budget: tracemalloc peaks of 46.4 MB at 60,000 losses (skr-curve
+# --protocol wcs, the costliest) and 43.9 MB at 120,000 efficiencies
+# (gamma-vs-eta --protocol hp) put these near 155 and 146 MB.
+MAX_LOSSES = 200_000
+MAX_EFFICIENCIES = 400_000
 
 
 def fixtures_root() -> Path:
@@ -188,13 +194,12 @@ def write_json(out: str, config: dict, payload: dict) -> None:
     _emit([json.dumps(doc, sort_keys=True, indent=2) + "\n"], out)
 
 
-def _sweep(args, name: str, cap: int = MAX_GRID ** 2) -> list[float]:
+def _sweep(args, name: str, cap: int) -> list[float]:
     """Points ``--<name>-min`` to ``--<name>-max`` by ``--<name>-step``.
 
     The bounds must be finite with min <= max, the step positive and
-    finite, and the sweep at most ``cap`` points (by default MAX_GRID**2,
-    as many as the largest gamma map); all of this is checked before any
-    list is built.
+    finite, and the sweep at most ``cap`` points; all of this is checked
+    before any list is built.
     """
     flag = f"--{name}"
     lo, hi, step = (getattr(args, f"{name}_{end}")
@@ -235,7 +240,7 @@ def cmd_skr_curve(args) -> int:
     # the laser's rates all at once: one lockstep mu search over the grid
     curve_fn = (wcs_curve_fn(channel, q_sift=args.q_sift)
                 if args.protocol == "wcs" else None)
-    curve = skr_curve(fn, _sweep(args, "loss"), curve_fn)
+    curve = skr_curve(fn, _sweep(args, "loss", MAX_LOSSES), curve_fn)
     write_csv(args.out, _config(args), ("loss_db", "skr"),
               map(_line, curve.points), {"mcl_db": curve.mcl_db})
     return 0
@@ -303,7 +308,8 @@ def cmd_gamma_vs_eta(args) -> int:
     channel = load_channel(args.channel)
     source = load_source(args.source)
     axis = args.axis.replace("-", "_")
-    rows = gamma_vs_efficiency(args.protocol, axis, _sweep(args, "eta"),
+    rows = gamma_vs_efficiency(args.protocol, axis,
+                               _sweep(args, "eta", MAX_EFFICIENCIES),
                                source, channel, eta_c=args.eta_c,
                                eta_d=args.eta_d, t=args.t,
                                p_dc_alice=args.p_dc_alice, q_sift=args.q_sift)

@@ -27,7 +27,7 @@ the batch in which numpy would draw a uniform again.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
@@ -152,18 +152,10 @@ class SimReport:
         return t.errors / t.detected if t.detected else 0.0
 
     def to_dict(self) -> dict:
-        out = {
-            "protocol": self.protocol,
-            "seed": self.seed,
-            "n_pulses": self.n_pulses,
-            "tallies": {k: {"sent": v.sent, "detected": v.detected,
-                            "errors": v.errors, "sifted": v.sifted}
-                        for k, v in sorted(self.tallies.items())},
-        }
-        if self.protocol == "hp":
-            out.update(heralds=self.heralds,
-                       herald_and_one=self.herald_and_one,
-                       herald_and_two=self.herald_and_two)
+        """The report's fields as plain data; a dtb run has no herald counts."""
+        out = asdict(self)
+        if self.protocol == "dtb":
+            del out["heralds"], out["herald_and_one"], out["herald_and_two"]
         return out
 
 

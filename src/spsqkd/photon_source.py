@@ -253,12 +253,6 @@ def _g3_residuals(p1: float, p2: float, p3: float, b: float, g2: float,
             6.0 * p3 - g3 * mu**3)
 
 
-def _sum_sq(res: tuple[float, float, float]) -> float:
-    # left to right, as np.sum of three (built-in sum compensates from 3.12)
-    r0, r1, r2 = res
-    return r0 * r0 + r1 * r1 + r2 * r2
-
-
 def _g3_jacobian(p1: float, p2: float, p3: float, g2: float,
                  g3: float) -> np.ndarray:
     mu = p1 + 2.0 * p2 + 3.0 * p3
@@ -289,16 +283,17 @@ def extract_distribution_g3(p0: float, g2: float, g3: float) -> PhotonDistributi
     """Invert (p0, g2, g3) to a {0, 1, 2, 3} distribution.
 
     At g3 = 0 this is ``extract_distribution_g2``.  Otherwise it solves
-    the 3x3 moment system by damped Newton iteration; the damping halves
-    the step until the residual norm decreases.  At or below the
-    {0, 1, 2}-basis ceiling ``g2 <= 1 / (2 (1 - p0))`` the seed is the
-    g2-only inversion with a small three-photon weight.  Above it, where
-    that inversion does not exist, the seed is the exact solution from the
-    cubic in the mean photon number (``_cubic_seed``), which Newton only
-    polishes; InfeasibleObservablesError if no root of the cubic has
-    non-negative weights.  It is raised too when the iteration stalls or
-    ends outside the simplex.  The iterate and residuals are Python floats;
-    only the linear solve and the cubic's roots use numpy.
+    the 3x3 moment system by Newton iteration, taking each full step until
+    every residual is below 1e-12.  At or below the {0, 1, 2}-basis
+    ceiling ``g2 <= 1 / (2 (1 - p0))`` the seed is the g2-only inversion
+    with a small three-photon weight.  Above it, where that inversion does
+    not exist, the seed is the exact solution from the cubic in the mean
+    photon number (``_cubic_seed``), which Newton only polishes;
+    InfeasibleObservablesError if no root of the cubic has non-negative
+    weights.  It is raised too when the system is singular, when 200 steps
+    do not converge, or when the result leaves the simplex.  The iterate
+    and residuals are Python floats; only the linear solve and the cubic's
+    roots use numpy.
     """
     if g3 < 0 or not math.isfinite(g3):
         raise ValueError("g3 must be non-negative")
@@ -324,18 +319,8 @@ def extract_distribution_g3(p0: float, g2: float, g3: float) -> PhotonDistributi
         except np.linalg.LinAlgError as exc:
             raise InfeasibleObservablesError(
                 "moment system is singular at the current iterate") from exc
-        scale = 1.0
-        sse = _sum_sq(res)
-        for _ in range(60):
-            trial = tuple(x + scale * s for x, s in zip(p, step))
-            trial_res = _g3_residuals(*trial, b, g2, g3)
-            if _sum_sq(trial_res) < sse:
-                p, res = trial, trial_res
-                break
-            scale *= 0.5
-        else:
-            raise InfeasibleObservablesError(
-                f"no distribution matches p0={p0}, g2={g2}, g3={g3}")
+        p = tuple(x + s for x, s in zip(p, step))
+        res = _g3_residuals(*p, b, g2, g3)
     else:
         raise InfeasibleObservablesError(
             f"moment inversion did not converge for p0={p0}, g2={g2}, g3={g3}")
@@ -488,8 +473,7 @@ def saturation_power(qy_x: float, qy_xx: float) -> float:
     90% condition reduces to a quadratic in the drive with a single
     positive root.  Doubling both yields leaves the result unchanged.
     """
-    if not 0.0 <= qy_x <= 1.0 or not 0.0 <= qy_xx <= 1.0:
-        raise ValueError("quantum yields must lie in [0, 1]")
+    _check_unit(qy_x=qy_x, qy_xx=qy_xx)
     total = qy_x + qy_xx
     if total == 0.0:
         raise ValueError("at least one quantum yield must be positive")

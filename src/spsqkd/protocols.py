@@ -24,9 +24,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .channel_model import (ChannelParams, ObservedRates, wcs_series,
-                            wcs_series_array, weighted_gains, yields,
-                            yields_array)
+# ``yields`` stays bound here for tests that patch it; the scalar kernels
+# reach it through ``_observed``
+from .channel_model import (ChannelParams, ObservedRates, _observed,
+                            wcs_series, wcs_series_array, weighted_gains,
+                            yields, yields_array)
 from .errors import DegenerateDecoyError, InconsistentDataError, raise_first
 from .photon_source import (PhotonDistribution, check_setting,
                             hp_effective_distribution)
@@ -216,8 +218,7 @@ def skr_dtb(d: PhotonDistribution, channel: ChannelParams,
     so the forward model feeds the bound directly.
     """
     _check_settings(q_sift, f_ec)
-    ys = yields(channel, n_max=3)
-    q_s, eq = weighted_gains(d.as_tuple(), ys.y, ys.e)
+    ys, q_s, eq = _observed(d, channel)
     if q_s <= 0.0:
         return SkrResult(rate=0.0, raw=0.0)
     signal = ObservedRates(q=q_s, e=eq / q_s)
@@ -307,8 +308,7 @@ def skr_hp(d: PhotonDistribution, channel: ChannelParams,
     _check_settings(q_sift, f_ec)
     eff = hp_effective_distribution(d, t, eta_d,
                                     herald_dark_rate(p_dc_alice, channel))
-    ys = yields(channel, n_max=2)
-    q_s, eq = weighted_gains((eff.p0, eff.p1, eff.p2), ys.y, ys.e)
+    ys, q_s, eq = _observed(eff, channel)
     if q_s <= 0.0:
         return SkrResult(rate=0.0, raw=0.0)
     return SkrResult(*_tagging_bound(q_s, eq / q_s, eff.p1 * ys.y[1], q_sift,

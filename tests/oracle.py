@@ -20,6 +20,8 @@ It covers:
   tagging bound (``protocols.skr_wcs_tagging_bound``): its Poisson sum
   either cut off after a given photon number or summed exactly in closed
   form (Ma, Qi, Zhao & Lo, PRA 72, 012326, 2005).
+- the inversion of the moments (p0, g2, g3) to a {0, 1, 2, 3}
+  distribution (``photon_source.extract_distribution_g3``).
 """
 
 from __future__ import annotations
@@ -157,3 +159,23 @@ def skr_wcs_tagged(channel, mu: float, q_sift: float, f_ec: float,
     with mpmath.workdps(DIGITS):
         q, e, q1, _ = laser(channel, mu, n_max)
         return _gllp(q, e, q1, q_sift, f_ec) if q > 0 else mpf(0)
+
+
+def g3_inversion(p0: float, g2: float, g3: float) -> tuple[mpf, mpf, mpf]:
+    """(p1, p2, p3) of the moments (p0, g2, g3).  With b = 1 - p0 the
+    moments leave one cubic in the mean mu,
+    g3 mu^3 / 6 - g2 mu^2 / 2 + mu - b = 0, whose smallest positive real
+    root with non-negative weights p3 = g3 mu^3 / 6,
+    p2 = (g2 mu^2 - g3 mu^3) / 2 and p1 = b - p2 - p3 is taken."""
+    with mpmath.workdps(DIGITS):
+        b, g2, g3 = 1 - mpf(p0), mpf(g2), mpf(g3)
+        roots = mpmath.polyroots([g3 / 6, -g2 / 2, 1, -b], maxsteps=200,
+                                 extraprec=2 * DIGITS)
+        for mu in sorted(mpmath.re(r) for r in roots
+                         if mpmath.re(r) > 0
+                         and abs(mpmath.im(r)) <= mpf(10) ** -DIGITS):
+            p3 = g3 * mu ** 3 / 6
+            p2 = (g2 * mu ** 2 - g3 * mu ** 3) / 2
+            if min(b - p2 - p3, p2) >= 0:
+                return b - p2 - p3, p2, p3
+        raise ValueError(f"no root of p0={p0}, g2={g2}, g3={g3} has weights")

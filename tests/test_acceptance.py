@@ -176,7 +176,7 @@ def test_08_solver_and_simulation_cross_checks(criterion, channel, sps1,
         dec = PhotonDistribution(*rng.dirichlet((1.0, 1.0, 1.0)))
         sol = solve_dtb(gain_and_qber(sig, ch), gain_and_qber(dec, ch),
                         gain_and_qber(VACUUM, ch), sig, dec)
-        truth = yields(ch, n_max=2)
+        truth = yields(ch)
         for got, want in ((sol.y0, truth.y[0]), (sol.y1, truth.y[1]),
                           (sol.y2, truth.y[2]), (sol.e1, truth.e[1])):
             worst = max(worst, abs(got - want) / want)

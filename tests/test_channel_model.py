@@ -49,7 +49,7 @@ class TestTransmittance:
 def eta_n(channel: ChannelParams, n: int) -> float:
     """eta_n, the probability that one of n photons survives: Y_n of the
     dark-free channel, where ``_clicks`` adds 0.0 and subtracts 0.0."""
-    return yields(dataclasses.replace(channel, p_dc=0.0), n).y[n]
+    return yields(dataclasses.replace(channel, p_dc=0.0)).y[n]
 
 
 class TestEtaN:
@@ -64,10 +64,6 @@ class TestEtaN:
         ch = ChannelParams(loss_db=10.0 * math.log10(2.0), eta_bob=1.0,
                            p_dc=0.0, e_d=0.0)
         assert eta_n(ch, 2) == pytest.approx(0.75, rel=1e-12)
-
-    def test_negative_photon_number_rejected(self, channel):
-        with pytest.raises(ValueError, match="n_max must be non-negative"):
-            yields(channel, n_max=-1)
 
     def test_stays_accurate_deep_in_the_attenuated_regime(self):
         ch = ChannelParams(loss_db=120.0, eta_bob=1.0, p_dc=0.0, e_d=0.0)
@@ -133,7 +129,7 @@ class TestYields:
             ey = e_d * surv + 0.5 * p_dc
             want.append((surv.hex(), y.hex(),
                          (ey / y if y > 0.0 else 0.5).hex()))
-        ys = yields(ch, 3)
+        ys = yields(ch)
         assert [(eta_n(ch, n).hex(), ys.y[n].hex(), ys.e[n].hex())
                 for n in range(4)] == want
 
@@ -356,7 +352,7 @@ class TestWcsSeriesArray:
         ch = ChannelParams(0.0, eta_bob, p_dc, e_d)
         _, y1, e1 = wcs_series_array(ch, np.array(losses))
         want = [(ys.y[1], ys.e[1]) for ys in
-                (yields(ch.with_loss(loss), n_max=1) for loss in losses)]
+                (yields(ch.with_loss(loss)) for loss in losses)]
         assert list(zip(y1.tolist(), e1.tolist())) == want
         assert [wcs_series(ch.with_loss(loss))[1:] for loss in losses] == want
 

@@ -23,7 +23,8 @@ from hypothesis import strategies as st
 from spsqkd import __version__, analysis, cli
 from spsqkd.analysis import (GammaMap, dtb_rate_fn, gamma_map_dtb, mcl,
                              wcs_mcl, wcs_rate_fn)
-from spsqkd.cli import MAX_GRID, MAX_WEIGHTS, load_channel, main
+from spsqkd.cli import (MAX_EFFICIENCIES, MAX_GRID, MAX_LOSSES, MAX_WEIGHTS,
+                        load_channel, main)
 from spsqkd.errors import ConfigError
 from spsqkd.ingest import maps_from_report, skr_from_experiment, write_tomography_csv
 from spsqkd.montecarlo import MAX_PULSES, SimConfig, run_dtb
@@ -579,10 +580,10 @@ def refuse(*args, **kwargs):
 
 # each sweep's command, flag name and point cap
 SWEEP_COMMANDS = {
-    "skr-curve": (["skr-curve", "--protocol", "wcs"], "loss", MAX_GRID**2),
+    "skr-curve": (["skr-curve", "--protocol", "wcs"], "loss", MAX_LOSSES),
     "optimal-t": (["optimal-t"], "p2", MAX_WEIGHTS),
     "gamma-vs-eta": (["gamma-vs-eta", "--protocol", "dtb", "--axis", "eta-c",
-                      "--source", "sps1"], "eta", MAX_GRID**2)}
+                      "--source", "sps1"], "eta", MAX_EFFICIENCIES)}
 
 
 @pytest.mark.parametrize("flags, message", [
@@ -614,7 +615,23 @@ def test_bad_sweep_fails_cleanly(capsys, monkeypatch, command, flags,
     assert peak < 2**20
 
 
-@pytest.mark.parametrize("cap", [MAX_GRID**2, MAX_WEIGHTS])
+@pytest.mark.parametrize("command", SWEEP_COMMANDS)
+def test_each_sweep_takes_its_own_cap_and_no_more(capsys, monkeypatch,
+                                                  command):
+    # cap points reach the analysis, stubbed to refuse so that no sweep
+    # runs; one point more exits 1
+    argv, name, cap = SWEEP_COMMANDS[command]
+    for fn in ("skr_curve", "optimal_bs_transmission", "gamma_vs_efficiency"):
+        monkeypatch.setattr(cli, fn, refuse)
+    argv = argv + [f"--{name}-min", "0", f"--{name}-step", "1"]
+    with pytest.raises(AssertionError, match="reached the analysis"):
+        main(argv + [f"--{name}-max", str(cap - 1)])
+    code, out, err = invoke(capsys, argv + [f"--{name}-max", str(cap)])
+    assert code == 1 and out == ""
+    assert err == f"error: --{name} sweep exceeds {cap} points\n"
+
+
+@pytest.mark.parametrize("cap", [MAX_LOSSES, MAX_EFFICIENCIES, MAX_WEIGHTS])
 def test_sweep_point_cap_is_exact(cap):
     args = argparse.Namespace(loss_min=0.0, loss_max=cap - 1.0,
                               loss_step=1.0)
@@ -657,7 +674,8 @@ def test_default_and_benchmark_sweeps_keep_their_points(name, flags, count):
     for end, value in flags.items():
         command += [f"--{name}-{end}", repr(value)]
     args = cli.build_parser().parse_args(command)
-    assert len(cli._sweep(args, name)) == count
+    cap = {"loss": MAX_LOSSES, "p2": MAX_WEIGHTS, "eta": MAX_EFFICIENCIES}
+    assert len(cli._sweep(args, name, cap[name])) == count
 
 
 # The ``# config`` hash of each subcommand at its defaults and with every

@@ -2,12 +2,11 @@
 site for each raise statement and no run of code lines written twice."""
 
 import ast
-import io
+import importlib.util
 import json
 import os
 import subprocess
 import sys
-import tokenize
 from collections import Counter, defaultdict
 from pathlib import Path
 
@@ -59,26 +58,11 @@ def test_public_names_resolve_and_are_unchanged():
 
 PACKAGE = Path(spsqkd.__file__).resolve().parent
 
-# tokens that carry no code: layout, comments and the stream's ends
-_LAYOUT = {tokenize.COMMENT, tokenize.NL, tokenize.NEWLINE, tokenize.INDENT,
-           tokenize.DEDENT, tokenize.ENCODING, tokenize.ENDMARKER}
-
-
-def code_lines(source: str) -> list[tuple[int, tuple[str, ...]]]:
-    """(line number, tokens) of each line of ``source`` that holds code:
-    docstrings, comments and blank lines left out, and a token that spans
-    lines counted on its first."""
-    docs = set()
-    for node in ast.walk(ast.parse(source)):
-        if (isinstance(node, (ast.Module, ast.ClassDef, ast.FunctionDef,
-                              ast.AsyncFunctionDef))
-                and ast.get_docstring(node, clean=False) is not None):
-            docs.update(range(node.body[0].lineno, node.body[0].end_lineno + 1))
-    lines = defaultdict(list)
-    for tok in tokenize.generate_tokens(io.StringIO(source).readline):
-        if tok.type not in _LAYOUT and tok.start[0] not in docs:
-            lines[tok.start[0]].append(tok.string)
-    return [(n, tuple(lines[n])) for n in sorted(lines)]
+# the one definition of a code line, tools/code_lines.py, loaded by path
+_SPEC = importlib.util.spec_from_file_location(
+    "code_lines", Path(__file__).resolve().parents[1] / "tools" / "code_lines.py")
+code_lines = importlib.util.module_from_spec(_SPEC)
+_SPEC.loader.exec_module(code_lines)
 
 
 def repeated_runs(sources: dict[str, str]) -> dict:
@@ -86,7 +70,8 @@ def repeated_runs(sources: dict[str, str]) -> dict:
     across ``sources`` (name -> text), as its tokens -> the "name:first-last"
     line ranges where it appears.  Overlapping repeated windows of three
     lines merge into one run."""
-    lines = {name: code_lines(text) for name, text in sources.items()}
+    lines = {name: code_lines.line_tokens(text)
+             for name, text in sources.items()}
     sites = defaultdict(list)
     for name, code in lines.items():
         for k in range(len(code) - 2):

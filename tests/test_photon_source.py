@@ -284,7 +284,7 @@ class TestExtractDistributionG3:
 
     @given(distributions(max_p3=0.05))
     @example(PhotonDistribution(0.5, 0.1, 0.35, 0.05))  # g2 1.108 > 1
-    # just below the ceiling: the damping halves a Newton step
+    # just below the ceiling
     @example(PhotonDistribution(0.789, 0.07, 0.136, 0.005))
     @settings(max_examples=200, deadline=None)
     def test_forward_map_round_trip(self, d: PhotonDistribution):
@@ -719,9 +719,9 @@ class TestArgumentChecks:
          InfeasibleObservablesError,
          "inversion of p0=0.0, g2=0.005, g3=0.1 leaves the simplex"),
         (lambda: saturation_power(1.5, 0.5), ValueError,
-         "quantum yields must lie in [0, 1]"),
+         "qy_x=1.5 must lie in [0, 1]"),
         (lambda: saturation_power(0.5, NAN), ValueError,
-         "quantum yields must lie in [0, 1]"),
+         "qy_xx=nan must lie in [0, 1]"),
         (lambda: saturation_power(0.0, 0.0), ValueError,
          "at least one quantum yield must be positive"),
         (lambda: fit_source_model(SAT[:2], SAT[:2]), FitError,

@@ -319,7 +319,7 @@ class TestSkrHp:
         ch = channel.with_loss(10.0)
         result = skr_hp(sps2, ch, t=0.5, eta_d=0.9, p_dc_alice=0.0)
         p1t = 2.0 * sps2.p2 * 0.25 * 0.9
-        ys = yields(ch, n_max=1)
+        ys = yields(ch)
         q_s = (1.0 - p1t) * ys.y[0] + p1t * ys.y[1]
         e_s = ((1.0 - p1t) * ys.y[0] * 0.5 + p1t * ys.y[1] * ys.e[1]) / q_s
         omega = p1t * ys.y[1] / q_s

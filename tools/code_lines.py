@@ -1,9 +1,11 @@
 """Count the code lines of the spsqkd package, per module and in total.
 
-A code line is a source line that holds a token of code: blank lines,
-comment-only lines and the lines of docstrings (the string that opens a
-module, class or function body) do not count.  Only the standard library
-is used.
+A code line is a source line on which a token of code starts: blank
+lines, comment-only lines and the lines of docstrings (the string that
+opens a module, class or function body) do not count, and a token that
+spans lines counts on its first.  ``line_tokens`` gives each code line's
+tokens, which the tests' check for code written twice compares.  Only
+the standard library is used.
 
     python3 tools/code_lines.py [package directory, default src/spsqkd]
 """
@@ -14,6 +16,7 @@ import ast
 import io
 import sys
 import tokenize
+from collections import defaultdict
 from pathlib import Path
 
 _NOT_CODE = {tokenize.COMMENT, tokenize.NL, tokenize.NEWLINE, tokenize.INDENT,
@@ -34,20 +37,21 @@ def docstring_lines(tree: ast.Module) -> set[int]:
     return lines
 
 
-def code_lines(source: str) -> int:
-    """The number of code lines in one module's source."""
-    lines = set()
+def line_tokens(source: str) -> list[tuple[int, tuple[str, ...]]]:
+    """(line number, tokens) of each code line of one module's source."""
+    docs = docstring_lines(ast.parse(source))
+    lines = defaultdict(list)
     for tok in tokenize.generate_tokens(io.StringIO(source).readline):
-        if tok.type not in _NOT_CODE:
-            lines.update(range(tok.start[0], tok.end[0] + 1))
-    return len(lines - docstring_lines(ast.parse(source)))
+        if tok.type not in _NOT_CODE and tok.start[0] not in docs:
+            lines[tok.start[0]].append(tok.string)
+    return [(n, tuple(lines[n])) for n in sorted(lines)]
 
 
 def main(argv: list[str]) -> int:
     root = Path(argv[1] if len(argv) > 1 else "src/spsqkd")
     total = 0
     for path in sorted(root.rglob("*.py")):
-        n = code_lines(path.read_text(encoding="utf-8"))
+        n = len(line_tokens(path.read_text(encoding="utf-8")))
         total += n
         print(f"{n:6d}  {path.relative_to(root)}")
     print(f"{total:6d}  total")
