@@ -167,15 +167,6 @@ def weighted_gains(probs, y, e):
     return q, eq
 
 
-def _observed(d: PhotonDistribution,
-              channel: ChannelParams) -> tuple[YieldSet, float, float]:
-    # the scalar forward pass, shared by gain_and_qber and the scalar rate
-    # kernels (the twin of protocols._observed_array): the yields of
-    # ``channel``, the gain Q of ``d`` and its error-weighted gain EQ
-    ys = yields(channel)
-    return (ys, *weighted_gains(d.as_tuple(), ys.y, ys.e))
-
-
 def gain_and_qber(d: PhotonDistribution, channel: ChannelParams) -> ObservedRates:
     """Forward-model the observed gain and error rate of a distribution.
 
@@ -183,7 +174,8 @@ def gain_and_qber(d: PhotonDistribution, channel: ChannelParams) -> ObservedRate
     dark-count-free channel fed pure vacuum): the error rate has no
     defined value there.
     """
-    _, q, eq = _observed(d, channel)
+    ys = yields(channel)
+    q, eq = weighted_gains(d.as_tuple(), ys.y, ys.e)
     if q <= 0.0:
         raise InfeasibleObservablesError(
             "zero gain: the error rate is undefined")

@@ -24,11 +24,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-# ``yields`` stays bound here for tests that patch it; the scalar kernels
-# reach it through ``_observed``
-from .channel_model import (ChannelParams, ObservedRates, _observed,
-                            wcs_series, wcs_series_array, weighted_gains,
-                            yields, yields_array)
+from .channel_model import (ChannelParams, ObservedRates, wcs_series,
+                            wcs_series_array, weighted_gains, yields,
+                            yields_array)
 from .errors import DegenerateDecoyError, InconsistentDataError, raise_first
 from .photon_source import (PhotonDistribution, check_setting,
                             hp_effective_distribution)
@@ -249,6 +247,14 @@ def skr_dtb_array(probs: np.ndarray, channel: ChannelParams,
                        1.0 - _entropy_cost_array(e[1]), q_sift, f_ec,
                        _entropy_cost_array)
     return np.where(detected, np.maximum(raw, 0.0), 0.0)
+
+
+def _observed(d: PhotonDistribution, channel: ChannelParams):
+    # the forward pass of both scalar kernels (the twin of
+    # ``_observed_array``): the yields of ``channel``, the gain Q of ``d``
+    # and its error-weighted gain EQ
+    ys = yields(channel)
+    return (ys, *weighted_gains(d.as_tuple(), ys.y, ys.e))
 
 
 def _observed_array(probs, channel: ChannelParams, loss_db: np.ndarray):

@@ -616,23 +616,8 @@ def test_bad_sweep_fails_cleanly(capsys, monkeypatch, command, flags,
 
 
 @pytest.mark.parametrize("command", SWEEP_COMMANDS)
-def test_each_sweep_takes_its_own_cap_and_no_more(capsys, monkeypatch,
-                                                  command):
-    # cap points reach the analysis, stubbed to refuse so that no sweep
-    # runs; one point more exits 1
+def test_sweep_point_cap_is_exact(monkeypatch, command):
     argv, name, cap = SWEEP_COMMANDS[command]
-    for fn in ("skr_curve", "optimal_bs_transmission", "gamma_vs_efficiency"):
-        monkeypatch.setattr(cli, fn, refuse)
-    argv = argv + [f"--{name}-min", "0", f"--{name}-step", "1"]
-    with pytest.raises(AssertionError, match="reached the analysis"):
-        main(argv + [f"--{name}-max", str(cap - 1)])
-    code, out, err = invoke(capsys, argv + [f"--{name}-max", str(cap)])
-    assert code == 1 and out == ""
-    assert err == f"error: --{name} sweep exceeds {cap} points\n"
-
-
-@pytest.mark.parametrize("cap", [MAX_LOSSES, MAX_EFFICIENCIES, MAX_WEIGHTS])
-def test_sweep_point_cap_is_exact(cap):
     args = argparse.Namespace(loss_min=0.0, loss_max=cap - 1.0,
                               loss_step=1.0)
     assert len(cli._sweep(args, "loss", cap)) == cap
@@ -642,6 +627,13 @@ def test_sweep_point_cap_is_exact(cap):
         args = argparse.Namespace(loss_min=lo, loss_max=hi, loss_step=step)
         with pytest.raises(ConfigError, match=f"exceeds {cap} points"):
             cli._sweep(args, "loss", cap)
+    # the command's own cap: cap points reach its analysis, stubbed to
+    # refuse so that no sweep runs
+    for fn in ("skr_curve", "optimal_bs_transmission", "gamma_vs_efficiency"):
+        monkeypatch.setattr(cli, fn, refuse)
+    with pytest.raises(AssertionError, match="reached the analysis"):
+        main(argv + [f"--{name}-min", "0", f"--{name}-step", "1",
+                     f"--{name}-max", str(cap - 1)])
 
 
 @pytest.mark.parametrize("argv, count, last", [

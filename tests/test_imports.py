@@ -108,6 +108,15 @@ def test_the_repeat_check_finds_a_copied_run_and_merges_its_windows():
     assert list(found.values()) == [["a.py:2-5", "b.py:2-5"]]
 
 
+def test_a_string_over_several_lines_counts_each_line_it_spans():
+    # folding code into a multi-line string does not shrink the count;
+    # the repeat check reads the string's tokens on its first line
+    source = '"""doc\n"""\nx = """a\nb\nc"""\n# note\ny = 1\n'
+    assert code_lines.code_lines(source) == 4
+    assert code_lines.line_tokens(source) == [
+        (3, ("x", "=", '"""a\nb\nc"""')), (7, ("y", "=", "1"))]
+
+
 def test_each_exception_is_raised_from_one_site():
     # one rule, one raise: a second copy of a raise statement is a rule
     # written twice, which a helper that both sites call replaces
