@@ -21,7 +21,11 @@ numpy: a pick counts the entries of ``choice``'s table (running sum of the
 normalised weights, scaled to end at 1) that its uniform reaches.  A
 thinning runs numpy's binomial inversion on one uniform per photon number
 n > 0 (n = 0 binomials draw nothing), and replays ``binomial`` itself for
-the batch in which numpy would draw a uniform again.
+the batch in which numpy would draw a uniform again.  A uniform that
+nothing reads is skipped, never drawn in another order: PCG64's
+``advance`` jumps over a vacuum intensity's photon-number uniforms and,
+where double clicks are sparse, to each one's coin and past the rest.
+Tallies are counted over the detected pulses only.
 """
 
 from __future__ import annotations
@@ -45,6 +49,10 @@ MAX_PULSES = 10**12
 # Elements per batch of ``_thin``'s inversion, which bounds its temporaries;
 # consecutive ``random`` calls draw what one call over all would.
 _CHUNK = 1 << 16
+# ``_draw_at`` jumps to each value it reads while they number at most 2^-12
+# of the array.  A jump costs about what drawing 400 values does (1 us), so
+# at the bound the jumps take about a tenth of drawing the array.
+_SPARSE_SHIFT = 12
 
 _PROTOCOLS = ("dtb", "hp")
 
@@ -166,6 +174,14 @@ def _shards(n_pulses: int, seed: int):
                np.random.default_rng(root.spawn(1)[0]))
 
 
+def _with_buffer(config: SimConfig):
+    """``_shards`` of the run, each with room for one uniform per pulse:
+    the front of one buffer."""
+    buf = np.empty(min(SHARD_SIZE, config.n_pulses))
+    for m, rng in _shards(config.n_pulses, config.seed):
+        yield m, rng, buf[:m]
+
+
 def _cdf(weights) -> np.ndarray:
     """``choice``'s table for these weights, less its entries equal to 1."""
     p = np.asarray(weights, dtype=float)
@@ -234,21 +250,44 @@ def _thin(rng: np.random.Generator, n: np.ndarray, p: float) -> np.ndarray:
     return n
 
 
+def _draw_at(rng: np.random.Generator, idx: np.ndarray, u: np.ndarray):
+    """``rng.random(u.size)[idx]`` for sorted ``idx``, and ``rng`` left where
+    that call leaves it.
+
+    Where ``idx`` is sparse, PCG64 jumps to each read value (``advance``
+    and one ``random`` give the value ``random`` would draw there) and
+    past the rest; else the whole array is drawn into ``u``.
+    """
+    if idx.size > u.size >> _SPARSE_SHIFT:
+        return rng.random(u.size, out=u)[idx]
+    out, at = np.empty(idx.size), 0
+    for k, i in enumerate(idx.tolist()):
+        rng.bit_generator.advance(i - at)
+        out[k], at = rng.random(), i + 1
+    rng.bit_generator.advance(u.size - at)
+    return out
+
+
 def _bob_clicks(rng: np.random.Generator, arrived: np.ndarray,
-                channel: ChannelParams):
-    """Threshold-detector pair: (detected, error) boolean arrays.
+                channel: ChannelParams, u: np.ndarray):
+    """Threshold-detector pair: the detected pulses' sorted indices, and
+    which of them are errors.
 
     Each arriving photon lands on the wrong-bit detector with probability
     e_d.  Per-detector dark probability d solves 1-(1-d)^2 = p_dc so the
     empirical vacuum yield matches the analytic Y_0 = p_dc exactly.
-    Double clicks resolve to a random bit.
+    Double clicks resolve to a random bit.  ``u`` is scratch space for
+    one uniform per pulse.
     """
     wrong = _thin(rng, arrived.copy(), channel.e_d)
     d_each = 1.0 - math.sqrt(1.0 - channel.p_dc)
-    click_r = (arrived > wrong) | (rng.random(arrived.size) < d_each)
-    click_w = (wrong > 0) | (rng.random(arrived.size) < d_each)
-    coin = rng.random(arrived.size) < 0.5
-    return click_r | click_w, np.where(click_r, click_w & coin, click_w)
+    click_r = (arrived > wrong) | (rng.random(u.size, out=u) < d_each)
+    click_w = (wrong > 0) | (rng.random(u.size, out=u) < d_each)
+    detected = np.flatnonzero(click_r | click_w)
+    error = click_w[detected]
+    both = np.flatnonzero(click_r[detected] & error)
+    error[both[_draw_at(rng, detected[both], u) >= 0.5]] = False  # coin
+    return detected, error
 
 
 def run_dtb(config: SimConfig) -> SimReport:
@@ -261,24 +300,28 @@ def run_dtb(config: SimConfig) -> SimReport:
     eta = transmittance(config.channel)
     tallies = {k: IntensityTally() for k in labels}
 
-    for m, rng in _shards(config.n_pulses, config.seed):
-        chosen = _pick(rng.random(m), pick_label)
-        # one choice per intensity, in label order, is one random(m) sliced
-        u, n, at = rng.random(m), np.empty(m, dtype=np.int8), 0
+    for m, rng, u in _with_buffer(config):
+        chosen = _pick(rng.random(m, out=u), pick_label)
+        # one choice per intensity, in label order, is one random(m) in slices
+        n = np.zeros(m, dtype=np.int8)
         for k, cdf in enumerate(pick_n):
             pos = np.flatnonzero(chosen == k)
-            n[pos] = _pick(u[at:at + pos.size], cdf)
-            at += pos.size
+            tallies[labels[k]].sent += pos.size
+            if cdf.size:
+                n[pos] = _pick(rng.random(pos.size, out=u[:pos.size]), cdf)
+            else:  # a vacuum reads no uniform of its slice
+                rng.bit_generator.advance(pos.size)
         if config.eta_c < 1.0:
             _thin(rng, n, config.eta_c)
-        detected, error = _bob_clicks(rng, _thin(rng, n, eta), config.channel)
-        sifted = detected & (rng.random(m) < 0.5)
+        detected, error = _bob_clicks(rng, _thin(rng, n, eta),
+                                      config.channel, u)
+        sifted = rng.random(m, out=u)[detected] < 0.5
+        chosen = chosen[detected]
         for k, t in enumerate(tallies.values()):
-            mask = chosen == k
-            t.sent += int(np.count_nonzero(mask))
-            t.detected += int(np.count_nonzero(detected & mask))
-            t.errors += int(np.count_nonzero(error & mask))
-            t.sifted += int(np.count_nonzero(sifted & mask))
+            mine = chosen == k
+            t.detected += int(np.count_nonzero(mine))
+            t.errors += int(np.count_nonzero(error & mine))
+            t.sifted += int(np.count_nonzero(sifted & mine))
     return SimReport(protocol="dtb", seed=config.seed,
                      n_pulses=config.n_pulses, tallies=tallies)
 
@@ -299,21 +342,22 @@ def run_hp(config: SimConfig) -> SimReport:
     tally = IntensityTally()
     heralds = herald_and_one = herald_and_two = 0
 
-    for m, rng in _shards(config.n_pulses, config.seed):
-        n = _pick(rng.random(m), pick_n)
+    for m, rng, u in _with_buffer(config):
+        n = _pick(rng.random(m, out=u), pick_n)
         if config.eta_c < 1.0:
             _thin(rng, n, config.eta_c)
         reflected = _thin(rng, n.copy(), 1.0 - config.t)
         n -= reflected  # the photons toward Bob
         herald = _thin(rng, reflected, config.eta_d) > 0
-        herald |= rng.random(m) < pda
+        herald |= rng.random(m, out=u) < pda
         detected, error = _bob_clicks(rng, _thin(rng, n.copy(), eta),
-                                      config.channel)
-        kept = herald & detected
+                                      config.channel, u)
+        kept = herald[detected]
         tally.sent += m
         tally.detected += int(np.count_nonzero(kept))
         tally.errors += int(np.count_nonzero(error & kept))
-        tally.sifted += int(np.count_nonzero(kept & (rng.random(m) < 0.5)))
+        tally.sifted += int(np.count_nonzero(
+            kept & (rng.random(m, out=u)[detected] < 0.5)))
         heralds += int(np.count_nonzero(herald))
         herald_and_one += int(np.count_nonzero(herald & (n == 1)))
         herald_and_two += int(np.count_nonzero(herald & (n == 2)))

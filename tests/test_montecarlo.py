@@ -4,21 +4,29 @@ import json
 import math
 import re
 import tracemalloc
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
 from spsqkd import montecarlo
-from spsqkd.channel_model import ChannelParams, gain_and_qber, yields
+from spsqkd.channel_model import (ChannelParams, gain_and_qber,
+                                  transmittance, yields)
 from spsqkd.cli import load_source
 from spsqkd.errors import ConfigError
 from spsqkd.montecarlo import (
     _CHUNK,
     MAX_PULSES,
     SHARD_SIZE,
+    IntensityTally,
     SimConfig,
+    _bob_clicks,
+    _cdf,
+    _draw_at,
+    _pick,
     _shards,
     _thin,
     SimReport,
@@ -28,7 +36,8 @@ from spsqkd.montecarlo import (
     run_hp,
 )
 from spsqkd.photon_source import PhotonDistribution, g2_of
-from spsqkd.protocols import DEFAULT_ETA_D, DEFAULT_T, solve_dtb
+from spsqkd.protocols import (DEFAULT_ETA_D, DEFAULT_T, herald_dark_rate,
+                              solve_dtb)
 
 VACUUM = PhotonDistribution(1.0, 0.0, 0.0)
 
@@ -214,6 +223,147 @@ class TestThin:
         assert peak <= 16e6
 
 
+class TestJumps:
+    """PCG64's ``advance`` reaches the value ``random`` would draw there;
+    the shard loops skip the uniforms nothing reads on this identity."""
+
+    @given(seed=st.integers(0, 2 ** 64 - 1), m=st.integers(1, 5000),
+           data=st.data())
+    @settings(max_examples=60, deadline=None)
+    def test_advance_then_random_is_the_drawn_value(self, seed, m, data):
+        stream = np.random.default_rng(seed)
+        drawn, after = stream.random(m), stream.random()
+        for k in data.draw(st.lists(st.integers(0, m - 1), min_size=1,
+                                    max_size=5)):
+            rng = np.random.default_rng(seed)
+            rng.bit_generator.advance(k)
+            assert rng.random() == drawn[k]
+        rng = np.random.default_rng(seed)
+        rng.bit_generator.advance(m)
+        assert rng.random() == after
+
+    @given(seed=st.integers(0, 2 ** 32 - 1), m=st.integers(1, 3 * 2 ** 12),
+           picks=st.lists(st.integers(0, 3 * 2 ** 12 - 1), max_size=8))
+    @example(seed=0, m=2 ** 13, picks=[0, 2 ** 13 - 1])  # both ends, jumped
+    @example(seed=1, m=2 ** 13, picks=[])
+    @example(seed=2, m=2 ** 13, picks=[0, 1, 2])  # past the bound: drawn
+    @settings(max_examples=60, deadline=None)
+    def test_draw_at_reads_what_one_call_draws(self, seed, m, picks):
+        idx = np.unique(np.array(picks, dtype=np.intp) % m)
+        ours, theirs = np.random.default_rng(seed), np.random.default_rng(seed)
+        got = _draw_at(ours, idx, np.empty(m))
+        assert np.array_equal(got, theirs.random(m)[idx])
+        assert ours.bit_generator.state == theirs.bit_generator.state
+
+
+def full_mask_bob_clicks(rng, arrived, channel):
+    """``_bob_clicks`` with a coin drawn for every pulse, as masks."""
+    wrong = _thin(rng, arrived.copy(), channel.e_d)
+    d_each = 1.0 - math.sqrt(1.0 - channel.p_dc)
+    click_r = (arrived > wrong) | (rng.random(arrived.size) < d_each)
+    click_w = (wrong > 0) | (rng.random(arrived.size) < d_each)
+    coin = rng.random(arrived.size) < 0.5
+    return click_r | click_w, np.where(click_r, click_w & coin, click_w)
+
+
+def full_mask_run(config: SimConfig) -> SimReport:
+    """``run`` drawing every uniform and tallying whole-shard masks."""
+    eta = transmittance(config.channel)
+    if config.protocol == "hp":
+        return full_mask_hp(config, eta)
+    labels = sorted(config.intensities)
+    pick_label = _cdf([config.intensity_weights[k] for k in labels])
+    pick_n = [_cdf(config.intensities[k].as_tuple()) for k in labels]
+    tallies = {k: IntensityTally() for k in labels}
+    for m, rng in _shards(config.n_pulses, config.seed):
+        chosen = _pick(rng.random(m), pick_label)
+        u, n, at = rng.random(m), np.empty(m, dtype=np.int8), 0
+        for k, cdf in enumerate(pick_n):
+            pos = np.flatnonzero(chosen == k)
+            n[pos] = _pick(u[at:at + pos.size], cdf)
+            at += pos.size
+        if config.eta_c < 1.0:
+            _thin(rng, n, config.eta_c)
+        detected, error = full_mask_bob_clicks(rng, _thin(rng, n, eta),
+                                               config.channel)
+        sifted = detected & (rng.random(m) < 0.5)
+        for k, t in enumerate(tallies.values()):
+            mask = chosen == k
+            t.sent += int(np.count_nonzero(mask))
+            t.detected += int(np.count_nonzero(detected & mask))
+            t.errors += int(np.count_nonzero(error & mask))
+            t.sifted += int(np.count_nonzero(sifted & mask))
+    return SimReport(protocol="dtb", seed=config.seed,
+                     n_pulses=config.n_pulses, tallies=tallies)
+
+
+def full_mask_hp(config: SimConfig, eta: float) -> SimReport:
+    pda = herald_dark_rate(config.p_dc_alice, config.channel)
+    pick_n = _cdf(config.source.as_tuple())
+    tally, heralds = IntensityTally(), [0, 0, 0]
+    for m, rng in _shards(config.n_pulses, config.seed):
+        n = _pick(rng.random(m), pick_n)
+        if config.eta_c < 1.0:
+            _thin(rng, n, config.eta_c)
+        reflected = _thin(rng, n.copy(), 1.0 - config.t)
+        n -= reflected
+        herald = _thin(rng, reflected, config.eta_d) > 0
+        herald |= rng.random(m) < pda
+        detected, error = full_mask_bob_clicks(rng, _thin(rng, n.copy(), eta),
+                                               config.channel)
+        kept = herald & detected
+        tally.sent += m
+        tally.detected += int(np.count_nonzero(kept))
+        tally.errors += int(np.count_nonzero(error & kept))
+        tally.sifted += int(np.count_nonzero(kept & (rng.random(m) < 0.5)))
+        for j, mask in enumerate((herald, herald & (n == 1),
+                                  herald & (n == 2))):
+            heralds[j] += int(np.count_nonzero(mask))
+    return SimReport(protocol="hp", seed=config.seed,
+                     n_pulses=config.n_pulses, tallies={"s3": tally},
+                     heralds=heralds[0], herald_and_one=heralds[1],
+                     herald_and_two=heralds[2])
+
+
+class TestBobClicks:
+    @given(arrived=arrays(np.int8, st.integers(0, 3 * 2 ** 12),
+                          elements=st.integers(0, 3)),
+           e_d=st.floats(0.0, 0.5),
+           p_dc=st.sampled_from([0.0, 1e-4, 1e-2, 0.5, 1.0]),
+           seed=st.integers(0, 2 ** 32 - 1))
+    # no double click: every coin jumped over
+    @example(arrived=np.full(2 ** 13, 3, dtype=np.int8), e_d=0.0, p_dc=0.0,
+             seed=0)
+    # double clicks at the first and last pulse only (at seed 0), jumped to
+    @example(arrived=np.array([3] + [0] * (3 * 2 ** 12 - 2) + [3],
+                              dtype=np.int8), e_d=0.5, p_dc=0.0, seed=0)
+    # every pulse clicks twice: every coin drawn
+    @example(arrived=np.zeros(2 ** 13, dtype=np.int8), e_d=0.0, p_dc=1.0,
+             seed=0)
+    @settings(max_examples=80, deadline=None)
+    def test_clicks_equal_the_full_mask_form(self, arrived, e_d, p_dc, seed):
+        # p_dc = 1 is past ChannelParams' range; _bob_clicks reads the two
+        # fields only
+        channel = SimpleNamespace(p_dc=p_dc, e_d=e_d)
+        ours, theirs = np.random.default_rng(seed), np.random.default_rng(seed)
+        detected, error = _bob_clicks(ours, arrived, channel,
+                                      np.empty(arrived.size))
+        want_detected, want_error = full_mask_bob_clicks(theirs, arrived,
+                                                         channel)
+        assert np.array_equal(detected, np.flatnonzero(want_detected))
+        assert np.array_equal(detected[error], np.flatnonzero(want_error))
+        assert ours.bit_generator.state == theirs.bit_generator.state
+
+    def test_the_end_example_double_clicks_at_its_ends_only(self):
+        m = 3 * 2 ** 12
+        arrived = np.zeros(m, dtype=np.int8)
+        arrived[[0, -1]] = 3
+        rng = np.random.default_rng(0)
+        wrong = _thin(rng, arrived.copy(), 0.5)
+        assert np.flatnonzero((arrived > wrong) & (wrong > 0)).tolist() == [
+            0, m - 1]
+
+
 class TestDtbSimulation:
     def test_lossless_ideal_link_detects_every_photon(self):
         ch = ChannelParams(loss_db=0.0, eta_bob=1.0, p_dc=0.0, e_d=0.0)
@@ -348,6 +498,51 @@ class TestExactReports:
             expected.update(zip(("heralds", "herald_and_one",
                                  "herald_and_two"), herald))
         assert run(SimConfig(**kwargs)).to_dict() == expected
+
+
+class TestFullMaskReports:
+    """Reports equal those of the loop that draws every uniform and tallies
+    whole masks (``full_mask_run``): the vacuum's skipped slice, the coins
+    reached by jumps and the herald tallies, beyond the goldens."""
+
+    @given(n_pulses=st.integers(1, 20_000), seed=st.integers(0, 2 ** 32 - 1),
+           p_dc=st.sampled_from([0.0, 1e-4, 1e-2, 0.5]),
+           e_d=st.floats(0.0, 0.5), loss_db=st.floats(0.0, 10.0),
+           eta_c=st.floats(0.0, 1.0))
+    @settings(max_examples=40, deadline=None)
+    def test_dtb_with_a_vacuum_label(self, n_pulses, seed, p_dc, e_d, loss_db,
+                                     eta_c):
+        ch = ChannelParams(loss_db=loss_db, eta_bob=0.5, p_dc=p_dc, e_d=e_d)
+        cfg = SimConfig(protocol="dtb", n_pulses=n_pulses, seed=seed,
+                        channel=ch, eta_c=eta_c,
+                        intensities={"s0": VACUUM, "s1": SPS1, "s2": SPS2},
+                        intensity_weights={"s0": 0.3, "s1": 0.35, "s2": 0.35})
+        assert run(cfg).to_dict() == full_mask_run(cfg).to_dict()
+
+    @given(n_pulses=st.integers(1, 20_000), seed=st.integers(0, 2 ** 32 - 1),
+           p_dc=st.sampled_from([1e-4, 1e-2, 0.5, 0.9]),
+           eta_c=st.floats(0.0, 1.0), t=st.floats(0.05, 0.95))
+    @settings(max_examples=40, deadline=None)
+    def test_hp_at_high_dark_rates(self, n_pulses, seed, p_dc, eta_c, t):
+        ch = ChannelParams(loss_db=1.0, eta_bob=0.5, p_dc=p_dc, e_d=0.1)
+        cfg = SimConfig(protocol="hp", n_pulses=n_pulses, seed=seed,
+                        channel=ch, eta_c=eta_c, source=SPS2, t=t, eta_d=0.8)
+        assert run(cfg).to_dict() == full_mask_run(cfg).to_dict()
+
+    @pytest.mark.parametrize("protocol, p_dc", [("dtb", 1e-4), ("dtb", 0.5),
+                                                ("hp", 1e-4), ("hp", 0.5)])
+    def test_a_full_shard_and_a_short_one(self, protocol, p_dc):
+        # the second shard uses the front of the first one's buffer
+        ch = ChannelParams(loss_db=3.0, eta_bob=0.045, p_dc=p_dc, e_d=0.033)
+        common = dict(protocol=protocol, n_pulses=SHARD_SIZE + 4099, seed=3,
+                      channel=ch, eta_c=0.8)
+        if protocol == "dtb":
+            cfg = SimConfig(intensities={"s0": VACUUM, "s1": SPS1},
+                            intensity_weights={"s0": 0.4, "s1": 0.6},
+                            **common)
+        else:
+            cfg = SimConfig(source=SPS2, **common)
+        assert run(cfg).to_dict() == full_mask_run(cfg).to_dict()
 
 
 class TestShards:

@@ -4,8 +4,9 @@ Runs the tier-1 test suite in this process under a line tracer
 (``sys.settrace``) and, with ``--workloads``, each benchmark job once
 (``bench/workloads.py``, seed 0).  Then it prints, per module of
 ``src/spsqkd``, the statements (found with ``ast``) that none of these
-runs executed, one line each: line number and source.  Only the standard
-library is used, besides pytest and what the tests and jobs import.
+runs executed, one line each: line number and source, as the file read
+when the run started.  Only the standard library is used, besides pytest
+and what the tests and jobs import.
 
     python3 tools/uncovered.py [--workloads] [pytest argument ...]
 
@@ -127,10 +128,10 @@ def run_workloads() -> list[str]:
     return failed
 
 
-def report(hits: dict[str, set[int]]) -> int:
+def report(hits: dict[str, set[int]], sources: dict[Path, str]) -> int:
+    """Print the unreached statements of each source, as it was read."""
     total = 0
-    for path in sorted(PACKAGE.rglob("*.py")):
-        source = path.read_text(encoding="utf-8")
+    for path, source in sorted(sources.items()):
         ran = hits.get(str(path), set())
         missed = sorted(first for first, lines
                         in statement_lines(source).items()
@@ -153,6 +154,10 @@ def main(argv: list[str]) -> int:
     args, pytest_args = parser.parse_known_args(argv)
     os.chdir(ROOT)
     sys.path.insert(0, str(ROOT / "src"))
+    # read before the run, so the line numbers are those the run executed
+    # even if a file is edited while it goes on
+    sources = {path: path.read_text(encoding="utf-8")
+               for path in PACKAGE.rglob("*.py")}
     tracer = LineTracer()
     tracer.start()
     try:
@@ -162,7 +167,7 @@ def main(argv: list[str]) -> int:
         tracer.stop()
     for line in failed:
         print(f"job failed: {line}")
-    report(tracer.hits)
+    report(tracer.hits, sources)
     return 0
 
 
