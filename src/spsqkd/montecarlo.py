@@ -259,7 +259,7 @@ def _draw_at(rng: np.random.Generator, idx: np.ndarray, u: np.ndarray):
     past the rest; else the whole array is drawn into ``u``.
     """
     if idx.size > u.size >> _SPARSE_SHIFT:
-        return rng.random(u.size, out=u)[idx]
+        return rng.random(out=u)[idx]
     out, at = np.empty(idx.size), 0
     for k, i in enumerate(idx.tolist()):
         rng.bit_generator.advance(i - at)
@@ -281,12 +281,13 @@ def _bob_clicks(rng: np.random.Generator, arrived: np.ndarray,
     """
     wrong = _thin(rng, arrived.copy(), channel.e_d)
     d_each = 1.0 - math.sqrt(1.0 - channel.p_dc)
-    click_r = (arrived > wrong) | (rng.random(u.size, out=u) < d_each)
-    click_w = (wrong > 0) | (rng.random(u.size, out=u) < d_each)
+    click_r = (arrived > wrong) | (rng.random(out=u) < d_each)
+    click_w = (wrong > 0) | (rng.random(out=u) < d_each)
     detected = np.flatnonzero(click_r | click_w)
     error = click_w[detected]
     both = np.flatnonzero(click_r[detected] & error)
-    error[both[_draw_at(rng, detected[both], u) >= 0.5]] = False  # coin
+    # a double click is an error where its coin is below 1/2
+    error[both[_draw_at(rng, detected[both], u) >= 0.5]] = False
     return detected, error
 
 
@@ -301,21 +302,21 @@ def run_dtb(config: SimConfig) -> SimReport:
     tallies = {k: IntensityTally() for k in labels}
 
     for m, rng, u in _with_buffer(config):
-        chosen = _pick(rng.random(m, out=u), pick_label)
+        chosen = _pick(rng.random(out=u), pick_label)
         # one choice per intensity, in label order, is one random(m) in slices
         n = np.zeros(m, dtype=np.int8)
         for k, cdf in enumerate(pick_n):
             pos = np.flatnonzero(chosen == k)
             tallies[labels[k]].sent += pos.size
             if cdf.size:
-                n[pos] = _pick(rng.random(pos.size, out=u[:pos.size]), cdf)
+                n[pos] = _pick(rng.random(out=u[:pos.size]), cdf)
             else:  # a vacuum reads no uniform of its slice
                 rng.bit_generator.advance(pos.size)
         if config.eta_c < 1.0:
             _thin(rng, n, config.eta_c)
         detected, error = _bob_clicks(rng, _thin(rng, n, eta),
                                       config.channel, u)
-        sifted = rng.random(m, out=u)[detected] < 0.5
+        sifted = rng.random(out=u)[detected] < 0.5
         chosen = chosen[detected]
         for k, t in enumerate(tallies.values()):
             mine = chosen == k
@@ -343,13 +344,13 @@ def run_hp(config: SimConfig) -> SimReport:
     heralds = herald_and_one = herald_and_two = 0
 
     for m, rng, u in _with_buffer(config):
-        n = _pick(rng.random(m, out=u), pick_n)
+        n = _pick(rng.random(out=u), pick_n)
         if config.eta_c < 1.0:
             _thin(rng, n, config.eta_c)
         reflected = _thin(rng, n.copy(), 1.0 - config.t)
         n -= reflected  # the photons toward Bob
         herald = _thin(rng, reflected, config.eta_d) > 0
-        herald |= rng.random(m, out=u) < pda
+        herald |= rng.random(out=u) < pda
         detected, error = _bob_clicks(rng, _thin(rng, n.copy(), eta),
                                       config.channel, u)
         kept = herald[detected]
@@ -357,7 +358,7 @@ def run_hp(config: SimConfig) -> SimReport:
         tally.detected += int(np.count_nonzero(kept))
         tally.errors += int(np.count_nonzero(error & kept))
         tally.sifted += int(np.count_nonzero(
-            kept & (rng.random(m, out=u)[detected] < 0.5)))
+            kept & (rng.random(out=u)[detected] < 0.5)))
         heralds += int(np.count_nonzero(herald))
         herald_and_one += int(np.count_nonzero(herald & (n == 1)))
         herald_and_two += int(np.count_nonzero(herald & (n == 2)))
