@@ -43,8 +43,8 @@ from .protocols import (DEFAULT_ETA_D, DEFAULT_T, check_herald,
 
 # Pulses per RNG shard; fixed so reports are independent of worker layout.
 SHARD_SIZE = 1_000_000
-# Largest pulse count a run takes: at about 29 M pulses/s (a 5 M-pulse dtb
-# run in 0.17 s, x86-64 Linux) a run of this size takes about 10 hours.
+# Largest pulse count a run takes: at about 43 M pulses/s (a 5 M-pulse dtb
+# run in 0.12 s, x86-64 Linux) a run of this size takes about 6.5 hours.
 MAX_PULSES = 10**12
 # Elements per batch of ``_thin``'s inversion, which bounds its temporaries;
 # consecutive ``random`` calls draw what one call over all would.
@@ -251,8 +251,8 @@ def _thin(rng: np.random.Generator, n: np.ndarray, p: float) -> np.ndarray:
 
 
 def _draw_at(rng: np.random.Generator, idx: np.ndarray, u: np.ndarray):
-    """``rng.random(u.size)[idx]`` for sorted ``idx``, and ``rng`` left where
-    that call leaves it.
+    """``rng.random(u.size)[idx]`` for increasing ``idx``, and ``rng`` left
+    where that call leaves it.
 
     Where ``idx`` is sparse, PCG64 jumps to each read value (``advance``
     and one ``random`` give the value ``random`` would draw there) and
