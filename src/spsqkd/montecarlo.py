@@ -136,6 +136,14 @@ class IntensityTally:
     errors: int = 0
     sifted: int = 0
 
+    def add(self, mine: np.ndarray, error: np.ndarray,
+            sifted: np.ndarray) -> None:
+        """Count the detections flagged in ``mine``, and their errors and
+        sifts, from the receiver's flags over the same detections."""
+        self.detected += int(np.count_nonzero(mine))
+        self.errors += int(np.count_nonzero(error & mine))
+        self.sifted += int(np.count_nonzero(sifted & mine))
+
 
 @dataclass(slots=True)
 class SimReport:
@@ -268,17 +276,20 @@ def _draw_at(rng: np.random.Generator, idx: np.ndarray, u: np.ndarray):
     return out
 
 
-def _bob_clicks(rng: np.random.Generator, arrived: np.ndarray,
-                channel: ChannelParams, u: np.ndarray):
-    """Threshold-detector pair: the detected pulses' sorted indices, and
-    which of them are errors.
+def _receive(rng: np.random.Generator, sent: np.ndarray, eta: float,
+             channel: ChannelParams, u: np.ndarray):
+    """Bob's side of a shard: the detected pulses' sorted indices, and
+    which of them are errors and which are sifted.
 
-    Each arriving photon lands on the wrong-bit detector with probability
-    e_d.  Per-detector dark probability d solves 1-(1-d)^2 = p_dc so the
-    empirical vacuum yield matches the analytic Y_0 = p_dc exactly.
-    Double clicks resolve to a random bit.  ``u`` is scratch space for
-    one uniform per pulse.
+    ``sent`` (photons per pulse) is thinned in place by the channel
+    transmittance ``eta``.  Each arriving photon lands on the wrong-bit
+    detector with probability e_d.  Per-detector dark probability d
+    solves 1-(1-d)^2 = p_dc so the empirical vacuum yield matches the
+    analytic Y_0 = p_dc exactly.  Double clicks resolve to a random bit,
+    and each detection is sifted with probability 1/2.  ``u`` is scratch
+    space for one uniform per pulse.
     """
+    arrived = _thin(rng, sent, eta)
     wrong = _thin(rng, arrived.copy(), channel.e_d)
     d_each = 1.0 - math.sqrt(1.0 - channel.p_dc)
     click_r = (arrived > wrong) | (rng.random(out=u) < d_each)
@@ -288,7 +299,7 @@ def _bob_clicks(rng: np.random.Generator, arrived: np.ndarray,
     both = np.flatnonzero(click_r[detected] & error)
     # a double click is an error where its coin is below 1/2
     error[both[_draw_at(rng, detected[both], u) >= 0.5]] = False
-    return detected, error
+    return detected, error, rng.random(out=u)[detected] < 0.5
 
 
 def run_dtb(config: SimConfig) -> SimReport:
@@ -314,15 +325,10 @@ def run_dtb(config: SimConfig) -> SimReport:
                 rng.bit_generator.advance(pos.size)
         if config.eta_c < 1.0:
             _thin(rng, n, config.eta_c)
-        detected, error = _bob_clicks(rng, _thin(rng, n, eta),
-                                      config.channel, u)
-        sifted = rng.random(out=u)[detected] < 0.5
+        detected, error, sifted = _receive(rng, n, eta, config.channel, u)
         chosen = chosen[detected]
         for k, t in enumerate(tallies.values()):
-            mine = chosen == k
-            t.detected += int(np.count_nonzero(mine))
-            t.errors += int(np.count_nonzero(error & mine))
-            t.sifted += int(np.count_nonzero(sifted & mine))
+            t.add(chosen == k, error, sifted)
     return SimReport(protocol="dtb", seed=config.seed,
                      n_pulses=config.n_pulses, tallies=tallies)
 
@@ -351,17 +357,12 @@ def run_hp(config: SimConfig) -> SimReport:
         n -= reflected  # the photons toward Bob
         herald = _thin(rng, reflected, config.eta_d) > 0
         herald |= rng.random(out=u) < pda
-        detected, error = _bob_clicks(rng, _thin(rng, n.copy(), eta),
-                                      config.channel, u)
-        kept = herald[detected]
-        tally.sent += m
-        tally.detected += int(np.count_nonzero(kept))
-        tally.errors += int(np.count_nonzero(error & kept))
-        tally.sifted += int(np.count_nonzero(
-            kept & (rng.random(out=u)[detected] < 0.5)))
         heralds += int(np.count_nonzero(herald))
         herald_and_one += int(np.count_nonzero(herald & (n == 1)))
         herald_and_two += int(np.count_nonzero(herald & (n == 2)))
+        detected, error, sifted = _receive(rng, n, eta, config.channel, u)
+        tally.sent += m
+        tally.add(herald[detected], error, sifted)
     return SimReport(protocol="hp", seed=config.seed,
                      n_pulses=config.n_pulses, tallies={"s3": tally},
                      heralds=heralds, herald_and_one=herald_and_one,

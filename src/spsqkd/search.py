@@ -6,6 +6,14 @@ and a tolerance only when it is finite and positive, and raises ValueError
 before the first call of its function otherwise.  Every
 positive tolerance ends: a bracket that float spacing keeps wider than
 the tolerance stops where it can shrink no further (see each search).
+
+A golden section stops at its first stall: a step that would leave its
+bracket as it was (the new end equal to the old one).  Under
+round-to-nearest every other step strictly shrinks the bracket.  A stall
+needs a bracket narrower than about 1.31 ulp of its ends, so with
+``tol >= 2 * ulp(max(|lo|, |hi|))`` none happens and the search probes
+what one without this stop would; every search in the package is in
+that range.
 """
 
 from __future__ import annotations
@@ -30,30 +38,28 @@ def golden_max(fn: Callable[[float], float], lo: float, hi: float,
                tol: float) -> float:
     """Golden-section maximizer for a unimodal function on [lo, hi].
 
-    Returns the midpoint of the bracket once it is within ``tol``, or once
-    the search, its bracket down to a float or two, comes back to a state
-    (bracket and inner points) from which a step left the bracket as it
-    was: for an ``fn`` that returns the same value at the same point it
-    would repeat that cycle for ever, so every search that ends within
-    ``tol`` ends as it did without this stop.
+    Returns the midpoint of the bracket once it is within ``tol``, or at
+    the first step that would leave the bracket as it was (``d == b`` on
+    a step to the left, ``c == a`` on one to the right): a deterministic
+    ``fn`` would repeat such steps for ever.  That stall needs a bracket
+    down to a float or two, so with ``tol`` at least 2 ulp of the
+    bracket's ends it never happens before the bracket is within ``tol``.
     """
     _check(lo, hi, tol)
     a, b = lo, hi
     c = b - (b - a) * _GOLDEN
     d = a + (b - a) * _GOLDEN
     fc, fd = fn(c), fn(d)
-    kept = set()  # the states from which a step kept the bracket
     while (b - a) > tol:
-        left = fc > fd
-        if (d == b) if left else (c == a):  # this step keeps the bracket
-            if (a, b, c, d) in kept:
+        if fc > fd:
+            if d == b:  # the step would keep the bracket
                 break
-            kept.add((a, b, c, d))
-        if left:
             b, d, fd = d, c, fc
             c = b - (b - a) * _GOLDEN
             fc = fn(c)
         else:
+            if c == a:
+                break
             a, c, fc = c, d, fd
             d = a + (b - a) * _GOLDEN
             fd = fn(d)
@@ -68,7 +74,7 @@ def golden_max_lockstep(fn: Callable[[np.ndarray, np.ndarray], np.ndarray],
     ``fn(idx, x)`` returns the objectives of problems ``idx`` at the points
     ``x`` (equal-length arrays).  Each problem does ``golden_max``'s float
     operations in the same order and drops out when its own bracket is
-    within ``tol`` or its state repeats as ``golden_max``'s does, so it
+    within ``tol`` or its next step stalls as ``golden_max``'s does, so it
     probes the points one ``golden_max`` call probes and returns the same
     maximizer.
     """
@@ -79,18 +85,11 @@ def golden_max_lockstep(fn: Callable[[np.ndarray, np.ndarray], np.ndarray],
     every = np.arange(size)
     fc, fd = fn(every, c), fn(every, d)
     todo = every[b - a > tol]
-    kept = {}  # each problem's states from which a step kept its bracket
     while todo.size:
         left = fc[todo] > fd[todo]
-        stay = np.where(left, d[todo] == b[todo], c[todo] == a[todo])
-        if stay.any():
-            go = np.ones(todo.size, dtype=bool)
-            for k in np.flatnonzero(stay).tolist():
-                i = todo[k]
-                state = (a[i], b[i], c[i], d[i])
-                go[k] = state not in kept.setdefault(i, set())
-                kept[i].add(state)
-            todo, left = todo[go], left[go]
+        stall = np.where(left, d[todo] == b[todo], c[todo] == a[todo])
+        if stall.any():
+            todo, left = todo[~stall], left[~stall]
             if not todo.size:
                 break
         s, g = todo[left], todo[~left]

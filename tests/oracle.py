@@ -15,6 +15,9 @@ It covers:
   (``protocols.skr_hp``).  The herald uses the package's factor
   eta_d + p_dc (``photon_source._heralded``), not the exact threshold
   herald's eta_d + p_dc - eta_d p_dc.
+- the exact threshold herald: its click probability
+  (``photon_source.hp_herald_probability``) and its one-photon weight
+  with the factor eta_d + p_dc - eta_d p_dc.
 - the phase-randomised laser at a given mean photon number mu, with
   infinite decoys (``protocols.skr_wcs_infinite_decoy``) and under the
   tagging bound (``protocols.skr_wcs_tagging_bound``): its Poisson sum
@@ -103,6 +106,27 @@ def heralded(probs, t: float, eta_d: float, p_dc: float) -> tuple[mpf, ...]:
         p1t = 2 * p2 * (1 - t) * t * (mpf(eta_d) + p_dc) + t * p1 * p_dc
         p2t = t * t * p2 * p_dc
         return 1 - p1t - p2t, p1t, p2t
+
+
+def herald_click(probs, t: float, eta_d: float, p_dc: float) -> mpf:
+    """The probability that the threshold herald fires: each photon is
+    silent with probability u = 1 - (1 - t) eta_d, so an n-photon pulse
+    fires it with probability 1 - u^n (1 - p_dc)."""
+    with mpmath.workdps(DIGITS):
+        u = 1 - (1 - mpf(t)) * mpf(eta_d)
+        quiet = 1 - mpf(p_dc)
+        return sum(mpf(p) * (1 - u ** n * quiet) for n, p in enumerate(probs))
+
+
+def heralded_one(probs, t: float, eta_d: float, p_dc: float) -> mpf:
+    """The exact weight of (herald fired, one photon toward the channel):
+    2 p2 (1 - t) t (eta_d + p_dc - eta_d p_dc) + t p1 p_dc, where the
+    reflected photon of a pair or a dark count fires the herald."""
+    with mpmath.workdps(DIGITS):
+        p1, p2, t = mpf(probs[1]), mpf(probs[2]), mpf(t)
+        eta_d, p_dc = mpf(eta_d), mpf(p_dc)
+        return (2 * p2 * (1 - t) * t * (eta_d + p_dc - eta_d * p_dc)
+                + t * p1 * p_dc)
 
 
 def skr_hp(probs, channel, t: float, eta_d: float, p_dc_alice: float,

@@ -1,7 +1,9 @@
-"""Package surface: the public names, a numpy-only command line, one
-site for each raise statement and no run of code lines written twice."""
+"""Package surface: the public names, the names the benchmark calls, a
+numpy-only command line, one site for each raise statement and no run of
+code lines written twice."""
 
 import ast
+import importlib
 import importlib.util
 import json
 import os
@@ -54,6 +56,51 @@ def test_public_names_resolve_and_are_unchanged():
     namespace = {}
     exec("from spsqkd import *", namespace)  # fails on a name that is missing
     assert PUBLIC_NAMES <= namespace.keys()
+
+
+BENCH = Path(__file__).resolve().parents[1] / "bench"
+
+
+def module_constant(path: Path, name: str):
+    """The literal value assigned to ``name`` at the top of ``path``."""
+    for node in ast.parse(path.read_text()).body:
+        if isinstance(node, ast.Assign) and any(
+                isinstance(t, ast.Name) and t.id == name for t in node.targets):
+            return ast.literal_eval(node.value)
+    raise LookupError(f"{path.name} assigns no {name}")
+
+
+def bench_names() -> set[tuple[str, str]]:
+    """(module, attribute) of each package name the benchmark reaches: the
+    tracer's spans ("Class.method" included) and rate factories, and each
+    attribute its workloads read from a package module."""
+    tracing = BENCH / "tracing.py"
+    names = set(module_constant(tracing, "SPANNED"))
+    names |= {("analysis", f) for f in module_constant(tracing,
+                                                       "RATE_FACTORIES")}
+    modules = {"analysis", "channel_model", "cli", "ingest", "montecarlo",
+               "photon_source"}
+    names |= {(node.value.id, node.attr) for node in ast.walk(ast.parse(
+                  (BENCH / "workloads.py").read_text()))
+              if isinstance(node, ast.Attribute)
+              and isinstance(node.value, ast.Name) and node.value.id in modules}
+    return names
+
+
+def test_the_names_the_benchmark_calls_resolve():
+    # the benchmark reaches these by name; a rename or deletion fails here
+    # rather than in a benchmark run
+    names = bench_names()
+    assert ("channel_model", "ChannelParams.with_loss") in names
+    assert ("montecarlo", "run") in names
+    missing = []
+    for module, attr in sorted(names):
+        obj = importlib.import_module(f"spsqkd.{module}")
+        for part in attr.split("."):
+            obj = getattr(obj, part, missing)
+        if obj is missing:
+            missing.append(f"{module}.{attr}")
+    assert missing == []
 
 
 PACKAGE = Path(spsqkd.__file__).resolve().parent

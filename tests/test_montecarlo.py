@@ -23,10 +23,10 @@ from spsqkd.montecarlo import (
     SHARD_SIZE,
     IntensityTally,
     SimConfig,
-    _bob_clicks,
     _cdf,
     _draw_at,
     _pick,
+    _receive,
     _shards,
     _thin,
     SimReport,
@@ -325,40 +325,50 @@ def full_mask_hp(config: SimConfig, eta: float) -> SimReport:
                      herald_and_two=heralds[2])
 
 
+def full_mask_receive(rng, sent, eta, channel):
+    """``_receive`` as masks: the channel thinning, ``full_mask_bob_clicks``
+    and a sift draw for every pulse."""
+    detected, error = full_mask_bob_clicks(rng, _thin(rng, sent, eta),
+                                           channel)
+    return detected, error, detected & (rng.random(sent.size) < 0.5)
+
+
 class TestBobClicks:
-    @given(arrived=arrays(np.int8, st.integers(0, 3 * 2 ** 12),
-                          elements=st.integers(0, 3)),
-           e_d=st.floats(0.0, 0.5),
+    @given(sent=arrays(np.int8, st.integers(0, 3 * 2 ** 12),
+                       elements=st.integers(0, 3)),
+           eta=st.floats(0.0, 1.0), e_d=st.floats(0.0, 0.5),
            p_dc=st.sampled_from([0.0, 1e-4, 1e-2, 0.5, 1.0]),
            seed=st.integers(0, 2 ** 32 - 1))
     # no double click: every coin jumped over
-    @example(arrived=np.full(2 ** 13, 3, dtype=np.int8), e_d=0.0, p_dc=0.0,
-             seed=0)
-    # double clicks at the first and last pulse only (at seed 0), jumped to
-    @example(arrived=np.array([3] + [0] * (3 * 2 ** 12 - 2) + [3],
-                              dtype=np.int8), e_d=0.5, p_dc=0.0, seed=0)
+    @example(sent=np.full(2 ** 13, 3, dtype=np.int8), eta=1.0, e_d=0.0,
+             p_dc=0.0, seed=0)
+    # double clicks at the first and last pulse only (at seed 3), jumped to
+    @example(sent=np.array([3] + [0] * (3 * 2 ** 12 - 2) + [3],
+                           dtype=np.int8), eta=1.0, e_d=0.5, p_dc=0.0, seed=3)
     # every pulse clicks twice: every coin drawn
-    @example(arrived=np.zeros(2 ** 13, dtype=np.int8), e_d=0.0, p_dc=1.0,
-             seed=0)
+    @example(sent=np.zeros(2 ** 13, dtype=np.int8), eta=1.0, e_d=0.0,
+             p_dc=1.0, seed=0)
     @settings(max_examples=80, deadline=None)
-    def test_clicks_equal_the_full_mask_form(self, arrived, e_d, p_dc, seed):
-        # p_dc = 1 is past ChannelParams' range; _bob_clicks reads the two
+    def test_clicks_equal_the_full_mask_form(self, sent, eta, e_d, p_dc, seed):
+        # p_dc = 1 is past ChannelParams' range; _receive reads the two
         # fields only
         channel = SimpleNamespace(p_dc=p_dc, e_d=e_d)
         ours, theirs = np.random.default_rng(seed), np.random.default_rng(seed)
-        detected, error = _bob_clicks(ours, arrived, channel,
-                                      np.empty(arrived.size))
-        want_detected, want_error = full_mask_bob_clicks(theirs, arrived,
-                                                         channel)
+        detected, error, sifted = _receive(ours, sent.copy(), eta, channel,
+                                           np.empty(sent.size))
+        want_detected, want_error, want_sifted = full_mask_receive(
+            theirs, sent.copy(), eta, channel)
         assert np.array_equal(detected, np.flatnonzero(want_detected))
         assert np.array_equal(detected[error], np.flatnonzero(want_error))
+        assert np.array_equal(detected[sifted], np.flatnonzero(want_sifted))
         assert ours.bit_generator.state == theirs.bit_generator.state
 
     def test_the_end_example_double_clicks_at_its_ends_only(self):
         m = 3 * 2 ** 12
-        arrived = np.zeros(m, dtype=np.int8)
-        arrived[[0, -1]] = 3
-        rng = np.random.default_rng(0)
+        sent = np.zeros(m, dtype=np.int8)
+        sent[[0, -1]] = 3
+        rng = np.random.default_rng(3)
+        arrived = _thin(rng, sent, 1.0)
         wrong = _thin(rng, arrived.copy(), 0.5)
         assert np.flatnonzero((arrived > wrong) & (wrong > 0)).tolist() == [
             0, m - 1]

@@ -6,7 +6,7 @@ each golden rate lies within a few ulp of the exact model, and each
 golden cut-off is where the exact model's sign changes.  The laser's
 goldens are checked against both the Poisson sum the package truncates
 and the exact (closed-form) sum.  The moment inversion is checked on the
-inputs whose results are pinned.
+inputs whose results are pinned, and the herald on a grid of settings.
 """
 
 import json
@@ -20,7 +20,8 @@ from mpmath import mpf
 import oracle
 from spsqkd.channel_model import _wcs_closed_form
 from spsqkd.photon_source import (PhotonDistribution, extract_distribution_g3,
-                                  g2_of, g3_of)
+                                  g2_of, g3_of, hp_herald_probability,
+                                  hp_transform)
 from spsqkd.protocols import (DEFAULT_F_EC, DEFAULT_F_EC_TAGGING,
                               DEFAULT_Q_SIFT, _decoy_laser)
 
@@ -194,3 +195,45 @@ def test_a_full_newton_step_lands_on_the_exact_weights():
 def test_above_the_ceiling_the_inversion_lies_near_the_exact_weights():
     d = PhotonDistribution(0.5, 0.1, 0.35, 0.05)  # g2 1.108 > 1
     assert g3_error(d.p0, g2_of(d), g3_of(d)) <= G3_ABOVE_CEILING
+
+
+# The herald over the bundled sources: (t, eta_d, p_dc) on this grid.
+HERALD_GRID = [(t, eta_d, p_dc) for t in np.linspace(0.0, 1.0, 21).tolist()
+               for eta_d in np.linspace(0.0, 1.0, 21).tolist()
+               for p_dc in (0.0, 1e-8, 1e-6, 1e-4, 0.01, 0.1, 0.5, 0.9, 1.0)]
+# The click probability's largest distance from the exact one, in units of
+# 2^-53 (absolute): measured 1.68.  Relative to a small probability it is
+# larger, since 1 - p_dc and 1 - (1 - t) eta_d round before they cancel.
+HERALD_ABS = 2
+# The one-photon weight's largest distance from the oracle's weight with
+# the same factor eta_d + p_dc, in ulp: measured 2.69.
+HERALD_ONE_ULPS = 3
+
+
+def test_the_herald_click_probability_lies_near_the_exact_one(
+        bundled_sources):
+    worst = 0
+    for d in bundled_sources.values():
+        for t, eta_d, p_dc in HERALD_GRID:
+            exact = oracle.herald_click(d.as_tuple(), t, eta_d, p_dc)
+            got = hp_herald_probability(d, t, eta_d, p_dc)
+            worst = max(worst, abs(mpf(got) - exact) * 2 ** 53)
+    assert worst <= HERALD_ABS
+
+
+def test_the_heralded_one_photon_weight_counts_the_herald_factor_twice(
+        bundled_sources):
+    # hp_transform takes eta_d + p_dc where a threshold herald fires with
+    # eta_d + p_dc - eta_d p_dc: its p1~ lies off the exact weight by
+    # 2 p2 (1 - t) t eta_d p_dc, which an exact herald would remove
+    worst = 0
+    for d in bundled_sources.values():
+        for t, eta_d, p_dc in HERALD_GRID:
+            got = hp_transform(d, t, eta_d, p_dc)[0]
+            double = oracle.heralded(d.as_tuple(), t, eta_d, p_dc)[1]
+            exact = oracle.heralded_one(d.as_tuple(), t, eta_d, p_dc)
+            gap = 2 * mpf(d.p2) * (1 - mpf(t)) * mpf(t) * mpf(eta_d) * mpf(p_dc)
+            ulp = mpf(math.ulp(got))
+            worst = max(worst, abs(mpf(got) - double) / ulp,
+                        abs(mpf(got) - exact - gap) / ulp)
+    assert worst <= HERALD_ONE_ULPS

@@ -1,12 +1,46 @@
 """The shared searches: golden-section maximum (scalar and lockstep) and
 sign bisection."""
 
+import ast
 import math
+from collections import Counter
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from spsqkd.search import bisect, golden_max, golden_max_lockstep
+import spsqkd
+from spsqkd import analysis, protocols
+from spsqkd.search import _GOLDEN, bisect, golden_max, golden_max_lockstep
+
+
+def repeat_rule_golden_max(fn, lo, hi, tol):
+    """``golden_max`` as it stopped before it stopped at its first stall:
+    at the first state (bracket and inner points) that comes back after
+    a step that kept its bracket.  Off the stop it does the same float
+    operations, so the two probe the same points until the first stall."""
+    a, b = lo, hi
+    c = b - (b - a) * _GOLDEN
+    d = a + (b - a) * _GOLDEN
+    fc, fd = fn(c), fn(d)
+    kept = set()
+    while (b - a) > tol:
+        left = fc > fd
+        if (d == b) if left else (c == a):
+            if (a, b, c, d) in kept:
+                break
+            kept.add((a, b, c, d))
+        if left:
+            b, d, fd = d, c, fc
+            c = b - (b - a) * _GOLDEN
+            fc = fn(c)
+        else:
+            a, c, fc = c, d, fd
+            d = a + (b - a) * _GOLDEN
+            fd = fn(d)
+    return 0.5 * (a + b)
 
 
 class TestGoldenMax:
@@ -46,44 +80,112 @@ class TestGoldenMax:
         assert abs(x - 0.2) <= tol / 2
 
 
-class TestGoldenMaxLockstep:
-    # unimodal objectives with the peak at different places, one flat
-    # (every comparison a tie) and one with a kink at its peak
-    OBJECTIVES = (lambda t: -(t - 0.3) ** 2, lambda t: t * math.exp(-4.0 * t),
-                  lambda t: 1.0, lambda t: -abs(t - 0.9871),
-                  lambda t: -(t - 1e-3) ** 2)
+# unimodal objectives with the peak at different places, one flat (every
+# comparison a tie) and one with a kink at its peak
+OBJECTIVES = (lambda t: -(t - 0.3) ** 2, lambda t: t * math.exp(-4.0 * t),
+              lambda t: 1.0, lambda t: -abs(t - 0.9871),
+              lambda t: -(t - 1e-3) ** 2)
 
+
+def probes_of(search, fns, lo, hi, tol):
+    """(answers, probed points) of ``search`` (a ``golden_max``) on each
+    of ``fns`` over [lo, hi]."""
+    answers, probes = [], []
+    for fn in fns:
+        seen = []
+        answers.append(search(lambda t: seen.append(t) or fn(t), lo, hi, tol))
+        probes.append(seen)
+    return answers, probes
+
+
+def lockstep_probes_of(fns, lo, hi, tol):
+    """``probes_of`` for ``golden_max_lockstep`` over all ``fns`` at once."""
+    probes = [[] for _ in fns]
+
+    def batch(idx, x):
+        assert idx.size == x.size
+        for k, t in zip(idx.tolist(), x.tolist()):
+            probes[k].append(t)
+        return np.array([fns[k](t) for k, t in zip(idx.tolist(),
+                                                   x.tolist())])
+
+    return golden_max_lockstep(batch, lo, hi, tol, len(fns)).tolist(), probes
+
+
+class TestGoldenMaxLockstep:
     @pytest.mark.parametrize("lo, hi, tol", [(1e-3, 1.0 - 1e-3, 1e-4),
                                              (0.0, 1.0, 1e-9),
                                              (1e-6, 2.0, 1e-6),
                                              (1.0, 3.0, 2.0),
                                              (0.0, 1.0, 1e-300)])
     def test_probes_what_golden_max_probes(self, lo, hi, tol):
-        fns = self.OBJECTIVES
-        want_probes, want = [], []
-        for fn in fns:
-            seen = []
-            want.append(golden_max(lambda t: seen.append(t) or fn(t),
-                                   lo, hi, tol))
-            want_probes.append(seen)
-        got_probes = [[] for _ in fns]
-
-        def batch(idx, x):
-            assert idx.size == x.size
-            for k, t in zip(idx.tolist(), x.tolist()):
-                got_probes[k].append(t)
-            return np.array([fns[k](t) for k, t in zip(idx.tolist(),
-                                                       x.tolist())])
-
-        got = golden_max_lockstep(batch, lo, hi, tol, len(fns))
-        assert got.tolist() == want
-        assert got_probes == want_probes
+        assert (lockstep_probes_of(OBJECTIVES, lo, hi, tol)
+                == probes_of(golden_max, OBJECTIVES, lo, hi, tol))
 
     def test_no_problems(self):
         def batch(idx, x):
             return x
 
         assert golden_max_lockstep(batch, 0.0, 1.0, 1e-3, 0).size == 0
+
+
+@st.composite
+def brackets(draw):
+    """(lo, hi) with lo < hi over many scales: two floats anywhere, or a
+    float and one from 1 to 2^60 of its ulps above it."""
+    lo = draw(st.floats(-1e300, 1e300))
+    if draw(st.booleans()):
+        hi = draw(st.floats(-1e300, 1e300))
+    else:
+        hi = lo + math.ulp(lo) * draw(st.floats(1.0, 2.0 ** 60))
+    lo, hi = min(lo, hi), max(lo, hi)
+    return lo, math.nextafter(hi, math.inf) if hi == lo else hi
+
+
+class TestStopRule:
+    """A golden section stops at its first stall, which needs a bracket
+    below about 1.31 ulp of its ends: from a tolerance of 2 ulp on it
+    probes what the search that stopped at a repeated state probed."""
+
+    @given(bracket=brackets(), k=st.floats(2.0, 2.0 ** 40))
+    @settings(max_examples=200, deadline=None)
+    def test_from_two_ulp_on_nothing_moves(self, bracket, k):
+        lo, hi = bracket
+        tol = k * math.ulp(max(abs(lo), abs(hi)))
+        # each objective over [0, 1] read over [lo, hi]
+        fns = [lambda t, f=f: f((t - lo) / (hi - lo)) for f in OBJECTIVES]
+        want = probes_of(repeat_rule_golden_max, fns, lo, hi, tol)
+        assert probes_of(golden_max, fns, lo, hi, tol) == want
+        assert lockstep_probes_of(fns, lo, hi, tol) == want
+
+    def test_no_probe_after_the_first_stall(self):
+        # at 1e-300 the bracket around 0.3 shrinks to a float or two; the
+        # repeat rule went round the stall once more, two probes on
+        fn = OBJECTIVES[0]
+        (_,), (probes,) = probes_of(golden_max, [fn], 0.0, 1.0, 1e-300)
+        (_,), (before,) = probes_of(repeat_rule_golden_max, [fn], 0.0, 1.0,
+                                    1e-300)
+        assert (len(probes), len(before)) == (79, 81)
+        assert probes == before[:79]
+        assert lockstep_probes_of([fn], 0.0, 1.0, 1e-300)[1] == [probes]
+
+    def test_the_package_searches_lie_where_nothing_moved(self):
+        # (lo, hi, tol) of each golden section the package runs: the
+        # laser's mu (scalar and lockstep), the herald's t and the source
+        # fit's log-drive, whose bracket lies within its grid
+        searches = [(protocols._MU_LO, protocols._MU_HI, protocols._MU_TOL),
+                    (1e-3, 1.0 - 1e-3, analysis.BS_TRANSMISSION_TOL),
+                    (math.log(1e-6), math.log(1e6), 1e-10)]
+        for lo, hi, tol in searches:
+            assert tol >= 2.0 * math.ulp(max(abs(lo), abs(hi)))
+        # a new call site is one this list does not yet cover
+        package = Path(spsqkd.__file__).resolve().parent
+        sites = Counter(
+            path.stem for path in package.glob("*.py")
+            for node in ast.walk(ast.parse(path.read_text()))
+            if isinstance(node, ast.Call) and isinstance(node.func, ast.Name)
+            and node.func.id in ("golden_max", "golden_max_lockstep"))
+        assert sites == {"protocols": 2, "analysis": 1, "photon_source": 1}
 
 
 class TestBisect:
