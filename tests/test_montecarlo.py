@@ -257,7 +257,7 @@ class TestJumps:
 
 
 def full_mask_bob_clicks(rng, arrived, channel):
-    """``_bob_clicks`` with a coin drawn for every pulse, as masks."""
+    """The clicks of ``_receive`` with a coin drawn for every pulse, as masks."""
     wrong = _thin(rng, arrived.copy(), channel.e_d)
     d_each = 1.0 - math.sqrt(1.0 - channel.p_dc)
     click_r = (arrived > wrong) | (rng.random(arrived.size) < d_each)

@@ -17,10 +17,11 @@ from spsqkd.search import _GOLDEN, bisect, golden_max, golden_max_lockstep
 
 
 def repeat_rule_golden_max(fn, lo, hi, tol):
-    """``golden_max`` as it stopped before it stopped at its first stall:
-    at the first state (bracket and inner points) that comes back after
-    a step that kept its bracket.  Off the stop it does the same float
-    operations, so the two probe the same points until the first stall."""
+    """``golden_max`` with its earlier stop rule, kept as the reference:
+    it stops at the first state (bracket and inner points) that comes back
+    after a step that kept its bracket.  Off the stop it does the same
+    float operations, so the two probe the same points until the first
+    stall."""
     a, b = lo, hi
     c = b - (b - a) * _GOLDEN
     d = a + (b - a) * _GOLDEN
