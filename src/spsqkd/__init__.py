@@ -75,7 +75,6 @@ from .photon_source import (
     hp_herald_probability,
     hp_transform,
     mean_photon_number,
-    saturation_power,
 )
 from .protocols import (
     DecoySolution,

@@ -22,7 +22,7 @@ from typing import Callable
 import numpy as np
 
 from .errors import InfeasibleObservablesError, raise_first
-from .photon_source import PhotonDistribution
+from .photon_source import PhotonDistribution, _survival
 
 # Poisson tail mass below which the weak-coherent sum is truncated.
 _WCS_TAIL = 1e-12
@@ -61,13 +61,6 @@ class ChannelParams:
 
     to_dict = asdict
 
-    @classmethod
-    def from_dict(cls, data: dict) -> "ChannelParams":
-        """Parse the four fields; an absent ``loss_db`` reads as 0."""
-        return cls(loss_db=float(data.get("loss_db", 0.0)),
-                   eta_bob=float(data["eta_bob"]), p_dc=float(data["p_dc"]),
-                   e_d=float(data["e_d"]))
-
 
 @dataclass(frozen=True, slots=True)
 class YieldSet:
@@ -103,20 +96,10 @@ def transmittance(channel: ChannelParams) -> float:
     return 10.0 ** (-channel.loss_db / 10.0) * channel.eta_bob
 
 
-def _survival(channel: ChannelParams) -> Callable[[int], float]:
-    # n -> eta_n of one channel, for yields and both weak-coherent series;
-    # -expm1(n*log1p(-eta)) keeps 1-(1-eta)^n accurate for tiny eta
-    eta = transmittance(channel)
-    if eta >= 1.0:
-        return lambda n: 0.0 if n == 0 else 1.0
-    log_miss = math.log1p(-eta)
-    return lambda n: -math.expm1(n * log_miss)
-
-
 def yields(channel: ChannelParams) -> YieldSet:
     """Yields ``Y_n`` and error rates ``e_n`` for n = 0..3, the photon
     numbers of the truncated basis."""
-    surv = _survival(channel)
+    surv = _survival(transmittance(channel))
     y_list, e_list = [], []
     for n in range(4):
         y_n, ey_n = _clicks(surv(n), channel.p_dc, channel.e_d)
@@ -214,7 +197,7 @@ def wcs_series(channel: ChannelParams
     floats.  Raises ValueError, as ``ObservedRates`` does, unless Q and E
     lie in [0, 1].
     """
-    surv = _survival(channel)
+    surv = _survival(transmittance(channel))
     p_dc, e_d = channel.p_dc, channel.e_d
     y0, ey0 = _clicks(0.0, p_dc, e_d)  # n = 0, where eta_0 = 0
     y1, ey1 = _clicks(surv(1), p_dc, e_d)
@@ -288,7 +271,7 @@ def wcs_series_array(channel: ChannelParams, loss_db: np.ndarray
     ``ObservedRates``', for the first element that fails them, as a loop
     of scalar series would raise.
     """
-    survs = [_survival(channel.with_loss(loss))
+    survs = [_survival(transmittance(channel.with_loss(loss)))
              for loss in np.asarray(loss_db, dtype=float).reshape(-1).tolist()]
     p_dc, e_d = channel.p_dc, channel.e_d
     y0, ey0 = _clicks(np.zeros(len(survs)), p_dc, e_d)

@@ -39,7 +39,7 @@ from .analysis import (GammaMap, dtb_rate_fn, gamma_map_dtb,
                        optimal_bs_transmission, skr_curve, wcs_curve_fn,
                        wcs_rate_fn)
 from .channel_model import ChannelParams
-from .errors import ConfigError, FitError, QkdError
+from .errors import ConfigError, FitError, QkdError, json_number
 from .ingest import (AliceBudget, gains_and_errors, read_tomography_csv,
                      skr_from_experiment)
 from .montecarlo import SimConfig, run
@@ -97,41 +97,50 @@ def _load_json(arg: str, kind: str) -> dict:
     return data
 
 
-def _parse(from_dict, data: dict, where: str):
-    """``from_dict(data)``, a missing or malformed field as ConfigError."""
+def _parse(cls, data, where: str, optional: tuple[str, ...] = ()):
+    """``cls`` from the JSON object ``data``, each field read by
+    ``json_number``, those in ``optional`` as 0 when absent; a value that
+    is not an object, a missing or malformed field as ConfigError."""
+    if not isinstance(data, dict):
+        raise ConfigError(f"{where} must be a JSON object")
     try:
-        return from_dict(data)
+        return cls(**{f.name: json_number(
+            data, f.name, 0.0 if f.name in optional else None)
+            for f in dataclasses.fields(cls)})
     except KeyError as exc:
         raise ConfigError(f"{where} lacks required field {exc}") from exc
-    except (TypeError, ValueError) as exc:
+    except (TypeError, ValueError, OverflowError) as exc:
         raise ConfigError(f"{where}: {exc}") from exc
 
 
-def _load(kind: str, from_dict, arg: str):
-    """The ``kind`` fixture ``arg``, built by ``from_dict``."""
-    return _parse(from_dict, _load_json(arg, kind), f"{kind} {arg!r}")
+def _load(kind: str, cls, arg: str, optional: tuple[str, ...] = ()):
+    """The ``kind`` fixture ``arg`` as a ``cls``."""
+    return _parse(cls, _load_json(arg, kind), f"{kind} {arg!r}", optional)
+
+
+# a source's weights, each 0 when absent
+_WEIGHTS = ("p0", "p1", "p2", "p3")
 
 
 def load_source(arg: str) -> PhotonDistribution:
-    return _load("source", PhotonDistribution.from_dict, arg)
+    return _load("source", PhotonDistribution, arg, _WEIGHTS)
 
 
 def load_channel(arg: str) -> ChannelParams:
-    return _load("channel", ChannelParams.from_dict, arg)
+    return _load("channel", ChannelParams, arg, ("loss_db",))
 
 
 def load_budget(arg: str) -> AliceBudget:
-    return _load("budget", AliceBudget.from_dict, arg)
+    return _load("budget", AliceBudget, arg)
 
 
 def load_stats(arg: str) -> dict[str, PhotonDistribution]:
+    """Source statistics per intensity label; ``"note"`` is the one key
+    that annotates instead."""
     data = _load_json(arg, "stats")
-    out = {}
-    for label, entry in data.items():
-        if not isinstance(entry, dict):
-            continue  # skip annotation fields
-        out[label] = _parse(PhotonDistribution.from_dict, entry,
-                            f"stats {arg!r} entry {label!r}")
+    out = {label: _parse(PhotonDistribution, entry,
+                         f"stats {arg!r} entry {label!r}", _WEIGHTS)
+           for label, entry in data.items() if label != "note"}
     if not out:
         raise ConfigError(f"stats {arg!r} defines no intensities")
     return out

@@ -8,7 +8,8 @@ cannot bracket a solution.
 
 An array form of a scalar check raises as a loop of its scalar calls
 would: ``raise_first`` replays the scalar rule at the first element that
-the array's validity mask rejects.
+the array's validity mask rejects.  Every number of a fixture file or
+tomography sidecar is read by ``json_number``.
 """
 
 from __future__ import annotations
@@ -52,3 +53,16 @@ def raise_first(ok: np.ndarray, rule, *values) -> None:
     if not ok.all():
         k = int(np.argmin(ok))
         rule(*(float(np.broadcast_to(v, ok.shape)[k]) for v in values))
+
+
+def json_number(data: dict, key: str, default: float | None = None) -> float:
+    """``data[key]`` as a float when it is a JSON number (an int or a
+    float, not a bool); an absent key is ``default`` when one is given,
+    else KeyError, and any other value (a string, null, a list) is a
+    TypeError naming the key and the value."""
+    if default is not None and key not in data:
+        return default
+    value = data[key]
+    if isinstance(value, (int, float)) and not isinstance(value, bool):
+        return float(value)
+    raise TypeError(f"{key} must be a JSON number, not {value!r}")

@@ -15,6 +15,7 @@ subtraction is applied to the raw matrices.
 
 from __future__ import annotations
 
+import contextlib
 import csv
 import json
 import math
@@ -27,7 +28,8 @@ from pathlib import Path
 import numpy as np
 
 from .channel_model import ChannelParams, ObservedRates
-from .errors import ConfigError, InconsistentDataError, QkdError
+from .errors import (ConfigError, InconsistentDataError, QkdError,
+                     json_number)
 from .photon_source import PhotonDistribution
 from .protocols import (DEFAULT_F_EC, DEFAULT_Q_SIFT, skr_dtb_from_rates,
                         solve_dtb)
@@ -48,13 +50,13 @@ _COUNT_MAX = np.iinfo(np.int64).max
 
 def _count(value) -> int:
     """One tomography count as an int: an integer as is, a float only when
-    its value is an integer (so not NaN or inf)."""
+    its value is an integer (so not NaN or inf), and never a bool."""
     if isinstance(value, float) and value.is_integer():
         value = int(value)
-    try:
-        return operator.index(value)
-    except TypeError:
-        raise ConfigError(f"counts must be integers, not {value!r}") from None
+    if not isinstance(value, bool):
+        with contextlib.suppress(TypeError):
+            return operator.index(value)
+    raise ConfigError(f"counts must be integers, not {value!r}")
 
 
 @dataclass(frozen=True, slots=True)
@@ -63,7 +65,8 @@ class TomographyMap:
 
     Every count is an integer in [0, 2^63 - 1], so it fits int64 (their
     total need not): an integer, or a float with an integer value, and
-    anything else, such as 2.7, NaN, inf or a string, is a ConfigError.
+    anything else, such as 2.7, NaN, inf, True or a string, is a
+    ConfigError.
     """
 
     counts: np.ndarray
@@ -114,12 +117,6 @@ class AliceBudget:
 
     def sent(self, exposure_s: float) -> float:
         return self.sent_per_second * exposure_s
-
-    @classmethod
-    def from_dict(cls, data: dict) -> "AliceBudget":
-        return cls(rep_rate_n=float(data["rep_rate_n"]),
-                   eta_a=float(data["eta_a"]),
-                   eta_c_na=float(data["eta_c_na"]))
 
 
 @dataclass(frozen=True, slots=True)
@@ -354,9 +351,9 @@ def read_tomography_csv(csv_path: str | Path) -> TomographyMap:
     ``STATES`` and a count of decimal digits; any other row, a short one
     included, is a ConfigError naming the file and line, and so is a row
     whose count takes its cell past int64; so is a CSV that cannot be
-    decoded as text.  The sidecar ``<csv>.json`` must be JSON
-    and define exposure_s, intensity_label, and nd_filter_db, or a
-    ConfigError names it.
+    decoded as text.  The sidecar ``<csv>.json`` must be a JSON
+    object whose exposure_s and nd_filter_db are JSON numbers and whose
+    intensity_label is a string, or a ConfigError names it and the field.
     """
     csv_path = Path(csv_path)
     sidecar = csv_path.with_suffix(csv_path.suffix + ".json")
@@ -386,12 +383,15 @@ def read_tomography_csv(csv_path: str | Path) -> TomographyMap:
     except UnicodeDecodeError as exc:
         raise ConfigError(f"{csv_path}: not text: {exc}") from exc
     try:
-        return TomographyMap(counts=counts,
-                             exposure_s=float(meta["exposure_s"]),
-                             intensity_label=str(meta["intensity_label"]),
-                             nd_filter_db=float(meta["nd_filter_db"]))
-    except (KeyError, TypeError, ValueError) as exc:
-        # a field missing, null or not a number, or a sidecar not an object
+        exposure_s = json_number(meta, "exposure_s")
+        label = meta["intensity_label"]
+        if not isinstance(label, str):
+            raise TypeError(f"intensity_label must be a string, not {label!r}")
+        return TomographyMap(counts=counts, exposure_s=exposure_s,
+                             intensity_label=label,
+                             nd_filter_db=json_number(meta, "nd_filter_db"))
+    except (KeyError, TypeError, ValueError, OverflowError) as exc:
+        # a field missing or of the wrong type, or a sidecar not an object
         raise ConfigError(f"{sidecar}: missing or bad field: {exc}") from exc
 
 

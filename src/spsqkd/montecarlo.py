@@ -373,35 +373,14 @@ def run(config: SimConfig) -> SimReport:
     return run_dtb(config) if config.protocol == "dtb" else run_hp(config)
 
 
-def empirical_g2(photon_numbers: np.ndarray,
-                 rng: np.random.Generator | None = None,
-                 eta: float | None = None) -> float:
-    """Second-order correlation at zero delay from a pulse stream.
-
-    With ``eta`` unset, returns the photon-number-resolved moment ratio
-    <n(n-1)> / <n>^2, which a split-detector measurement approaches in
-    the low-efficiency limit.  With ``eta`` set, emulates the hardware
-    estimator: photons are thinned by ``eta``, split 50:50 onto two
-    threshold detectors, and the per-pulse coincidence rate is normalized
-    by the product of singles rates (biased upward at finite efficiency
-    because threshold detectors saturate).
-    """
+def empirical_g2(photon_numbers: np.ndarray) -> float:
+    """Second-order correlation at zero delay from a pulse stream: the
+    photon-number-resolved moment ratio <n(n-1)> / <n>^2, which a
+    split-detector measurement approaches in the low-efficiency limit."""
     n = np.asarray(photon_numbers)
     if n.size == 0:
         raise ValueError("empty stream")
-    if eta is None:
-        mean = n.mean()
-        if mean == 0.0:
-            raise ValueError("stream has no photons; g2 undefined")
-        return float((n * (n - 1)).mean() / mean ** 2)
-    if rng is None:
-        raise ValueError("the threshold-detector estimator needs an rng")
-    seen = rng.binomial(n, eta)
-    a = rng.binomial(seen, 0.5)
-    b = seen - a
-    singles_a = (a > 0).mean()
-    singles_b = (b > 0).mean()
-    if singles_a == 0.0 or singles_b == 0.0:
-        raise ValueError("no clicks on one arm; g2 undefined")
-    coincidences = ((a > 0) & (b > 0)).mean()
-    return float(coincidences / (singles_a * singles_b))
+    mean = n.mean()
+    if mean == 0.0:
+        raise ValueError("stream has no photons; g2 undefined")
+    return float((n * (n - 1)).mean() / mean ** 2)

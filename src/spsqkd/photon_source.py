@@ -21,6 +21,7 @@ from __future__ import annotations
 import math
 import warnings
 from dataclasses import dataclass
+from typing import Callable
 
 import numpy as np
 
@@ -63,12 +64,6 @@ class PhotonDistribution:
 
     def as_tuple(self) -> tuple[float, float, float, float]:
         return (self.p0, self.p1, self.p2, self.p3)
-
-    @classmethod
-    def from_dict(cls, data: dict) -> "PhotonDistribution":
-        """Parse ``p0``..``p3``; an absent weight reads as 0."""
-        return cls(**{k: float(data.get(k, 0.0))
-                      for k in ("p0", "p1", "p2", "p3")})
 
 
 def check_distribution_array(probs: np.ndarray) -> np.ndarray:
@@ -449,37 +444,32 @@ def hp_effective_array(probs: np.ndarray, t, eta_d, p_dc_alice) -> np.ndarray:
     return eff
 
 
+def _survival(eta: float) -> Callable[[int], float]:
+    # n -> 1 - (1 - eta)^n, the chance that one of n photons is detected at
+    # efficiency eta: the channel's eta_n and the herald's click;
+    # -expm1(n*log1p(-eta)) keeps it accurate for tiny eta
+    if eta >= 1.0:
+        return lambda n: 0.0 if n == 0 else 1.0
+    log_miss = math.log1p(-eta)
+    return lambda n: -math.expm1(n * log_miss)
+
+
 def hp_herald_probability(d: PhotonDistribution, t: float, eta_d: float,
                           p_dc: float) -> float:
     """Total probability per pulse that the heralding detector fires.
 
-    Exact threshold-detector click probability: the herald fires unless
-    every photon passes the splitter or is missed and no dark count
-    occurs.  Each photon is silent with probability u = 1 - (1 - t) eta_d,
-    so an n-photon pulse fires it with probability 1 - u**n (1 - p_dc).
-    The settings and basis are checked as in ``hp_transform``.
+    Exact threshold-detector click probability: each photon reaches the
+    herald and is detected with probability (1 - t) eta_d, so an n-photon
+    pulse fires it with probability p_dc + (1 - p_dc) s_n, where s_n is
+    the chance that one of its n photons is detected.  Each term is formed
+    so, without the 1 - ... that cancels where the probability is small,
+    and the terms are summed exactly rounded.  The settings and basis are
+    checked as in ``hp_transform``.
     """
     _check_hp(d.p3, t, eta_d, p_dc)
-    u = 1.0 - (1.0 - t) * eta_d
-    quiet = 1.0 - p_dc
-    return (d.p0 * (1.0 - quiet) + d.p1 * (1.0 - u * quiet)
-            + d.p2 * (1.0 - u * u * quiet))
-
-
-def saturation_power(qy_x: float, qy_xx: float) -> float:
-    """Pump drive at which the mean photon number reaches 90% of its ceiling.
-
-    The asymptotic mean is ``qy_x + qy_xx`` (fully saturated cascade); the
-    90% condition reduces to a quadratic in the drive with a single
-    positive root.  Doubling both yields leaves the result unchanged.
-    """
-    _check_unit(qy_x=qy_x, qy_xx=qy_xx)
-    total = qy_x + qy_xx
-    if total == 0.0:
-        raise ValueError("at least one quantum yield must be positive")
-    beta = qy_x / total
-    # 0.1 a^2 + (beta - 0.9) a - 0.9 = 0, positive root.
-    return ((0.9 - beta) + math.sqrt((beta - 0.9) ** 2 + 0.36)) / 0.2
+    surv = _survival((1.0 - t) * eta_d)
+    return math.fsum(p * (p_dc + (1.0 - p_dc) * surv(n))
+                     for n, p in enumerate(d.as_tuple()))
 
 
 def _projected_fit(s: np.ndarray, counts: np.ndarray,

@@ -1,9 +1,8 @@
-import json
 from importlib import resources
 
 import pytest
 
-from spsqkd import ChannelParams, PhotonDistribution, analysis
+from spsqkd import ChannelParams, PhotonDistribution, analysis, cli
 
 # All shared fixtures are frozen dataclasses, so session scope is safe.
 
@@ -55,16 +54,16 @@ def pytest_terminal_summary(terminalreporter, exitstatus, config):
             terminalreporter.write_line(line)
 
 
-def _bundled(name: str) -> dict:
-    # the bundled file fixtures/<name>.json, whatever QKD_FIXTURES_DIR says
-    root = resources.files("spsqkd").joinpath("fixtures")
-    return json.loads(root.joinpath(f"{name}.json").read_text())
+def _bundled(name: str) -> str:
+    # the path of the bundled fixtures/<name>.json, whatever
+    # QKD_FIXTURES_DIR says
+    return str(resources.files("spsqkd").joinpath("fixtures", f"{name}.json"))
 
 
 @pytest.fixture(scope="session")
 def bundled_sources() -> dict[str, PhotonDistribution]:
     """Name -> distribution of each bundled source file fixtures/<name>.json."""
-    return {name: PhotonDistribution.from_dict(_bundled(name))
+    return {name: cli.load_source(_bundled(name))
             for name in ("bare-s1", "bare-s2", "bare-s3", "perfect", "sps1",
                          "sps2")}
 
@@ -72,7 +71,7 @@ def bundled_sources() -> dict[str, PhotonDistribution]:
 @pytest.fixture(scope="session")
 def channel() -> ChannelParams:
     """Default receiver at zero extra channel attenuation."""
-    return ChannelParams.from_dict(_bundled("channel"))
+    return cli.load_channel(_bundled("channel"))
 
 
 @pytest.fixture(scope="session")

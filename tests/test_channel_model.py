@@ -1,6 +1,7 @@
 """Threshold-detector channel: yields, gains, weak-coherent expansion."""
 
 import dataclasses
+import json
 import math
 from unittest import mock
 
@@ -9,7 +10,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from spsqkd import channel_model
+from spsqkd import channel_model, cli
 from spsqkd.channel_model import (
     ChannelParams,
     ObservedRates,
@@ -423,8 +424,12 @@ class TestSeriesArrayRateCheck:
 
 
 class TestValidationAndSerialization:
-    def test_channel_round_trip(self, channel: ChannelParams):
-        assert ChannelParams.from_dict(channel.to_dict()) == channel
+    def test_channel_round_trip(self, channel: ChannelParams, tmp_path):
+        # to_dict, written as JSON, reads back through the CLI's loader
+        moved = channel.with_loss(12.5)
+        path = tmp_path / "channel.json"
+        path.write_text(json.dumps(moved.to_dict()))
+        assert cli.load_channel(str(path)) == moved
         assert set(channel.to_dict()) == {"loss_db", "eta_bob", "p_dc", "e_d"}
 
     def test_with_loss_replaces_only_the_attenuation(self, channel):

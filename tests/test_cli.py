@@ -1014,6 +1014,23 @@ def test_a_negative_float_literal_reaches_the_range_check(
     assert (code, out, err) == invoke(capsys, argv + [f"{flag}={value}"])
 
 
+# A valid fixture of each kind; each number of a fixture must be a JSON number.
+FIXTURES = {
+    "channel": {"loss_db": 0.0, "eta_bob": 0.045, "p_dc": 2e-07, "e_d": 0.033},
+    "source": {"p0": 0.5, "p1": 0.5},
+    "budget": {"rep_rate_n": 2e6, "eta_a": 0.195, "eta_c_na": 0.1418}}
+NOT_NUMBERS = ('"0.5"', "true", "false", "null", "[]", "{}")
+
+
+def not_a_number(kind: str, field: str, text: str) -> tuple[str, str]:
+    """The ``kind`` fixture with ``field`` set to the JSON ``text``, and
+    the message (a template for ``str.format(path=...)``) that names it."""
+    value = json.loads(text)
+    shown = repr(value).replace("{", "{{").replace("}", "}}")
+    return (json.dumps({**FIXTURES[kind], field: value}),
+            f"{kind} {{path!r}}: {field} must be a JSON number, not {shown}")
+
+
 class TestFixtureResolution:
     @pytest.mark.parametrize("loader, text, message", [
         (load_channel, None, "channel file not found: {path}"),
@@ -1023,7 +1040,27 @@ class TestFixtureResolution:
         (load_channel, '{"p_dc": 2e-07, "e_d": 0.033}',
          "channel {path!r} lacks required field 'eta_bob'"),
         (cli.load_stats, '{"note": "no intensity entries"}',
-         "stats {path!r} defines no intensities")])
+         "stats {path!r} defines no intensities"),
+        # a required and an optional field of each kind: a number as text,
+        # a bool, null, a list or an object is no number
+        *[pytest.param(loader, *not_a_number(kind, field, text),
+                       id=f"{kind}-{field}-{text}")
+          for loader, kind, field in [(load_channel, "channel", "eta_bob"),
+                                      (load_channel, "channel", "loss_db"),
+                                      (cli.load_source, "source", "p1"),
+                                      (cli.load_source, "source", "p3"),
+                                      (cli.load_budget, "budget", "eta_a")]
+          for text in NOT_NUMBERS],
+        # a whole number too large for a float
+        pytest.param(
+            load_channel, not_a_number("channel", "eta_bob", "1" + "0" * 400)[0],
+            "channel {path!r}: int too large to convert to float",
+            id="channel-eta_bob-10**400"),
+        # only "note" annotates: every other entry holds a source
+        *[pytest.param(
+            cli.load_stats, '{"note": "x", "S1": {"p0": 1.0}, "S3": %s}' % text,
+            "stats {path!r} entry 'S3' must be a JSON object",
+            id=f"stats-S3-{text}") for text in ('"x"', "null", "0.5", "[]")]])
     def test_a_bad_fixture_file_is_a_config_error(self, tmp_path, loader,
                                                   text, message):
         path = str(tmp_path / "fixture.json")
@@ -1032,6 +1069,26 @@ class TestFixtureResolution:
         with pytest.raises(ConfigError,
                            match="^" + re.escape(message.format(path=path))):
             loader(path)
+
+    @pytest.mark.parametrize("kind, argv, text, field", [
+        ("channel", ["skr-curve", "--protocol", "wcs", "--channel"],
+         not_a_number("channel", "p_dc", '"2e-07"')[0], "p_dc"),
+        ("source", ["skr-curve", "--protocol", "dtb", "--source"],
+         not_a_number("source", "p0", "true")[0], "p0"),
+        ("budget", ["ingest", "missing.csv", "--budget"],
+         not_a_number("budget", "rep_rate_n", "null")[0], "rep_rate_n"),
+        ("stats", ["ingest", "missing.csv", "--stats"],
+         '{"note": "x", "S1": {"p0": 1.0}, "S2": []}', "'S2'")],
+        ids=["channel", "source", "budget", "stats"])
+    def test_a_bad_field_is_one_error_line(self, capsys, tmp_path, kind,
+                                           argv, text, field):
+        # exit 1 and one line on stderr that names the file and the field
+        path = tmp_path / f"{kind}.json"
+        path.write_text(text)
+        code, out, err = invoke(capsys, [*argv, str(path)])
+        assert (code, out) == (1, "")
+        assert err.startswith(f"error: {kind} {str(path)!r}")
+        assert field in err and err.count("\n") == 1
 
     def test_env_root_overrides_the_bundled_fixtures(self, capsys,
                                                      monkeypatch, tmp_path):

@@ -103,8 +103,9 @@ class TestCountsAreIntegers:
         (math.nan, "counts must be integers, not nan"),
         (math.inf, "counts must be integers, not inf"),
         (1e30, "counts must fit int64"),
-        ("3.5", "counts must be integers, not '3.5'")],
-        ids=["fraction", "nan", "inf", "past-int64", "string"])
+        ("3.5", "counts must be integers, not '3.5'"),
+        (True, "counts must be integers, not True")],  # before: a count of 1
+        ids=["fraction", "nan", "inf", "past-int64", "string", "bool"])
     def test_rejected_by_the_rule_they_break(self, value, message):
         with warnings.catch_warnings():
             warnings.simplefilter("error")
@@ -240,9 +241,16 @@ class TestFileFormats:
         ("H,H,5\n", dict(SIDECAR, exposure_s=None)),  # float(None)
         ("H,H,5\n", [1.0, "S1", 0.0]),  # a list indexed by field name
         ("H,H,x\n", SIDECAR),  # int("x") raised ValueError
-        ("H,H,-5\n", SIDECAR)],  # rejected without naming the file
+        ("H,H,-5\n", SIDECAR),  # rejected without naming the file
+        # read before as the label 'None' or '7', an exposure of 2.0 and an
+        # ND of 1.0
+        ("H,H,5\n", dict(SIDECAR, intensity_label=None)),
+        ("H,H,5\n", dict(SIDECAR, intensity_label=7)),
+        ("H,H,5\n", dict(SIDECAR, exposure_s="2")),
+        ("H,H,5\n", dict(SIDECAR, nd_filter_db=True))],
         ids=["no-count", "no-detector", "null-exposure", "array-sidecar",
-             "non-numeric-count", "negative-count"])
+             "non-numeric-count", "negative-count", "null-label",
+             "number-label", "text-exposure", "bool-nd"])
     def test_malformed_input_rejected_naming_the_file(self, tmp_path, rows,
                                                       sidecar):
         path = tmp_path / "m.csv"

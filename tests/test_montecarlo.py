@@ -680,27 +680,8 @@ class TestEmpiricalG2:
         sem = np.std(vals, ddof=1) / math.sqrt(len(vals))
         assert abs(empirical_g2(stream) - g2_of(sps1)) < 3.0 * sem
 
-    def test_threshold_detector_estimator_is_fair_for_poisson(self):
-        # split Poisson light stays Poisson and independent on both arms,
-        # so the hardware estimator is unbiased here at any efficiency
-        rng = np.random.default_rng(4)
-        stream = rng.poisson(0.5, size=1_000_000)
-        est = empirical_g2(stream, rng=rng, eta=0.2)
-        assert 0.9 < est < 1.1
-
-    def test_threshold_detector_estimator_sees_antibunching(self, sps1):
-        rng = np.random.default_rng(5)
-        stream = rng.choice(4, size=10_000_000, p=list(sps1.as_tuple()))
-        est = empirical_g2(stream, rng=rng, eta=0.05)
-        assert est < 0.9
-
     def test_degenerate_streams_are_rejected(self):
         with pytest.raises(ValueError):
             empirical_g2(np.array([]))
         with pytest.raises(ValueError):
             empirical_g2(np.zeros(100, dtype=int))
-        with pytest.raises(ValueError):
-            empirical_g2(np.ones(100, dtype=int), eta=0.5)
-        with pytest.raises(ValueError, match="no clicks on one arm"):
-            empirical_g2(np.ones(100, dtype=int), rng=np.random.default_rng(0),
-                         eta=0.0)

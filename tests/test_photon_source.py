@@ -11,7 +11,8 @@ import pytest
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
-from spsqkd.errors import FitError, InfeasibleObservablesError
+from spsqkd import cli
+from spsqkd.errors import ConfigError, FitError, InfeasibleObservablesError
 from spsqkd.photon_source import (
     ExcitationProbs,
     PhotonDistribution,
@@ -34,7 +35,6 @@ from spsqkd.photon_source import (
     hp_herald_probability,
     hp_transform,
     mean_photon_number,
-    saturation_power,
 )
 
 ETA_C_RANGE = r"eta_c must lie in \[0, 1\]"
@@ -563,16 +563,6 @@ class TestSaturation:
                  for s in drives]
         assert all(b > a for a, b in zip(means, means[1:]))
 
-    def test_bisection_residual_at_unit_yields(self):
-        alpha_is = saturation_power(1.0, 1.0)
-        ex = excitation_probs(alpha_is)
-        mean = ex.p_xx * 2.0 + ex.p_x
-        assert abs(mean - 1.8) < 1e-10
-
-    def test_scaling_both_yields_keeps_the_saturation_point(self):
-        assert saturation_power(0.3, 0.2) == pytest.approx(
-            saturation_power(0.6, 0.4), abs=1e-12)
-
 
 class TestFitSourceModel:
     def test_noiseless_curve_recovers_the_generator(self):
@@ -619,7 +609,8 @@ class TestFitSourceModel:
             x = theta[0] * s
             return (x * x + theta[1] * x) / (1.0 + x + x * x) - counts
 
-        oracle = least_squares(residuals, x0=[saturation_power(0.5, 0.5), 0.5],
+        # from the drive at which equal yields reach 90 % of their ceiling
+        oracle = least_squares(residuals, x0=[5.605551275463989, 0.5],
                                bounds=([1e-6, 0.0], [1e6, 1.0]))
         span = counts.max() - counts.min()
         assert nrmse <= np.sqrt(np.mean(oracle.fun**2)) / span + 1e-9
@@ -639,11 +630,17 @@ class TestFitSourceModel:
 
 
 class TestSerialization:
-    def test_distribution_reads_its_weights_by_name(self):
-        # an absent weight reads as 0, and a number given as text is read
-        assert PhotonDistribution.from_dict(
-            {"p2": 0.25, "p0": "0.5", "p1": 0.25}) == PhotonDistribution(
-                0.5, 0.25, 0.25, 0.0)
+    def test_distribution_reads_its_weights_by_name(self, tmp_path):
+        # a source file's weights are read by name and an absent one reads
+        # as 0; a number given as text is no number
+        path = tmp_path / "source.json"
+        path.write_text(json.dumps({"p2": 0.25, "p0": 0.5, "p1": 0.25}))
+        assert cli.load_source(str(path)) == PhotonDistribution(
+            0.5, 0.25, 0.25, 0.0)
+        path.write_text(json.dumps({"p2": 0.25, "p0": "0.5", "p1": 0.25}))
+        with pytest.raises(ConfigError, match="p0 must be a JSON number, "
+                                              "not '0.5'$"):
+            cli.load_source(str(path))
 
     def test_bundled_sources_are_valid_distributions(self, bundled_sources):
         assert {"sps1", "sps2", "perfect"} <= set(bundled_sources)
@@ -718,12 +715,6 @@ class TestArgumentChecks:
         (lambda: extract_distribution_g3(0.0, 0.005, 0.1),
          InfeasibleObservablesError,
          "inversion of p0=0.0, g2=0.005, g3=0.1 leaves the simplex"),
-        (lambda: saturation_power(1.5, 0.5), ValueError,
-         "qy_x=1.5 must lie in [0, 1]"),
-        (lambda: saturation_power(0.5, NAN), ValueError,
-         "qy_xx=nan must lie in [0, 1]"),
-        (lambda: saturation_power(0.0, 0.0), ValueError,
-         "at least one quantum yield must be positive"),
         (lambda: fit_source_model(SAT[:2], SAT[:2]), FitError,
          "need matching 1-d arrays with at least 3 samples"),
         (lambda: fit_source_model(SAT, np.append(SAT, 2.0)), FitError,
