@@ -3,11 +3,11 @@
 Everything here reduces to one primitive: the maximal channel loss
 (MCL), the largest attenuation at which a protocol's key rate stays
 positive.  It is searched once, by ``_mcl_bracket``, over one problem
-(``mcl``) or many in lockstep (``mcl_lockstep``), in one probe loop and
-one bisection.  Each problem starts at its hint's grid index, clamped to
-[0, 200 dB], or at zero loss without a hint, and steps up while it has
-key and down while it has none: 25 dB at a time without a hint, 1, 2,
-4, ... grid steps with one.  Every loss it probes is a multiple of the
+(``mcl``) or many in lockstep, in one probe loop and one bisection.
+Each problem starts at its hint's grid index, clamped to [0, 200 dB],
+or at zero loss without a hint, and steps up while it has key and down
+while it has none: 25 dB at a time without a hint, 1, 2, 4, ... grid
+steps with one.  Every loss it probes is a multiple of the
 step 25/2^k dB, the first halving of 25 dB at or below the tolerance
 (25/4096 dB at the default 0.01 dB), so for a rate whose sign does not
 increase along that grid the MCL is the highest grid loss with key plus
@@ -77,7 +77,7 @@ BS_TRANSMISSION_TOL = 1e-4
 _REFERENCE_MEMO_SIZE = 64
 
 RateFn = Callable[[float], float]
-# (problem indices, losses in dB) -> rates, for mcl_lockstep
+# (problem indices, losses in dB) -> rates, for _mcl_bracket
 ArrayRateFn = Callable[[np.ndarray, np.ndarray], np.ndarray]
 # losses in dB -> the rates of one problem at all of them, for skr_curve
 CurveFn = Callable[[np.ndarray], np.ndarray]
@@ -240,7 +240,7 @@ def _scalar_bracket(skr_fn: RateFn, tol_db: float,
 
 def mcl(skr_fn: RateFn, tol_db: float = MCL_TOL_DB) -> float:
     """Maximal channel loss of a rate function, by the one MCL search
-    (``_mcl_bracket``): ``mcl_lockstep`` of a single problem.
+    (``_mcl_bracket``) over a single problem.
 
     ``skr_fn`` maps loss in dB to a key rate.  The rate must be positive
     at 0 dB (otherwise there is no key to lose: NoKeyError) and
@@ -257,26 +257,10 @@ def mcl(skr_fn: RateFn, tol_db: float = MCL_TOL_DB) -> float:
     return _scalar_bracket(skr_fn, tol_db)[0]
 
 
-def mcl_lockstep(rate_fn: ArrayRateFn, size: int,
-                 tol_db: float = MCL_TOL_DB) -> np.ndarray:
-    """``mcl`` of ``size`` independent problems, searched together.
-
-    ``rate_fn(idx, loss_db)`` returns the key rates of problems ``idx`` at
-    the losses ``loss_db`` (equal-length arrays).  Both run
-    ``_mcl_bracket``, so every problem probes the grid losses one ``mcl``
-    call probes, in the same order, and gets the same result.  Problems
-    without key at zero loss are NaN where ``mcl`` raises NoKeyError;
-    FitError is raised when any problem's rate is still positive at the
-    cap, where a loop of ``mcl`` calls raises at the first such problem.
-    ``tol_db`` has the range ``mcl`` accepts: finite and at least 25/2^59
-    dB, or ValueError before any rate call.
-    """
-    return _mcl_bracket(rate_fn, size, tol_db)[0]
-
-
 def gamma(mcl_protocol_db: float, mcl_wcs_db: float) -> float:
     """Relative gain in dB; positive means the protocol tolerates more loss.
-    Elementwise where ``mcl_protocol_db`` is an array (``gamma_map_dtb``)."""
+    Elementwise where ``mcl_protocol_db`` is an array (``gamma_map_dtb``,
+    ``gamma_vs_efficiency``), a NaN MCL giving a NaN gain."""
     return mcl_protocol_db - mcl_wcs_db
 
 
@@ -316,7 +300,7 @@ def dtb_rate_fn(signal: PhotonDistribution, channel: ChannelParams,
 def dtb_rate_array_fn(probs: np.ndarray, channel: ChannelParams,
                       **kw) -> ArrayRateFn:
     """``dtb_rate_fn`` for the columns of a (4, N) array of checked
-    distributions, in the form ``mcl_lockstep`` takes (``skr_dtb_array``)."""
+    distributions, in the form ``_mcl_bracket`` takes (``skr_dtb_array``)."""
     return lambda idx, loss_db: skr_dtb_array(probs[:, idx], channel, loss_db,
                                               **kw)
 
@@ -331,7 +315,7 @@ def hp_rate_array_fn(probs: np.ndarray, channel: ChannelParams,
                      t=DEFAULT_T, eta_d=DEFAULT_ETA_D,
                      p_dc_alice: float | None = None, **kw) -> ArrayRateFn:
     """``hp_rate_fn`` for the columns of a (4, N) array of checked sources,
-    in the form ``mcl_lockstep`` takes; ``t`` and ``eta_d`` are scalars or
+    in the form ``_mcl_bracket`` takes; ``t`` and ``eta_d`` are scalars or
     length-N arrays, the rest goes to ``skr_hp_array``.  The effective
     distributions are checked once, here."""
     eff = hp_effective_array(probs, t, eta_d,
@@ -593,7 +577,7 @@ def optimal_bs_transmission(p2, p_dc: float, eta_d: float,
 
     ``p2`` is one two-photon weight, or a sequence of them for an array of
     optima.  All weights are searched together (``golden_max_lockstep``,
-    with one MCL search across them per probe, as ``mcl_lockstep`` at
+    with one ``_mcl_bracket`` search across them per probe at
     ``tol_db=1e-5``); one weight is the size-1 case.  Each weight's search
     after its first t starts from a predicted MCL and gallops out from
     there (``_mcl_bracket``).  The prediction is herald-scaled: base(t) =
@@ -747,6 +731,5 @@ def gamma_vs_efficiency(protocol: str, axis: str, values: Sequence[float],
                               p_dc_alice=p_dc_alice, **kw)
     # after the sweep's own checks above, so a bad sweep searches nothing
     baseline = wcs_mcl(channel, **kw)
-    m = mcl_lockstep(fn, grid.size)
-    return [(vi, math.nan if math.isnan(mi) else gamma(float(mi), baseline))
-            for vi, mi in zip(grid.tolist(), m)]
+    m = _mcl_bracket(fn, grid.size, MCL_TOL_DB)[0]
+    return list(zip(grid.tolist(), gamma(m, baseline).tolist()))

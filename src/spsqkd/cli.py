@@ -90,7 +90,7 @@ def _load_json(arg: str, kind: str) -> dict:
     path = _resolve(arg, kind)
     try:
         data = json.loads(path.read_text())
-    except json.JSONDecodeError as exc:
+    except ValueError as exc:  # not JSON, or not text
         raise ConfigError(f"{kind} file {path} is not valid JSON: {exc}") from exc
     if not isinstance(data, dict):
         raise ConfigError(f"{kind} file {path} must hold a JSON object")
@@ -100,7 +100,8 @@ def _load_json(arg: str, kind: str) -> dict:
 def _parse(cls, data, where: str, optional: tuple[str, ...] = ()):
     """``cls`` from the JSON object ``data``, each field read by
     ``json_number``, those in ``optional`` as 0 when absent; a value that
-    is not an object, a missing or malformed field as ConfigError."""
+    is not an object, a missing or malformed field, or one that ``cls``
+    rejects, as ConfigError naming ``where``."""
     if not isinstance(data, dict):
         raise ConfigError(f"{where} must be a JSON object")
     try:
@@ -109,7 +110,7 @@ def _parse(cls, data, where: str, optional: tuple[str, ...] = ()):
             for f in dataclasses.fields(cls)})
     except KeyError as exc:
         raise ConfigError(f"{where} lacks required field {exc}") from exc
-    except (TypeError, ValueError, OverflowError) as exc:
+    except (ConfigError, TypeError, ValueError, OverflowError) as exc:
         raise ConfigError(f"{where}: {exc}") from exc
 
 

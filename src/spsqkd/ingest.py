@@ -352,8 +352,9 @@ def read_tomography_csv(csv_path: str | Path) -> TomographyMap:
     included, is a ConfigError naming the file and line, and so is a row
     whose count takes its cell past int64; so is a CSV that cannot be
     decoded as text.  The sidecar ``<csv>.json`` must be a JSON
-    object whose exposure_s and nd_filter_db are JSON numbers and whose
-    intensity_label is a string, or a ConfigError names it and the field.
+    object whose exposure_s and nd_filter_db are JSON numbers in
+    ``TomographyMap``'s ranges and whose intensity_label is a string, or
+    a ConfigError names it and the field.
     """
     csv_path = Path(csv_path)
     sidecar = csv_path.with_suffix(csv_path.suffix + ".json")
@@ -390,8 +391,10 @@ def read_tomography_csv(csv_path: str | Path) -> TomographyMap:
         return TomographyMap(counts=counts, exposure_s=exposure_s,
                              intensity_label=label,
                              nd_filter_db=json_number(meta, "nd_filter_db"))
-    except (KeyError, TypeError, ValueError, OverflowError) as exc:
-        # a field missing or of the wrong type, or a sidecar not an object
+    except (ConfigError, KeyError, TypeError, ValueError,
+            OverflowError) as exc:
+        # a field missing, of the wrong type or out of range, or a sidecar
+        # not an object
         raise ConfigError(f"{sidecar}: missing or bad field: {exc}") from exc
 
 

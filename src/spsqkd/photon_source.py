@@ -19,9 +19,8 @@ validated on construction.
 from __future__ import annotations
 
 import math
-import warnings
+from collections.abc import Callable
 from dataclasses import dataclass
-from typing import Callable
 
 import numpy as np
 
@@ -100,14 +99,8 @@ class SourceModel:
     def __post_init__(self) -> None:
         if not math.isfinite(self.alpha_times_is) or self.alpha_times_is <= 0:
             raise ValueError("alpha_times_is must be positive")
-        _check_unit(qy_x=self.qy_x, qy_xx=self.qy_xx)
-
-
-def _check_unit(**values: float) -> None:
-    # ValueError naming the first of ``values`` outside [0, 1]
-    for name, value in values.items():
-        if not 0.0 <= value <= 1.0:
-            raise ValueError(f"{name}={value!r} must lie in [0, 1]")
+        check_setting("qy_x", self.qy_x)
+        check_setting("qy_xx", self.qy_xx)
 
 
 @dataclass(frozen=True, slots=True)
@@ -139,7 +132,9 @@ def cascade_distribution(ex: ExcitationProbs, qy_x: float,
     radiatively; one photon if exactly one line does.  An exciton
     preparation emits one photon with yield ``qy_x``.
     """
-    _check_unit(p_xx=ex.p_xx, p_x=ex.p_x, qy_x=qy_x, qy_xx=qy_xx)
+    for name, value in (("p_xx", ex.p_xx), ("p_x", ex.p_x), ("qy_x", qy_x),
+                        ("qy_xx", qy_xx)):
+        check_setting(name, value)
     if ex.p_xx + ex.p_x > 1.0 + _NEG_TOL:
         raise ValueError("occupation probabilities exceed 1")
     p2 = ex.p_xx * qy_x * qy_xx
@@ -185,31 +180,6 @@ def g2_upper_bound(p0: float) -> float:
     if not 0.0 <= p0 < 1.0:
         raise ValueError("p0 must lie in [0, 1)")
     return 1.0 / (2.0 * (1.0 - p0))
-
-
-def extract_p0(count_rate_c: float, rep_rate_n: float, eta_detection: float) -> float:
-    """Vacuum probability from a calibrated count rate.
-
-    Uses the linear-detection approximation ``C = eta * N * <n>`` with
-    ``<n> = 1 - p0`` on a nearly single-photon stream; accurate only for
-    small detection efficiency, so values above 10% are flagged.  The
-    count rate must be finite and >= 0, the repetition rate finite and
-    > 0, and the efficiency in (0, 1], or ValueError.
-    """
-    if (not 0.0 <= count_rate_c < math.inf or not 0.0 < rep_rate_n < math.inf
-            or not 0.0 < eta_detection <= 1.0):
-        raise ValueError("count rate, repetition rate and efficiency must be physical")
-    if eta_detection > 0.1:
-        warnings.warn(
-            "extract_p0 assumes detection probability linear in photon number; "
-            f"eta_detection={eta_detection} is too large for that to hold well",
-            stacklevel=2,
-        )
-    p0 = 1.0 - count_rate_c / (eta_detection * rep_rate_n)
-    if not 0.0 <= p0 <= 1.0:
-        raise InfeasibleObservablesError(
-            f"count rate implies p0={p0:.6g}, outside [0, 1]")
-    return p0
 
 
 def extract_distribution_g2(p0: float, g2: float) -> PhotonDistribution:
@@ -278,17 +248,17 @@ def extract_distribution_g3(p0: float, g2: float, g3: float) -> PhotonDistributi
     """Invert (p0, g2, g3) to a {0, 1, 2, 3} distribution.
 
     At g3 = 0 this is ``extract_distribution_g2``.  Otherwise it solves
-    the 3x3 moment system by Newton iteration, taking each full step until
-    every residual is below 1e-12.  At or below the {0, 1, 2}-basis
-    ceiling ``g2 <= 1 / (2 (1 - p0))`` the seed is the g2-only inversion
-    with a small three-photon weight.  Above it, where that inversion does
-    not exist, the seed is the exact solution from the cubic in the mean
-    photon number (``_cubic_seed``), which Newton only polishes;
-    InfeasibleObservablesError if no root of the cubic has non-negative
-    weights.  It is raised too when the system is singular, when 200 steps
-    do not converge, or when the result leaves the simplex.  The iterate
-    and residuals are Python floats; only the linear solve and the cubic's
-    roots use numpy.
+    the 3x3 moment system by Newton iteration, taking full steps, at
+    least one, until every residual is below 1e-12.  At or below the
+    {0, 1, 2}-basis ceiling ``g2 <= 1 / (2 (1 - p0))`` the seed is the
+    g2-only inversion with a small three-photon weight.  Above it, where
+    that inversion does not exist, the seed is the exact solution from
+    the cubic in the mean photon number (``_cubic_seed``), which Newton
+    only polishes; InfeasibleObservablesError if no root of the cubic has
+    non-negative weights.  It is raised too when the system is singular,
+    when 200 steps do not converge, or when the result leaves the
+    simplex.  The iterate and residuals are Python floats; only the
+    linear solve and the cubic's roots use numpy.
     """
     if g3 < 0 or not math.isfinite(g3):
         raise ValueError("g3 must be non-negative")
@@ -306,8 +276,6 @@ def extract_distribution_g3(p0: float, g2: float, g3: float) -> PhotonDistributi
             ) from exc
     res = _g3_residuals(*p, b, g2, g3)
     for _ in range(_MAX_NEWTON_ITER):
-        if all(abs(r) < _ROOT_TOL for r in res):  # NaN never converges
-            break
         try:
             step = np.linalg.solve(_g3_jacobian(*p, g2, g3),
                                    [-r for r in res]).tolist()
@@ -316,6 +284,8 @@ def extract_distribution_g3(p0: float, g2: float, g3: float) -> PhotonDistributi
                 "moment system is singular at the current iterate") from exc
         p = tuple(x + s for x, s in zip(p, step))
         res = _g3_residuals(*p, b, g2, g3)
+        if all(abs(r) < _ROOT_TOL for r in res):  # NaN never converges
+            break
     else:
         raise InfeasibleObservablesError(
             f"moment inversion did not converge for p0={p0}, g2={g2}, g3={g3}")
@@ -397,8 +367,9 @@ def _check_hp(p3: float, t: float, eta_d: float, p_dc: float) -> None:
 
 def check_setting(what: str, value: float) -> None:
     """ValueError "``what`` must lie in [0, 1]" unless ``value`` does: the
-    purification kernels' rule for each setting, and the herald's for its
-    dark rate (``protocols.check_herald``)."""
+    one scalar form of the rule (``check_collection`` is its array form),
+    for the cascade's yields and occupations, each purification setting
+    and the herald's dark rate (``protocols.check_herald``)."""
     if not 0.0 <= value <= 1.0:
         raise ValueError(f"{what} must lie in [0, 1]")
 

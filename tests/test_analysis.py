@@ -20,7 +20,6 @@ from spsqkd.analysis import (
     hp_rate_fn,
     hp_threshold,
     mcl,
-    mcl_lockstep,
     optimal_bs_transmission,
     skr_curve,
     wcs_curve_fn,
@@ -93,7 +92,7 @@ class TestMclTolerance:
         with pytest.raises(ValueError, match="tol_db must be finite"):
             mcl(no_search, tol_db=tol_db)
         with pytest.raises(ValueError, match="tol_db must be finite"):
-            mcl_lockstep(no_search, 3, tol_db=tol_db)
+            analysis._mcl_bracket(no_search, 3, tol_db)
 
     @pytest.mark.parametrize("tol_db, want", [
         (25.0 / 2**59, [29.999999999999996, 28.999999999999996,
@@ -103,8 +102,8 @@ class TestMclTolerance:
         ids=["finest", "default"])
     def test_accepted_ends_search_as_before(self, tol_db, want):
         assert mcl(lambda loss: 30.0 - loss, tol_db=tol_db) == want[0]
-        assert mcl_lockstep(lambda idx, loss: 30.0 - loss - idx, 3,
-                            tol_db=tol_db).tolist() == want
+        assert analysis._mcl_bracket(lambda idx, loss: 30.0 - loss - idx, 3,
+                                     tol_db)[0].tolist() == want
 
 
 def _mcl_or_no_key(search) -> float:
@@ -280,7 +279,8 @@ def scalar_mcl(d: PhotonDistribution, channel: ChannelParams) -> float:
 
 def lockstep_mcl(ds, channel: ChannelParams) -> np.ndarray:
     probs = np.array([d.as_tuple() for d in ds]).T
-    return mcl_lockstep(dtb_rate_array_fn(probs, channel), len(ds))
+    return analysis._mcl_bracket(dtb_rate_array_fn(probs, channel), len(ds),
+                                 analysis.MCL_TOL_DB)[0]
 
 
 def same_floats(a, b) -> bool:
@@ -316,19 +316,20 @@ class TestMclLockstep:
         def fn(idx, loss):
             return np.maximum(0.0, 1e-3 * (1.0 - loss / cutoffs[idx]))
 
-        got = mcl_lockstep(fn, cutoffs.size)
+        got = analysis._mcl_bracket(fn, cutoffs.size, analysis.MCL_TOL_DB)[0]
         assert got.tolist() == [mcl(ramp(c)) for c in cutoffs]
 
     def test_nan_rates_are_searched_as_mcl_searches_them(self):
         def fn(idx, loss):
             return np.where(idx == 0, math.nan, -1.0)
 
-        got = mcl_lockstep(fn, 2)
+        got = analysis._mcl_bracket(fn, 2, analysis.MCL_TOL_DB)[0]
         assert math.isnan(got[1])
         assert got[0] == mcl(lambda loss: math.nan)
 
     def test_no_problems(self):
-        assert mcl_lockstep(lambda idx, loss: loss, 0).size == 0
+        assert analysis._mcl_bracket(lambda idx, loss: loss, 0,
+                                     analysis.MCL_TOL_DB)[0].size == 0
 
     def test_cap_raises_where_the_scalar_search_does(self, sps1):
         # without dark counts or misalignment the rate never reaches zero
@@ -339,8 +340,9 @@ class TestMclLockstep:
             lockstep_mcl([sps1], clean)
         # one capped problem among finite ones fails the whole search
         with pytest.raises(FitError):
-            mcl_lockstep(lambda idx, loss: np.where(
-                idx == 1, 1.0, np.maximum(0.0, 1.0 - loss / 30.0)), 3)
+            analysis._mcl_bracket(lambda idx, loss: np.where(
+                idx == 1, 1.0, np.maximum(0.0, 1.0 - loss / 30.0)), 3,
+                analysis.MCL_TOL_DB)
 
 
 def loop_mcl(skr_fn, tol_db: float = 0.01) -> float:
@@ -403,9 +405,9 @@ def probes_and_result(search, skr_fn, tol_db: float):
 
 
 class TestOneSearch:
-    """``mcl`` and ``mcl_lockstep`` are one search: each problem probes the
-    losses the scalar loop probes, in the same order, and gets the same
-    result, whatever the signs of the rate along the loss axis."""
+    """``mcl`` and a lockstep ``_mcl_bracket`` are one search: each problem
+    probes the losses the scalar loop probes, in the same order, and gets
+    the same result, whatever the signs of the rate along the loss axis."""
 
     @given(st.lists(sign_patterns(), min_size=1, max_size=4),
            # 25/1024 dB: a tolerance that one bracket width equals
@@ -423,9 +425,9 @@ class TestOneSearch:
 
         if any(result is FitError for _, result in want):
             with pytest.raises(FitError):
-                mcl_lockstep(rate_fn, len(rates), tol_db=tol_db)
+                analysis._mcl_bracket(rate_fn, len(rates), tol_db)
             return
-        got = mcl_lockstep(rate_fn, len(rates), tol_db=tol_db)
+        got = analysis._mcl_bracket(rate_fn, len(rates), tol_db)[0]
         assert logs == [log for log, _ in want]
         assert [NoKeyError if math.isnan(m) else float.hex(m)
                 for m in got.tolist()] == [result for _, result in want]
@@ -770,9 +772,9 @@ class TestHpLockstep:
                                          p_dc_alice=p_dc_alice))
             except FitError:
                 with pytest.raises(FitError):
-                    mcl_lockstep(fn, len(ds), tol_db=tol_db)
+                    analysis._mcl_bracket(fn, len(ds), tol_db)
                 return
-        assert same_floats(mcl_lockstep(fn, len(ds), tol_db=tol_db), ref)
+        assert same_floats(analysis._mcl_bracket(fn, len(ds), tol_db)[0], ref)
 
     def test_a_capped_problem_fails_the_search(self, sps2):
         clean = ChannelParams(loss_db=0.0, eta_bob=1.0, p_dc=0.0, e_d=0.0)
@@ -780,7 +782,9 @@ class TestHpLockstep:
             mcl(hp_rate_fn(sps2, clean, p_dc_alice=1e-7))
         probs = np.array([sps2.as_tuple()]).T
         with pytest.raises(FitError):
-            mcl_lockstep(hp_rate_array_fn(probs, clean, p_dc_alice=1e-7), 1)
+            analysis._mcl_bracket(
+                hp_rate_array_fn(probs, clean, p_dc_alice=1e-7), 1,
+                analysis.MCL_TOL_DB)
 
 
 def loop_zero_contour(gmap: GammaMap) -> tuple[np.ndarray, np.ndarray]:
@@ -957,8 +961,9 @@ class TestGammaMap:
             if eta_c < 1.0:
                 probs = apply_collection_array(probs, eta_c)
             out = np.full((n, n), np.nan)
-            out[inside] = mcl_lockstep(dtb_rate_array_fn(probs, ch),
-                                       p1.size) - baseline
+            out[inside] = analysis._mcl_bracket(
+                dtb_rate_array_fn(probs, ch), p1.size,
+                analysis.MCL_TOL_DB)[0] - baseline
             return out
 
         try:
@@ -1075,7 +1080,7 @@ class TestHpThresholdCounts:
                 return fn(*args, **kwargs)
             monkeypatch.setattr(module, name, wrapper)
 
-        # every MCL search, by mcl, mcl_lockstep or the reference memo
+        # every MCL search, by mcl, in lockstep or by the reference memo
         counted(analysis, "_mcl_bracket", "searches")
         for name in ("skr_hp_array", "skr_hp"):
             counted(analysis, name, name)

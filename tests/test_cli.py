@@ -942,7 +942,8 @@ class TestIngest:
                                             tmp_path, field, value, message):
         # they gave a zero gain with a positive key rate, all-zero gains,
         # or a report of a missing S2 map; the json module writes them as
-        # Infinity and NaN, and reads 1e400 as inf
+        # Infinity and NaN, and reads 1e400 as inf.  The error names the
+        # file that holds the value
         paths, _, _ = experiment_dir
         copies = []
         for path in map(Path, paths):
@@ -954,15 +955,17 @@ class TestIngest:
             {"rep_rate_n": 2e6, "eta_a": 0.195, "eta_c_na": 0.1418}))
         if field == "rep_rate_n":
             budget.write_text(budget.read_text().replace("2000000.0", "1e400"))
+            where = f"budget {str(budget)!r}"
         else:
             sidecar = tmp_path / "s2.csv.json"
             meta = json.loads(sidecar.read_text())
             meta[field] = value
             sidecar.write_text(json.dumps(meta))
+            where = f"{sidecar}: missing or bad field"
         code, out, err = invoke(capsys, ["ingest", "--budget", str(budget)]
                                 + copies)
         assert code == 1 and out == ""
-        assert err == f"error: {message}\n"
+        assert err == f"error: {where}: {message}\n"
 
 
 @pytest.mark.parametrize("flags, digest", [
@@ -1035,6 +1038,10 @@ class TestFixtureResolution:
     @pytest.mark.parametrize("loader, text, message", [
         (load_channel, None, "channel file not found: {path}"),
         (load_channel, "{not json", "channel file {path} is not valid JSON: "),
+        # a file that is not UTF-8 text
+        pytest.param(cli.load_source, b'{"p0": 1.0}\xff',
+                     "source file {path} is not valid JSON: ",
+                     id="source-not-utf-8"),
         (load_channel, "[0.045, 2e-07, 0.033]",
          "channel file {path} must hold a JSON object"),
         (load_channel, '{"p_dc": 2e-07, "e_d": 0.033}',
@@ -1060,11 +1067,18 @@ class TestFixtureResolution:
         *[pytest.param(
             cli.load_stats, '{"note": "x", "S1": {"p0": 1.0}, "S3": %s}' % text,
             "stats {path!r} entry 'S3' must be a JSON object",
-            id=f"stats-S3-{text}") for text in ('"x"', "null", "0.5", "[]")]])
+            id=f"stats-S3-{text}") for text in ('"x"', "null", "0.5", "[]")],
+        # a number out of the range the fixture's class takes
+        pytest.param(cli.load_budget, json.dumps({**FIXTURES["budget"],
+                                                  "eta_a": 2}),
+                     "budget {path!r}: eta_a must lie in (0, 1]",
+                     id="budget-eta_a-2")])
     def test_a_bad_fixture_file_is_a_config_error(self, tmp_path, loader,
                                                   text, message):
         path = str(tmp_path / "fixture.json")
-        if text is not None:
+        if isinstance(text, bytes):
+            Path(path).write_bytes(text)
+        elif text is not None:
             Path(path).write_text(text)
         with pytest.raises(ConfigError,
                            match="^" + re.escape(message.format(path=path))):

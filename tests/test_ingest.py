@@ -247,10 +247,14 @@ class TestFileFormats:
         ("H,H,5\n", dict(SIDECAR, intensity_label=None)),
         ("H,H,5\n", dict(SIDECAR, intensity_label=7)),
         ("H,H,5\n", dict(SIDECAR, exposure_s="2")),
-        ("H,H,5\n", dict(SIDECAR, nd_filter_db=True))],
+        ("H,H,5\n", dict(SIDECAR, nd_filter_db=True)),
+        # numbers out of TomographyMap's ranges, rejected without the file
+        ("H,H,5\n", dict(SIDECAR, exposure_s=-1)),
+        ("H,H,5\n", dict(SIDECAR, nd_filter_db=math.inf))],
         ids=["no-count", "no-detector", "null-exposure", "array-sidecar",
              "non-numeric-count", "negative-count", "null-label",
-             "number-label", "text-exposure", "bool-nd"])
+             "number-label", "text-exposure", "bool-nd", "negative-exposure",
+             "infinite-nd"])
     def test_malformed_input_rejected_naming_the_file(self, tmp_path, rows,
                                                       sidecar):
         path = tmp_path / "m.csv"

@@ -473,7 +473,7 @@ def test_bad_losses_rejected_as_with_loss_rejects_them(channel, sps1, loss):
 
 
 class TestHpMonotoneOnTheMclGrid:
-    """The MCL search (``mcl``, ``mcl_lockstep``) and ``hp_threshold`` read
+    """The MCL search (``mcl``, ``_mcl_bracket``) and ``hp_threshold`` read
     one sign per grid loss and rest on the purified rate not increasing in
     loss.  The grid is the multiples of the step 25/2^k dB up to the 200 dB
     cap, 25/2^k the first halving of 25 dB at or below the search's
@@ -515,7 +515,7 @@ class TestHpMonotoneOnTheMclGrid:
 
 class TestDtbMonotoneOnTheMclGrid:
     """``gamma-map`` and ``gamma-vs-eta --protocol dtb`` search the decoy
-    rate's MCL (``mcl_lockstep`` over ``skr_dtb_array``, ``mcl`` over
+    rate's MCL (``_mcl_bracket`` over ``skr_dtb_array``, ``mcl`` over
     ``skr_dtb``) and rest on it not increasing in loss along the grid of
     the default 0.01 dB tolerance: the multiples of 25/4096 dB up to the
     200 dB cap."""
