@@ -76,8 +76,7 @@ def reached_names(paths) -> set[str]:
     names = set()
     for path in paths:
         for node in ast.walk(ast.parse(path.read_text())):
-            if isinstance(node, ast.Name) and not isinstance(node.ctx,
-                                                             ast.Store):
+            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
                 names.add(node.id)
             elif isinstance(node, ast.Attribute):
                 names.add(node.attr)
@@ -119,7 +118,7 @@ def test_the_scan_sees_module_level_definitions_and_no_assignment(
     # nested and private names are not public; a name only assigned is
     # not reached, so a constant that nothing reads is found
     path = tmp_path / "probe.py"
-    path.write_text("import os\nA = 1\nB: int = 2\nC, _d = 3, 4\n_E = 5\n"
+    path.write_text("A = 1\nB: int = 2\nC, _d = 3, 4\n_E = 5\n"
                     "def f():\n    g = 6\nclass K:\n    h = 7\n"
                     "def _private():\n    return A\n")
     assert public_definitions([path]) == {"A", "B", "C", "f", "K"}
