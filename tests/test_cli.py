@@ -296,6 +296,18 @@ class TestSkrCurve:
         assert err.startswith(f"error: source {str(source)!r}: ")
         assert err.count("\n") == 1
 
+    def test_a_source_file_that_is_not_text_fails_naming_it(self, capsys,
+                                                           tmp_path):
+        # its UnicodeDecodeError escaped as an error without the file
+        source = tmp_path / "bad.json"
+        source.write_bytes(b'{"p0": 1.0}\xff')
+        code, out, err = invoke(capsys, ["skr-curve", "--protocol", "dtb",
+                                         "--source", str(source)])
+        assert code == 1 and out == ""
+        assert err.startswith(f"error: source file {source} is not valid "
+                              "JSON: 'utf-8' codec can't decode byte 0xff")
+        assert err.count("\n") == 1
+
     def test_file_output_matches_stdout_and_repeats_byte_identically(
             self, capsys, tmp_path):
         argv = ["skr-curve", "--protocol", "wcs", "--loss-max", "5"]
@@ -854,6 +866,16 @@ def experiment_dir(tmp_path_factory, bare_decoy, bare_signal):
     return paths, maps, budget
 
 
+def copy_experiment(paths, to: Path) -> list[str]:
+    """Copies in ``to`` of the CSVs at ``paths`` and their sidecars."""
+    copies = []
+    for path in map(Path, paths):
+        for src in (path, path.with_suffix(".csv.json")):
+            (to / src.name).write_bytes(src.read_bytes())
+        copies.append(str(to / path.name))
+    return copies
+
+
 class TestIngest:
     def test_json_report_structure(self, capsys, experiment_dir):
         paths, _, _ = experiment_dir
@@ -944,12 +966,7 @@ class TestIngest:
         # or a report of a missing S2 map; the json module writes them as
         # Infinity and NaN, and reads 1e400 as inf.  The error names the
         # file that holds the value
-        paths, _, _ = experiment_dir
-        copies = []
-        for path in map(Path, paths):
-            for src in (path, path.with_suffix(".csv.json")):
-                (tmp_path / src.name).write_bytes(src.read_bytes())
-            copies.append(str(tmp_path / path.name))
+        copies = copy_experiment(experiment_dir[0], tmp_path)
         budget = tmp_path / "budget.json"
         budget.write_text(json.dumps(
             {"rep_rate_n": 2e6, "eta_a": 0.195, "eta_c_na": 0.1418}))
@@ -961,6 +978,29 @@ class TestIngest:
             meta = json.loads(sidecar.read_text())
             meta[field] = value
             sidecar.write_text(json.dumps(meta))
+            where = f"{sidecar}: missing or bad field"
+        code, out, err = invoke(capsys, ["ingest", "--budget", str(budget)]
+                                + copies)
+        assert code == 1 and out == ""
+        assert err == f"error: {where}: {message}\n"
+
+    @pytest.mark.parametrize("field, value, message", [
+        ("eta_a", 2, "eta_a must lie in (0, 1]"),
+        ("exposure_s", -1, "exposure_s must be positive and finite")])
+    def test_out_of_range_input_fails_naming_the_file(
+            self, capsys, experiment_dir, tmp_path, field, value, message):
+        # each printed its message without the file that held the value
+        copies = copy_experiment(experiment_dir[0], tmp_path)
+        budget = tmp_path / "budget.json"
+        fields = {"rep_rate_n": 2e6, "eta_a": 0.195, "eta_c_na": 0.1418}
+        if field in fields:
+            budget.write_text(json.dumps({**fields, field: value}))
+            where = f"budget {str(budget)!r}"
+        else:
+            budget.write_text(json.dumps(fields))
+            sidecar = tmp_path / "s2.csv.json"
+            sidecar.write_text(json.dumps(
+                {**json.loads(sidecar.read_text()), field: value}))
             where = f"{sidecar}: missing or bad field"
         code, out, err = invoke(capsys, ["ingest", "--budget", str(budget)]
                                 + copies)

@@ -288,6 +288,19 @@ class TestExtractDistributionG3:
         assert back.p2 == pytest.approx(d.p2, abs=1e-10)
         assert back.p3 == pytest.approx(d.p3, abs=1e-10)
 
+    @pytest.mark.parametrize("d", [
+        PhotonDistribution(6.927739544578992e-17, 0.007751937984488431,
+                           0.9922480620145192, 9.922480620145191e-13),
+        PhotonDistribution(0.6629476968711366, 0.001, 0.3360523031278633,
+                           1e-12)], ids=["pair-heavy", "near-ceiling"])
+    def test_a_seed_that_meets_the_residual_tolerance_is_still_polished(
+            self, d):
+        # each seed's residuals already lie below 1e-12 while its weights
+        # are 2.6e-10 and 6.8e-10 off; one Newton step brings them to 1e-13
+        back = extract_distribution_g3(d.p0, g2_of(d), g3_of(d))
+        assert max(abs(b - w) for b, w in
+                   zip(back.as_tuple(), d.as_tuple())) < 1e-12
+
 
 class TestApplyCollection:
     def test_full_collection_is_identity(self, sps2: PhotonDistribution):
@@ -703,3 +716,19 @@ class TestArgumentChecks:
     def test_each_check_raises_its_own_message(self, call, error, message):
         with pytest.raises(error, match=f"^{re.escape(message)}$"):
             call()
+
+    @pytest.mark.parametrize("build, names, first", [
+        pytest.param(build, names, first, id=f"{call}-{names[first]}")
+        for call, build, names in [
+            ("cascade", lambda v: cascade_distribution(
+                ExcitationProbs(*v[:2]), *v[2:]),
+             ["p_xx", "p_x", "qy_x", "qy_xx"]),
+            ("model", lambda v: SourceModel(1.0, *v), ["qy_x", "qy_xx"])]
+        for first in range(len(names))])
+    def test_the_first_value_outside_the_unit_interval_is_named(
+            self, build, names, first):
+        # every value from ``first`` on is 1.5, the ones before it 0.25
+        values = [0.25] * first + [1.5] * (len(names) - first)
+        with pytest.raises(ValueError,
+                           match=f"^{names[first]} must lie in \\[0, 1\\]$"):
+            build(values)
