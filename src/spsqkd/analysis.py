@@ -128,12 +128,12 @@ class GammaMap:
         frac = -g0 / (g1 - g0)
         return self.p2[j], self.p1[i0] + frac * (self.p1[i1] - self.p1[i0])
 
-    def fit_zero_contour(self, p2_max: float = 0.3) -> tuple[float, float]:
-        """Least-squares (slope, intercept) of the contour for p2 <= p2_max."""
+    def fit_zero_contour(self) -> tuple[float, float]:
+        """Least-squares (slope, intercept) of the contour for p2 <= 0.3."""
         p2c, p1c = self.zero_contour()
-        keep = p2c <= p2_max
+        keep = p2c <= 0.3
         if keep.sum() < 2:
-            raise FitError("zero contour has fewer than two points below p2_max")
+            raise FitError("zero contour has fewer than two points at p2 <= 0.3")
         slope, intercept = np.polyfit(p2c[keep], p1c[keep], 1)
         return float(slope), float(intercept)
 
@@ -425,20 +425,20 @@ def _source_array(p1, p2: np.ndarray) -> np.ndarray:
         np.stack([np.maximum(1.0 - p1 - p2, 0.0), p1, p2, np.zeros_like(p2)]))
 
 
-def _map_points(p1_axis: np.ndarray, p2_axis: np.ndarray,
+def _map_points(axis: np.ndarray,
                 eta_c: float) -> tuple[np.ndarray, np.ndarray, int, np.ndarray]:
-    """The points of the (p1, p2) grid with p1 + p2 <= 1, the half-resolution
-    lattice (both indices even) first: their indices i and j, the size of
-    the lattice, and their distributions (``_source_array``), after
-    collection at ``eta_c``.  A function of its own, so that the grid-sized
-    arrays that build them are freed before the map's searches start.
+    """The points of the (p1, p2) grid ``axis`` x ``axis`` with p1 + p2 <= 1,
+    the half-resolution lattice (both indices even) first: their indices i
+    and j, the size of the lattice, and their distributions
+    (``_source_array``), after collection at ``eta_c``.  A function of its
+    own, so that the grid-sized arrays that build them are freed before
+    the map's searches start.
     """
-    p1, p2 = np.meshgrid(p1_axis, p2_axis, indexing="ij")
-    i, j = np.nonzero(p1 + p2 <= 1.0 + 1e-12)
+    i, j = np.nonzero(np.add.outer(axis, axis) <= 1.0 + 1e-12)
     odd = (i | j) & 1
     order = np.argsort(odd, kind="stable")
     i, j = i[order], j[order]
-    probs = _source_array(p1_axis[i], p2_axis[j])
+    probs = _source_array(axis[i], axis[j])
     if eta_c < 1.0:
         probs = apply_collection_array(probs, eta_c)
     return i, j, odd.size - np.count_nonzero(odd), probs
@@ -471,9 +471,8 @@ def gamma_map_dtb(channel: ChannelParams, eta_c: float = 1.0, n: int = 200,
         raise ValueError("the grid needs n >= 2 points per axis")
     check_collection(eta_c)
     baseline = wcs_mcl(channel, q_sift=q_sift, f_ec=f_ec)
-    p1_axis = np.linspace(0.0, 1.0, n)
-    p2_axis = np.linspace(0.0, 1.0, n)
-    i, j, lattice, probs = _map_points(p1_axis, p2_axis, eta_c)
+    axis = np.linspace(0.0, 1.0, n)
+    i, j, lattice, probs = _map_points(axis, eta_c)
     # the MCLs by grid index, with a NaN row and column past the last; the
     # lattice's hints are its own entries, still NaN, so it starts cold
     mcls = np.full((n + 1, n + 1), np.nan)
@@ -483,7 +482,7 @@ def gamma_map_dtb(channel: ChannelParams, eta_c: float = 1.0, n: int = 200,
             dtb_rate_array_fn(probs[:, part], channel, q_sift=q_sift,
                               f_ec=f_ec), pi.size, MCL_TOL_DB,
             _neighbour_mean(mcls, pi, pj))[0]
-    return GammaMap(p1=p1_axis, p2=p2_axis,
+    return GammaMap(p1=axis, p2=axis,
                     gamma_db=gamma(mcls[:n, :n], baseline), wcs_mcl_db=baseline)
 
 

@@ -147,7 +147,7 @@ class IntensityTally:
 
 @dataclass(slots=True)
 class SimReport:
-    """Integer tallies of one run plus derived empirical rates."""
+    """Integer tallies of one run."""
 
     protocol: str
     seed: int
@@ -156,16 +156,6 @@ class SimReport:
     heralds: int = 0
     herald_and_one: int = 0
     herald_and_two: int = 0
-
-    def q(self, label: str) -> float:
-        """Empirical gain: detections per sent pulse of this intensity."""
-        t = self.tallies[label]
-        return t.detected / t.sent if t.sent else 0.0
-
-    def e(self, label: str) -> float:
-        """Empirical matched-basis error fraction among detections."""
-        t = self.tallies[label]
-        return t.errors / t.detected if t.detected else 0.0
 
     def to_dict(self) -> dict:
         """The report's fields as plain data; a dtb run has no herald counts."""

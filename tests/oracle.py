@@ -86,6 +86,15 @@ def skr_dtb(probs, channel, q_sift: float, f_ec: float) -> mpf:
                               + y1 * mpf(probs[1]) * (1 - _entropy_cost(e1)))
 
 
+def leakage(probs, channel, q_sift: float, f_ec: float) -> mpf:
+    """The error-correction term q_sift Q f_ec H2(E) of the source ``probs``,
+    which every source rate subtracts from its secret term; at a cut-off
+    the two are equal, so it sets the size of the rate's rounding there."""
+    with mpmath.workdps(DIGITS):
+        _, q, e = _signal(probs, channel)
+        return mpf(q_sift) * q * mpf(f_ec) * _entropy_cost(e)
+
+
 def _gllp(q, e, q1, q_sift: float, f_ec: float) -> mpf:
     # q_sift Q (-f_ec H2(E) + omega (1 - H2(E / omega))) with omega = Q_1 / Q,
     # at most 1, and only the leakage where omega = 0

@@ -895,7 +895,7 @@ class TestGammaMap:
 
     def test_contour_fit_matches_the_published_texture(self, channel):
         fit_map = gamma_map_dtb(channel, n=40)
-        slope, intercept = fit_map.fit_zero_contour(p2_max=0.3)
+        slope, intercept = fit_map.fit_zero_contour()
         assert 1.05 < slope < 1.25
         assert 0.15 < intercept < 0.24
 

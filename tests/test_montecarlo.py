@@ -378,9 +378,9 @@ class TestDtbSimulation:
     def test_lossless_ideal_link_detects_every_photon(self):
         ch = ChannelParams(loss_db=0.0, eta_bob=1.0, p_dc=0.0, e_d=0.0)
         perfect = PhotonDistribution(0.0, 1.0, 0.0)
-        report = run_dtb(dtb_config(ch, {"s": perfect}, 10_000, 1))
-        assert report.q("s") == 1.0
-        assert report.e("s") == 0.0
+        t = run_dtb(dtb_config(ch, {"s": perfect}, 10_000, 1)).tallies["s"]
+        assert t.detected / t.sent == 1.0
+        assert t.errors / t.detected == 0.0
 
     def test_gain_and_error_match_the_analytic_model(self, channel, sps1):
         ch = channel.with_loss(10.0)
@@ -589,7 +589,9 @@ class TestDecoyRecovery:
         for label in ("s0", "s1", "s2"):
             t = report.tallies[label]
             from spsqkd.channel_model import ObservedRates
-            obs[label] = ObservedRates(q=report.q(label), e=report.e(label))
+            obs[label] = ObservedRates(
+                q=t.detected / t.sent,
+                e=t.errors / t.detected if t.detected else 0.0)
             var_q[label] = obs[label].q * (1 - obs[label].q) / t.sent
         sol = solve_dtb(obs["s2"], obs["s1"], obs["s0"], bare_signal,
                         bare_decoy, tol=math.inf)

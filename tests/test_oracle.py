@@ -7,6 +7,8 @@ golden cut-off is where the exact model's sign changes.  The laser's
 goldens are checked against both the Poisson sum the package truncates
 and the exact (closed-form) sum.  The moment inversion is checked on the
 inputs whose results are pinned, and the herald on a grid of settings.
+Random problems over the CLI's ranges check the MCL searches and the
+laser's intensity away from the pinned points.
 """
 
 import json
@@ -15,15 +17,20 @@ from importlib import resources
 
 import numpy as np
 import pytest
+from hypothesis import event, given, settings
+from hypothesis import strategies as st
 from mpmath import mpf
 
 import oracle
-from spsqkd.channel_model import _wcs_closed_form
+from spsqkd import analysis
+from spsqkd.channel_model import ChannelParams, _wcs_closed_form
+from spsqkd.errors import NoKeyError
 from spsqkd.photon_source import (PhotonDistribution, extract_distribution_g3,
                                   g2_of, g3_of, hp_herald_probability,
                                   hp_transform)
 from spsqkd.protocols import (DEFAULT_F_EC, DEFAULT_F_EC_TAGGING,
-                              DEFAULT_Q_SIFT, _decoy_laser)
+                              DEFAULT_Q_SIFT, _decoy_laser,
+                              skr_wcs_infinite_decoy)
 
 # Largest distance of a golden rate from the exact model, in units of the
 # rate's ulp: measured at most 3.14 (perfect-sps at 20 dB), 4.1e-16 relative.
@@ -236,3 +243,111 @@ def test_the_heralded_one_photon_weight_counts_the_herald_factor_twice(
             worst = max(worst, abs(mpf(got) - double) / ulp,
                         abs(mpf(got) - exact - gap) / ulp)
     assert worst <= HERALD_ONE_ULPS
+
+
+# Random problems over the CLI's ranges: a receiver with eta_bob 0.02-0.9,
+# p_dc 1e-8-1e-4 (log-uniform) and e_d 0-0.05, and a source with p1
+# 0.05-0.9, p2 up to min(0.5, 1 - p1) and p3 = 0.
+receivers = st.builds(
+    lambda eta_bob, log_p_dc, e_d: ChannelParams(0.0, eta_bob,
+                                                 10.0 ** log_p_dc, e_d),
+    st.floats(0.02, 0.9), st.floats(-8.0, -4.0), st.floats(0.0, 0.05))
+weights = st.floats(0.05, 0.9).flatmap(
+    lambda p1: st.tuples(st.just(p1), st.floats(0.0, min(0.5, 1.0 - p1))))
+
+# A sign of the oracle may disagree with the kernel's only where the exact
+# rate lies within this many units in the last place of the leakage
+# q_sift Q f_ec H2(E), the term the kernel subtracts from one of the same
+# size at a cut-off.  Each draw is counted as a hypothesis event, "inside
+# the last-place bound" where either probe lies within it and "certified"
+# otherwise (``pytest --hypothesis-show-statistics``).  Measured: the
+# smallest |exact rate| at a probe was 3.0e8 ulp of the leakage over 4,500
+# seeded draws of each search and 7,200 map cells, none inside the bound.
+SIGN_ULPS = 16
+
+# The three MCLs of the CLI's source protocols: (protocol, oracle params).
+SEARCHES = {
+    "dtb": {"q_sift": DEFAULT_Q_SIFT, "f_ec": DEFAULT_F_EC},
+    "perfect-sps": {"q_sift": DEFAULT_Q_SIFT, "f_ec": DEFAULT_F_EC},
+    "hp": {"q_sift": DEFAULT_Q_SIFT, "f_ec": DEFAULT_F_EC_TAGGING,
+           "t": 0.5, "eta_d": 0.9}}
+
+
+def certify(protocol: str, source, receiver, mcl_db: float) -> None:
+    """Assert that the oracle's rate is > 0 at the MCL's floor and <= 0 one
+    grid step above, unless the exact rate at that probe lies within
+    SIGN_ULPS of the leakage, and record the draw as an event."""
+    params = SEARCHES[protocol]
+    probs = source.as_tuple()
+    if protocol == "hp":
+        probs = oracle.heralded(probs, params["t"], params["eta_d"],
+                                receiver.p_dc)
+    inside = False
+    floor = mcl_db - STEP_DB / 2
+    for loss, has_key in ((floor, True), (floor + STEP_DB, False)):
+        channel = receiver.with_loss(loss)
+        exact = oracle_raw(protocol, source, channel, params)
+        bound = SIGN_ULPS * mpf(math.ulp(float(oracle.leakage(
+            probs, channel, params["q_sift"], params["f_ec"]))))
+        inside |= abs(exact) <= bound
+        assert (exact > 0) == has_key or abs(exact) <= bound, (
+            f"{protocol} {source} {receiver}: MCL {mcl_db!r}, oracle rate "
+            f"{float(exact):.3e} at {loss!r} dB")
+    event("inside the last-place bound" if inside else "certified")
+
+
+@pytest.mark.parametrize("protocol", SEARCHES)
+@given(receiver=receivers, p1_p2=weights)
+@settings(max_examples=120, deadline=None)
+def test_a_random_mcl_has_the_oracle_signs_at_its_floor_and_next_step(
+        protocol, receiver, p1_p2):
+    p1, p2 = p1_p2
+    source = (PhotonDistribution(0.0, 1.0, 0.0) if protocol == "perfect-sps"
+              else PhotonDistribution(max(1.0 - p1 - p2, 0.0), p1, p2))
+    rate_fn = (analysis.hp_rate_fn(source, receiver, t=0.5, eta_d=0.9)
+               if protocol == "hp" else analysis.dtb_rate_fn(source, receiver))
+    try:
+        mcl_db = analysis.mcl(rate_fn)
+    except NoKeyError:
+        event("no key")
+        return
+    certify(protocol, source, receiver, mcl_db)
+
+
+@given(receiver=receivers, cells=st.lists(
+    st.tuples(weights, st.floats(0.0, 60.0) | st.just(math.nan)),
+    min_size=1, max_size=8))
+@settings(max_examples=30, deadline=None)
+def test_gamma_map_cells_have_the_oracle_signs_at_floor_and_next_step(
+        receiver, cells):
+    # the map's lockstep search, each cell started cold or from a hint
+    (p1, p2), hints = np.array([w for w, _ in cells]).T, [h for _, h in cells]
+    probs = analysis._source_array(p1, p2)
+    mcls, step = analysis._mcl_bracket(
+        analysis.dtb_rate_array_fn(probs, receiver), len(cells),
+        analysis.MCL_TOL_DB, np.array(hints))
+    assert step == STEP_DB
+    for k, mcl_db in enumerate(mcls.tolist()):
+        if math.isnan(mcl_db):
+            event("no key")
+        else:
+            certify("dtb", PhotonDistribution(*probs[:, k]), receiver, mcl_db)
+
+
+# The laser's intensity search stops within 1e-6 of its optimum, and moving
+# mu by 1e-4 of itself costs far more rate than that, so no such neighbour
+# may have a higher exact rate.
+@given(receiver=receivers, loss_db=st.floats(0.0, 30.0))
+@settings(max_examples=20, deadline=None)
+def test_the_laser_intensity_has_no_better_neighbour(receiver, loss_db):
+    channel = receiver.with_loss(loss_db)
+    found = skr_wcs_infinite_decoy(channel)
+    if found.rate <= 0:
+        event("no key")
+        return
+    rate = oracle.skr_wcs(channel, found.mu, DEFAULT_Q_SIFT, DEFAULT_F_EC)
+    for j in range(-5, 6):
+        mu = found.mu * (1 + j * 1e-4)
+        assert oracle.skr_wcs(channel, mu, DEFAULT_Q_SIFT,
+                              DEFAULT_F_EC) <= rate, (channel, found.mu, j)
+    event("certified")
