@@ -10,7 +10,8 @@ It covers:
 
 - the yields of the threshold-detector channel (``channel_model``),
 - the decoy-state bound on the truncated basis (``protocols.skr_dtb``),
-  whose ideal source p1 = 1 is the perfect-sps rate,
+  whose ideal source p1 = 1 is the perfect-sps rate, and its leakage
+  term, the size of a rate's rounding near a cut-off,
 - the heralded distribution with its GLLP tagging bound
   (``protocols.skr_hp``).  The herald uses the package's factor
   eta_d + p_dc (``photon_source._heralded``), not the exact threshold

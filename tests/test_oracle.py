@@ -321,8 +321,8 @@ def test_a_random_mcl_has_the_oracle_signs_at_its_floor_and_next_step(
 def test_gamma_map_cells_have_the_oracle_signs_at_floor_and_next_step(
         receiver, cells):
     # the map's lockstep search, each cell started cold or from a hint
-    (p1, p2), hints = np.array([w for w, _ in cells]).T, [h for _, h in cells]
-    probs = analysis._source_array(p1, p2)
+    pairs, hints = zip(*cells)
+    probs = analysis._source_array(*np.array(pairs).T)
     mcls, step = analysis._mcl_bracket(
         analysis.dtb_rate_array_fn(probs, receiver), len(cells),
         analysis.MCL_TOL_DB, np.array(hints))
